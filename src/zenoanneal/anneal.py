@@ -1,18 +1,17 @@
-"""The optimization protocol: schedules, per-cycle pipeline, observables.
+"""The optimization protocol: schedules, the two cycle engines, observables.
 
 Each cycle applies, in this fixed order: (1) a per-node phase rotation,
 (2) the drive, (3) one constraint gadget per edge in sorted edge order.
 Edge gadgets sharing a vertex need not commute, so the order is part of the
 contract and is recorded in every report.
 
-Three execution paths share that pipeline:
-
-* ``anneal_density``     - density matrices with per-mode dim >= 3, physical
-                           constraint gadgets, and a choice of drive models;
-* ``anneal_statevector`` - pure qubit amplitudes with the coherent-limit
-                           constraint (a phase kick of pi + phi_q on |11>);
-* ``anneal_ideal``       - reference run whose driver cannot reach
-                           non-independent configurations at all.
+``anneal_density`` runs that cycle on a density matrix (per-mode dim >= 3)
+with the physical constraint gadgets and a choice of drive models.
+``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
+row of a batched schedule (a sequence of r_tot), for three paths:
+``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
+``anneal_ideal`` (a drive that cannot reach non-independent sets) and
+``qubo_anneal`` (a zeta ramp on the QUBO energy).
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .fock import (DensityState, FockSpace, PureState,
                    apply_local_operator_matrix, apply_local_superop_matrix,
@@ -30,7 +28,7 @@ from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       default_pump_dim)
 from .generators import (combine, displacement_generator, loss_dissipator,
                          sfg_generator, tpa_dissipator)
-from .problems import ProblemGraph, brute_force_mis, brute_force_qubo, brute_force_wmis
+from .problems import ProblemGraph
 from .propagator import PhaseKernel, build_cache
 
 CYCLE_ORDER = "phase->drive->constraints"
@@ -45,10 +43,11 @@ class Schedule:
     Every entry satisfies |phi| + |c| = r_tot / n_cycle and
     phi/c = cot(pi tau); sweeping tau moves the pinned axis from the empty
     state to the occupied one through an avoided crossing at tau = 1/2.
+    A batched schedule holds B values in ``r_tot`` and (B, n_cycle) angles.
     """
 
     n_cycle: int
-    r_tot: float
+    r_tot: float | tuple[float, ...]
     tau: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
@@ -56,18 +55,25 @@ class Schedule:
     zeta: np.ndarray | None = field(default=None, repr=False)
 
 
-def make_schedule(n_cycle: int, r_tot: float) -> Schedule:
+def _cycle_grid(n_cycle: int, r_tot):
+    """(tau, step): tau_i = i/(n_cycle+1) and r_tot/n_cycle, the step as a
+    (B, 1) column when r_tot is a sequence of B values."""
+    r = np.asarray(r_tot, dtype=float)
     if n_cycle < 1:
         raise ValueError("n_cycle must be at least 1")
-    if r_tot <= 0:
-        raise ValueError("r_tot must be positive")
-    i = np.arange(1, n_cycle + 1, dtype=float)
-    tau = i / (n_cycle + 1)
+    if r.ndim > 1 or r.size == 0 or np.any(r <= 0):
+        raise ValueError("r_tot must be positive (one value or a non-empty sequence)")
+    return np.arange(1, n_cycle + 1, dtype=float) / (n_cycle + 1), r[..., None] / n_cycle
+
+
+def make_schedule(n_cycle: int, r_tot) -> Schedule:
+    """Cot-profile schedule; a sequence of r_tot gives a batched schedule."""
+    tau, step = _cycle_grid(n_cycle, r_tot)
     cot = np.cos(math.pi * tau) / np.sin(math.pi * tau)
-    step = r_tot / n_cycle
     phi = step * cot / (1.0 + np.abs(cot))
     c = step / (1.0 + np.abs(cot))
-    return Schedule(n_cycle, float(r_tot), tau, phi, c)
+    r_field = float(r_tot) if np.ndim(r_tot) == 0 else tuple(map(float, r_tot))
+    return Schedule(n_cycle, r_field, tau, phi, c)
 
 
 def weighted_phases(schedule: Schedule, weights) -> Schedule:
@@ -93,29 +99,28 @@ class AnnealReport:
     final_state: object | None = None
 
 
-def _binary_patterns(n: int):
-    for idx in range(1 << n):
-        yield tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
-
-
-def _optima_patterns(graph: ProblemGraph) -> list[tuple[int, ...]]:
-    if graph.weights is None:
-        _, optima = brute_force_mis(graph)
-    else:
-        _, optima = brute_force_wmis(graph)
-    return [tuple(1 if j in s else 0 for j in range(graph.n_vertices)) for s in optima]
+def _bit_table(n: int) -> np.ndarray:
+    """(2^n, n) occupations of every 0/1 pattern in basis order (mode 0 slowest)."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 class _Observables:
-    """Precomputed index sets for success/leakage on a product space."""
+    """Per 0/1 pattern (rows of ``bits``): edge violations, optimality, and
+    the basis indices for success/leakage."""
 
     def __init__(self, space: FockSpace, graph: ProblemGraph):
-        self.space = space
-        self.optima_idx = np.array([space.index(p) for p in _optima_patterns(graph)])
-        independent = [p for p in _binary_patterns(graph.n_vertices)
-                       if graph.is_independent([j for j, b in enumerate(p) if b])]
-        self.independent_idx = np.array([space.index(p) for p in independent])
-        self.qubit_patterns = list(_binary_patterns(graph.n_vertices))
+        n = graph.n_vertices
+        self.bits = _bit_table(n)
+        self.pattern_idx = self.bits @ np.array(space.strides)
+        self.patterns = list(map(tuple, self.bits.tolist()))
+        self.violations = sum((self.bits[:, j] & self.bits[:, k] for j, k in graph.edges),
+                              np.zeros(len(self.bits), dtype=int))
+        value = np.where(self.violations == 0,
+                         self.bits @ np.asarray(graph.weights or [1.0] * n), -np.inf)
+        # MIS is WMIS with unit weights; ties as in problems.brute_force_wmis
+        self.optimal = value >= value.max() - 1e-12
+        self.optima_idx = self.pattern_idx[self.optimal]
+        self.independent_idx = self.pattern_idx[self.violations == 0]
 
     def success(self, diag: np.ndarray) -> float:
         return float(diag[self.optima_idx].sum())
@@ -124,7 +129,7 @@ class _Observables:
         return float(1.0 - diag[self.independent_idx].sum())
 
     def qubit_populations(self, diag: np.ndarray) -> dict[tuple[int, ...], float]:
-        return {p: float(diag[self.space.index(p)]) for p in self.qubit_patterns}
+        return dict(zip(self.patterns, diag[self.pattern_idx].tolist()))
 
 
 def success_probability(state, graph: ProblemGraph) -> float:
@@ -279,62 +284,121 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
         final_state=final if keep_final_state else None)
 
 
-def _qubit_space(n: int) -> FockSpace:
-    return make_space([2] * n)
+def _hadamard(k: int) -> np.ndarray:
+    """Normalized H^{(x)k}: entry (x, y) is (-1)^popcount(x & y) / 2^(k/2)."""
+    bits = _bit_table(k)
+    return ((1 - 2 * ((bits @ bits.T) & 1)) / math.sqrt(1 << k)).astype(complex)
 
 
-def _weighted_number_vector(space: FockSpace, weights) -> np.ndarray:
-    number = np.zeros(space.total_dim)
-    for m, w in enumerate(weights):
-        number += space.occupation_array(m).astype(float) * w
-    return number
+def _phase_diagonal(values: np.ndarray):
+    """angles -> exp(-i angle_b values) for one angle per row, with one exp
+    per distinct value (number and n - 2 popcount take only n + 1 values)."""
+    distinct, index = np.unique(values, return_inverse=True)
+    neg_i_distinct = -1j * distinct
+    return lambda angles: np.exp(angles[:, None] * neg_i_distinct)[:, index]
 
 
-def _statevector_pipeline(graph: ProblemGraph, schedule: Schedule,
-                          edge_kicks: dict[tuple[int, int], complex] | None,
-                          drive_apply):
-    """Shared cycle loop for the pure-state paths; returns report pieces."""
+def _eigen_mixer(lam: np.ndarray, to_eig, from_eig):
+    """(amps, c) -> exp(-i c_b M) on every row, in M's eigenbasis W:
+    amps <- ((amps @ W) * exp(-i c lam)) @ W^T."""
+    phases = _phase_diagonal(lam)
+    return lambda amps, c: from_eig(to_eig(amps) * phases(c))
+
+
+def _transverse_mixer(n: int):
+    """exp(-i c X) on each of n qubits: W = H^{(x)n}, lam = n - 2 popcount.
+
+    H^{(x)n} = H^{(x)(n-k)} (x) H^{(x)k} with k = min(n, 7): the low k bits
+    are one matmul on a (B 2^(n-k), 2^k) reshape, the high bits a second on
+    (B, 2^(n-k), 2^k), so no 2^n x 2^n matrix is formed.  H^{(x)n} is its
+    own inverse.
+    """
+    k = min(n, 7)
+    low, high = _hadamard(k), _hadamard(n - k)
+
+    def walsh_hadamard(amps: np.ndarray) -> np.ndarray:
+        out = amps.reshape(-1, low.shape[0]) @ low
+        if n > k:
+            out = high @ out.reshape(amps.shape[0], high.shape[0], low.shape[0])
+        return out.reshape(amps.shape)
+
+    return _eigen_mixer(n - 2 * _bit_table(n).sum(axis=1), walsh_hadamard, walsh_hadamard)
+
+
+def _ideal_mixer(independent: np.ndarray):
+    """The transverse mixer with every matrix element that touches a
+    non-independent pattern removed, diagonalized once."""
+    idx = np.arange(len(independent))
+    single_flip = np.bitwise_count(idx[:, None] ^ idx[None, :]) == 1
+    lam, vecs = np.linalg.eigh(
+        (single_flip & independent[:, None] & independent[None, :]).astype(float))
+    w = vecs.astype(complex)
+    return _eigen_mixer(lam, lambda amps: amps @ w, lambda amps: amps @ w.T)
+
+
+def _run_pure(schedule: Schedule, mixer, number: np.ndarray, proj: np.ndarray,
+              energy: np.ndarray | None = None, kicks: np.ndarray | None = None):
+    """The pure-state cycle engine; returns (final amplitudes, records).
+
+    A (B, 2^n) state, one row per schedule row, starts in vacuum.  Each cycle
+    applies exp(-i(phi_b number + zeta_b energy)), ``mixer`` at angle c_b and
+    the constant diagonal ``kicks``, then records |amps|^2 @ proj in a
+    (B, n_cycle, k) array; memory per cycle stays O(B 2^n).
+    """
+    phi, c = np.atleast_2d(schedule.phi), np.atleast_2d(schedule.c)
+    number_phases = _phase_diagonal(number)
+    if schedule.zeta is not None:
+        zeta, energy_phases = np.atleast_2d(schedule.zeta), _phase_diagonal(energy)
+    amps = np.zeros((phi.shape[0], len(number)), dtype=complex)
+    amps[:, 0] = 1.0
+    records = np.empty((phi.shape[0], schedule.n_cycle, proj.shape[1]))
+    for i in range(schedule.n_cycle):
+        diag = number_phases(phi[:, i])
+        if schedule.zeta is not None:
+            diag *= energy_phases(zeta[:, i])
+        amps = mixer(amps * diag, c[:, i])
+        if kicks is not None:
+            amps *= kicks
+        records[:, i] = (np.abs(amps) ** 2) @ proj
+    return amps, records
+
+
+def _pure_report(schedule: Schedule, bits: np.ndarray, amps: np.ndarray,
+                 success: np.ndarray, leak: np.ndarray, meta: dict,
+                 keep_final_state: bool) -> AnnealReport:
+    """Pure-state report; a batched schedule keeps the batch axis (a (B,)
+    array per pattern, a list of final states), a single one drops it."""
+    space = make_space([2] * bits.shape[1])
+    final = [PureState(space, a / np.linalg.norm(a)) for a in amps]
+    populations = (np.abs(amps) ** 2).T
+    if np.ndim(schedule.phi) == 1:
+        success, leak, populations, final = (success[0], leak[0],
+                                             populations[:, 0].tolist(), final[0])
+    return AnnealReport(schedule.n_cycle, success, np.zeros_like(success), leak,
+                        dict(zip(map(tuple, bits.tolist()), populations)),
+                        meta={**meta, "r_tot": schedule.r_tot},
+                        final_state=final if keep_final_state else None)
+
+
+def _anneal_mis_pure(graph: ProblemGraph, schedule: Schedule, phi_q: float | None,
+                     keep_final_state: bool) -> AnnealReport:
+    """Statevector run with kick pi + phi_q per violated edge, or with the
+    ideal mixer when ``phi_q`` is None."""
     n = graph.n_vertices
-    space = _qubit_space(n)
-    obs = _Observables(space, graph)
     weights = schedule.weights or tuple(1.0 for _ in range(n))
     if len(weights) != n:
         raise ValueError("need one phase weight per graph vertex")
-    number = _weighted_number_vector(space, weights)
-    masks = {}
-    if edge_kicks:
-        for (j, k) in edge_kicks:
-            masks[(j, k)] = ((space.occupation_array(j) == 1)
-                             & (space.occupation_array(k) == 1))
-
-    amps = vacuum(space).amplitudes.copy()
-    success = np.empty(schedule.n_cycle)
-    leak = np.empty(schedule.n_cycle)
-    for i in range(schedule.n_cycle):
-        phi_i, c_i = float(schedule.phi[i]), float(schedule.c[i])
-        amps = amps * np.exp(-1j * phi_i * number)
-        amps = drive_apply(amps, c_i)
-        if edge_kicks:
-            for (j, k), kick in edge_kicks.items():
-                amps = np.where(masks[(j, k)], amps * kick, amps)
-        p = np.abs(amps) ** 2
-        success[i] = obs.success(p)
-        leak[i] = obs.leakage(p)
-    return space, obs, amps, success, leak
-
-
-def _per_mode_rotation(space: FockSpace, n: int):
-    """Return a function applying exp(-i c X) on every qubit mode."""
-
-    def apply(amps: np.ndarray, c: float) -> np.ndarray:
-        u = np.array([[math.cos(c), -1j * math.sin(c)],
-                      [-1j * math.sin(c), math.cos(c)]])
-        tensor = amps.reshape((2,) * n)
-        for m in range(n):
-            tensor = np.moveaxis(np.tensordot(u, tensor, axes=([1], [m])), 0, m)
-        return tensor.reshape(space.total_dim)
-
-    return apply
+    obs = _Observables(make_space([2] * n), graph)
+    if phi_q is None:
+        mixer, kicks, meta = _ideal_mixer(obs.violations == 0), None, {"path": "ideal"}
+    else:
+        mixer, meta = _transverse_mixer(n), {"path": "statevector", "phi_q": phi_q}
+        kicks = np.exp(1j * (math.pi + phi_q) * obs.violations)
+    proj = np.column_stack([obs.optimal, obs.violations == 0]).astype(float)
+    amps, records = _run_pure(schedule, mixer, obs.bits @ np.asarray(weights), proj,
+                              kicks=kicks)
+    return _pure_report(schedule, obs.bits, amps, records[..., 0],
+                        1.0 - records[..., 1], meta, keep_final_state)
 
 
 def anneal_statevector(graph: ProblemGraph, schedule: Schedule,
@@ -346,63 +410,24 @@ def anneal_statevector(graph: ProblemGraph, schedule: Schedule,
     which is exactly what the physical gadget does in its fully coherent
     setting, so this path matches ``anneal_density`` there.
     """
-    n = graph.n_vertices
-    kick = complex(np.exp(1j * (math.pi + phi_q)))
-    kicks = {e: kick for e in graph.sorted_edges()}
-    space = _qubit_space(n)
-    drive = _per_mode_rotation(space, n)
-    space, obs, amps, success, leak = _statevector_pipeline(graph, schedule, kicks, drive)
-    final = PureState(space, amps / np.linalg.norm(amps))
-    return AnnealReport(schedule.n_cycle, success, np.zeros(schedule.n_cycle), leak,
-                        obs.qubit_populations(np.abs(amps) ** 2),
-                        meta={"path": "statevector", "phi_q": phi_q,
-                              "r_tot": schedule.r_tot},
-                        final_state=final if keep_final_state else None)
+    return _anneal_mis_pure(graph, schedule, phi_q, keep_final_state)
 
 
 def anneal_ideal(graph: ProblemGraph, schedule: Schedule,
                  keep_final_state: bool = False) -> AnnealReport:
     """Reference run: driver matrix elements into non-independent sets are zeroed."""
-    n = graph.n_vertices
-    space = _qubit_space(n)
-    dim = space.total_dim
-    independent = np.zeros(dim, dtype=bool)
-    for p in _binary_patterns(n):
-        if graph.is_independent([j for j, b in enumerate(p) if b]):
-            independent[space.index(p)] = True
-    h = np.zeros((dim, dim))
-    for m in range(n):
-        occ = space.occupation_array(m)
-        stride = space.strides[m]
-        for idx in range(dim):
-            if occ[idx] == 0:
-                other = idx + stride
-                if independent[idx] and independent[other]:
-                    h[idx, other] = h[other, idx] = 1.0
-    lam, vecs = np.linalg.eigh(h)
-
-    def drive(amps: np.ndarray, c: float) -> np.ndarray:
-        return vecs @ (np.exp(-1j * c * lam) * (vecs.conj().T @ amps))
-
-    space, obs, amps, success, leak = _statevector_pipeline(graph, schedule, None, drive)
-    final = PureState(space, amps / np.linalg.norm(amps))
-    return AnnealReport(schedule.n_cycle, success, np.zeros(schedule.n_cycle), leak,
-                        obs.qubit_populations(np.abs(amps) ** 2),
-                        meta={"path": "ideal", "r_tot": schedule.r_tot},
-                        final_state=final if keep_final_state else None)
+    return _anneal_mis_pure(graph, schedule, None, keep_final_state)
 
 
-def linear_three_parameter_profile(n_cycle: int, r_tot: float):
+def linear_three_parameter_profile(n_cycle: int, r_tot):
     """Default QUBO ramp: phi falls linearly, c bumps, zeta rises linearly.
 
     Endpoints: c(0) = zeta(0) = 0 with phi(0) > 0, and c(1) = phi(1) = 0 with
     zeta(1) > 0, both approached monotonically.  The early phase bias points
     at the all-empty state, so instances should be gauged to put their
-    expected optimum there.
+    expected optimum there.  A sequence of r_tot gives (B, n_cycle) rows.
     """
-    i = np.arange(1, n_cycle + 1, dtype=float)
-    tau = i / (n_cycle + 1)
-    step = r_tot / n_cycle
+    tau, step = _cycle_grid(n_cycle, r_tot)
     phi = step * (1.0 - tau)
     # c/phi must vanish at both ends or the pinned axis never returns to the
     # diagonal bias; sin^2 * (1 - tau) dies quadratically against phi.
@@ -411,7 +436,7 @@ def linear_three_parameter_profile(n_cycle: int, r_tot: float):
     return tau, phi, c, zeta
 
 
-def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot: float,
+def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot,
                 zeta_profile=None,
                 constraint: ConstraintParams | None = None,
                 keep_final_state: bool = False) -> AnnealReport:
@@ -420,38 +445,22 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot: float,
     Diagonal elements ride on the per-mode phases; each off-diagonal pair
     applies a pump-phase kick of zeta * (Q_jk + Q_kj) on |1_j 1_k>, which is
     only realizable with a lossless pump, so lossy constraint parameters are
-    rejected.
+    rejected.  A sequence of r_tot runs a batch; ``meta`` holds the optima
+    and every pattern's energy in basis order.
     """
     q = np.asarray(q, dtype=float)
     if constraint is not None and constraint.eta_t != 0.0:
         raise ValueError("QUBO phases need a lossless pump (eta_t = 0)")
-    n = q.shape[0]
     profile = zeta_profile or linear_three_parameter_profile
     tau, phi, c, zeta = (np.asarray(x, dtype=float)
                          for x in profile(n_cycle, r_tot))
-
-    space = _qubit_space(n)
-    number = _weighted_number_vector(space, [1.0] * n)
-    energy = np.zeros(space.total_dim)
-    for idx in range(space.total_dim):
-        bits = np.asarray(space.occupations(idx), dtype=float)
-        energy[idx] = float(bits @ q @ bits)
-    _, optima = brute_force_qubo(q)
-    opt_idx = np.array([space.index(bits) for bits in optima])
-    drive = _per_mode_rotation(space, n)
-
-    amps = vacuum(space).amplitudes.copy()
-    success = np.empty(n_cycle)
-    for i in range(n_cycle):
-        amps = amps * np.exp(-1j * (phi[i] * number + zeta[i] * energy))
-        amps = drive(amps, float(c[i]))
-        success[i] = float((np.abs(amps[opt_idx]) ** 2).sum())
-
-    p = np.abs(amps) ** 2
-    patterns = {tuple(space.occupations(i)): float(p[i])
-                for i in range(space.total_dim)}
-    final = PureState(space, amps / np.linalg.norm(amps))
-    return AnnealReport(n_cycle, success, np.zeros(n_cycle), np.zeros(n_cycle),
-                        patterns,
-                        meta={"path": "qubo", "r_tot": r_tot, "optima": optima},
-                        final_state=final if keep_final_state else None)
+    schedule = Schedule(n_cycle, r_tot, tau, phi, c, zeta=zeta)
+    bits = _bit_table(q.shape[0])
+    energy = ((bits @ q) * bits).sum(axis=1)
+    optimal = energy <= energy.min() + 1e-12  # the tie rule of brute_force_qubo
+    amps, records = _run_pure(schedule, _transverse_mixer(q.shape[0]), bits.sum(axis=1),
+                              optimal[:, None].astype(float), energy=energy)
+    meta = {"path": "qubo", "energy": energy,
+            "optima": list(map(tuple, bits[optimal].tolist()))}
+    return _pure_report(schedule, bits, amps, records[..., 0],
+                        np.zeros_like(records[..., 0]), meta, keep_final_state)

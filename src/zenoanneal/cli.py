@@ -339,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("zeno-onset", ["variant", "tpa-ratios", "sfg-ratios", "tpa-truncation",
                        "sfg-truncation", "t-max", "nt"])
-    add("drive-sweep", ["eta-ratios", "gammas", "markov-ratios", "gamma-tpas"])
+    add("drive-sweep", ["eta-ratios", "gammas", "markov-ratios", "gamma-tpas",
+                        "gamma99-lo", "gamma99-hi", "gamma99-iters"])
     add("constraint-sweep", ["graph", "gamma-ts", "n-cycles", "r-tot", "phi-q"])
     add("anneal", ["graph", "n-cycles", "r-grid", "phi-q", "tol"])
     add("wmis", ["w0-grid", "n-cycle", "r-tot", "phi-q"])
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or an experiment's own input check
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (DimensionGuardError, NonConvergenceError) as exc:

@@ -22,8 +22,8 @@ from .fock import make_space, vacuum
 from .gadgets import ConstraintParams, GAMMA_T_COHERENT, default_pump_dim
 from .generators import (combine, displacement_generator, loss_dissipator,
                          sfg_generator, tpa_dissipator)
-from .problems import (ProblemGraph, brute_force_mis, brute_force_qubo,
-                       mitigation_encode, loss_injection_experiment)
+from .problems import (ProblemGraph, brute_force_mis, mitigation_encode,
+                       loss_injection_experiment)
 from .propagator import DENSE_DIM_THRESHOLD, expm_apply_vec, expm_dense
 import scipy.sparse.linalg
 
@@ -236,11 +236,12 @@ def constraint_sweep_rows(graph: ProblemGraph, gamma_ts, n_cycles,
 # ------------------------------------------------- ideal vs phase (5 nodes)
 
 def _five_node_point(args):
-    graph, n_cycle, r_tot, phi_q = args
-    schedule = make_schedule(n_cycle, r_tot)
-    p_phase = float(anneal_statevector(graph, schedule, phi_q).success[-1])
-    p_ideal = float(anneal_ideal(graph, schedule).success[-1])
-    return p_phase, p_ideal
+    """Final phase and ideal success over the r-grid, one batched run each."""
+    graph, n_cycle, r_grid, phi_q = args
+    schedule = make_schedule(n_cycle, r_grid)
+    p_phase = anneal_statevector(graph, schedule, phi_q).success[:, -1]
+    p_ideal = anneal_ideal(graph, schedule).success[:, -1]
+    return p_phase.tolist(), p_ideal.tolist()
 
 
 def detect_critical(r_grid, diffs, tol: float = 0.01) -> float:
@@ -263,24 +264,26 @@ def ideal_vs_phase_rows(graph: ProblemGraph, n_cycles, r_grid,
     against the cycle count.
     """
     header = ["row_kind", "n_cycle", "r_tot", "p_phase", "p_ideal", "abs_diff"]
-    rows = []
-    criticals = []
-    for n in n_cycles:
-        args = [(graph, int(n), float(r), phi_q) for r in r_grid]
-        results = _map(_five_node_point, args, threads)
-        diffs = [abs(p - i) for (p, i) in results]
-        for (g, nc, r, pq), (p_phase, p_ideal), d in zip(args, results, diffs):
-            rows.append(("point", nc, r, p_phase, p_ideal, d))
-        crit = detect_critical([a[2] for a in args], diffs, tol)
-        criticals.append((int(n), crit))
-        rows.append(("critical", int(n), crit, float("nan"), float("nan"), tol))
-    ns = np.array([n for n, _ in criticals], dtype=float)
+    r_grid = [float(r) for r in r_grid]
+    counts = [int(n) for n in n_cycles]
+    results = _map(_five_node_point, [(graph, n, r_grid, phi_q) for n in counts], threads)
+    rows, criticals = [], []
+    for n, (p_phase, p_ideal) in zip(counts, results):
+        diffs = [abs(p - i) for p, i in zip(p_phase, p_ideal)]
+        rows += [("point", n, r, p, i, d)
+                 for r, p, i, d in zip(r_grid, p_phase, p_ideal, diffs)]
+        crit = detect_critical(r_grid, diffs, tol)
+        criticals.append((n, crit))
+        rows.append(("critical", n, crit, float("nan"), float("nan"), tol))
+    ns = np.array(counts, dtype=float)
     cs = np.array([c for _, c in criticals], dtype=float)
-    slope, intercept = np.polyfit(ns, cs, 1)
-    pred = slope * ns + intercept
-    ss_res = float(np.sum((cs - pred) ** 2))
-    ss_tot = float(np.sum((cs - cs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope = intercept = r2 = float("nan")  # no line through one cycle count
+    if len(set(ns)) > 1:
+        slope, intercept = np.polyfit(ns, cs, 1)
+        pred = slope * ns + intercept
+        ss_res = float(np.sum((cs - pred) ** 2))
+        ss_tot = float(np.sum((cs - cs.mean()) ** 2))
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     rows.append(("fit", 0, float(slope), float(intercept), r2, tol))
     return header, rows, criticals, (float(slope), float(intercept), float(r2))
 
@@ -310,13 +313,12 @@ def qubo_rows(q: np.ndarray, n_cycle: int, r_tot: float):
     """Final assignment distribution of the three-parameter anneal."""
     header = ["assignment", "energy", "probability", "is_optimal", "success"]
     rep = qubo_anneal(q, n_cycle, r_tot)
-    best, optima = brute_force_qubo(q)
-    rows = []
-    for bits, prob in sorted(rep.final_populations.items()):
-        energy = float(np.asarray(bits, dtype=float) @ q @ np.asarray(bits, dtype=float))
-        rows.append(("".join(map(str, bits)), energy, prob,
-                     int(tuple(bits) in optima), float(rep.success[-1])))
-    return header, rows
+    optima = set(rep.meta["optima"])
+    success = float(rep.success[-1])
+    # final_populations and meta["energy"] are both in basis order
+    return header, [("".join(map(str, bits)), energy, prob, int(bits in optima), success)
+                    for (bits, prob), energy in zip(rep.final_populations.items(),
+                                                    rep.meta["energy"].tolist())]
 
 
 # ----------------------------------------------------------------- mitigate

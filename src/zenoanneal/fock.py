@@ -184,11 +184,6 @@ def devectorize(vec: np.ndarray, space: FockSpace) -> DensityState:
     return DensityState(space, vec.reshape((d, d), order="F"))
 
 
-def devectorize_matrix(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Raw column-unstacking without DensityState validation."""
-    return np.asarray(vec).reshape((dim, dim), order="F")
-
-
 def partial_trace(state: DensityState, keep) -> DensityState:
     """Trace out every mode not listed in ``keep``."""
     keep = sorted(set(int(k) for k in keep))

@@ -56,13 +56,6 @@ class Superoperator:
     def apply(self, state: DensityState) -> DensityState:
         return devectorize(self.matrix @ vectorize(state), self.space)
 
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other."""
-        if self.space != other.space:
-            raise ValueError("superoperators live on different spaces")
-        return Superoperator(self.space, self.matrix @ other.matrix,
-                             f"({self.provenance}) after ({other.provenance})")
-
 
 def _check_time(gen: GeneratorSpec, t: float) -> None:
     if not np.isfinite(t):

@@ -1,9 +1,11 @@
 import math
+from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from zenoanneal.anneal import (anneal_density, anneal_ideal,
+from zenoanneal.anneal import (_transverse_mixer, anneal_density, anneal_ideal,
                                anneal_statevector, leakage,
                                linear_three_parameter_profile, make_schedule,
                                qubo_anneal, success_probability,
@@ -11,8 +13,9 @@ from zenoanneal.anneal import (anneal_density, anneal_ideal,
 from zenoanneal.fock import DensityState, make_space, number_state, vacuum
 from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 GAMMA_T_COHERENT, GAMMA_T_INCOHERENT)
-from zenoanneal.problems import (five_node_example, graph_from_edges,
-                                 three_node_line)
+from zenoanneal.problems import (brute_force_mis, brute_force_qubo,
+                                 brute_force_wmis, five_node_example,
+                                 graph_from_edges, qubo_energy, three_node_line)
 
 PHI_Q = 3 * math.pi / 2  # pi/2 total constraint kick
 
@@ -46,6 +49,27 @@ def test_schedule_guards():
         make_schedule(0, 1.0)
     with pytest.raises(ValueError):
         make_schedule(10, -1.0)
+    for r_tot in ([1.0, -1.0], [], [[1.0]]):
+        with pytest.raises(ValueError):
+            make_schedule(10, r_tot)
+    with pytest.raises(ValueError):
+        qubo_anneal(np.zeros((2, 2)), 0, 1.0)
+
+
+def test_batched_schedule_rows_equal_single_schedules():
+    r_grid = [2.0, 20 * math.pi, 300.0]
+    batch = make_schedule(64, r_grid)
+    assert batch.r_tot == tuple(r_grid)
+    assert batch.phi.shape == batch.c.shape == (3, 64)
+    for row, r_tot in enumerate(r_grid):
+        single = make_schedule(64, r_tot)
+        assert np.array_equal(batch.phi[row], single.phi)
+        assert np.array_equal(batch.c[row], single.c)
+        _, phi, c, zeta = linear_three_parameter_profile(64, r_tot)
+        profile = linear_three_parameter_profile(64, r_grid)
+        assert np.array_equal(profile[1][row], phi)
+        assert np.array_equal(profile[2][row], c)
+        assert np.array_equal(profile[3][row], zeta)
 
 
 def test_weighted_phases():
@@ -57,14 +81,18 @@ def test_weighted_phases():
         weighted_phases(s, (1.0, 0.0))
 
 
+def x_rotation(c):
+    """exp(-i c X) on one qubit."""
+    return np.array([[math.cos(c), -1j * math.sin(c)],
+                     [-1j * math.sin(c), math.cos(c)]])
+
+
 def two_level_oracle(schedule):
     """Independent single-mode reference: plain 2x2 cycle products."""
     psi = np.array([1.0, 0.0], dtype=complex)
     for phi, c in zip(schedule.phi, schedule.c):
         psi = psi * np.array([1.0, np.exp(-1j * phi)])
-        rot = np.array([[math.cos(c), -1j * math.sin(c)],
-                        [-1j * math.sin(c), math.cos(c)]])
-        psi = rot @ psi
+        psi = x_rotation(c) @ psi
     return abs(psi[1]) ** 2
 
 
@@ -86,6 +114,61 @@ def test_statevector_matches_density_when_coherent():
     rep_s = anneal_statevector(g, schedule, 0.7)
     assert np.max(np.abs(rep_d.success - rep_s.success)) < 1e-8
     assert np.max(np.abs(rep_d.leakage - rep_s.leakage)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9])
+def test_walsh_hadamard_mixer_matches_kron_reference(n):
+    # n = 9 runs the two-factor Walsh-Hadamard transform
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
+    c = rng.uniform(-2.0, 2.0, size=3)
+    out = _transverse_mixer(n)(amps, c)
+    for row in range(3):
+        u = reduce(np.kron, [x_rotation(c[row])] * n)
+        assert np.max(np.abs(out[row] - u @ amps[row])) < 1e-12
+
+
+def _pure_runs():
+    five = five_node_example()
+    weighted = graph_from_edges(3, [(0, 1), (1, 2)], weights=(1.0, 2.5, 1.2))
+    q = np.random.default_rng(3).normal(size=(4, 4))
+    q = (q + q.T) / 2
+    return {
+        "statevector": lambda r: anneal_statevector(five, make_schedule(48, r), PHI_Q),
+        "weighted-statevector": lambda r: anneal_statevector(
+            weighted, weighted_phases(make_schedule(48, r), weighted.weights), 0.7),
+        "ideal": lambda r: anneal_ideal(five, make_schedule(48, r)),
+        "qubo": lambda r: qubo_anneal(q, 48, r),
+    }
+
+
+@pytest.mark.parametrize("path", sorted(_pure_runs()))
+def test_batched_run_matches_per_schedule_runs(path):
+    run = _pure_runs()[path]
+    r_grid = [3.0, 10 * math.pi, 90.0]
+    batch = run(r_grid)
+    assert batch.success.shape == batch.leakage.shape == (3, 48)
+    for row, r_tot in enumerate(r_grid):
+        single = run(r_tot)
+        assert single.success.shape == (48,)
+        assert np.max(np.abs(batch.success[row] - single.success)) < 1e-12
+        assert np.max(np.abs(batch.leakage[row] - single.leakage)) < 1e-12
+        assert batch.final_populations.keys() == single.final_populations.keys()
+        for pattern, p in single.final_populations.items():
+            assert abs(batch.final_populations[pattern][row] - p) < 1e-12
+
+
+def test_qubo_energies_and_optima_match_brute_force():
+    rng = np.random.default_rng(11)
+    for n in (3, 6):
+        q = rng.normal(size=(n, n))
+        q = (q + q.T) / 2
+        rep = qubo_anneal(q, 4, 1.0)
+        patterns = list(rep.final_populations)
+        assert len(patterns) == 2 ** n
+        assert np.allclose(rep.meta["energy"], [qubo_energy(q, p) for p in patterns],
+                           rtol=0, atol=1e-12)
+        assert set(rep.meta["optima"]) == set(brute_force_qubo(q)[1])
 
 
 def test_coherent_run_stays_pure():
@@ -218,6 +301,23 @@ def test_success_and_leakage_observables():
     assert leakage(bad, g) == 1.0
     tri = number_state(make_space([3, 3, 3]), (2, 0, 0))
     assert leakage(tri, g) == 1.0  # two photons in a mode count as leaked
+
+
+def test_success_patterns_are_the_brute_force_optima():
+    rng = np.random.default_rng(7)
+    graphs = [five_node_example(), three_node_line(),
+              graph_from_edges(4, [(0, 1), (2, 3)]),
+              graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], weights=(1.0, 2.0, 2.0, 1.0))]
+    for _ in range(3):
+        edges = [e for e in combinations(range(6), 2) if rng.random() < 0.4]
+        graphs.append(graph_from_edges(6, edges, weights=rng.uniform(0.5, 2.0, 6)))
+    for i, g in enumerate(graphs):
+        solver = brute_force_mis if g.weights is None else brute_force_wmis
+        optima = {tuple(int(j in s) for j in range(g.n_vertices)) for s in solver(g)[1]}
+        space = make_space([2 + i % 2] * g.n_vertices)  # qubit and 3-level modes
+        found = {p for p in product((0, 1), repeat=g.n_vertices)
+                 if success_probability(number_state(space, p), g) == 1.0}
+        assert found == optima
 
 
 def test_qubo_all_zero_biases_to_vacuum():

@@ -1,4 +1,7 @@
 import os
+import warnings
+
+import pytest
 
 from zenoanneal.cli import main
 
@@ -57,6 +60,25 @@ def test_config_error_exit_code(tmp_path):
     assert run(["constraint-sweep", "--graph", tmp_path / "missing.txt"]) == 1
     assert run(["zeno-onset", "--variant", "bogus", "--out", tmp_path / "x.csv"]) == 1
     assert run(["zeno-onset", "--nt", "1", "--out", tmp_path / "x.csv"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["anneal", "--n-cycles", "0"],
+    ["anneal", "--r-grid", "0,1"],
+    ["qubo", "--n-cycle", "0"],
+    ["wmis", "--w0-grid", "0,1"],
+    ["constraint-sweep", "--n-cycles", "0"],
+    ["timebin-compile", "--graph", "BAD_GRAPH"],
+], ids=["anneal-zero-cycles", "anneal-zero-rotation", "qubo-zero-cycles",
+        "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph"])
+def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
+    bad_graph = tmp_path / "bad.txt"
+    bad_graph.write_text("0 1\n0 x\n")
+    args = [bad_graph if a == "BAD_GRAPH" else a for a in args]
+    assert run(args + ["--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "x.csv")
 
 
 def test_wmis_command(tmp_path):
@@ -151,6 +173,24 @@ def test_anneal_command(tmp_path, capsys):
     assert kinds == {"point", "critical", "fit"}
 
 
+def test_anneal_one_cycle_count_reports_no_fit(tmp_path, capsys):
+    out = tmp_path / "anneal.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["anneal", "--n-cycles", "16", "--r-grid", "lin:2pi:12pi:4",
+                    "--out", out]) == 0
+    assert "linear fit: slope=nan intercept=nan r2=nan" in capsys.readouterr().out
+    assert read_lines(out)[-1] == "fit,0,nan,nan,nan,0.01"
+
+
+def test_anneal_threads_deterministic(tmp_path):
+    args = ["anneal", "--n-cycles", "16,32,48", "--r-grid", "lin:2pi:12pi:5"]
+    a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    assert run(args + ["--threads", "1", "--out", a]) == 0
+    assert run(args + ["--threads", "2", "--out", b]) == 0
+    assert read_lines(a)[1:] == read_lines(b)[1:]
+
+
 def test_constraint_sweep_threads_deterministic(tmp_path):
     args = ["constraint-sweep", "--gamma-ts", "1.1107207345395915",
             "--n-cycles", "16,32", "--r-tot", "20pi"]
@@ -174,3 +214,17 @@ def test_drive_sweep_command(tmp_path):
     lines = read_lines(out)
     kinds = {ln.split(",")[0] for ln in lines[2:]}
     assert {"sweep", "markov", "tpa_ref", "gamma99"} <= kinds
+
+
+def test_drive_sweep_gamma99_flags(tmp_path):
+    out = tmp_path / "ds.csv"
+    assert run(["drive-sweep", "--eta-ratios", "0", "--gammas", "2",
+                "--markov-ratios", "8", "--gamma-tpas", "1",
+                "--gamma99-lo", "1", "--gamma99-hi", "16", "--gamma99-iters", "3",
+                "--out", out]) == 0
+    lines = read_lines(out)
+    assert "gamma99-hi=16 gamma99-iters=3 gamma99-lo=1" in lines[0]
+    gamma99 = [ln.split(",") for ln in lines[2:] if ln.startswith("gamma99")]
+    # three halvings of [log 1, log 16] leave the upper end on a 2^(1/2) grid
+    assert len(gamma99) == 1
+    assert min(abs(float(gamma99[0][2]) - 2 ** (k / 2)) for k in range(1, 9)) < 1e-8
