@@ -8,12 +8,12 @@ from .generators import (GeneratorSpec, combine, displacement_generator,
                          tpa_dissipator)
 from .propagator import (BinaryExpCache, DimensionGuardError,
                          NonConvergenceError, PhaseKernel, Superoperator,
-                         apply_cached, build_cache, expm_apply, expm_dense,
-                         phase_superop_elementwise, propagate)
+                         apply_cached, build_cache, expm_apply, expm_dense)
 from .gadgets import (ConstraintParams, DriveParams, GAMMA_T_COHERENT,
                       GAMMA_T_INCOHERENT, beamsplitter, conservative_pump_phase,
-                      constraint_superop, driven_sfg_superop, driven_tpa_superop,
-                      pumped_phase_gadget, sfg_superop, tpa_superop)
+                      constraint_superop, drive_generator, driven_sfg_superop,
+                      driven_tpa_superop, pump_maps, pumped_phase_gadget,
+                      sfg_superop, tpa_superop)
 from .anneal import (AnnealReport, Schedule, anneal_density, anneal_ideal,
                      anneal_statevector, leakage, make_schedule, qubo_anneal,
                      success_probability, weighted_phases)

@@ -23,11 +23,9 @@ import numpy as np
 
 from .fock import (DensityState, FockSpace, PureState,
                    apply_local_operator_matrix, apply_local_superop_matrix,
-                   make_space, vacuum)
+                   make_space, vacuum, von_neumann_entropy)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
-                      default_pump_dim)
-from .generators import (combine, displacement_generator, loss_dissipator,
-                         sfg_generator, tpa_dissipator)
+                      drive_generator, pump_maps)
 from .problems import ProblemGraph
 from .propagator import PhaseKernel, build_cache
 
@@ -170,23 +168,10 @@ class _ZenoDriveKernel:
                  t_max: float, m: int = 30):
         if drive.c <= 0:
             raise ValueError("zeno drive modes need a positive displacement rate c")
-        self.mode_dim = mode_dim
-        self.kind = mode_kind
-        if mode_kind == "zeno-tpa":
-            space = make_space([mode_dim])
-            gen = combine([(displacement_generator(space, 0), drive.c),
-                           (tpa_dissipator(space, 0), drive.gamma)])
-            self._cache = build_cache(gen, t_max, m)
-            self._embed = None
-        else:
-            pump_dim = default_pump_dim(mode_dim)
-            joint = make_space([mode_dim, pump_dim])
-            parts = [(displacement_generator(joint, 0), drive.c),
-                     (sfg_generator(joint, 0, 1), drive.gamma)]
-            if drive.eta:
-                parts.append((loss_dissipator(joint, 1), drive.eta))
-            self._cache = build_cache(combine(parts), t_max, m)
-            self._embed = _pump_embed_matrices(mode_dim, pump_dim)
+        gen, joint = drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]),
+                                     0, drive.c, drive.gamma, drive.eta)
+        self._cache = build_cache(gen, t_max, m)
+        self._embed = pump_maps(mode_dim, joint.mode_dims[-1]) if joint.n_modes > 1 else None
 
     def superop(self, t: float) -> np.ndarray:
         mat = self._cache.matrix_for(t)
@@ -194,21 +179,6 @@ class _ZenoDriveKernel:
             return mat
         append, trace = self._embed
         return trace @ mat @ append
-
-
-def _pump_embed_matrices(mode_dim: int, pump_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(append, trace): vec maps adding an empty pump and tracing it out."""
-    d, p = mode_dim, pump_dim
-    dj = d * p
-    append = np.zeros((dj * dj, d * d))
-    trace = np.zeros((d * d, dj * dj))
-    for r in range(d):
-        for c in range(d):
-            vm = r + d * c
-            append[(r * p) + dj * (c * p), vm] = 1.0
-            for k in range(p):
-                trace[vm, (r * p + k) + dj * (c * p + k)] = 1.0
-    return append, trace
 
 
 def anneal_density(graph: ProblemGraph, schedule: Schedule,
@@ -227,6 +197,8 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
         raise ValueError(f"drive_mode must be one of {DRIVE_MODES}")
     if graph.edges and mode_dim < 3:
         raise ValueError("constraint gadgets need per-mode dim >= 3")
+    if np.ndim(schedule.phi) != 1:
+        raise ValueError("anneal_density takes one schedule, not a batch of r_tot values")
     n = graph.n_vertices
     space = make_space([mode_dim] * n)
     obs = _Observables(space, graph)
@@ -235,18 +207,18 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
         raise ValueError("need one phase weight per graph vertex")
 
     kernels = [PhaseKernel(space, m) for m in range(n)]
-    edges = graph.sorted_edges()
-    edge_superop = None
-    if edges:
-        local = make_space([mode_dim, mode_dim])
-        edge_superop = constraint_superop(local, 0, 1, constraint).matrix
-
     zeno = None
     if drive_mode != "ideal-2level":
         if drive is None:
             raise ValueError(f"drive_mode {drive_mode!r} needs DriveParams")
         t_max = float(np.max(schedule.c)) / drive.c
         zeno = _ZenoDriveKernel(mode_dim, drive, drive_mode, t_max)
+
+    edges = graph.sorted_edges()
+    edge_superop = None
+    if edges:
+        local = make_space([mode_dim, mode_dim])
+        edge_superop = constraint_superop(local, 0, 1, constraint).matrix
 
     rho = vacuum(space).to_density().matrix
     success = np.empty(schedule.n_cycle)
@@ -271,9 +243,7 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
         success[i] = obs.success(diag)
         leak[i] = obs.leakage(diag)
         if record_entropy:
-            lam = np.linalg.eigvalsh(rho)
-            lam = lam[lam > 1e-12]
-            entropy[i] = float(-np.sum(lam * np.log2(lam))) if lam.size else 0.0
+            entropy[i] = von_neumann_entropy(rho)
 
     final = DensityState(space, rho)
     return AnnealReport(

@@ -356,12 +356,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
+    except (DimensionGuardError, NonConvergenceError) as exc:  # before its base ValueError
+        print(f"numerical guard: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # ConfigError, or an experiment's own input check
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DimensionGuardError, NonConvergenceError) as exc:
-        print(f"numerical guard: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

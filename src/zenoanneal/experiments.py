@@ -19,9 +19,7 @@ from .analytic import (DampingParams, effective_tpa_rate,
 from .anneal import (anneal_density, anneal_ideal, anneal_statevector,
                      make_schedule, qubo_anneal, weighted_phases)
 from .fock import make_space, vacuum
-from .gadgets import ConstraintParams, GAMMA_T_COHERENT, default_pump_dim
-from .generators import (combine, displacement_generator, loss_dissipator,
-                         sfg_generator, tpa_dissipator)
+from .gadgets import ConstraintParams, GAMMA_T_COHERENT, drive_generator
 from .problems import (ProblemGraph, brute_force_mis, mitigation_encode,
                        loss_injection_experiment)
 from .propagator import DENSE_DIM_THRESHOLD, expm_apply_vec, expm_dense
@@ -43,21 +41,6 @@ def _map(fn, args, threads: int):
 
 # ---------------------------------------------------------------- zeno onset
 
-def _onset_generator(variant: str, gamma: float, truncation: int):
-    if variant == "tpa":
-        space = make_space([truncation])
-        parts = [(displacement_generator(space, 0), 1.0)]
-        if gamma:
-            parts.append((tpa_dissipator(space, 0), gamma))
-        return combine(parts), space, None
-    pump_dim = default_pump_dim(truncation)
-    space = make_space([truncation, pump_dim])
-    parts = [(displacement_generator(space, 0), 1.0)]
-    if gamma:
-        parts.append((sfg_generator(space, 0, 1), gamma))
-    return combine(parts), space, pump_dim
-
-
 def zeno_onset_rows(variant: str, ratios, truncation: int,
                     t_max: float, n_t: int):
     """Population time series of the driven mode for each gamma/c ratio."""
@@ -67,7 +50,8 @@ def zeno_onset_rows(variant: str, ratios, truncation: int,
     rows = []
     times = np.linspace(0.0, t_max, n_t)
     for ratio in ratios:
-        gen, space, _ = _onset_generator(variant, float(ratio), truncation)
+        gen, space = drive_generator(variant, make_space([truncation]), 0,
+                                     c=1.0, gamma=float(ratio))
         d = space.total_dim
         vec0 = vacuum(space).to_density().matrix.flatten(order="F")
         occ = space.occupation_array(0)
@@ -100,19 +84,8 @@ def _drive_p1(kind: str, gamma: float, eta: float, t: float) -> float:
     pump sized to the convertible pairs.
     """
     n_max = 10 if gamma < 10 else 5
-    dim = n_max + 1
-    if kind == "tpa":
-        space = make_space([dim])
-        gen = combine([(displacement_generator(space, 0), 1.0),
-                       (tpa_dissipator(space, 0), gamma)])
-    else:
-        pump_dim = default_pump_dim(dim)
-        space = make_space([dim, pump_dim])
-        parts = [(displacement_generator(space, 0), 1.0),
-                 (sfg_generator(space, 0, 1), gamma)]
-        if eta:
-            parts.append((loss_dissipator(space, 1), eta))
-        gen = combine(parts)
+    gen, space = drive_generator(kind, make_space([n_max + 1]), 0,
+                                 c=1.0, gamma=gamma, eta=eta)
     vec = vacuum(space).to_density().matrix.flatten(order="F")
     vec = expm_apply_vec(gen, t, vec)
     d = space.total_dim
@@ -355,11 +328,7 @@ def full_pair_coherence(gamma: float, eta: float, t_grid) -> np.ndarray:
 
     Initial state (|1> + |2>)(<1| + <2|)/2 with an empty pump.
     """
-    space = make_space([3, 2])
-    parts = [(sfg_generator(space, 0, 1), gamma)]
-    if eta:
-        parts.append((loss_dissipator(space, 1), eta))
-    gen = combine(parts)
+    gen, space = drive_generator("sfg", make_space([3]), 0, gamma=gamma, eta=eta)
     amps = np.zeros(space.total_dim, dtype=complex)
     amps[space.index((1, 0))] = 1.0 / math.sqrt(2.0)
     amps[space.index((2, 0))] = 1.0 / math.sqrt(2.0)

@@ -330,9 +330,11 @@ def embed_local_operator(op: np.ndarray, space: FockSpace, targets) -> np.ndarra
     return tensor.transpose(perm).reshape((space.total_dim,) * 2)
 
 
-def von_neumann_entropy(state: DensityState) -> float:
-    """Entropy in bits; eigenvalues below ``ENTROPY_EIG_CLIP`` count as zero."""
-    lam = np.linalg.eigvalsh(state.matrix)
+def von_neumann_entropy(state: DensityState | np.ndarray) -> float:
+    """Entropy in bits of a state or raw density matrix; eigenvalues below
+    ``ENTROPY_EIG_CLIP`` count as zero."""
+    mat = state.matrix if isinstance(state, DensityState) else np.asarray(state)
+    lam = np.linalg.eigvalsh(mat)
     lam = lam[lam > ENTROPY_EIG_CLIP]
     if lam.size == 0:
         return 0.0

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fock import (FockSpace, apply_local_superop_matrix, make_space,
-                   partial_trace_matrix)
+# apply_local_superop_matrix is unused here but perfbench/tracing.py binds it.
+from .fock import (FockSpace, apply_local_superop_matrix, embed_local_operator,
+                   make_space)
 from .generators import (GeneratorSpec, combine, displacement_generator,
                          loss_dissipator, phase_generator, sfg_generator,
                          tpa_dissipator, annihilation_operator)
@@ -83,42 +84,54 @@ def unitary_conjugation_superop(u: np.ndarray) -> np.ndarray:
 
 
 def embed_local_superop(local: np.ndarray, space: FockSpace, targets) -> np.ndarray:
-    """Expand a local superoperator to the full space by column probing."""
-    d = space.total_dim
-    out = np.empty((d * d, d * d), dtype=complex)
-    basis = np.zeros((d, d), dtype=complex)
-    for c in range(d * d):
-        row, col = c % d, c // d
-        basis[row, col] = 1.0
-        out[:, c] = apply_local_superop_matrix(local, basis, space, targets).flatten(order="F")
-        basis[row, col] = 0.0
-    return out
+    """Expand a local superoperator to the full space.
+
+    Under column stacking vec(rho) is a state on the modes (columns...,
+    rows...), so this is an operator embedding on that doubled space.
+    """
+    targets = [int(t) for t in targets]
+    n = space.n_modes
+    return embed_local_operator(local, make_space(space.mode_dims * 2),
+                                targets + [n + t for t in targets])
 
 
-def _appended_space(space: FockSpace, pump_dim: int) -> FockSpace:
-    return make_space(list(space.mode_dims) + [pump_dim])
+def pump_maps(d: int, pump_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(append, trace): vec(rho) -> vec(rho (x) |0><0|) and the pump trace back.
+
+    With A = I_d (x) e_0 and B_k = I_d (x) e_k^T, appending is A rho A^T and
+    the trace is sum_k B_k sigma B_k^T; vec(X rho X^T) = kron(X, X) vec(rho)
+    for a real X.
+    """
+    pump_rows = np.eye(pump_dim)
+    blocks = [np.kron(np.eye(d), pump_rows[k]) for k in range(pump_dim)]
+    return np.kron(blocks[0].T, blocks[0].T), sum(np.kron(b, b) for b in blocks)
 
 
-def _with_fresh_pump(space: FockSpace, joint_superop: np.ndarray,
-                     pump_dim: int) -> np.ndarray:
-    """Compose append-empty-pump, a joint superoperator, and pump trace-out."""
-    d = space.total_dim
-    joint_dims = tuple(space.mode_dims) + (pump_dim,)
-    keep = list(range(space.n_modes))
-    pump_vac = np.zeros((pump_dim, pump_dim), dtype=complex)
-    pump_vac[0, 0] = 1.0
-    out = np.empty((d * d, d * d), dtype=complex)
-    basis = np.zeros((d, d), dtype=complex)
-    dj = d * pump_dim
-    for c in range(d * d):
-        row, col = c % d, c // d
-        basis[row, col] = 1.0
-        joint = np.kron(basis, pump_vac)
-        evolved = (joint_superop @ joint.flatten(order="F")).reshape((dj, dj), order="F")
-        reduced = partial_trace_matrix(evolved, joint_dims, keep)
-        out[:, c] = reduced.flatten(order="F")
-        basis[row, col] = 0.0
-    return out
+def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
+                    gamma: float = 1.0, eta: float = 0.0,
+                    pump_dim: int | None = None) -> tuple[GeneratorSpec, FockSpace]:
+    """c G_disp + gamma G_blockade on ``mode``; returns the generator and its space.
+
+    "tpa" blockades by two-photon absorption and has no pump, so eta must be
+    0.  "sfg" converts pairs into a pump appended as the last mode (sized for
+    every convertible pair unless ``pump_dim`` is given) that loses photons
+    at rate ``eta``.
+    """
+    if kind == "tpa":
+        if eta != 0.0:
+            raise ValueError("a TPA drive has no pump to lose photons from; eta must be 0")
+        return combine([(displacement_generator(space, mode), c),
+                        (tpa_dissipator(space, mode), gamma)]), space
+    if kind != "sfg":
+        raise ValueError("drive kind must be 'tpa' or 'sfg'")
+    pump_dim = pump_dim or default_pump_dim(space.mode_dims[mode])
+    joint = make_space(list(space.mode_dims) + [pump_dim])
+    pump = joint.n_modes - 1
+    parts = [(displacement_generator(joint, mode), c),
+             (sfg_generator(joint, mode, pump), gamma)]
+    if eta != 0.0:
+        parts.append((loss_dissipator(joint, pump), eta))
+    return combine(parts), joint
 
 
 def tpa_superop(space: FockSpace, mode: int, gamma_t: float,
@@ -129,35 +142,26 @@ def tpa_superop(space: FockSpace, mode: int, gamma_t: float,
     return expm_dense(tpa_dissipator(space, mode), gamma_t, dim_cap=dim_cap)
 
 
-def _pumped_generator(space: FockSpace, mode: int, pump_dim: int,
-                      c: float = 0.0, gamma: float = 1.0,
-                      eta: float = 0.0) -> tuple[GeneratorSpec, FockSpace]:
-    joint_space = _appended_space(space, pump_dim)
-    pump = joint_space.n_modes - 1
-    parts = [(sfg_generator(joint_space, mode, pump), gamma)]
-    if c != 0.0:
-        parts.append((displacement_generator(joint_space, mode), c))
-    if eta != 0.0:
-        parts.append((loss_dissipator(joint_space, pump), eta))
-    return combine(parts), joint_space
+def _pumped_sfg(space: FockSpace, mode: int, t: float, pump_dim: int | None,
+                dim_cap: int, **rates) -> np.ndarray:
+    """exp(t G) of an SFG drive with the pump appended empty and traced out."""
+    gen, joint = drive_generator("sfg", space, mode, pump_dim=pump_dim, **rates)
+    append, trace = pump_maps(space.total_dim, joint.mode_dims[-1])
+    return trace @ expm_dense(gen, t, dim_cap=dim_cap).matrix @ append
 
 
 def sfg_superop(space: FockSpace, mode: int, gamma_t: float,
                 pump_dim: int | None = None,
                 dim_cap: int = DENSE_DIM_THRESHOLD) -> Superoperator:
     """Single SFG pass with a fresh pump traced out afterwards."""
-    pump_dim = pump_dim or default_pump_dim(space.mode_dims[mode])
-    gen, _ = _pumped_generator(space, mode, pump_dim)
-    joint = expm_dense(gen, gamma_t, dim_cap=dim_cap)
-    mat = _with_fresh_pump(space, joint.matrix, pump_dim)
+    mat = _pumped_sfg(space, mode, gamma_t, pump_dim, dim_cap)
     return Superoperator(space, mat, f"sfg(gamma_t={gamma_t})")
 
 
 def driven_tpa_superop(space: FockSpace, mode: int, params: DriveParams,
                        dim_cap: int = DENSE_DIM_THRESHOLD) -> Superoperator:
     """Displacement drive under two-photon absorption: exp[t(c G_disp + gamma L_TPA)]."""
-    gen = combine([(displacement_generator(space, mode), params.c),
-                   (tpa_dissipator(space, mode), params.gamma)])
+    gen, _ = drive_generator("tpa", space, mode, params.c, params.gamma, params.eta)
     return expm_dense(gen, params.t, dim_cap=dim_cap)
 
 
@@ -169,11 +173,8 @@ def driven_sfg_superop(space: FockSpace, mode: int, params: DriveParams,
     With eta = 0 this is the fully coherent drive; eta interpolates toward the
     incoherent blockade, reaching critical damping at eta = 4 sqrt(2) gamma.
     """
-    pump_dim = pump_dim or default_pump_dim(space.mode_dims[mode])
-    gen, _ = _pumped_generator(space, mode, pump_dim, c=params.c,
-                               gamma=params.gamma, eta=params.eta)
-    joint = expm_dense(gen, params.t, dim_cap=dim_cap)
-    mat = _with_fresh_pump(space, joint.matrix, pump_dim)
+    mat = _pumped_sfg(space, mode, params.t, pump_dim, dim_cap,
+                      c=params.c, gamma=params.gamma, eta=params.eta)
     return Superoperator(space, mat,
                          f"driven_sfg(c={params.c},gamma={params.gamma},eta={params.eta},t={params.t})")
 
@@ -204,15 +205,20 @@ def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams,
     (incoherent removal); at pi/(2 sqrt 2) it returns with amplitude
     -exp(i phi_q) (coherent phase kick of pi + phi_q).
     """
-    pump_dim = pump_dim or default_pump_dim(space.mode_dims[mode])
-    gen_sfg, joint_space = _pumped_generator(space, mode, pump_dim)
+    gen_sfg, joint_space = drive_generator("sfg", space, mode, pump_dim=pump_dim)
     pump = joint_space.n_modes - 1
     half = expm_dense(gen_sfg, params.gamma_t, dim_cap=dim_cap).matrix
-    mid_parts = [(phase_generator(joint_space, pump), -params.phi_q)]
+    # The phase superoperator is diagonal and pump loss is phase covariant, so
+    # the two commute and the phase is exponentiated entrywise.  Left inside
+    # one expm, a tiny phi_q makes the triangular generator's diagonal nearly
+    # degenerate and scipy's triangular shortcut overflows.
+    phase = phase_generator(joint_space, pump).matrix.diagonal()
+    mid = np.diag(np.exp(-params.phi_q * phase))
     if params.eta_t != 0.0:
-        mid_parts.append((loss_dissipator(joint_space, pump), params.eta_t))
-    mid = expm_dense(combine(mid_parts), 1.0, dim_cap=dim_cap).matrix
-    mat = _with_fresh_pump(space, half @ mid @ half, pump_dim)
+        loss = expm_dense(loss_dissipator(joint_space, pump), params.eta_t, dim_cap=dim_cap)
+        mid = mid @ loss.matrix
+    append, trace = pump_maps(space.total_dim, joint_space.mode_dims[pump])
+    mat = trace @ (half @ mid @ half) @ append
     return Superoperator(space, mat,
                          f"pumped_phase(phi_q={params.phi_q},gamma_t={params.gamma_t},eta_t={params.eta_t})")
 

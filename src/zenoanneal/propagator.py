@@ -1,6 +1,6 @@
 """Exponentiation and fast application of generators.
 
-Three interchangeable paths:
+Three interchangeable paths, each caller picking its own:
 
 * :func:`expm_dense` materializes exp(t G) as a dense superoperator,
 * :func:`expm_apply` computes the action on one vectorized state without
@@ -8,15 +8,14 @@ Three interchangeable paths:
 * :class:`BinaryExpCache` precomputes exponentials for halved durations so a
   sweep with per-cycle times never exponentiates inside its inner loop.
 
-Phase rotations additionally get an elementwise kernel: their superoperator
-is diagonal in the number basis, so applying one reduces to a lookup-table
+Phase rotations additionally get :class:`PhaseKernel`: their superoperator is
+diagonal in the number basis, so applying one reduces to a lookup-table
 multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -90,14 +89,6 @@ def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonConvergenceError("expm_multiply produced non-finite values")
     return out
-
-
-def propagate(gen: GeneratorSpec, t: float, state: DensityState,
-              dense_threshold: int = DENSE_DIM_THRESHOLD) -> DensityState:
-    """Evolve a state, choosing the dense or action path by dimension."""
-    if gen.space.total_dim <= dense_threshold:
-        return expm_dense(gen, t).apply(state)
-    return expm_apply(gen, t, state)
 
 
 @dataclass(frozen=True)
@@ -192,18 +183,3 @@ class PhaseKernel:
 
     def apply(self, state: DensityState, phi: float) -> DensityState:
         return DensityState(state.space, self.apply_matrix(state.matrix, phi))
-
-
-@lru_cache(maxsize=None)
-def _cached_kernel(mode_dims: tuple[int, ...], mode: int) -> PhaseKernel:
-    return PhaseKernel(FockSpace(mode_dims), mode)
-
-
-def phase_superop_elementwise(space: FockSpace, mode: int, phi: float):
-    """Return a map acting like exp(phi * phase generator) elementwise."""
-    kernel = _cached_kernel(space.mode_dims, mode)
-
-    def apply(mat: np.ndarray) -> np.ndarray:
-        return kernel.apply_matrix(mat, phi)
-
-    return apply

@@ -54,6 +54,9 @@ def test_schedule_guards():
             make_schedule(10, r_tot)
     with pytest.raises(ValueError):
         qubo_anneal(np.zeros((2, 2)), 0, 1.0)
+    with pytest.raises(ValueError, match="one schedule"):
+        anneal_density(three_node_line(), make_schedule(16, [1.0, 2.0]),
+                       ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
 
 
 def test_batched_schedule_rows_equal_single_schedules():
@@ -241,6 +244,9 @@ def test_anneal_guards():
     with pytest.raises(ValueError):
         anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
                        drive_mode="zeno-tpa")
+    with pytest.raises(ValueError, match="eta"):  # a TPA drive has no pump to lose
+        anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
+                       drive_mode="zeno-tpa", drive=DriveParams(1.0, 150.0, eta=1.3))
     with pytest.raises(ValueError):
         anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
                        mode_dim=2)

@@ -187,6 +187,11 @@ def test_entropy_unitary_invariance():
     assert abs(von_neumann_entropy(rho) - von_neumann_entropy(rotated)) < 1e-9
 
 
+def test_entropy_accepts_raw_matrix():
+    rho = random_density(make_space([3, 2]), seed=14)
+    assert von_neumann_entropy(rho.matrix) == von_neumann_entropy(rho)
+
+
 def test_population_examples():
     space = make_space([2])
     assert population(vacuum(space).to_density(), (0,)) == 1.0

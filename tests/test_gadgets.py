@@ -3,19 +3,23 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
-from zenoanneal.fock import (PureState, make_space, number_state,
-                             population, vacuum)
+from zenoanneal.fock import (DensityState, PureState, apply_local_superop_matrix,
+                             make_space, number_state, partial_trace,
+                             population, vacuum, vectorize)
 from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 GAMMA_T_COHERENT, GAMMA_T_INCOHERENT,
                                 beamsplitter, conservative_pump_phase,
                                 constraint_superop, default_pump_dim,
-                                driven_sfg_superop, driven_tpa_superop,
-                                embed_local_superop, pumped_phase_gadget,
-                                sfg_superop, tpa_superop,
-                                unitary_conjugation_superop)
-from zenoanneal.generators import (annihilation_operator, dissipator_superop,
-                                   displacement_generator)
+                                drive_generator, driven_sfg_superop,
+                                driven_tpa_superop, embed_local_superop,
+                                pump_maps, pumped_phase_gadget, sfg_superop,
+                                tpa_superop, unitary_conjugation_superop)
+from zenoanneal.generators import (annihilation_operator, combine,
+                                   dissipator_superop, displacement_generator,
+                                   loss_dissipator, sfg_generator,
+                                   tpa_dissipator)
 from zenoanneal.propagator import expm_dense
 
 from test_fock import random_density
@@ -293,3 +297,87 @@ def test_default_pump_dim():
     assert default_pump_dim(3) == 2
     assert default_pump_dim(11) == 6
     assert default_pump_dim(6) == 3
+
+
+def test_drive_generator_terms_and_space():
+    space = make_space([4])
+    gen, joint = drive_generator("sfg", space, 0, c=0.7, gamma=2.0, eta=0.3)
+    assert joint.mode_dims == (4, default_pump_dim(4))
+    expect = combine([(displacement_generator(joint, 0), 0.7),
+                      (sfg_generator(joint, 0, 1), 2.0),
+                      (loss_dissipator(joint, 1), 0.3)])
+    assert (gen.matrix != expect.matrix).nnz == 0
+    gen, same = drive_generator("tpa", space, 0, c=0.7, gamma=2.0)
+    assert same == space
+    expect = combine([(displacement_generator(space, 0), 0.7),
+                      (tpa_dissipator(space, 0), 2.0)])
+    assert (gen.matrix != expect.matrix).nnz == 0
+    # a zero displacement rate prunes to the bare blockade
+    gen, joint = drive_generator("sfg", space, 0, gamma=2.0, pump_dim=3)
+    bare = combine([(sfg_generator(joint, 0, 1), 2.0)])
+    assert (gen.matrix != bare.matrix).nnz == 0
+
+
+def test_drive_generator_guards():
+    space = make_space([3])
+    with pytest.raises(ValueError, match="eta"):
+        drive_generator("tpa", space, 0, c=1.0, eta=1.3)
+    with pytest.raises(ValueError, match="eta"):
+        driven_tpa_superop(space, 0, DriveParams(c=1.0, gamma=1.0, eta=1.3, t=0.5))
+    with pytest.raises(ValueError, match="kind"):
+        drive_generator("kerr", space, 0)
+
+
+@pytest.mark.parametrize("dims, targets", [([3], [0]), ([3, 2], [1, 0]),
+                                           ([2, 3, 2], [2, 0]),
+                                           ([2, 3, 2], [1, 2, 0])])
+def test_embed_local_superop_matches_local_application(dims, targets):
+    space = make_space(dims)
+    d_loc = math.prod(dims[t] for t in targets)
+    rng = np.random.default_rng(len(targets) + 10 * len(dims))
+    local = rng.normal(size=(d_loc ** 2,) * 2) + 1j * rng.normal(size=(d_loc ** 2,) * 2)
+    rho = random_density(space, seed=41).matrix
+    direct = vectorize(apply_local_superop_matrix(local, rho, space, targets))
+    embedded = embed_local_superop(local, space, targets) @ vectorize(rho)
+    assert np.max(np.abs(embedded - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("dims, pump_dim", [([3], 2), ([3], 3), ([2, 3], 2)])
+def test_pump_maps_append_vacuum_and_trace_out(dims, pump_dim):
+    space = make_space(dims)
+    joint = make_space(dims + [pump_dim])
+    append, trace = pump_maps(space.total_dim, pump_dim)
+    rho = random_density(space, seed=42).matrix
+    vac = np.zeros((pump_dim, pump_dim))
+    vac[0, 0] = 1.0
+    assert np.array_equal(append @ vectorize(rho), vectorize(np.kron(rho, vac)))
+    sigma = random_density(joint, seed=43)
+    reduced = partial_trace(sigma, range(len(dims)))
+    assert np.max(np.abs(trace @ vectorize(sigma) - vectorize(reduced))) < 1e-15
+
+
+def assert_density_map(superop, space, seed):
+    out = superop.apply_matrix(random_density(space, seed=seed).matrix)
+    state = DensityState(space, out)  # trace and hermiticity within 1e-10
+    state.validate()
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([3, 4]), c=st.floats(0.0, 5.0), gamma=st.floats(0.0, 20.0),
+       eta=st.floats(0.0, 10.0), t=st.floats(0.0, 2.0), seed=st.integers(0, 99))
+def test_driven_superops_map_states_to_states(dim, c, gamma, eta, t, seed):
+    space = make_space([dim])
+    assert_density_map(driven_tpa_superop(space, 0, DriveParams(c, gamma, t=t)),
+                       space, seed)
+    assert_density_map(driven_sfg_superop(space, 0, DriveParams(c, gamma, eta, t)),
+                       space, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([3, 4]), phi_q=st.floats(0.0, 2 * math.pi),
+       gamma_t=st.floats(0.0, 2.0), eta_t=st.floats(0.0, 5.0), seed=st.integers(0, 99))
+@example(dim=3, phi_q=5e-324, gamma_t=0.0, eta_t=4.0, seed=0)  # once overflowed in expm
+def test_pumped_phase_gadget_maps_states_to_states(dim, phi_q, gamma_t, eta_t, seed):
+    space = make_space([dim])
+    gadget = pumped_phase_gadget(space, 0, ConstraintParams(phi_q, gamma_t, eta_t))
+    assert_density_map(gadget, space, seed)

@@ -9,8 +9,7 @@ from zenoanneal.generators import (combine, displacement_generator,
                                    tpa_dissipator)
 from zenoanneal.propagator import (DimensionGuardError, PhaseKernel,
                                    apply_cached, build_cache, expm_apply,
-                                   expm_dense, phase_superop_elementwise,
-                                   propagate)
+                                   expm_dense)
 
 from test_fock import random_density
 
@@ -69,13 +68,6 @@ def test_dense_dimension_guard():
         expm_dense(displacement_generator(space, 0), 0.1)
 
 
-def test_propagate_selects_working_path():
-    gen = random_generator(3)
-    rho = random_density(gen.space, seed=4)
-    out = propagate(gen, 0.3, rho)
-    assert abs(np.trace(out.matrix) - 1) < 1e-10
-
-
 def test_cache_exact_at_t_max_and_zero():
     gen = random_generator(5)
     cache = build_cache(gen, t_max=0.8, m=8)
@@ -126,8 +118,6 @@ def test_phase_kernel_matches_generator_exponential():
     kernel = PhaseKernel(space, 0)
     out = kernel.apply(rho, phi)
     assert np.max(np.abs(out.matrix - expect.matrix)) < 1e-12
-    fn = phase_superop_elementwise(space, 0, phi)
-    assert np.max(np.abs(fn(rho.matrix) - expect.matrix)) < 1e-12
 
 
 def test_phase_kernel_diagonal_and_qubit_multipliers():
