@@ -31,12 +31,24 @@ CRITICAL_ETA_FACTOR = 4.0 * math.sqrt(2.0)
 # defeats its own blockade, see the anneal module tests.
 DEFAULT_PHI_Q = 3.0 * math.pi / 2.0
 
+# Drive sweeps keep ten photons below this rate and five from it on; p1 jumps
+# there, so the gamma_99 search never interpolates across it.
+TRUNCATION_SWITCH_GAMMA = 10.0
+# Hilbert dimension up to which a drive point takes one dense exponential:
+# the 6- and 11-level TPA spaces, where it is 5-100x cheaper than the action
+# path.  The 18- and 66-level SFG spaces stay on the action path, where dense
+# was about 2x slower at d = 18.
+DRIVE_DENSE_DIM = 11
+# gamma_99 stops once its bracket is this narrow in log gamma.
+GAMMA99_LOG_TOL = 1e-12
+
 
 def _map(fn, args, threads: int):
+    """Results in argument order: a pool's list, or a lazy map on one thread."""
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, args))
-    return [fn(a) for a in args]
+    return map(fn, args)
 
 
 # ---------------------------------------------------------------- zeno onset
@@ -80,15 +92,18 @@ def zeno_onset_rows(variant: str, ratios, truncation: int,
 def _drive_p1(kind: str, gamma: float, eta: float, t: float) -> float:
     """P(|1>) after driving vacuum for time t at unit displacement rate.
 
-    Truncation drops from ten photons to five above gamma = 10, with the
-    pump sized to the convertible pairs.
+    Truncation drops from ten photons to five at ``TRUNCATION_SWITCH_GAMMA``,
+    with the pump sized to the convertible pairs.
     """
-    n_max = 10 if gamma < 10 else 5
+    n_max = 10 if gamma < TRUNCATION_SWITCH_GAMMA else 5
     gen, space = drive_generator(kind, make_space([n_max + 1]), 0,
                                  c=1.0, gamma=gamma, eta=eta)
     vec = vacuum(space).to_density().matrix.flatten(order="F")
-    vec = expm_apply_vec(gen, t, vec)
     d = space.total_dim
+    if d <= DRIVE_DENSE_DIM:
+        vec = expm_dense(gen, t).matrix @ vec
+    else:
+        vec = expm_apply_vec(gen, t, vec)
     diag = vec.reshape((d, d), order="F").diagonal().real
     occ = space.occupation_array(0)
     return float(diag[occ == 1].sum())
@@ -107,26 +122,74 @@ def _markov_point(args):
     return _drive_p1("sfg", gamma, eta, math.pi / 2.0)
 
 
+def _tpa_point(args):
+    _, gamma = args
+    return _drive_p1("tpa", gamma, 0.0, math.pi / 2.0)
+
+
+def _check_gamma99_args(lo: float, hi: float, iters: int) -> None:
+    if not 0 < lo < hi:
+        raise ValueError(f"gamma99 bracket needs 0 < lo < hi, got lo={lo}, hi={hi}")
+    if iters < 1:
+        raise ValueError(f"gamma99 iters must be at least 1, got {iters}")
+
+
 def gamma_99(ratio: float, lo: float = 0.2, hi: float = 4096.0,
              target: float = 0.99, iters: int = 40) -> float:
     """Smallest SFG rate reaching the target flip probability at t = pi/2c.
 
-    Log-space bisection; the pump loss tracks the rate as
-    eta = ratio * 4 sqrt(2) gamma.
+    Bracketed root search in log gamma; the pump loss tracks the rate as
+    eta = ratio * 4 sqrt(2) gamma.  Steps bisect while the bracket spans
+    more than a factor of 2 or straddles the truncation switch, where p1
+    jumps, so the root chosen is the bisection's; inside a narrow smooth
+    bracket they are Illinois (modified regula falsi) steps.  At most
+    ``iters`` steps, ending early once the bracket is ``GAMMA99_LOG_TOL``
+    wide.  Returns the upper end of the final bracket, where p1 >= target.
     """
+    _check_gamma99_args(lo, hi, iters)
     f = lambda g: _coherence_point((ratio, g)) - target
-    if f(lo) > 0:
+    fa = f(lo)
+    if fa > 0:
         return lo
-    if f(hi) < 0:
+    fb = f(hi)
+    if fb < 0:
         raise ValueError(f"target {target} unreachable below gamma={hi}")
     a, b = math.log(lo), math.log(hi)
+    kept = 0  # +1 / -1 after the upper / lower end moved by an Illinois step
     for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if f(math.exp(mid)) >= 0:
-            b = mid
+        if b - a <= GAMMA99_LOG_TOL or fb == 0:
+            break
+        straddles = (math.exp(a) < TRUNCATION_SWITCH_GAMMA) != (
+            math.exp(b) < TRUNCATION_SWITCH_GAMMA)
+        x = b - fb * (b - a) / (fb - fa)
+        illinois = b - a <= math.log(2.0) and not straddles and a < x < b
+        if not illinois:
+            x = 0.5 * (a + b)
+        fx = f(math.exp(x))
+        if fx >= 0:
+            b, fb = x, fx
+            if illinois and kept == 1:
+                fa *= 0.5
+            kept = 1 if illinois else 0
         else:
-            a = mid
+            a, fa = x, fx
+            if illinois and kept == -1:
+                fb *= 0.5
+            kept = -1 if illinois else 0
     return math.exp(b)
+
+
+def _curve_rows(kind: str, point, args, threads: int, stop_at: float):
+    """Rows of one curve in grid order, ending at the first p1 >= stop_at.
+
+    On one thread the points past that one are never evaluated.
+    """
+    rows = []
+    for (r, g), p1 in zip(args, _map(point, args, threads)):
+        rows.append((kind, r, g, p1, int(p1 >= stop_at)))
+        if p1 >= stop_at:
+            break
+    return rows
 
 
 def drive_sweep_rows(ratios, gammas, markov_ratios, gamma_tpas,
@@ -135,36 +198,27 @@ def drive_sweep_rows(ratios, gammas, markov_ratios, gamma_tpas,
                      gamma99_iters: int = 40):
     """Flip probability curves vs rate, per coherence ratio, plus references.
 
-    Curves stop once ``stop_at`` is reached.  Emits three row kinds:
+    Curves stop once ``stop_at`` is reached; with ``threads=1`` the points
+    past it are not computed.  Emits three row kinds:
     'sweep' (coherence interpolation), 'markov' (fixed effective pair-loss
     rate, growing pump loss), 'tpa_ref' (memoryless pair absorption), and a
     'gamma99' threshold row per coherence ratio.
     """
+    _check_gamma99_args(gamma99_lo, gamma99_hi, gamma99_iters)
     header = ["row_kind", "eta_ratio", "gamma", "p1", "reached_target"]
     rows = []
     for ratio in ratios:
         args = [(float(ratio), float(g)) for g in gammas]
-        p1s = _map(_coherence_point, args, threads)
-        for (r, g), p1 in zip(args, p1s):
-            rows.append(("sweep", r, g, p1, int(p1 >= stop_at)))
-            if p1 >= stop_at:
-                break
+        rows += _curve_rows("sweep", _coherence_point, args, threads, stop_at)
         rows.append(("gamma99", float(ratio),
                      gamma_99(float(ratio), lo=gamma99_lo, hi=gamma99_hi,
                               target=stop_at, iters=gamma99_iters),
                      stop_at, 1))
     for ratio in markov_ratios:
         args = [(float(ratio), float(g)) for g in gamma_tpas]
-        p1s = _map(_markov_point, args, threads)
-        for (r, g), p1 in zip(args, p1s):
-            rows.append(("markov", r, g, p1, int(p1 >= stop_at)))
-            if p1 >= stop_at:
-                break
-    for g in gamma_tpas:
-        p1 = _drive_p1("tpa", float(g), 0.0, math.pi / 2.0)
-        rows.append(("tpa_ref", 0.0, float(g), p1, int(p1 >= stop_at)))
-        if p1 >= stop_at:
-            break
+        rows += _curve_rows("markov", _markov_point, args, threads, stop_at)
+    rows += _curve_rows("tpa_ref", _tpa_point, [(0.0, float(g)) for g in gamma_tpas],
+                        1, stop_at)
     return header, rows
 
 
@@ -189,7 +243,7 @@ def constraint_sweep_rows(graph: ProblemGraph, gamma_ts, n_cycles,
     guess = 1.0 / 2 ** graph.n_vertices
     args = [(graph, int(n), r_tot, float(gt), phi_q)
             for gt in gamma_ts for n in n_cycles]
-    results = _map(_constraint_point, args, threads)
+    results = list(_map(_constraint_point, args, threads))
     rows = []
     per_gt: dict[float, list[tuple[int, float]]] = {}
     for (_, n, _, gt, _), res in zip(args, results):

@@ -242,3 +242,14 @@ def test_drive_sweep_gamma99_flags(tmp_path):
     # three halvings of [log 1, log 16] leave the upper end on a 2^(1/2) grid
     assert len(gamma99) == 1
     assert min(abs(float(gamma99[0][2]) - 2 ** (k / 2)) for k in range(1, 9)) < 1e-8
+
+
+@pytest.mark.parametrize("flag, value", [("--gamma99-lo", "0"), ("--gamma99-iters", "0")])
+def test_drive_sweep_rejects_bad_gamma99_settings(tmp_path, capsys, flag, value):
+    out = tmp_path / "ds.csv"
+    assert run(["drive-sweep", "--eta-ratios", "0", "--gammas", "2",
+                "--markov-ratios", "8", "--gamma-tpas", "1",
+                flag, value, "--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: gamma99")
+    assert not out.exists()
