@@ -321,17 +321,28 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on bad command-line input, so it exits 1, not 2.
+
+    Subparsers are built with the same class, so they raise it too.
+    """
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zenoanneal",
         description="Zeno-constrained optical annealing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, flags):
+    def add(name, flags, threads=False):
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output path")
-        p.add_argument("--threads", type=int, help="worker processes")
+        if threads:
+            p.add_argument("--threads", type=int, help="worker processes")
         p.add_argument("--seed", type=int, help="seed recorded with the run")
         for flag in flags:
             p.add_argument(f"--{flag}")
@@ -340,9 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("zeno-onset", ["variant", "tpa-ratios", "sfg-ratios", "tpa-truncation",
                        "sfg-truncation", "t-max", "nt"])
     add("drive-sweep", ["eta-ratios", "gammas", "markov-ratios", "gamma-tpas",
-                        "gamma99-lo", "gamma99-hi", "gamma99-iters"])
-    add("constraint-sweep", ["graph", "gamma-ts", "n-cycles", "r-tot", "phi-q"])
-    add("anneal", ["graph", "n-cycles", "r-grid", "phi-q", "tol"])
+                        "gamma99-lo", "gamma99-hi", "gamma99-iters"], threads=True)
+    add("constraint-sweep", ["graph", "gamma-ts", "n-cycles", "r-tot", "phi-q"],
+        threads=True)
+    add("anneal", ["graph", "n-cycles", "r-grid", "phi-q", "tol"], threads=True)
     add("wmis", ["w0-grid", "n-cycle", "r-tot", "phi-q"])
     add("qubo", ["qubo", "n-cycle", "r-tot"])
     add("mitigate", ["graph", "n-copies"])
@@ -352,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except (DimensionGuardError, NonConvergenceError) as exc:  # before its base ValueError
         print(f"numerical guard: {exc}", file=sys.stderr)

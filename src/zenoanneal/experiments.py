@@ -318,10 +318,9 @@ def ideal_vs_phase_rows(graph: ProblemGraph, n_cycles, r_grid,
 # ----------------------------------------------------------------- wmis/qubo
 
 def wmis_rows(w0_grid, n_cycle: int, r_tot: float,
-              phi_q: float = DEFAULT_PHI_Q, threads: int = 1):
+              phi_q: float = DEFAULT_PHI_Q):
     """Two-node weighted crossover: outcome flips as w0 crosses w1 = 1."""
     header = ["w0", "p00", "p01", "p10", "p11", "success"]
-    graph = ProblemGraph(2, frozenset({(0, 1)}))
 
     def point(w0):
         g = ProblemGraph(2, frozenset({(0, 1)}), (float(w0), 1.0))

@@ -7,9 +7,13 @@ Conventions used throughout the package:
 * Density matrices are vectorized by column stacking (Fortran order), so a
   superoperator matrix ``S`` acts as ``vec(rho') = S @ vec(rho)`` and
   ``vec(A @ rho @ B) = kron(B.T, A) @ vec(rho)``.
+* A D x D matrix viewed as the C-order tensor ``mat.reshape(dims + dims)``
+  has axes (row modes..., column modes...).  Column stacking makes the local
+  vec index of a superoperator on modes ``t`` run over (column axes of ``t``,
+  row axes of ``t``), so it acts on those doubled-tensor axes in that order.
 
-Both conventions are load-bearing: every other module builds matrices against
-them.
+All three conventions are load-bearing: every other module builds matrices
+against them.
 """
 
 from __future__ import annotations
@@ -212,76 +216,43 @@ def partial_trace_matrix(mat: np.ndarray, mode_dims, keep) -> np.ndarray:
     return tensor.reshape((d_keep, d_keep))
 
 
-def _local_perm(space: FockSpace, targets: list[int]):
-    """Axis permutation placing target column/row axes first (see apply_local)."""
-    n = space.n_modes
-    rest = [m for m in range(n) if m not in targets]
-    t_rows = list(targets)
-    t_cols = [n + t for t in targets]
-    r_rows = rest
-    r_cols = [n + m for m in rest]
-    # C-order flattening of (target cols, target rows) equals the
-    # column-stacked local vec index r_loc + d_loc * c_loc.
-    perm = t_cols + t_rows + r_cols + r_rows
-    inv = np.argsort(perm)
-    d_loc = math.prod(space.mode_dims[t] for t in targets)
-    d_rest = space.total_dim // d_loc
-    return perm, inv, d_loc, d_rest
+def _apply_axes(op: np.ndarray, flat: np.ndarray, dims, axes) -> np.ndarray:
+    """Apply ``op`` to the ``axes`` of ``flat`` seen as a C-order ``dims`` tensor.
+
+    The targeted axes go first and the others follow in their original order,
+    so ``op`` multiplies the (d_loc, rest) matricization; the permutation is
+    then undone and the result has the shape of ``flat``.
+    """
+    perm = list(axes) + [a for a in range(len(dims)) if a not in axes]
+    inv = sorted(range(len(perm)), key=perm.__getitem__)
+    tensor = np.asarray(flat).reshape(dims).transpose(perm)
+    shape = tensor.shape
+    d_loc = math.prod(shape[:len(axes)])
+    out = np.asarray(op) @ tensor.reshape(d_loc, -1)
+    return out.reshape(shape).transpose(inv).reshape(np.shape(flat))
 
 
 def apply_local_superop_matrix(superop: np.ndarray, mat: np.ndarray,
                                space: FockSpace, targets) -> np.ndarray:
     """Apply a local superoperator matrix to a raw density matrix."""
     targets = [int(t) for t in targets]
-    perm, inv, d_loc, d_rest = _local_perm(space, targets)
-    dims = space.mode_dims
-    tensor = mat.reshape(dims + dims).transpose(perm)
-    shape = tensor.shape
-    work = tensor.reshape(d_loc * d_loc, d_rest * d_rest)
-    work = np.asarray(superop) @ work
-    return work.reshape(shape).transpose(inv).reshape((space.total_dim,) * 2)
+    cols = [space.n_modes + t for t in targets]
+    return _apply_axes(superop, mat, space.mode_dims * 2, cols + targets)
 
 
 def apply_local_operator_matrix(op: np.ndarray, mat: np.ndarray,
                                 space: FockSpace, targets) -> np.ndarray:
     """Conjugate a raw density matrix by a local operator: op @ rho @ op^dagger."""
-    targets = [int(t) for t in targets]
-    n = space.n_modes
-    dims = space.mode_dims
-    d_loc = math.prod(dims[t] for t in targets)
-    rest = [m for m in range(n) if m not in targets]
-    op = np.asarray(op)
-
-    tensor = mat.reshape(dims + dims)
-    # Left multiply on the row axes.
-    perm = targets + rest + [n + m for m in range(n)]
-    inv = np.argsort(perm)
-    t = tensor.transpose(perm)
-    shape = t.shape
-    t = op @ t.reshape(d_loc, -1)
-    tensor = t.reshape(shape).transpose(inv)
-    # Right multiply by op^dagger on the column axes.
-    perm = [n + t_ for t_ in targets] + [n + m for m in rest] + list(range(n))
-    inv = np.argsort(perm)
-    t = tensor.transpose(perm)
-    shape = t.shape
-    t = op.conj() @ t.reshape(d_loc, -1)
-    return t.reshape(shape).transpose(inv).reshape((space.total_dim,) * 2)
+    dims = space.mode_dims * 2
+    mat = _apply_axes(op, mat, dims, targets)
+    # rho @ op^dagger = (conj(op) @ rho^T)^T: a second left pass on the transpose.
+    return _apply_axes(np.conj(op), mat.T, dims, targets).T
 
 
 def apply_local_operator_vector(op: np.ndarray, amps: np.ndarray,
                                 space: FockSpace, targets) -> np.ndarray:
     """Apply a local operator to a raw amplitude vector."""
-    targets = [int(t) for t in targets]
-    dims = space.mode_dims
-    rest = [m for m in range(space.n_modes) if m not in targets]
-    d_loc = math.prod(dims[t] for t in targets)
-    perm = targets + rest
-    inv = np.argsort(perm)
-    t = amps.reshape(dims).transpose(perm)
-    shape = t.shape
-    t = np.asarray(op) @ t.reshape(d_loc, -1)
-    return t.reshape(shape).transpose(inv).reshape(space.total_dim)
+    return _apply_axes(op, amps, space.mode_dims, targets)
 
 
 def apply_local(op: np.ndarray, state: PureState | DensityState, targets):
@@ -315,19 +286,7 @@ def apply_local(op: np.ndarray, state: PureState | DensityState, targets):
 
 def embed_local_operator(op: np.ndarray, space: FockSpace, targets) -> np.ndarray:
     """Expand a local operator to the full space by identity tensoring."""
-    targets = [int(t) for t in targets]
-    dims = space.mode_dims
-    n = space.n_modes
-    rest = [m for m in range(n) if m not in targets]
-    d_loc = math.prod(dims[t] for t in targets)
-    d_rest = space.total_dim // d_loc
-    big = np.kron(np.asarray(op), np.eye(d_rest))
-    # kron ordering corresponds to modes (targets..., rest...); permute back.
-    order = targets + rest
-    tensor = big.reshape(tuple(dims[m] for m in order) * 2)
-    inv = list(np.argsort(order))
-    perm = inv + [n + i for i in inv]
-    return tensor.transpose(perm).reshape((space.total_dim,) * 2)
+    return _apply_axes(op, np.eye(space.total_dim), space.mode_dims * 2, targets)
 
 
 def von_neumann_entropy(state: DensityState | np.ndarray) -> float:

@@ -45,9 +45,6 @@ class Superoperator:
     matrix: np.ndarray
     provenance: str = ""
 
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
-
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         d = self.space.total_dim
         return (self.matrix @ mat.flatten(order="F")).reshape((d, d), order="F")
@@ -85,7 +82,15 @@ def expm_apply(gen: GeneratorSpec, t: float, state: DensityState) -> DensityStat
 
 def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
     _check_time(gen, t)
-    out = scipy.sparse.linalg.expm_multiply(gen.matrix * t, vec)
+    # expm_multiply picks its degree and step count from onenormest, which
+    # draws from NumPy's global RNG; a fixed state makes the result repeat
+    # from run to run, and the caller's state is put back afterwards.
+    rng_state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        out = scipy.sparse.linalg.expm_multiply(gen.matrix * t, vec)
+    finally:
+        np.random.set_state(rng_state)
     if not np.all(np.isfinite(out)):
         raise NonConvergenceError("expm_multiply produced non-finite values")
     return out
@@ -129,10 +134,6 @@ class BinaryExpCache:
         for j in self.select_stages(t):
             out = self.stages[j].matrix @ out
         return out
-
-    def apply_matrix(self, t: float, mat: np.ndarray) -> np.ndarray:
-        d = self.generator.space.total_dim
-        return self.apply_vec(t, mat.flatten(order="F")).reshape((d, d), order="F")
 
     def matrix_for(self, t: float) -> np.ndarray:
         """Composed superoperator matrix for duration t (small spaces only)."""

@@ -64,6 +64,13 @@ def test_config_error_exit_code(tmp_path):
     assert run(["zeno-onset", "--nt", "1", "--out", tmp_path / "x.csv"]) == 1
 
 
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["anneal", "--help"])
+    assert exc.value.code == 0
+    assert "--threads" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("args", [
     ["anneal", "--n-cycles", "0"],
     ["anneal", "--r-grid", "0,1"],
@@ -71,8 +78,15 @@ def test_config_error_exit_code(tmp_path):
     ["wmis", "--w0-grid", "0,1"],
     ["constraint-sweep", "--n-cycles", "0"],
     ["timebin-compile", "--graph", "BAD_GRAPH"],
+    ["anneal", "--bogus", "1"],
+    [],
+    ["frobnicate"],
+    ["anneal", "--threads", "x"],
+    ["wmis", "--threads", "2"],
 ], ids=["anneal-zero-cycles", "anneal-zero-rotation", "qubo-zero-cycles",
-        "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph"])
+        "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph",
+        "unknown-flag", "no-subcommand", "unknown-subcommand", "bad-int-flag",
+        "threads-not-read"])
 def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
     bad_graph = tmp_path / "bad.txt"
     bad_graph.write_text("0 1\n0 x\n")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from zenoanneal import experiments
@@ -96,3 +97,13 @@ def test_tpa_dense_path_matches_action_path(monkeypatch, gamma):
     action = _drive_p1("tpa", gamma, 0.0, math.pi / 2)
     assert len(dense_calls) == 1
     assert abs(dense - action) < 1e-12
+
+
+def test_action_path_repeats_whatever_the_global_seed():
+    # expm_multiply's norm estimate draws from the global RNG. Left unfixed,
+    # seed 1 moves p1 here in its 13th digit away from seeds 0 and 2-5.
+    values = set()
+    for seed in range(6):
+        np.random.seed(seed)
+        values.add(experiments._coherence_point((1.0, 330.174958128)))
+    assert len(values) == 1

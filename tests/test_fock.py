@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from zenoanneal.fock import (DensityState, PureState, apply_local,
-                             devectorize, embed_local_operator, make_space,
-                             number_state, partial_trace, population, vacuum,
-                             vectorize, von_neumann_entropy)
+                             apply_local_operator_matrix,
+                             apply_local_operator_vector,
+                             apply_local_superop_matrix, devectorize,
+                             embed_local_operator, make_space, number_state,
+                             partial_trace, population, vacuum, vectorize,
+                             von_neumann_entropy)
 from zenoanneal.gadgets import unitary_conjugation_superop
 
 
@@ -146,6 +150,56 @@ def test_apply_local_matches_global_embedding():
     # superoperator route against the same global conjugation
     out2 = apply_local(unitary_conjugation_superop(q), rho, [1, 2])
     assert np.max(np.abs(out2.matrix - expect)) < 1e-12
+
+
+def global_maps_by_entries(op, superop, space, targets):
+    """Global operator and column-stacked superoperator, built entry by entry.
+
+    Entries come from the occupation tuples alone: the local index of a basis
+    state is its targets' occupations in ``targets`` order, the untouched modes
+    must agree (identity there), and vec index r + D c holds rho[r, c].
+    """
+    local = make_space([space.mode_dims[t] for t in targets])
+    d, d_loc = space.total_dim, local.total_dim
+    occ = [space.occupations(i) for i in range(d)]
+    loc = [local.index([o[t] for t in targets]) for o in occ]
+    rest = [[x for m, x in enumerate(o) if m not in targets] for o in occ]
+    g = np.zeros((d, d), dtype=complex)
+    for i, j in itertools.product(range(d), repeat=2):
+        if rest[i] == rest[j]:
+            g[i, j] = op[loc[i], loc[j]]
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for r, c, r2, c2 in itertools.product(range(d), repeat=4):
+        if rest[r] == rest[r2] and rest[c] == rest[c2]:
+            s[r + d * c, r2 + d * c2] = superop[loc[r] + d_loc * loc[c],
+                                                loc[r2] + d_loc * loc[c2]]
+    return g, s
+
+
+@pytest.mark.parametrize("dims", [[2, 3, 2], [3, 2, 2]])
+@pytest.mark.parametrize("targets", [[1], [2, 0], [1, 2, 0]])
+def test_local_application_matches_entrywise_oracle(dims, targets):
+    space = make_space(dims)
+    d = space.total_dim
+    d_loc = math.prod(dims[t] for t in targets)
+    rng = np.random.default_rng(len(targets))
+    op = rng.normal(size=(d_loc, d_loc)) + 1j * rng.normal(size=(d_loc, d_loc))
+    superop = (rng.normal(size=(d_loc ** 2, d_loc ** 2))
+               + 1j * rng.normal(size=(d_loc ** 2, d_loc ** 2)))
+    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+    g, s = global_maps_by_entries(op, superop, space, targets)
+
+    assert np.allclose(embed_local_operator(op, space, targets), g, rtol=0, atol=1e-13)
+    assert np.allclose(apply_local_operator_vector(op, amps, space, targets), g @ amps,
+                       rtol=0, atol=1e-12)
+    assert np.allclose(apply_local_operator_matrix(op, rho, space, targets),
+                       g @ rho @ g.conj().T, rtol=0, atol=1e-11)
+    vec = np.array([rho[k % d, k // d] for k in range(d * d)])
+    out_vec = s @ vec
+    expect = np.array([[out_vec[r + d * c] for c in range(d)] for r in range(d)])
+    assert np.allclose(apply_local_superop_matrix(superop, rho, space, targets), expect,
+                       rtol=0, atol=1e-11)
 
 
 def test_apply_local_disjoint_modes_commute():

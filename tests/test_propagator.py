@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from zenoanneal.fock import make_space, number_state
+from zenoanneal.fock import make_space, number_state, vectorize
 from zenoanneal.generators import (combine, displacement_generator,
                                    loss_dissipator, phase_generator,
                                    tpa_dissipator)
 from zenoanneal.propagator import (DimensionGuardError, PhaseKernel,
                                    apply_cached, build_cache, expm_apply,
-                                   expm_dense)
+                                   expm_apply_vec, expm_dense)
 
 from test_fock import random_density
 
@@ -52,6 +52,17 @@ def test_expm_apply_matches_dense():
     action = expm_apply(gen, 0.7, rho)
     assert np.max(np.abs(dense.matrix - action.matrix)) < 1e-9
     assert abs(np.trace(action.matrix) - 1) < 1e-10
+
+
+def test_expm_apply_leaves_global_rng_state_alone():
+    gen = random_generator(3, dims=(3, 2))
+    vec = vectorize(random_density(gen.space, seed=4))
+    np.random.seed(11)
+    before = np.random.get_state()
+    expm_apply_vec(gen, 0.9, vec)
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
 
 
 def test_negative_time_rules():
