@@ -8,7 +8,7 @@ from .generators import (GeneratorSpec, combine, displacement_generator,
                          tpa_dissipator)
 from .propagator import (BinaryExpCache, DimensionGuardError,
                          NonConvergenceError, PhaseKernel, Superoperator,
-                         apply_cached, build_cache, expm_apply, expm_dense)
+                         apply_cached, build_cache, expm_apply, expm_dense, trajectory)
 from .gadgets import (ConstraintParams, DriveParams, GAMMA_T_COHERENT,
                       GAMMA_T_INCOHERENT, beamsplitter, conservative_pump_phase,
                       constraint_superop, drive_generator, driven_sfg_superop,

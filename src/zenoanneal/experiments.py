@@ -22,8 +22,7 @@ from .fock import make_space, vacuum
 from .gadgets import ConstraintParams, GAMMA_T_COHERENT, drive_generator
 from .problems import (ProblemGraph, brute_force_mis, mitigation_encode,
                        loss_injection_experiment)
-from .propagator import DENSE_DIM_THRESHOLD, expm_apply_vec, expm_dense
-import scipy.sparse.linalg
+from .propagator import expm_apply_vec, expm_dense, trajectory
 
 CRITICAL_ETA_FACTOR = 4.0 * math.sqrt(2.0)
 
@@ -67,18 +66,7 @@ def zeno_onset_rows(variant: str, ratios, truncation: int,
         d = space.total_dim
         vec0 = vacuum(space).to_density().matrix.flatten(order="F")
         occ = space.occupation_array(0)
-        if d <= DENSE_DIM_THRESHOLD:
-            # One dense exponential of the step, then matrix-vector iteration;
-            # robust to stiff generators where series stepping crawls.
-            step = expm_dense(gen, float(times[1] - times[0]),
-                              dim_cap=DENSE_DIM_THRESHOLD).matrix
-            traj = [vec0]
-            for _ in range(n_t - 1):
-                traj.append(step @ traj[-1])
-        else:
-            traj = scipy.sparse.linalg.expm_multiply(
-                gen.matrix, vec0, start=0.0, stop=t_max, num=n_t, endpoint=True)
-        for t, vec in zip(times, traj):
+        for t, vec in zip(times, trajectory(gen, times, vec0)):
             diag = vec.reshape((d, d), order="F").diagonal().real
             p0 = float(diag[occ == 0].sum())
             p1 = float(diag[occ == 1].sum())
@@ -144,7 +132,12 @@ def gamma_99(ratio: float, lo: float = 0.2, hi: float = 4096.0,
     jumps, so the root chosen is the bisection's; inside a narrow smooth
     bracket they are Illinois (modified regula falsi) steps.  At most
     ``iters`` steps, ending early once the bracket is ``GAMMA99_LOG_TOL``
-    wide.  Returns the upper end of the final bracket, where p1 >= target.
+    wide.  Returns the upper end of the final bracket, where p1 >= target;
+    when ``iters`` runs out first, that is the upper end after the last step
+    taken, an upper bound on the root and not the nearest point to it.  At
+    ratio 0 just below gamma = 10, p1 is not monotone above the root, so the
+    Illinois steps creep (each moves the upper end by a few percent) and a
+    capped solve there can end farther from the root than bisection would.
     """
     _check_gamma99_args(lo, hi, iters)
     f = lambda g: _coherence_point((ratio, g)) - target
@@ -379,24 +372,18 @@ def _sign_changes(values: np.ndarray) -> int:
 def full_pair_coherence(gamma: float, eta: float, t_grid) -> np.ndarray:
     """<1,0_p| rho(t) |2,0_p> from the full superoperator propagation.
 
-    Initial state (|1> + |2>)(<1| + <2|)/2 with an empty pump.
+    Initial state (|1> + |2>)(<1| + <2|)/2 with an empty pump; ``t_grid``
+    must be evenly spaced from 0.
     """
     gen, space = drive_generator("sfg", make_space([3]), 0, gamma=gamma, eta=eta)
     amps = np.zeros(space.total_dim, dtype=complex)
     amps[space.index((1, 0))] = 1.0 / math.sqrt(2.0)
     amps[space.index((2, 0))] = 1.0 / math.sqrt(2.0)
     rho = np.outer(amps, amps.conj())
-    i1, i2 = space.index((1, 0)), space.index((2, 0))
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty(len(t_grid), dtype=complex)
-    vec0 = rho.flatten(order="F")
-    traj = scipy.sparse.linalg.expm_multiply(
-        gen.matrix, vec0, start=float(t_grid[0]), stop=float(t_grid[-1]),
-        num=len(t_grid), endpoint=True)
     d = space.total_dim
-    for i, vec in enumerate(traj):
-        out[i] = vec.reshape((d, d), order="F")[i1, i2]
-    return out
+    traj = trajectory(gen, t_grid, rho.flatten(order="F"))
+    # element (i1, i2) of the column-stacked rho
+    return traj[:, space.index((1, 0)) + d * space.index((2, 0))]
 
 
 def oracle_check_rows(gammas, eta_ratios, n_t: int = 201):

@@ -22,7 +22,7 @@ from .fock import (FockSpace, apply_local_superop_matrix, embed_local_operator,
 from .generators import (GeneratorSpec, combine, displacement_generator,
                          loss_dissipator, phase_generator, sfg_generator,
                          tpa_dissipator, annihilation_operator)
-from .propagator import DENSE_DIM_THRESHOLD, Superoperator, expm_dense
+from .propagator import Superoperator, expm_dense
 
 # Per-half SFG angles bounding the coherence interpolation: at the lower
 # endpoint the photon pair ends up in the (traced) pump, at the upper endpoint
@@ -108,14 +108,13 @@ def pump_maps(d: int, pump_dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
-                    gamma: float = 1.0, eta: float = 0.0,
-                    pump_dim: int | None = None) -> tuple[GeneratorSpec, FockSpace]:
+                    gamma: float = 1.0, eta: float = 0.0) -> tuple[GeneratorSpec, FockSpace]:
     """c G_disp + gamma G_blockade on ``mode``; returns the generator and its space.
 
     "tpa" blockades by two-photon absorption and has no pump, so eta must be
-    0.  "sfg" converts pairs into a pump appended as the last mode (sized for
-    every convertible pair unless ``pump_dim`` is given) that loses photons
-    at rate ``eta``.
+    0.  "sfg" converts pairs into a pump appended as the last mode, sized by
+    :func:`default_pump_dim` to hold every convertible pair, that loses
+    photons at rate ``eta``.
     """
     if kind == "tpa":
         if eta != 0.0:
@@ -124,8 +123,7 @@ def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
                         (tpa_dissipator(space, mode), gamma)]), space
     if kind != "sfg":
         raise ValueError("drive kind must be 'tpa' or 'sfg'")
-    pump_dim = pump_dim or default_pump_dim(space.mode_dims[mode])
-    joint = make_space(list(space.mode_dims) + [pump_dim])
+    joint = make_space(list(space.mode_dims) + [default_pump_dim(space.mode_dims[mode])])
     pump = joint.n_modes - 1
     parts = [(displacement_generator(joint, mode), c),
              (sfg_generator(joint, mode, pump), gamma)]
@@ -134,49 +132,39 @@ def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
     return combine(parts), joint
 
 
-def tpa_superop(space: FockSpace, mode: int, gamma_t: float,
-                dim_cap: int = DENSE_DIM_THRESHOLD) -> Superoperator:
+def tpa_superop(space: FockSpace, mode: int, gamma_t: float) -> Superoperator:
     """exp(gamma_t * L_TPA): identity on the {|0>, |1>} span, pair removal above."""
     if gamma_t < 0:
         raise ValueError("gamma_t must be nonnegative")
-    return expm_dense(tpa_dissipator(space, mode), gamma_t, dim_cap=dim_cap)
+    return expm_dense(tpa_dissipator(space, mode), gamma_t)
 
 
-def _pumped_sfg(space: FockSpace, mode: int, t: float, pump_dim: int | None,
-                dim_cap: int, **rates) -> np.ndarray:
+def _pumped_sfg(space: FockSpace, mode: int, t: float, **rates) -> np.ndarray:
     """exp(t G) of an SFG drive with the pump appended empty and traced out."""
-    gen, joint = drive_generator("sfg", space, mode, pump_dim=pump_dim, **rates)
+    gen, joint = drive_generator("sfg", space, mode, **rates)
     append, trace = pump_maps(space.total_dim, joint.mode_dims[-1])
-    return trace @ expm_dense(gen, t, dim_cap=dim_cap).matrix @ append
+    return trace @ expm_dense(gen, t).matrix @ append
 
 
-def sfg_superop(space: FockSpace, mode: int, gamma_t: float,
-                pump_dim: int | None = None,
-                dim_cap: int = DENSE_DIM_THRESHOLD) -> Superoperator:
+def sfg_superop(space: FockSpace, mode: int, gamma_t: float) -> Superoperator:
     """Single SFG pass with a fresh pump traced out afterwards."""
-    mat = _pumped_sfg(space, mode, gamma_t, pump_dim, dim_cap)
-    return Superoperator(space, mat, f"sfg(gamma_t={gamma_t})")
+    return Superoperator(space, _pumped_sfg(space, mode, gamma_t))
 
 
-def driven_tpa_superop(space: FockSpace, mode: int, params: DriveParams,
-                       dim_cap: int = DENSE_DIM_THRESHOLD) -> Superoperator:
+def driven_tpa_superop(space: FockSpace, mode: int, params: DriveParams) -> Superoperator:
     """Displacement drive under two-photon absorption: exp[t(c G_disp + gamma L_TPA)]."""
     gen, _ = drive_generator("tpa", space, mode, params.c, params.gamma, params.eta)
-    return expm_dense(gen, params.t, dim_cap=dim_cap)
+    return expm_dense(gen, params.t)
 
 
-def driven_sfg_superop(space: FockSpace, mode: int, params: DriveParams,
-                       pump_dim: int | None = None,
-                       dim_cap: int = DENSE_DIM_THRESHOLD) -> Superoperator:
+def driven_sfg_superop(space: FockSpace, mode: int, params: DriveParams) -> Superoperator:
     """Displacement drive under SFG with optional pump loss, pump traced out.
 
     With eta = 0 this is the fully coherent drive; eta interpolates toward the
     incoherent blockade, reaching critical damping at eta = 4 sqrt(2) gamma.
     """
-    mat = _pumped_sfg(space, mode, params.t, pump_dim, dim_cap,
-                      c=params.c, gamma=params.gamma, eta=params.eta)
-    return Superoperator(space, mat,
-                         f"driven_sfg(c={params.c},gamma={params.gamma},eta={params.eta},t={params.t})")
+    return Superoperator(space, _pumped_sfg(space, mode, params.t, c=params.c,
+                                            gamma=params.gamma, eta=params.eta))
 
 
 def beamsplitter(space: FockSpace, j: int, k: int) -> np.ndarray:
@@ -196,18 +184,16 @@ def beamsplitter(space: FockSpace, j: int, k: int) -> np.ndarray:
     return scipy.linalg.expm(1j * (math.pi / 4) * coupler)
 
 
-def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams,
-                        pump_dim: int | None = None,
-                        dim_cap: int = DENSE_DIM_THRESHOLD) -> Superoperator:
+def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams) -> Superoperator:
     """Two SFG half-passes with pump phase/loss in between, pump traced at the end.
 
     At gamma_t = pi/(4 sqrt 2) the photon pair is dumped into the pump
     (incoherent removal); at pi/(2 sqrt 2) it returns with amplitude
     -exp(i phi_q) (coherent phase kick of pi + phi_q).
     """
-    gen_sfg, joint_space = drive_generator("sfg", space, mode, pump_dim=pump_dim)
+    gen_sfg, joint_space = drive_generator("sfg", space, mode)
     pump = joint_space.n_modes - 1
-    half = expm_dense(gen_sfg, params.gamma_t, dim_cap=dim_cap).matrix
+    half = expm_dense(gen_sfg, params.gamma_t).matrix
     # The phase superoperator is diagonal and pump loss is phase covariant, so
     # the two commute and the phase is exponentiated entrywise.  Left inside
     # one expm, a tiny phi_q makes the triangular generator's diagonal nearly
@@ -215,12 +201,10 @@ def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams,
     phase = phase_generator(joint_space, pump).matrix.diagonal()
     mid = np.diag(np.exp(-params.phi_q * phase))
     if params.eta_t != 0.0:
-        loss = expm_dense(loss_dissipator(joint_space, pump), params.eta_t, dim_cap=dim_cap)
+        loss = expm_dense(loss_dissipator(joint_space, pump), params.eta_t)
         mid = mid @ loss.matrix
     append, trace = pump_maps(space.total_dim, joint_space.mode_dims[pump])
-    mat = trace @ (half @ mid @ half) @ append
-    return Superoperator(space, mat,
-                         f"pumped_phase(phi_q={params.phi_q},gamma_t={params.gamma_t},eta_t={params.eta_t})")
+    return Superoperator(space, trace @ (half @ mid @ half) @ append)
 
 
 def constraint_superop(space: FockSpace, j: int, k: int,
@@ -239,10 +223,7 @@ def constraint_superop(space: FockSpace, j: int, k: int,
     for mode in (j, k):
         local = pumped_phase_gadget(make_space([space.mode_dims[mode]]), 0, params)
         nl[mode] = embed_local_superop(local.matrix, space, [mode])
-    mat = s_bs.conj().T @ nl[j] @ nl[k] @ s_bs
-    return Superoperator(space, mat,
-                         f"constraint(j={j},k={k},phi_q={params.phi_q},"
-                         f"gamma_t={params.gamma_t},eta_t={params.eta_t})")
+    return Superoperator(space, s_bs.conj().T @ nl[j] @ nl[k] @ s_bs)
 
 
 def conservative_pump_phase(d: float) -> float:

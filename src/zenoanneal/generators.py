@@ -1,8 +1,9 @@
 """Sparse generators for the master equations used by the protocol.
 
-Every builder returns a :class:`GeneratorSpec` whose matrix acts on
-column-stacked density matrices (see :mod:`zenoanneal.fock` for conventions).
-Hamiltonian terms enter as -i[H, rho]; dissipators in standard Lindblad form
+Every builder returns a :class:`GeneratorSpec` holding its Hilbert-space
+parts: a Hamiltonian H, or one Lindblad jump operator.  The Liouvillian acts
+on column-stacked density matrices (see :mod:`zenoanneal.fock` for
+conventions); H enters as -i[H, rho], each jump L in standard Lindblad form
 L rho L^dag - (1/2){L^dag L, rho}.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,23 +20,6 @@ from .fock import FockSpace
 
 # Structural zeros below this magnitude are dropped from generator matrices.
 SPARSE_PRUNE_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A weighted sum of Hamiltonian-commutator and dissipator terms.
-
-    ``terms`` records (kind, modes, rate) triples with
-    kind in {"hamiltonian", "dissipator", "phase"}.
-    """
-
-    space: FockSpace
-    matrix: sp.csr_array
-    terms: tuple[tuple[str, tuple[int, ...], float], ...]
-
-    @property
-    def is_dissipative(self) -> bool:
-        return any(kind == "dissipator" for kind, _, _ in self.terms)
 
 
 @lru_cache(maxsize=None)
@@ -84,9 +68,34 @@ def dissipator_superop(jump: sp.csr_array, dim: int) -> sp.csr_array:
     return _prune(out)
 
 
-def _single_term(space: FockSpace, kind: str, modes: tuple[int, ...],
-                 matrix: sp.csr_array) -> GeneratorSpec:
-    return GeneratorSpec(space, _prune(matrix), ((kind, modes, 1.0),))
+@dataclass(frozen=True)
+class GeneratorSpec:
+    """A master equation: Hamiltonian ``hamiltonian`` and ``jumps``, a tuple of
+    (rate, jump operator) pairs, all sparse on ``space``.
+
+    ``matrix`` is the Liouvillian, built on first read.
+    """
+
+    space: FockSpace
+    hamiltonian: sp.csr_array
+    jumps: tuple[tuple[float, sp.csr_array], ...] = ()
+
+    @cached_property
+    def matrix(self) -> sp.csr_array:
+        d = self.space.total_dim
+        out = hamiltonian_superop(self.hamiltonian, d)
+        for rate, jump in self.jumps:
+            out = out + rate * dissipator_superop(jump, d)
+        return _prune(out)
+
+    @property
+    def is_dissipative(self) -> bool:
+        return bool(self.jumps)
+
+
+def _jump(space: FockSpace, jump: sp.csr_array) -> GeneratorSpec:
+    d = space.total_dim
+    return GeneratorSpec(space, sp.csr_array((d, d), dtype=complex), ((1.0, jump),))
 
 
 def tpa_dissipator(space: FockSpace, mode: int) -> GeneratorSpec:
@@ -96,23 +105,18 @@ def tpa_dissipator(space: FockSpace, mode: int) -> GeneratorSpec:
     mode dimension >= 3.
     """
     a = annihilation_operator(space.mode_dims, mode)
-    return _single_term(space, "dissipator", (mode,),
-                        dissipator_superop((a @ a).tocsr(), space.total_dim))
+    return _jump(space, (a @ a).tocsr())
 
 
 def loss_dissipator(space: FockSpace, mode: int) -> GeneratorSpec:
     """Single-photon loss on one mode."""
-    a = annihilation_operator(space.mode_dims, mode)
-    return _single_term(space, "dissipator", (mode,),
-                        dissipator_superop(a, space.total_dim))
+    return _jump(space, annihilation_operator(space.mode_dims, mode))
 
 
 def displacement_generator(space: FockSpace, mode: int) -> GeneratorSpec:
     """Coherent displacement drive, -i[a + a^dag, rho]."""
     a = annihilation_operator(space.mode_dims, mode)
-    h = (a + a.conj().T).tocsr()
-    return _single_term(space, "hamiltonian", (mode,),
-                        hamiltonian_superop(h, space.total_dim))
+    return GeneratorSpec(space, (a + a.conj().T).tocsr())
 
 
 def sfg_generator(space: FockSpace, mode: int, pump_mode: int) -> GeneratorSpec:
@@ -131,30 +135,23 @@ def sfg_generator(space: FockSpace, mode: int, pump_mode: int) -> GeneratorSpec:
             f"{max_pairs} converted pairs")
     a = annihilation_operator(space.mode_dims, mode)
     p = annihilation_operator(space.mode_dims, pump_mode)
-    h = (a @ a @ p.conj().T + a.conj().T @ a.conj().T @ p).tocsr()
-    return _single_term(space, "hamiltonian", (mode, pump_mode),
-                        hamiltonian_superop(h, space.total_dim))
+    return GeneratorSpec(space, (a @ a @ p.conj().T + a.conj().T @ a.conj().T @ p).tocsr())
 
 
 def phase_generator(space: FockSpace, mode: int) -> GeneratorSpec:
     """Phase rotation: -i[n, rho], matching U(phi) = exp(-i phi n)."""
     a = annihilation_operator(space.mode_dims, mode)
-    n = (a.conj().T @ a).tocsr()
-    return _single_term(space, "phase", (mode,),
-                        hamiltonian_superop(n, space.total_dim))
+    return GeneratorSpec(space, (a.conj().T @ a).tocsr())
 
 
 def combine(weighted: list[tuple[GeneratorSpec, float]]) -> GeneratorSpec:
-    """Weighted sum of generators over a shared space."""
+    """Weighted sum of generators over a shared space: the Hamiltonians add,
+    the jumps are concatenated with their rates scaled."""
     if not weighted:
         raise ValueError("combine needs at least one generator")
     space = weighted[0][0].space
-    matrix = None
-    terms: list[tuple[str, tuple[int, ...], float]] = []
-    for gen, rate in weighted:
-        if gen.space != space:
-            raise ValueError("generators live on different spaces")
-        contrib = gen.matrix * rate
-        matrix = contrib if matrix is None else matrix + contrib
-        terms.extend((kind, modes, r * rate) for kind, modes, r in gen.terms)
-    return GeneratorSpec(space, _prune(matrix), tuple(terms))
+    if any(gen.space != space for gen, _ in weighted):
+        raise ValueError("generators live on different spaces")
+    h = sum(gen.hamiltonian * rate for gen, rate in weighted)
+    jumps = tuple((r * rate, jump) for gen, rate in weighted for r, jump in gen.jumps)
+    return GeneratorSpec(space, sp.csr_array(h), jumps)

@@ -1,12 +1,18 @@
 """Exponentiation and fast application of generators.
 
-Three interchangeable paths, each caller picking its own:
+Entry points:
 
-* :func:`expm_dense` materializes exp(t G) as a dense superoperator,
-* :func:`expm_apply` computes the action on one vectorized state without
-  ever forming the dense matrix,
-* :class:`BinaryExpCache` precomputes exponentials for halved durations so a
-  sweep with per-cycle times never exponentiates inside its inner loop.
+* :func:`expm_dense` materializes exp(t G) as a dense superoperator, up to
+  Hilbert dimension ``DENSE_DIM_THRESHOLD``,
+* :func:`expm_apply` and :func:`expm_apply_vec` compute the action on one
+  state without ever forming the dense matrix (Al-Mohy & Higham, SIAM J. Sci.
+  Comput. 33, 2011),
+* :func:`trajectory` returns the states on an evenly spaced time grid from 0:
+  one dense step raised to successive powers up to ``DENSE_DIM_THRESHOLD``,
+  the action method's interval form above it,
+* :class:`BinaryExpCache` (:func:`build_cache`, :func:`apply_cached`)
+  precomputes exponentials for halved durations so a sweep with per-cycle
+  times never exponentiates inside its inner loop.
 
 Phase rotations additionally get :class:`PhaseKernel`: their superoperator is
 diagonal in the number basis, so applying one reduces to a lookup-table
@@ -24,13 +30,13 @@ import scipy.sparse.linalg
 from .fock import DensityState, FockSpace, devectorize, vectorize
 from .generators import GeneratorSpec
 
-# Dense exponentiation is the default up to this Hilbert-space dimension;
-# larger problems should use the action path.
+# Dense exponentiation is allowed up to this Hilbert-space dimension;
+# larger problems take the action path.
 DENSE_DIM_THRESHOLD = 64
 
 
 class DimensionGuardError(ValueError):
-    """Raised when a dense superoperator would exceed the configured cap."""
+    """Raised when a dense superoperator would exceed DENSE_DIM_THRESHOLD."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -43,7 +49,6 @@ class Superoperator:
 
     space: FockSpace
     matrix: np.ndarray
-    provenance: str = ""
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         d = self.space.total_dim
@@ -60,18 +65,17 @@ def _check_time(gen: GeneratorSpec, t: float) -> None:
         raise ValueError("negative time is not allowed for dissipative generators")
 
 
-def expm_dense(gen: GeneratorSpec, t: float,
-               dim_cap: int = DENSE_DIM_THRESHOLD) -> Superoperator:
+def expm_dense(gen: GeneratorSpec, t: float) -> Superoperator:
     """Dense exp(t G) via scaling-and-squaring."""
     _check_time(gen, t)
     d = gen.space.total_dim
-    if d > dim_cap:
+    if d > DENSE_DIM_THRESHOLD:
         raise DimensionGuardError(
-            f"total_dim {d} exceeds dense cap {dim_cap}; use expm_apply")
+            f"total_dim {d} exceeds dense cap {DENSE_DIM_THRESHOLD}; use expm_apply")
     mat = scipy.linalg.expm((t * gen.matrix).toarray())
     if not np.all(np.isfinite(mat)):
         raise NonConvergenceError("matrix exponential produced non-finite entries")
-    return Superoperator(gen.space, mat, f"expm(t={t})")
+    return Superoperator(gen.space, mat)
 
 
 def expm_apply(gen: GeneratorSpec, t: float, state: DensityState) -> DensityState:
@@ -80,20 +84,49 @@ def expm_apply(gen: GeneratorSpec, t: float, state: DensityState) -> DensityStat
     return devectorize(vec, gen.space)
 
 
-def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
-    _check_time(gen, t)
+def _expm_multiply(mat, vec: np.ndarray, **interval) -> np.ndarray:
     # expm_multiply picks its degree and step count from onenormest, which
     # draws from NumPy's global RNG; a fixed state makes the result repeat
     # from run to run, and the caller's state is put back afterwards.
     rng_state = np.random.get_state()
     np.random.seed(0)
     try:
-        out = scipy.sparse.linalg.expm_multiply(gen.matrix * t, vec)
+        out = scipy.sparse.linalg.expm_multiply(mat, vec, **interval)
     finally:
         np.random.set_state(rng_state)
     if not np.all(np.isfinite(out)):
         raise NonConvergenceError("expm_multiply produced non-finite values")
     return out
+
+
+def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
+    _check_time(gen, t)
+    return _expm_multiply(gen.matrix * t, vec)
+
+
+def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
+    """Rows vec(rho(t)) for each t in ``times``, starting from vec(rho(0)) = vec.
+
+    ``times`` must be evenly spaced from 0 with at least two points.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or not np.allclose(
+            times, np.linspace(0.0, times[-1], len(times)), rtol=0.0,
+            atol=1e-12 * abs(times[-1])):
+        raise ValueError("trajectory times must be an evenly spaced grid of "
+                         "at least two points starting at 0")
+    n = len(times)
+    if gen.space.total_dim > DENSE_DIM_THRESHOLD:
+        _check_time(gen, times[-1])
+        return _expm_multiply(gen.matrix, vec, start=0.0, stop=float(times[-1]),
+                              num=n, endpoint=True)
+    # One dense exponential of the step, then matrix-vector iteration;
+    # robust to stiff generators where series stepping crawls.
+    step = expm_dense(gen, float(times[1])).matrix
+    out = [vec]
+    for _ in range(n - 1):
+        out.append(step @ out[-1])
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -144,14 +177,13 @@ class BinaryExpCache:
         return out
 
 
-def build_cache(gen: GeneratorSpec, t_max: float, m: int,
-                dim_cap: int = DENSE_DIM_THRESHOLD) -> BinaryExpCache:
+def build_cache(gen: GeneratorSpec, t_max: float, m: int) -> BinaryExpCache:
     """One dense exponential per stage; none in the caller's inner loop."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    stages = tuple(expm_dense(gen, t_max / 2 ** j, dim_cap=dim_cap) for j in range(m))
+    stages = tuple(expm_dense(gen, t_max / 2 ** j) for j in range(m))
     return BinaryExpCache(gen, float(t_max), int(m), stages)
 
 

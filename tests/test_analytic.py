@@ -7,6 +7,7 @@ from zenoanneal.analytic import (DampingParams, effective_tpa_rate,
                                  pair_coherence_closed_form,
                                  pair_coherence_closed_form_uncorrected,
                                  pair_coherence_ode, sfg_rate_for_tpa_target)
+from zenoanneal.experiments import full_pair_coherence
 
 CRITICAL = 4.0 * math.sqrt(2.0)
 
@@ -132,3 +133,15 @@ def test_uncorrected_forms_flag_known_discrepancies(capsys):
     ode = pair_coherence_ode(params, 0.5, t)
     uncorrected = pair_coherence_closed_form_uncorrected(params, 0.5, t)
     assert np.max(np.abs(ode - uncorrected)) < 1e-9
+
+
+def test_full_pair_coherence_rejects_uneven_grid():
+    # An uneven grid used to be read as linspace(t[0], t[-1], len(t)).
+    with pytest.raises(ValueError, match="evenly spaced"):
+        full_pair_coherence(1.0, 0.5, [0.0, 0.1, 0.2, 3.0, 4.0, 5.0])
+    with pytest.raises(ValueError, match="evenly spaced"):
+        full_pair_coherence(1.0, 0.5, [0.0])
+    t = np.linspace(0.0, 5.0, 6)
+    params = DampingParams(1.0, 0.5)
+    ode = pair_coherence_ode(params, 0.5, t)
+    assert np.max(np.abs(full_pair_coherence(1.0, 0.5, t) - ode)) < 1e-8

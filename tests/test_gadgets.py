@@ -313,7 +313,7 @@ def test_drive_generator_terms_and_space():
                       (tpa_dissipator(space, 0), 2.0)])
     assert (gen.matrix != expect.matrix).nnz == 0
     # a zero displacement rate prunes to the bare blockade
-    gen, joint = drive_generator("sfg", space, 0, gamma=2.0, pump_dim=3)
+    gen, joint = drive_generator("sfg", space, 0, gamma=2.0)
     bare = combine([(sfg_generator(joint, 0, 1), 2.0)])
     assert (gen.matrix != bare.matrix).nnz == 0
 

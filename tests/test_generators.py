@@ -6,10 +6,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from zenoanneal.fock import DensityState, make_space, number_state
+from zenoanneal.gadgets import drive_generator
 from zenoanneal.generators import (annihilation_operator, combine,
                                    displacement_generator, hamiltonian_superop,
                                    loss_dissipator, phase_generator,
                                    sfg_generator, tpa_dissipator)
+from zenoanneal.propagator import expm_dense
 
 from test_fock import random_density
 
@@ -180,3 +182,57 @@ def test_annihilation_operator_cached_and_correct():
     for n in range(1, 4):
         assert abs(a[n - 1, n] - math.sqrt(n)) < 1e-15
     assert annihilation_operator((4,), 0) is annihilation_operator((4,), 0)
+
+
+def dense_liouvillian(gen):
+    """-i[H, .] + sum rate D[J] built densely with np.kron (column stacking)."""
+    h = gen.hamiltonian.toarray()
+    ident = np.eye(h.shape[0])
+    out = -1j * (np.kron(ident, h) - np.kron(h.T, ident))
+    for rate, jump in gen.jumps:
+        j = jump.toarray()
+        jdj = j.conj().T @ j
+        out += rate * (np.kron(j.conj(), j) - 0.5 * np.kron(ident, jdj)
+                       - 0.5 * np.kron(jdj.T, ident))
+    return out
+
+
+@pytest.mark.parametrize("kind, dims, eta", [("tpa", [5], 0.0), ("sfg", [5], 0.0),
+                                             ("sfg", [5], 0.9), ("sfg", [3, 2], 2.5)])
+def test_liouvillian_matches_dense_kron_oracle(kind, dims, eta):
+    gen, space = drive_generator(kind, make_space(dims), 0, c=0.7, gamma=1.3, eta=eta)
+    assert gen.is_dissipative == (kind == "tpa" or eta > 0)
+    expect = dense_liouvillian(gen)
+    assert np.max(np.abs(gen.matrix.toarray() - expect)) < 1e-14
+    # and the Liouvillian acts as the master equation on a state
+    rho = random_density(space, seed=24).matrix
+    h = gen.hamiltonian.toarray()
+    drho = -1j * (h @ rho - rho @ h)
+    for rate, jump in gen.jumps:
+        j = jump.toarray()
+        jdj = j.conj().T @ j
+        drho += rate * (j @ rho @ j.conj().T - 0.5 * (jdj @ rho + rho @ jdj))
+    assert np.max(np.abs(apply_gen(gen, rho) - drho)) < 1e-12
+
+
+def test_combine_matrix_is_rate_weighted_sum_of_parts():
+    space = make_space([4, 2])
+    parts = [(displacement_generator(space, 0), 0.4), (sfg_generator(space, 0, 1), 1.7),
+             (loss_dissipator(space, 1), 0.6), (tpa_dissipator(space, 0), 2.2),
+             (phase_generator(space, 1), -0.3)]
+    gen = combine(parts)
+    expect = sum(rate * part.matrix.toarray() for part, rate in parts)
+    assert np.max(np.abs(gen.matrix.toarray() - expect)) < 1e-14
+    assert [r for r, _ in gen.jumps] == [0.6, 2.2]
+    nested = combine([(combine(parts[:3]), 2.0), (combine(parts[3:]), 2.0)])
+    assert np.max(np.abs(nested.matrix.toarray() - 2.0 * expect)) < 1e-13
+
+
+def test_zero_rate_jump_is_still_dissipative():
+    space = make_space([3])
+    gen = combine([(displacement_generator(space, 0), 1.0), (tpa_dissipator(space, 0), 0.0)])
+    assert gen.is_dissipative
+    assert gen.matrix.nnz == displacement_generator(space, 0).matrix.nnz
+    with pytest.raises(ValueError, match="negative time"):
+        expm_dense(gen, -0.1)
+    assert not combine([(displacement_generator(space, 0), 1.0)]).is_dissipative

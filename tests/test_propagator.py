@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from zenoanneal.fock import make_space, number_state, vectorize
+from zenoanneal.gadgets import drive_generator
 from zenoanneal.generators import (combine, displacement_generator,
                                    loss_dissipator, phase_generator,
                                    tpa_dissipator)
 from zenoanneal.propagator import (DimensionGuardError, PhaseKernel,
-                                   apply_cached, build_cache, expm_apply,
-                                   expm_apply_vec, expm_dense)
+                                   _expm_multiply, apply_cached, build_cache,
+                                   expm_apply, expm_apply_vec, expm_dense,
+                                   trajectory)
 
 from test_fock import random_density
 
@@ -146,3 +148,43 @@ def test_superoperator_output_satisfies_density_invariants():
     rho = random_density(gen.space, seed=16)
     out = expm_dense(gen, 1.3).apply(rho)
     out.validate()
+
+
+def test_trajectory_dense_steps_match_interval_and_pointwise_action():
+    gen = random_generator(17, dims=(4, 2))
+    assert gen.space.total_dim <= 64
+    vec = vectorize(random_density(gen.space, seed=18))
+    times = np.linspace(0.0, 2.5, 26)
+    dense = trajectory(gen, times, vec)
+    interval = _expm_multiply(gen.matrix, vec, start=0.0, stop=2.5, num=26, endpoint=True)
+    assert dense.shape == interval.shape == (26, vec.size)
+    assert np.array_equal(dense[0], vec)
+    assert np.max(np.abs(dense - interval)) < 1e-12
+    for t, row in zip(times, dense):
+        assert np.max(np.abs(row - expm_apply_vec(gen, float(t), vec))) < 1e-12
+
+
+def test_trajectory_above_dense_cap_takes_action_interval():
+    gen, space = drive_generator("sfg", make_space([11]), 0, c=1.0, gamma=0.8, eta=0.5)
+    assert space.total_dim > 64
+    vec = vectorize(number_state(space, (0, 0)).to_density())
+    times = np.linspace(0.0, 1.5, 4)
+    traj = trajectory(gen, times, vec)
+    for t, row in zip(times, traj):
+        assert np.max(np.abs(row - expm_apply_vec(gen, float(t), vec))) < 1e-12
+
+
+@pytest.mark.parametrize("times", [[0.0], [], [0.1, 0.2, 0.3], [0.0, 0.1, 0.3],
+                                   [0.0, 0.1, 0.2, 3.0, 4.0, 5.0], [[0.0, 1.0]]])
+def test_trajectory_rejects_grids_not_evenly_spaced_from_zero(times):
+    gen = random_generator(19)
+    vec = vectorize(random_density(gen.space, seed=20))
+    with pytest.raises(ValueError, match="evenly spaced"):
+        trajectory(gen, times, vec)
+
+
+def test_trajectory_rejects_negative_times_when_dissipative():
+    gen = random_generator(21)
+    vec = vectorize(random_density(gen.space, seed=22))
+    with pytest.raises(ValueError, match="negative time"):
+        trajectory(gen, np.linspace(0.0, -1.0, 5), vec)
