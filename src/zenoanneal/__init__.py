@@ -11,9 +11,8 @@ from .propagator import (BinaryExpCache, DimensionGuardError,
                          apply_cached, build_cache, expm_apply, expm_dense, trajectory)
 from .gadgets import (ConstraintParams, DriveParams, GAMMA_T_COHERENT,
                       GAMMA_T_INCOHERENT, beamsplitter, conservative_pump_phase,
-                      constraint_superop, drive_generator, driven_sfg_superop,
-                      driven_tpa_superop, pump_maps, pumped_phase_gadget,
-                      sfg_superop, tpa_superop)
+                      constraint_superop, drive_generator, drive_superop,
+                      pump_maps, pumped_phase_gadget)
 from .anneal import (AnnealReport, Schedule, anneal_density, anneal_ideal,
                      anneal_statevector, leakage, make_schedule, qubo_anneal,
                      success_probability, weighted_phases)

@@ -5,8 +5,11 @@ Each cycle applies, in this fixed order: (1) a per-node phase rotation,
 Edge gadgets sharing a vertex need not commute, so the order is part of the
 contract and is recorded in every report.
 
-``anneal_density`` runs that cycle on a density matrix (per-mode dim >= 3)
-with the physical constraint gadgets and a choice of drive models.
+``anneal_density`` runs that cycle on a density matrix (per-mode dim >= 3
+when there are edges) as one multiply by a :class:`PhaseKernel` of the
+weighted photon number, one local drive superoperator per mode (the exact
+two-level rotation, or a TPA or SFG blockaded drive) and the physical
+constraint gadget's superoperator per edge.
 ``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
 row of a batched schedule (a sequence of r_tot), for three paths:
 ``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
@@ -21,17 +24,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# apply_local_operator_matrix is unused here but perfbench/tracing.py binds it.
 from .fock import (DensityState, FockSpace, PureState,
                    apply_local_operator_matrix, apply_local_superop_matrix,
                    make_space, vacuum, von_neumann_entropy)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
-                      drive_generator, pump_maps)
+                      drive_generator, pump_maps, unitary_conjugation_superop)
 from .problems import ProblemGraph
 from .propagator import PhaseKernel, build_cache
 
 CYCLE_ORDER = "phase->drive->constraints"
 
 DRIVE_MODES = ("ideal-2level", "zeno-tpa", "zeno-sfg")
+
+# Stages of the zeno drive's binary exponential cache: the per-cycle drive
+# time is reproduced to t_max / 2^30.
+ZENO_CACHE_STAGES = 30
 
 
 @dataclass(frozen=True)
@@ -59,8 +67,9 @@ def _cycle_grid(n_cycle: int, r_tot):
     r = np.asarray(r_tot, dtype=float)
     if n_cycle < 1:
         raise ValueError("n_cycle must be at least 1")
-    if r.ndim > 1 or r.size == 0 or np.any(r <= 0):
-        raise ValueError("r_tot must be positive (one value or a non-empty sequence)")
+    if r.ndim > 1 or r.size == 0 or not np.all(np.isfinite(r) & (r > 0)):
+        raise ValueError("r_tot must be finite and positive "
+                         "(one value or a non-empty sequence)")
     return np.arange(1, n_cycle + 1, dtype=float) / (n_cycle + 1), r[..., None] / n_cycle
 
 
@@ -156,29 +165,23 @@ def _ideal_drive_unitary(dim: int, c: float) -> np.ndarray:
     return u
 
 
-class _ZenoDriveKernel:
-    """Per-cycle drive superoperators from a binary-decomposition cache.
+def _zeno_drive(mode_dim: int, drive: DriveParams, mode_kind: str, c_max: float):
+    """c -> local drive superoperator, composed from a binary exponential cache.
 
-    The drive hardware runs for t_i = c_i / c each cycle, so the blockade
-    exposure scales together with the rotation angle exactly as it would
-    physically.
+    The drive hardware runs for t = c / drive.c <= c_max / drive.c each
+    cycle, so the blockade exposure scales together with the rotation angle
+    exactly as it would physically.  An SFG pump is appended empty and traced
+    out.
     """
-
-    def __init__(self, mode_dim: int, drive: DriveParams, mode_kind: str,
-                 t_max: float, m: int = 30):
-        if drive.c <= 0:
-            raise ValueError("zeno drive modes need a positive displacement rate c")
-        gen, joint = drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]),
-                                     0, drive.c, drive.gamma, drive.eta)
-        self._cache = build_cache(gen, t_max, m)
-        self._embed = pump_maps(mode_dim, joint.mode_dims[-1]) if joint.n_modes > 1 else None
-
-    def superop(self, t: float) -> np.ndarray:
-        mat = self._cache.matrix_for(t)
-        if self._embed is None:
-            return mat
-        append, trace = self._embed
-        return trace @ mat @ append
+    if drive.c <= 0:
+        raise ValueError("zeno drive modes need a positive displacement rate c")
+    gen, joint = drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]),
+                                 0, drive.c, drive.gamma, drive.eta)
+    cache = build_cache(gen, c_max / drive.c, ZENO_CACHE_STAGES)
+    if joint.n_modes == 1:
+        return lambda c: cache.matrix_for(c / drive.c)
+    append, trace = pump_maps(mode_dim, joint.mode_dims[-1])
+    return lambda c: trace @ cache.matrix_for(c / drive.c) @ append
 
 
 def anneal_density(graph: ProblemGraph, schedule: Schedule,
@@ -206,16 +209,16 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
     if len(weights) != n:
         raise ValueError("need one phase weight per graph vertex")
 
-    kernels = [PhaseKernel(space, m) for m in range(n)]
-    zeno = None
-    if drive_mode != "ideal-2level":
-        if drive is None:
-            raise ValueError(f"drive_mode {drive_mode!r} needs DriveParams")
-        t_max = float(np.max(schedule.c)) / drive.c
-        zeno = _ZenoDriveKernel(mode_dim, drive, drive_mode, t_max)
+    phase = PhaseKernel(space, weights)
+    if drive_mode == "ideal-2level":
+        local_drive = lambda c: unitary_conjugation_superop(
+            _ideal_drive_unitary(mode_dim, c))
+    elif drive is None:
+        raise ValueError(f"drive_mode {drive_mode!r} needs DriveParams")
+    else:
+        local_drive = _zeno_drive(mode_dim, drive, drive_mode, float(np.max(schedule.c)))
 
     edges = graph.sorted_edges()
-    edge_superop = None
     if edges:
         local = make_space([mode_dim, mode_dim])
         edge_superop = constraint_superop(local, 0, 1, constraint).matrix
@@ -225,20 +228,12 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
     entropy = np.zeros(schedule.n_cycle)
     leak = np.empty(schedule.n_cycle)
     for i in range(schedule.n_cycle):
-        phi_i, c_i = float(schedule.phi[i]), float(schedule.c[i])
+        rho = phase.apply_matrix(rho, float(schedule.phi[i]))
+        drive_map = local_drive(float(schedule.c[i]))
         for m in range(n):
-            rho = kernels[m].apply_matrix(rho, phi_i * weights[m])
-        if drive_mode == "ideal-2level":
-            u = _ideal_drive_unitary(mode_dim, c_i)
-            for m in range(n):
-                rho = apply_local_operator_matrix(u, rho, space, [m])
-        else:
-            s = zeno.superop(c_i / drive.c)
-            for m in range(n):
-                rho = apply_local_superop_matrix(s, rho, space, [m])
-        if edge_superop is not None:
-            for (j, k) in edges:
-                rho = apply_local_superop_matrix(edge_superop, rho, space, [j, k])
+            rho = apply_local_superop_matrix(drive_map, rho, space, [m])
+        for (j, k) in edges:
+            rho = apply_local_superop_matrix(edge_superop, rho, space, [j, k])
         diag = rho.diagonal().real
         success[i] = obs.success(diag)
         leak[i] = obs.leakage(diag)
@@ -407,23 +402,17 @@ def linear_three_parameter_profile(n_cycle: int, r_tot):
 
 
 def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot,
-                zeta_profile=None,
-                constraint: ConstraintParams | None = None,
                 keep_final_state: bool = False) -> AnnealReport:
-    """Three-parameter anneal minimizing E = sum_jk s_j s_k Q_jk.
+    """Three-parameter anneal minimizing E = sum_jk s_j s_k Q_jk on the
+    :func:`linear_three_parameter_profile` ramp.
 
     Diagonal elements ride on the per-mode phases; each off-diagonal pair
     applies a pump-phase kick of zeta * (Q_jk + Q_kj) on |1_j 1_k>, which is
-    only realizable with a lossless pump, so lossy constraint parameters are
-    rejected.  A sequence of r_tot runs a batch; ``meta`` holds the optima
-    and every pattern's energy in basis order.
+    only realizable with a lossless pump.  A sequence of r_tot runs a batch;
+    ``meta`` holds the optima and every pattern's energy in basis order.
     """
     q = np.asarray(q, dtype=float)
-    if constraint is not None and constraint.eta_t != 0.0:
-        raise ValueError("QUBO phases need a lossless pump (eta_t = 0)")
-    profile = zeta_profile or linear_three_parameter_profile
-    tau, phi, c, zeta = (np.asarray(x, dtype=float)
-                         for x in profile(n_cycle, r_tot))
+    tau, phi, c, zeta = linear_three_parameter_profile(n_cycle, r_tot)
     schedule = Schedule(n_cycle, r_tot, tau, phi, c, zeta=zeta)
     bits = _bit_table(q.shape[0])
     energy = ((bits @ q) * bits).sum(axis=1)

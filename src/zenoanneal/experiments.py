@@ -40,6 +40,8 @@ TRUNCATION_SWITCH_GAMMA = 10.0
 DRIVE_DENSE_DIM = 11
 # gamma_99 stops once its bracket is this narrow in log gamma.
 GAMMA99_LOG_TOL = 1e-12
+# Final success a constraint sweep's n99 column asks of a cycle count.
+N99_SUCCESS = 0.99
 
 
 def _map(fn, args, threads: int):
@@ -229,7 +231,7 @@ def _constraint_point(args):
 
 def constraint_sweep_rows(graph: ProblemGraph, gamma_ts, n_cycles,
                           r_tot: float, phi_q: float = DEFAULT_PHI_Q,
-                          threads: int = 1, success_target: float = 0.99):
+                          threads: int = 1):
     """Success and entropy vs cycle count across the coherence interpolation."""
     header = ["gamma_t", "n_cycle", "success", "entropy_max", "entropy_final",
               "leakage_final", "n99", "random_guess"]
@@ -244,7 +246,7 @@ def constraint_sweep_rows(graph: ProblemGraph, gamma_ts, n_cycles,
     idx = 0
     for gt in gamma_ts:
         gt = float(gt)
-        reached = [n for (n, s) in per_gt[gt] if s >= success_target]
+        reached = [n for (n, s) in per_gt[gt] if s >= N99_SUCCESS]
         n99 = min(reached) if reached else -1
         for n in n_cycles:
             succ, smax, sfin, leak = results[idx]
@@ -390,10 +392,12 @@ def oracle_check_rows(gammas, eta_ratios, n_t: int = 201):
     """Cross-check ODE, closed forms, and the full propagation per regime."""
     header = ["gamma", "eta", "regime", "max_ode_vs_full", "max_ode_vs_closed",
               "max_ode_vs_uncorrected", "sign_changes", "gamma_roundtrip_err"]
+    gammas = [float(g) for g in gammas]
+    if not all(g > 0 for g in gammas):
+        raise ValueError(f"oracle-check gammas must be positive, got {gammas}")
     rows = []
     for gamma in gammas:
         for ratio in eta_ratios:
-            gamma = float(gamma)
             eta = float(ratio) * CRITICAL_ETA_FACTOR * gamma
             params = DampingParams(gamma, eta)
             horizon = 3.0 * 2.0 * math.pi / (math.sqrt(2.0) * gamma)

@@ -60,15 +60,14 @@ class ConstraintParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Rates for a Zeno-blockaded driving window of duration ``t``."""
+    """Rates of a Zeno-blockaded drive: displacement, blockade, pump loss."""
 
     c: float
     gamma: float
     eta: float = 0.0
-    t: float = 0.0
 
     def __post_init__(self):
-        for name in ("c", "gamma", "eta", "t"):
+        for name in ("c", "gamma", "eta"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -114,8 +113,10 @@ def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
     "tpa" blockades by two-photon absorption and has no pump, so eta must be
     0.  "sfg" converts pairs into a pump appended as the last mode, sized by
     :func:`default_pump_dim` to hold every convertible pair, that loses
-    photons at rate ``eta``.
+    photons at rate ``eta``.  Both rates must be nonnegative.
     """
+    if not (gamma >= 0 and eta >= 0):
+        raise ValueError(f"drive rates must be nonnegative, got gamma={gamma}, eta={eta}")
     if kind == "tpa":
         if eta != 0.0:
             raise ValueError("a TPA drive has no pump to lose photons from; eta must be 0")
@@ -132,39 +133,21 @@ def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
     return combine(parts), joint
 
 
-def tpa_superop(space: FockSpace, mode: int, gamma_t: float) -> Superoperator:
-    """exp(gamma_t * L_TPA): identity on the {|0>, |1>} span, pair removal above."""
-    if gamma_t < 0:
-        raise ValueError("gamma_t must be nonnegative")
-    return expm_dense(tpa_dissipator(space, mode), gamma_t)
+def drive_superop(kind: str, space: FockSpace, mode: int, t: float, c: float = 0.0,
+                  gamma: float = 1.0, eta: float = 0.0) -> Superoperator:
+    """exp(t G) of the :func:`drive_generator` drive on ``mode``.
 
-
-def _pumped_sfg(space: FockSpace, mode: int, t: float, **rates) -> np.ndarray:
-    """exp(t G) of an SFG drive with the pump appended empty and traced out."""
-    gen, joint = drive_generator("sfg", space, mode, **rates)
-    append, trace = pump_maps(space.total_dim, joint.mode_dims[-1])
-    return trace @ expm_dense(gen, t).matrix @ append
-
-
-def sfg_superop(space: FockSpace, mode: int, gamma_t: float) -> Superoperator:
-    """Single SFG pass with a fresh pump traced out afterwards."""
-    return Superoperator(space, _pumped_sfg(space, mode, gamma_t))
-
-
-def driven_tpa_superop(space: FockSpace, mode: int, params: DriveParams) -> Superoperator:
-    """Displacement drive under two-photon absorption: exp[t(c G_disp + gamma L_TPA)]."""
-    gen, _ = drive_generator("tpa", space, mode, params.c, params.gamma, params.eta)
-    return expm_dense(gen, params.t)
-
-
-def driven_sfg_superop(space: FockSpace, mode: int, params: DriveParams) -> Superoperator:
-    """Displacement drive under SFG with optional pump loss, pump traced out.
-
-    With eta = 0 this is the fully coherent drive; eta interpolates toward the
+    An SFG pump is appended empty and traced out afterwards.  With c = 0 and
+    the default rates this is the bare blockade at exposure gamma t = t; with
+    eta = 0 the SFG drive is fully coherent, and eta interpolates toward the
     incoherent blockade, reaching critical damping at eta = 4 sqrt(2) gamma.
     """
-    return Superoperator(space, _pumped_sfg(space, mode, params.t, c=params.c,
-                                            gamma=params.gamma, eta=params.eta))
+    gen, joint = drive_generator(kind, space, mode, c, gamma, eta)
+    mat = expm_dense(gen, t).matrix
+    if joint != space:
+        append, trace = pump_maps(space.total_dim, joint.mode_dims[-1])
+        mat = trace @ mat @ append
+    return Superoperator(space, mat)
 
 
 def beamsplitter(space: FockSpace, j: int, k: int) -> np.ndarray:

@@ -14,9 +14,9 @@ Entry points:
   precomputes exponentials for halved durations so a sweep with per-cycle
   times never exponentiates inside its inner loop.
 
-Phase rotations additionally get :class:`PhaseKernel`: their superoperator is
-diagonal in the number basis, so applying one reduces to a lookup-table
-multiply.
+Phase rotations additionally get :class:`PhaseKernel`: the superoperator of a
+weighted photon-number rotation is diagonal in the number basis, so applying
+one reduces to a lookup-table multiply.
 """
 
 from __future__ import annotations
@@ -192,27 +192,20 @@ def apply_cached(cache: BinaryExpCache, t: float, state: DensityState) -> Densit
 
 
 class PhaseKernel:
-    """Elementwise application of a single-mode phase rotation.
+    """Elementwise exp(phi G) for the weighted photon number N = sum_m w_m n_m.
 
-    exp(phi G_phase) multiplies element <m|rho|n> by exp(-i phi (m - n))
-    where m, n are the mode's occupation numbers, so the whole superoperator
-    collapses to an integer difference table and a scalar-exponential lookup.
-    Within a qubit subspace the multipliers are just {1, e^{i phi}, e^{-i phi}}.
+    G = -i[N, .] is diagonal in the number basis: entry (a, b) of rho is
+    multiplied by exp(-i phi (N(a) - N(b))), one exponential per distinct
+    difference found once at construction.  The diagonal difference is exactly
+    0, so the diagonal multiplier is exactly 1.
     """
 
-    def __init__(self, space: FockSpace, mode: int):
-        self.space = space
-        self.mode = mode
-        occ = space.occupation_array(mode)
-        self.max_n = int(occ.max())
-        self._diff_index = (occ[:, None] - occ[None, :]) + self.max_n
-
-    def multipliers(self, phi: float) -> np.ndarray:
-        table = np.exp(-1j * phi * np.arange(-self.max_n, self.max_n + 1))
-        return table[self._diff_index]
+    def __init__(self, space: FockSpace, weights):
+        number = sum(w * space.occupation_array(m)
+                     for m, w in zip(range(space.n_modes), weights, strict=True))
+        diff = number[:, None] - number[None, :]
+        self._distinct, index = np.unique(diff, return_inverse=True)
+        self._index = index.reshape(diff.shape)
 
     def apply_matrix(self, mat: np.ndarray, phi: float) -> np.ndarray:
-        return mat * self.multipliers(phi)
-
-    def apply(self, state: DensityState, phi: float) -> DensityState:
-        return DensityState(state.space, self.apply_matrix(state.matrix, phi))
+        return mat * np.exp(-1j * phi * self._distinct)[self._index]

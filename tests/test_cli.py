@@ -83,10 +83,20 @@ def test_help_exits_0(capsys):
     ["frobnicate"],
     ["anneal", "--threads", "x"],
     ["wmis", "--threads", "2"],
+    ["anneal", "--r-grid", "nan"],
+    ["qubo", "--r-tot", "nan"],
+    ["constraint-sweep", "--r-tot", "nan"],
+    ["wmis", "--r-tot", "inf"],
+    ["zeno-onset", "--variant", "tpa", "--tpa-ratios", "-1"],
+    ["drive-sweep", "--eta-ratios", "-1"],
+    ["oracle-check", "--gammas", "0"],
 ], ids=["anneal-zero-cycles", "anneal-zero-rotation", "qubo-zero-cycles",
         "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph",
         "unknown-flag", "no-subcommand", "unknown-subcommand", "bad-int-flag",
-        "threads-not-read"])
+        "threads-not-read", "anneal-nan-rotation", "qubo-nan-rotation",
+        "constraint-sweep-nan-rotation", "wmis-inf-rotation",
+        "zeno-onset-negative-tpa-rate", "drive-sweep-negative-eta",
+        "oracle-check-zero-gamma"])
 def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
     bad_graph = tmp_path / "bad.txt"
     bad_graph.write_text("0 1\n0 x\n")

@@ -12,10 +12,9 @@ from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 GAMMA_T_COHERENT, GAMMA_T_INCOHERENT,
                                 beamsplitter, conservative_pump_phase,
                                 constraint_superop, default_pump_dim,
-                                drive_generator, driven_sfg_superop,
-                                driven_tpa_superop, embed_local_superop,
-                                pump_maps, pumped_phase_gadget, sfg_superop,
-                                tpa_superop, unitary_conjugation_superop)
+                                drive_generator, drive_superop,
+                                embed_local_superop, pump_maps,
+                                pumped_phase_gadget, unitary_conjugation_superop)
 from zenoanneal.generators import (annihilation_operator, combine,
                                    dissipator_superop, displacement_generator,
                                    loss_dissipator, sfg_generator,
@@ -34,10 +33,10 @@ def one_two_superposition(space):
 
 def test_tpa_superop_identity_and_strong_limit():
     space = make_space([3])
-    ident = tpa_superop(space, 0, 0.0)
+    ident = drive_superop("tpa", space, 0, 0.0)
     rho = random_density(space, seed=1)
     assert np.max(np.abs(ident.apply(rho).matrix - rho.matrix)) < 1e-14
-    strong = tpa_superop(space, 0, 10.0)
+    strong = drive_superop("tpa", space, 0, 10.0)
     out = strong.apply(number_state(space, (2,)).to_density())
     assert out.matrix[0, 0].real >= 1 - 1e-8
 
@@ -45,14 +44,14 @@ def test_tpa_superop_identity_and_strong_limit():
 def test_tpa_superop_coherence_decay_rate():
     space = make_space([3])
     gt = 0.7
-    out = tpa_superop(space, 0, gt).apply(one_two_superposition(space))
+    out = drive_superop("tpa", space, 0, gt).apply(one_two_superposition(space))
     assert abs(out.matrix[1, 2] - 0.5 * math.exp(-gt)) < 1e-12
 
 
 def test_sfg_superop_leaves_qubit_span_alone():
     space = make_space([3])
     for gt in (0.3, GAMMA_T_INCOHERENT, GAMMA_T_COHERENT, 1.9):
-        om = sfg_superop(space, 0, gt)
+        om = drive_superop("sfg", space, 0, gt)
         for occ in ((0,), (1,)):
             rho = number_state(space, occ).to_density()
             assert np.max(np.abs(om.apply(rho).matrix - rho.matrix)) < 1e-12
@@ -65,33 +64,34 @@ def test_sfg_superop_pair_population_follows_rabi():
     space = make_space([3])
     rho2 = number_state(space, (2,)).to_density()
     for gt in (0.2, GAMMA_T_INCOHERENT, GAMMA_T_COHERENT, 1.5):
-        out = sfg_superop(space, 0, gt).apply(rho2)
+        out = drive_superop("sfg", space, 0, gt).apply(rho2)
         expect = math.cos(math.sqrt(2) * gt) ** 2
         assert abs(out.matrix[2, 2].real - expect) < 1e-12
-    out = sfg_superop(space, 0, GAMMA_T_COHERENT).apply(one_two_superposition(space))
+    pair = one_two_superposition(space)
+    out = drive_superop("sfg", space, 0, GAMMA_T_COHERENT).apply(pair)
     assert abs(out.matrix[1, 2]) < 1e-12  # coherence destroyed with the pair
-    flip = sfg_superop(space, 0, math.pi / math.sqrt(2)).apply(one_two_superposition(space))
+    flip = drive_superop("sfg", space, 0, math.pi / math.sqrt(2)).apply(pair)
     assert abs(flip.matrix[1, 2] + 0.5) < 1e-12  # |2> -> -|2>
 
 
 def test_driven_tpa_reduces_to_plain_tpa_without_drive():
     space = make_space([3])
     gt = 1.1
-    a = driven_tpa_superop(space, 0, DriveParams(c=0.0, gamma=1.0, t=gt))
-    b = tpa_superop(space, 0, gt)
+    a = drive_superop("tpa", space, 0, gt, c=0.0, gamma=1.0)
+    b = expm_dense(tpa_dissipator(space, 0), gt)
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
 
 
 def test_driven_tpa_no_blockade_baseline():
     space = make_space([12])
-    om = driven_tpa_superop(space, 0, DriveParams(c=1.0, gamma=0.0, t=math.pi / 2))
+    om = drive_superop("tpa", space, 0, math.pi / 2, c=1.0, gamma=0.0)
     out = om.apply(vacuum(space).to_density())
     assert abs(out.matrix[1, 1].real - 0.2095) < 0.02
 
 
 def test_driven_tpa_strong_blockade_flips():
     space = make_space([6])
-    om = driven_tpa_superop(space, 0, DriveParams(c=1.0, gamma=150.0, t=math.pi / 2))
+    om = drive_superop("tpa", space, 0, math.pi / 2, c=1.0, gamma=150.0)
     out = om.apply(vacuum(space).to_density())
     assert out.matrix[1, 1].real > 0.95
 
@@ -99,14 +99,14 @@ def test_driven_tpa_strong_blockade_flips():
 def test_driven_sfg_reduces_to_displacement():
     space = make_space([5])
     t = 0.4
-    om = driven_sfg_superop(space, 0, DriveParams(c=1.0, gamma=0.0, t=t))
+    om = drive_superop("sfg", space, 0, t, c=1.0, gamma=0.0)
     expect = expm_dense(displacement_generator(space, 0), t)
     assert np.max(np.abs(om.matrix - expect.matrix)) < 1e-10
 
 
 def test_driven_sfg_coherent_blockade():
     space = make_space([6])
-    om = driven_sfg_superop(space, 0, DriveParams(c=1.0, gamma=10.0, t=math.pi / 2))
+    om = drive_superop("sfg", space, 0, math.pi / 2, c=1.0, gamma=10.0)
     out = om.apply(vacuum(space).to_density())
     assert out.matrix[1, 1].real > 0.95
 
@@ -237,7 +237,7 @@ def test_constraint_matches_rotated_pair_lindbladian():
     gt = 0.37
     u = beamsplitter(space, 0, 1)
     s_bs = unitary_conjugation_superop(u)
-    local = tpa_superop(make_space([3]), 0, gt).matrix
+    local = drive_superop("tpa", make_space([3]), 0, gt).matrix
     direct = (s_bs.conj().T
               @ embed_local_superop(local, space, [0])
               @ embed_local_superop(local, space, [1])
@@ -323,9 +323,13 @@ def test_drive_generator_guards():
     with pytest.raises(ValueError, match="eta"):
         drive_generator("tpa", space, 0, c=1.0, eta=1.3)
     with pytest.raises(ValueError, match="eta"):
-        driven_tpa_superop(space, 0, DriveParams(c=1.0, gamma=1.0, eta=1.3, t=0.5))
+        drive_superop("tpa", space, 0, 0.5, c=1.0, gamma=1.0, eta=1.3)
     with pytest.raises(ValueError, match="kind"):
         drive_generator("kerr", space, 0)
+    for kind, rates in (("tpa", {"gamma": -1.0}), ("sfg", {"gamma": -1.0}),
+                        ("sfg", {"eta": -0.5})):
+        with pytest.raises(ValueError, match="nonnegative"):
+            drive_generator(kind, space, 0, c=1.0, **rates)
 
 
 @pytest.mark.parametrize("dims, targets", [([3], [0]), ([3, 2], [1, 0]),
@@ -367,10 +371,8 @@ def assert_density_map(superop, space, seed):
        eta=st.floats(0.0, 10.0), t=st.floats(0.0, 2.0), seed=st.integers(0, 99))
 def test_driven_superops_map_states_to_states(dim, c, gamma, eta, t, seed):
     space = make_space([dim])
-    assert_density_map(driven_tpa_superop(space, 0, DriveParams(c, gamma, t=t)),
-                       space, seed)
-    assert_density_map(driven_sfg_superop(space, 0, DriveParams(c, gamma, eta, t)),
-                       space, seed)
+    assert_density_map(drive_superop("tpa", space, 0, t, c, gamma), space, seed)
+    assert_density_map(drive_superop("sfg", space, 0, t, c, gamma, eta), space, seed)
 
 
 @settings(max_examples=25, deadline=None)

@@ -128,16 +128,33 @@ def test_phase_kernel_matches_generator_exponential():
     phi = 1.234
     rho = random_density(space, seed=14)
     expect = expm_dense(gen, phi).apply(rho)
-    kernel = PhaseKernel(space, 0)
-    out = kernel.apply(rho, phi)
-    assert np.max(np.abs(out.matrix - expect.matrix)) < 1e-12
+    kernel = PhaseKernel(space, [1.0, 0.0])
+    out = kernel.apply_matrix(rho.matrix, phi)
+    assert np.max(np.abs(out - expect.matrix)) < 1e-12
+
+
+@pytest.mark.parametrize("dims, weights", [([3, 2], [1.0, 1.0]), ([3, 2], [0.7, 2.5]),
+                                           ([3, 3, 3], [1.0, 1.0, 1.0]),
+                                           ([3, 3, 3], [1.3, 0.4, 2.0])])
+def test_weighted_phase_kernel_matches_product_of_mode_exponentials(dims, weights):
+    space = make_space(dims)
+    phi = 0.83
+    rho = random_density(space, seed=19).matrix
+    expect = rho.flatten(order="F")
+    for m, w in enumerate(weights):
+        expect = expm_dense(phase_generator(space, m), phi * w).matrix @ expect
+    kernel = PhaseKernel(space, weights)
+    out = kernel.apply_matrix(rho, phi)
+    assert np.max(np.abs(out.flatten(order="F") - expect)) < 1e-12
+    for angle in (phi, -3.7, 1e-300, 2e5):
+        assert np.all(kernel.apply_matrix(np.eye(space.total_dim), angle).diagonal() == 1.0)
 
 
 def test_phase_kernel_diagonal_and_qubit_multipliers():
     space = make_space([2])
-    kernel = PhaseKernel(space, 0)
+    kernel = PhaseKernel(space, [1.0])
     phi = 0.4
-    mult = kernel.multipliers(phi)
+    mult = kernel.apply_matrix(np.ones((2, 2)), phi)
     assert mult[0, 0] == 1.0 and mult[1, 1] == 1.0
     assert abs(mult[1, 0] - np.exp(-1j * phi)) < 1e-15
     assert abs(mult[0, 1] - np.exp(1j * phi)) < 1e-15
