@@ -5,11 +5,12 @@ Each cycle applies, in this fixed order: (1) a per-node phase rotation,
 Edge gadgets sharing a vertex need not commute, so the order is part of the
 contract and is recorded in every report.
 
-``anneal_density`` runs that cycle on a density matrix (per-mode dim >= 3
-when there are edges) as one multiply by a :class:`PhaseKernel` of the
-weighted photon number, one local drive superoperator per mode (the exact
-two-level rotation, or a TPA or SFG blockaded drive) and the physical
-constraint gadget's superoperator per edge.
+``anneal_density`` runs that cycle on a density matrix with the physical
+constraint gadget (built on per-mode dim >= 3) per edge.  The exact
+two-level drive keeps rho in the 2^n x 2^n block of 0/1 patterns, where phase
+and drive are one unitary V rho V^dag; the TPA and SFG drives populate |2>,
+so they run on the full space as a :class:`PhaseKernel` multiply and one
+local drive superoperator per mode.
 ``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
 row of a batched schedule (a sequence of r_tot), for three paths:
 ``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
@@ -29,9 +30,9 @@ from .fock import (DensityState, FockSpace, PureState,
                    apply_local_operator_matrix, apply_local_superop_matrix,
                    make_space, vacuum, von_neumann_entropy)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
-                      drive_generator, pump_maps, unitary_conjugation_superop)
+                      drive_generator, pump_maps)
 from .problems import ProblemGraph
-from .propagator import PhaseKernel, build_cache
+from .propagator import NonConvergenceError, PhaseKernel, build_cache
 
 CYCLE_ORDER = "phase->drive->constraints"
 
@@ -40,6 +41,10 @@ DRIVE_MODES = ("ideal-2level", "zeno-tpa", "zeno-sfg")
 # Stages of the zeno drive's binary exponential cache: the per-cycle drive
 # time is reproduced to t_max / 2^30.
 ZENO_CACHE_STAGES = 30
+
+# Largest mass an edge gadget may send out of the 0/1 patterns from one
+# qubit-block input column before the ideal-2level run refuses the block.
+BLOCK_LEAK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,8 @@ def make_schedule(n_cycle: int, r_tot) -> Schedule:
 def weighted_phases(schedule: Schedule, weights) -> Schedule:
     """Attach per-node phase weights: node j sees phi_i * w_j each cycle."""
     w = tuple(float(x) for x in weights)
-    if any(x <= 0 for x in w):
-        raise ValueError("phase weights must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in w):
+        raise ValueError("phase weights must be finite and positive")
     return Schedule(schedule.n_cycle, schedule.r_tot, schedule.tau,
                     schedule.phi, schedule.c, w, schedule.zeta)
 
@@ -157,16 +162,10 @@ def _diag(state) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def _ideal_drive_unitary(dim: int, c: float) -> np.ndarray:
-    """Exact two-level rotation on {|0>, |1>}, identity on higher states."""
-    u = np.eye(dim, dtype=complex)
-    u[0, 0] = u[1, 1] = math.cos(c)
-    u[0, 1] = u[1, 0] = -1j * math.sin(c)
-    return u
-
-
-def _zeno_drive(mode_dim: int, drive: DriveParams, mode_kind: str, c_max: float):
-    """c -> local drive superoperator, composed from a binary exponential cache.
+def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
+               c_max: float):
+    """(rho, phi, c) -> the weighted phase, then one local drive
+    superoperator per mode, composed from a binary exponential cache.
 
     The drive hardware runs for t = c / drive.c <= c_max / drive.c each
     cycle, so the blockade exposure scales together with the rotation angle
@@ -175,13 +174,59 @@ def _zeno_drive(mode_dim: int, drive: DriveParams, mode_kind: str, c_max: float)
     """
     if drive.c <= 0:
         raise ValueError("zeno drive modes need a positive displacement rate c")
+    mode_dim = space.mode_dims[0]
     gen, joint = drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]),
                                  0, drive.c, drive.gamma, drive.eta)
     cache = build_cache(gen, c_max / drive.c, ZENO_CACHE_STAGES)
     if joint.n_modes == 1:
-        return lambda c: cache.matrix_for(c / drive.c)
-    append, trace = pump_maps(mode_dim, joint.mode_dims[-1])
-    return lambda c: trace @ cache.matrix_for(c / drive.c) @ append
+        local_drive = lambda c: cache.matrix_for(c / drive.c)
+    else:
+        append, trace = pump_maps(mode_dim, joint.mode_dims[-1])
+        local_drive = lambda c: trace @ cache.matrix_for(c / drive.c) @ append
+    phase = PhaseKernel(space, weights)
+
+    def step(rho, phi, c):
+        rho = phase.apply_matrix(rho, phi)
+        drive_map = local_drive(c)
+        for m in range(space.n_modes):
+            rho = apply_local_superop_matrix(drive_map, rho, space, [m])
+        return rho
+
+    return step
+
+
+def _ideal_step(n: int, weights):
+    """(rho, phi, c) -> V rho V^dag on the 2^n qubit block, where
+    V = W diag(exp(-i c lam)) W diag(exp(-i phi N_w)) is the weighted phase
+    followed by exp(-i c X) on every qubit: W = H^{(x)n}, lam = n - 2 popcount
+    and N_w = bits @ weights, as in the pure-state mixer.
+
+    W W is formed from the exact +-1 signs and divided by 2^n, which is also
+    exact; a rounded 2^(-n/2) would bias |det V| and drift the trace by about
+    1e-16 per cycle.
+    """
+    bits = _bit_table(n)
+    signs = _walsh_signs(n)
+    mixer_phases = _phase_diagonal(n - 2 * bits.sum(axis=1))
+    number_phases = _phase_diagonal(bits @ np.asarray(weights))
+
+    def step(rho, phi, c):
+        v = (signs * mixer_phases(np.array([c]))) @ (
+            signs * number_phases(np.array([phi]))) / (1 << n)
+        return v @ rho @ v.conj().T
+
+    return step
+
+
+def _qubit_block(superop: np.ndarray, d: int) -> tuple[np.ndarray, float]:
+    """(block, leak) for a two-mode superoperator on [d, d]: its 16 x 16 map
+    among |00>, |01>, |10>, |11> (F-order vec index a + d^2 b), and the
+    largest mass one of those 16 input columns sends outside them."""
+    q = np.array([0, 1, d, d + 1])
+    idx = (q[:, None] + d * d * q[None, :]).ravel(order="F")
+    cols = superop[:, idx]
+    leak = np.abs(np.delete(cols, idx, axis=0)).sum(axis=0).max(initial=0.0)
+    return cols[idx], float(leak)
 
 
 def anneal_density(graph: ProblemGraph, schedule: Schedule,
@@ -194,7 +239,10 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
     """Density-matrix execution with physical constraint gadgets.
 
     ``mode_dim`` >= 3 is required whenever the graph has edges, since the
-    gadgets route population through the two-photon state.
+    gadgets route population through the two-photon state.  The ideal drive
+    never leaves the 0/1 patterns, so that mode runs on the 2^n qubit block
+    once the gadget is checked to keep it closed; ``keep_final_state`` pads
+    the state back to the ``mode_dim`` space.
     """
     if drive_mode not in DRIVE_MODES:
         raise ValueError(f"drive_mode must be one of {DRIVE_MODES}")
@@ -203,56 +251,70 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
     if np.ndim(schedule.phi) != 1:
         raise ValueError("anneal_density takes one schedule, not a batch of r_tot values")
     n = graph.n_vertices
-    space = make_space([mode_dim] * n)
-    obs = _Observables(space, graph)
     weights = schedule.weights or tuple(1.0 for _ in range(n))
     if len(weights) != n:
         raise ValueError("need one phase weight per graph vertex")
-
-    phase = PhaseKernel(space, weights)
-    if drive_mode == "ideal-2level":
-        local_drive = lambda c: unitary_conjugation_superop(
-            _ideal_drive_unitary(mode_dim, c))
-    elif drive is None:
+    if drive_mode != "ideal-2level" and drive is None:
         raise ValueError(f"drive_mode {drive_mode!r} needs DriveParams")
-    else:
-        local_drive = _zeno_drive(mode_dim, drive, drive_mode, float(np.max(schedule.c)))
 
     edges = graph.sorted_edges()
+    gadget, block, block_leak = None, None, 0.0
     if edges:
-        local = make_space([mode_dim, mode_dim])
-        edge_superop = constraint_superop(local, 0, 1, constraint).matrix
+        gadget = constraint_superop(make_space([mode_dim, mode_dim]), 0, 1, constraint).matrix
+        block, block_leak = _qubit_block(gadget, mode_dim)
+    full_space = make_space([mode_dim] * n)
+    in_block = drive_mode == "ideal-2level"
+    if in_block:
+        if not block_leak <= BLOCK_LEAK_TOL:
+            raise NonConvergenceError(
+                f"edge gadget moves {block_leak:.3e} out of the 0/1 block "
+                f"(tolerance {BLOCK_LEAK_TOL:g})")
+        space, gadget, step = make_space([2] * n), block, _ideal_step(n, weights)
+    else:
+        space = full_space
+        step = _zeno_step(space, weights, drive, drive_mode, float(np.max(schedule.c)))
+    obs = _Observables(space, graph)
 
     rho = vacuum(space).to_density().matrix
     success = np.empty(schedule.n_cycle)
     entropy = np.zeros(schedule.n_cycle)
     leak = np.empty(schedule.n_cycle)
     for i in range(schedule.n_cycle):
-        rho = phase.apply_matrix(rho, float(schedule.phi[i]))
-        drive_map = local_drive(float(schedule.c[i]))
-        for m in range(n):
-            rho = apply_local_superop_matrix(drive_map, rho, space, [m])
+        rho = step(rho, float(schedule.phi[i]), float(schedule.c[i]))
         for (j, k) in edges:
-            rho = apply_local_superop_matrix(edge_superop, rho, space, [j, k])
+            rho = apply_local_superop_matrix(gadget, rho, space, [j, k])
         diag = rho.diagonal().real
         success[i] = obs.success(diag)
         leak[i] = obs.leakage(diag)
         if record_entropy:
             entropy[i] = von_neumann_entropy(rho)
 
-    final = DensityState(space, rho)
+    final = None
+    if keep_final_state:
+        final = rho
+        if in_block:
+            idx = obs.bits @ np.array(full_space.strides)
+            final = np.zeros((full_space.total_dim,) * 2, dtype=complex)
+            final[np.ix_(idx, idx)] = rho
+        final = DensityState(full_space, final)
     return AnnealReport(
         schedule.n_cycle, success, entropy, leak,
         obs.qubit_populations(rho.diagonal().real),
         meta={"path": "density", "drive_mode": drive_mode, "mode_dim": mode_dim,
+              "space": "qubit-block" if in_block else "full", "block_leak": block_leak,
               "constraint": constraint, "r_tot": schedule.r_tot},
-        final_state=final if keep_final_state else None)
+        final_state=final)
+
+
+def _walsh_signs(k: int) -> np.ndarray:
+    """2^(k/2) H^{(x)k}, exactly: entry (x, y) is (-1)^popcount(x & y)."""
+    bits = _bit_table(k)
+    return 1 - 2 * ((bits @ bits.T) & 1)
 
 
 def _hadamard(k: int) -> np.ndarray:
     """Normalized H^{(x)k}: entry (x, y) is (-1)^popcount(x & y) / 2^(k/2)."""
-    bits = _bit_table(k)
-    return ((1 - 2 * ((bits @ bits.T) & 1)) / math.sqrt(1 << k)).astype(complex)
+    return (_walsh_signs(k) / math.sqrt(1 << k)).astype(complex)
 
 
 def _phase_diagonal(values: np.ndarray):
@@ -375,6 +437,8 @@ def anneal_statevector(graph: ProblemGraph, schedule: Schedule,
     which is exactly what the physical gadget does in its fully coherent
     setting, so this path matches ``anneal_density`` there.
     """
+    if not math.isfinite(phi_q):
+        raise ValueError("phi_q must be finite")
     return _anneal_mis_pure(graph, schedule, phi_q, keep_final_state)
 
 

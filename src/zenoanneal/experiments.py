@@ -19,7 +19,7 @@ from .analytic import (DampingParams, effective_tpa_rate,
 from .anneal import (anneal_density, anneal_ideal, anneal_statevector,
                      make_schedule, qubo_anneal, weighted_phases)
 from .fock import make_space, vacuum
-from .gadgets import ConstraintParams, GAMMA_T_COHERENT, drive_generator
+from .gadgets import ConstraintParams, drive_generator
 from .problems import (ProblemGraph, brute_force_mis, mitigation_encode,
                        loss_injection_experiment)
 from .propagator import expm_apply_vec, expm_dense, trajectory
@@ -314,14 +314,16 @@ def ideal_vs_phase_rows(graph: ProblemGraph, n_cycles, r_grid,
 
 def wmis_rows(w0_grid, n_cycle: int, r_tot: float,
               phi_q: float = DEFAULT_PHI_Q):
-    """Two-node weighted crossover: outcome flips as w0 crosses w1 = 1."""
+    """Two-node weighted crossover: outcome flips as w0 crosses w1 = 1.
+
+    The lossless coherent gadget is a pure phase kick: one statevector run.
+    """
     header = ["w0", "p00", "p01", "p10", "p11", "success"]
 
     def point(w0):
         g = ProblemGraph(2, frozenset({(0, 1)}), (float(w0), 1.0))
         schedule = weighted_phases(make_schedule(n_cycle, r_tot), (float(w0), 1.0))
-        rep = anneal_density(g, schedule, ConstraintParams(phi_q, GAMMA_T_COHERENT),
-                             drive_mode="ideal-2level", record_entropy=False)
+        rep = anneal_statevector(g, schedule, phi_q)
         p = rep.final_populations
         return (float(w0), p[(0, 0)], p[(0, 1)], p[(1, 0)], p[(1, 1)],
                 float(rep.success[-1]))

@@ -44,6 +44,9 @@ class ConstraintParams:
     eta_t: float = 0.0
 
     def __post_init__(self):
+        for name in ("phi_q", "gamma_t", "eta_t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.gamma_t < 0:
             raise ValueError("gamma_t must be nonnegative")
         if self.eta_t < 0:

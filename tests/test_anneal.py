@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from zenoanneal import anneal
 from zenoanneal.anneal import (_transverse_mixer, anneal_density, anneal_ideal,
                                anneal_statevector, leakage,
                                linear_three_parameter_profile, make_schedule,
                                qubo_anneal, success_probability,
                                weighted_phases)
-from zenoanneal.fock import DensityState, make_space, number_state, vacuum
+from zenoanneal.fock import (DensityState, make_space, number_state, vacuum,
+                            von_neumann_entropy)
 from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 GAMMA_T_COHERENT, GAMMA_T_INCOHERENT,
                                 constraint_superop, embed_local_superop,
                                 unitary_conjugation_superop)
+from zenoanneal.propagator import NonConvergenceError, Superoperator
 from zenoanneal.problems import (brute_force_mis, brute_force_qubo,
                                  brute_force_wmis, five_node_example,
                                  graph_from_edges, qubo_energy, three_node_line)
@@ -83,8 +86,9 @@ def test_weighted_phases():
     w = weighted_phases(s, (1.0, 2.0))
     assert w.weights == (1.0, 2.0)
     assert np.array_equal(w.phi, s.phi)
-    with pytest.raises(ValueError):
-        weighted_phases(s, (1.0, 0.0))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            weighted_phases(s, (1.0, bad))
 
 
 def x_rotation(c):
@@ -122,9 +126,22 @@ def test_statevector_matches_density_when_coherent():
     assert np.max(np.abs(rep_d.leakage - rep_s.leakage)) < 1e-8
 
 
+def _apply_edge_map(rho, local, n, d, j, k):
+    """rho' for a two-mode superoperator on [d, d] acting on modes j, k, as an
+    einsum over rho's (row modes..., column modes...) tensor.  The local vec
+    index a + d^2 b is the C-order index of (b_j, b_k, a_j, a_k)."""
+    rows, cols = "abcdefgh"[:n], "ijklmnop"[:n]
+    out_rows = rows.replace(rows[j], "w").replace(rows[k], "x")
+    out_cols = cols.replace(cols[j], "y").replace(cols[k], "z")
+    spec = f"yzwx{cols[j]}{cols[k]}{rows[j]}{rows[k]},{rows}{cols}->{out_rows}{out_cols}"
+    return np.einsum(spec, local.reshape((d,) * 8), rho.reshape((d,) * (2 * n)),
+                     optimize=["einsum_path", (0, 1)]).reshape(rho.shape)
+
+
 def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
-    """Final rho from global superoperators: the weighted phase and the drive
-    as Kronecker products, then each sorted edge's embedded gadget."""
+    """(final rho, success, leakage, entropy) on the full mode_dim space: the
+    weighted phase and the drive as global unitaries (Kronecker products),
+    then each sorted edge's gadget by einsum."""
     n = graph.n_vertices
     space = make_space([mode_dim] * n)
     weights = schedule.weights or (1.0,) * n
@@ -134,16 +151,19 @@ def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
     flip = np.zeros((mode_dim, mode_dim))
     flip[0, 1] = flip[1, 0] = 1.0
     local = constraint_superop(make_space([mode_dim] * 2), 0, 1, constraint).matrix
-    edge_maps = [embed_local_superop(local, space, e) for e in graph.sorted_edges()]
-    vec = np.zeros(space.total_dim ** 2, dtype=complex)
-    vec[0] = 1.0
+    rho = np.zeros((space.total_dim,) * 2, dtype=complex)
+    rho[0, 0] = 1.0
+    records = []
     for phi, c in zip(schedule.phi, schedule.c):
-        vec = unitary_conjugation_superop(np.diag(np.exp(-1j * phi * number))) @ vec
-        drive = reduce(np.kron, [scipy.linalg.expm(-1j * c * flip)] * n)
-        vec = unitary_conjugation_superop(drive) @ vec
-        for edge_map in edge_maps:
-            vec = edge_map @ vec
-    return vec.reshape((space.total_dim,) * 2, order="F")
+        u = reduce(np.kron, [scipy.linalg.expm(-1j * c * flip)] * n) @ np.diag(
+            np.exp(-1j * phi * number))
+        rho = u @ rho @ u.conj().T
+        for j, k in graph.sorted_edges():
+            rho = _apply_edge_map(rho, local, n, mode_dim, j, k)
+        state = DensityState(space, rho)
+        records.append((success_probability(state, graph), leakage(state, graph),
+                        von_neumann_entropy(rho)))
+    return (rho, *map(np.array, zip(*records)))
 
 
 @pytest.mark.parametrize("weights", [None, (1.0, 2.5, 1.2)], ids=["unit", "weighted"])
@@ -158,8 +178,69 @@ def test_density_cycle_matches_global_superoperators(weights, constraint):
         schedule = weighted_phases(schedule, weights)
     rep = anneal_density(g, schedule, constraint, record_entropy=False,
                          keep_final_state=True)
-    expect = density_cycle_oracle(g, schedule, constraint)
+    expect = density_cycle_oracle(g, schedule, constraint)[0]
     assert np.max(np.abs(rep.final_state.matrix - expect)) < 1e-12
+
+
+def _random_graph(rng, n):
+    pairs = list(combinations(range(n), 2))
+    picked = rng.choice(len(pairs), size=rng.integers(1, len(pairs) + 1), replace=False)
+    return graph_from_edges(n, [pairs[p] for p in sorted(picked)])
+
+
+@pytest.mark.parametrize("eta_t", [0.0, 0.5])
+@pytest.mark.parametrize("gamma_t", [GAMMA_T_INCOHERENT, 0.8, GAMMA_T_COHERENT],
+                         ids=["incoherent", "partial", "coherent"])
+@pytest.mark.parametrize("n, weighted", [(3, False), (4, True)],
+                         ids=["n3-unit", "n4-weighted"])
+def test_qubit_block_run_matches_full_space_oracle(n, weighted, gamma_t, eta_t):
+    # the ideal-2level run works in the 2^n block of 0/1 patterns; the
+    # oracle keeps every mode_dim = 3 level
+    rng = np.random.default_rng([n, round(1000 * gamma_t), round(10 * eta_t)])
+    g = _random_graph(rng, n)
+    schedule = make_schedule(32, rng.uniform(4 * math.pi, 10 * math.pi))
+    if weighted:
+        schedule = weighted_phases(schedule, rng.uniform(0.5, 2.0, size=n))
+    constraint = ConstraintParams(PHI_Q, gamma_t, eta_t)
+    rep = anneal_density(g, schedule, constraint, keep_final_state=True)
+    rho, success, leak, entropy = density_cycle_oracle(g, schedule, constraint)
+    assert rep.meta["space"] == "qubit-block"
+    assert np.max(np.abs(rep.final_state.matrix - rho)) < 1e-13
+    assert np.max(np.abs(rep.success - success)) < 1e-13
+    assert np.max(np.abs(rep.leakage - leak)) < 1e-13
+    assert np.max(np.abs(rep.entropy - entropy)) < 1e-13
+
+
+def leaky_gadget(space, j, k, params):
+    """Stands in for constraint_superop: swaps |11> and |20> on [3, 3], so
+    it moves |11> population out of the 0/1 block."""
+    swap = np.eye(space.total_dim)[[0, 1, 2, 3, 6, 5, 4, 7, 8]]
+    return Superoperator(space, np.kron(swap, swap))
+
+
+def nan_gadget(space, j, k, params):
+    return Superoperator(space, np.full((space.total_dim ** 2,) * 2, np.nan))
+
+
+@pytest.mark.parametrize("gadget", [leaky_gadget, nan_gadget], ids=["leaky", "nan"])
+def test_qubit_block_run_refuses_a_gadget_that_leaves_the_block(monkeypatch, gadget):
+    monkeypatch.setattr(anneal, "constraint_superop", gadget)
+    with pytest.raises(NonConvergenceError, match="0/1 block"):
+        anneal_density(three_node_line(), make_schedule(4, 1.0),
+                       ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
+
+
+def test_density_report_records_space_and_block_leak():
+    g, schedule = three_node_line(), make_schedule(4, 1.0)
+    constraint = ConstraintParams(PHI_Q, 0.8, eta_t=0.5)
+    ideal = anneal_density(g, schedule, constraint)
+    zeno = anneal_density(g, schedule, constraint, drive_mode="zeno-tpa",
+                          drive=DriveParams(c=1.0, gamma=5.0))
+    bare = anneal_density(graph_from_edges(1, []), schedule, constraint)
+    assert (ideal.meta["space"], zeno.meta["space"]) == ("qubit-block", "full")
+    assert 0.0 <= ideal.meta["block_leak"] < 1e-14
+    assert zeno.meta["block_leak"] == ideal.meta["block_leak"]
+    assert bare.meta["block_leak"] == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9])
@@ -296,6 +377,8 @@ def test_anneal_guards():
     with pytest.raises(ValueError):
         anneal_density(g, weighted_phases(schedule, (1.0, 1.0)),
                        ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
+    with pytest.raises(ValueError, match="phi_q"):
+        anneal_statevector(g, schedule, math.nan)
 
 
 def test_wmis_two_node_crossover():

@@ -3,9 +3,11 @@ import warnings
 
 import pytest
 
-from zenoanneal import experiments
+from zenoanneal import anneal, experiments
 from zenoanneal.cli import main
 from zenoanneal.propagator import DimensionGuardError
+
+from test_anneal import leaky_gadget
 
 
 def run(args):
@@ -90,13 +92,20 @@ def test_help_exits_0(capsys):
     ["zeno-onset", "--variant", "tpa", "--tpa-ratios", "-1"],
     ["drive-sweep", "--eta-ratios", "-1"],
     ["oracle-check", "--gammas", "0"],
+    ["anneal", "--phi-q", "nan"],
+    ["constraint-sweep", "--phi-q", "nan"],
+    ["constraint-sweep", "--gamma-ts", "inf"],
+    ["wmis", "--phi-q", "nan"],
+    ["wmis", "--w0-grid", "nan", "--n-cycle", "20"],
 ], ids=["anneal-zero-cycles", "anneal-zero-rotation", "qubo-zero-cycles",
         "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph",
         "unknown-flag", "no-subcommand", "unknown-subcommand", "bad-int-flag",
         "threads-not-read", "anneal-nan-rotation", "qubo-nan-rotation",
         "constraint-sweep-nan-rotation", "wmis-inf-rotation",
         "zeno-onset-negative-tpa-rate", "drive-sweep-negative-eta",
-        "oracle-check-zero-gamma"])
+        "oracle-check-zero-gamma", "anneal-nan-pump-phase",
+        "constraint-sweep-nan-pump-phase", "constraint-sweep-inf-gamma-t",
+        "wmis-nan-pump-phase", "wmis-nan-weight"])
 def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
     bad_graph = tmp_path / "bad.txt"
     bad_graph.write_text("0 1\n0 x\n")
@@ -186,6 +195,17 @@ def test_dimension_guard_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert err == ["numerical guard: total_dim 99 exceeds dense cap 64"]
+
+
+def test_constraint_sweep_gadget_leaving_the_qubit_block_exits_2(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.setattr(anneal, "constraint_superop", leaky_gadget)
+    code = run(["constraint-sweep", "--gamma-ts", "1.0", "--n-cycles", "16",
+                "--out", tmp_path / "cs.csv"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("numerical guard: edge gadget moves")
+    assert not os.path.exists(tmp_path / "cs.csv")
 
 
 def test_constraint_sweep_command(tmp_path):

@@ -289,6 +289,9 @@ def test_params_validation_and_labels():
     assert ConstraintParams(0.0, GAMMA_T_COHERENT, eta_t=0.1).coherence_mode == "partial"
     with pytest.raises(ValueError):
         ConstraintParams(0.0, -1.0)
+    for bad in ((math.nan, 0.6, 0.0), (0.0, math.inf, 0.0), (0.0, 0.6, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintParams(*bad)
     with pytest.raises(ValueError):
         DriveParams(c=-1.0, gamma=0.0)
 
