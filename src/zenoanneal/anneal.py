@@ -312,11 +312,6 @@ def _walsh_signs(k: int) -> np.ndarray:
     return 1 - 2 * ((bits @ bits.T) & 1)
 
 
-def _hadamard(k: int) -> np.ndarray:
-    """Normalized H^{(x)k}: entry (x, y) is (-1)^popcount(x & y) / 2^(k/2)."""
-    return (_walsh_signs(k) / math.sqrt(1 << k)).astype(complex)
-
-
 def _phase_diagonal(values: np.ndarray):
     """angles -> exp(-i angle_b values) for one angle per row, with one exp
     per distinct value (number and n - 2 popcount take only n + 1 values)."""
@@ -335,21 +330,25 @@ def _eigen_mixer(lam: np.ndarray, to_eig, from_eig):
 def _transverse_mixer(n: int):
     """exp(-i c X) on each of n qubits: W = H^{(x)n}, lam = n - 2 popcount.
 
-    H^{(x)n} = H^{(x)(n-k)} (x) H^{(x)k} with k = min(n, 7): the low k bits
-    are one matmul on a (B 2^(n-k), 2^k) reshape, the high bits a second on
-    (B, 2^(n-k), 2^k), so no 2^n x 2^n matrix is formed.  H^{(x)n} is its
-    own inverse.
+    W = S / 2^(n/2) with S the exact +-1 Walsh signs and S S = 2^n: the
+    forward pass applies S and the inverse S / 2^n, both exact, so at c = 0
+    the mixer is exactly the identity and the norm does not leak.
+    S = S_(n-k) (x) S_k with k = min(n, 7): the low k bits are one matmul on
+    a (B 2^(n-k), 2^k) reshape, the high bits a second on (B, 2^(n-k), 2^k),
+    so no 2^n x 2^n matrix is formed.
     """
     k = min(n, 7)
-    low, high = _hadamard(k), _hadamard(n - k)
+    low, high = _walsh_signs(k).astype(complex), _walsh_signs(n - k).astype(complex)
 
-    def walsh_hadamard(amps: np.ndarray) -> np.ndarray:
-        out = amps.reshape(-1, low.shape[0]) @ low
-        if n > k:
-            out = high @ out.reshape(amps.shape[0], high.shape[0], low.shape[0])
-        return out.reshape(amps.shape)
+    def walsh(low: np.ndarray):
+        def transform(amps: np.ndarray) -> np.ndarray:
+            out = amps.reshape(-1, low.shape[0]) @ low
+            if n > k:
+                out = high @ out.reshape(amps.shape[0], high.shape[0], low.shape[0])
+            return out.reshape(amps.shape)
+        return transform
 
-    return _eigen_mixer(n - 2 * _bit_table(n).sum(axis=1), walsh_hadamard, walsh_hadamard)
+    return _eigen_mixer(n - 2 * _bit_table(n).sum(axis=1), walsh(low), walsh(low / (1 << n)))
 
 
 def _ideal_mixer(independent: np.ndarray):

@@ -79,8 +79,6 @@ class Settings:
             if not os.path.exists(path):
                 raise ConfigError(f"config file not found: {path}")
             self.cfg.read(path)
-        # recorded with every run; only sampled sweeps would consume it
-        self.get("seed", 0, int)
 
     def get(self, key: str, default, cast=str):
         flag = getattr(self.args, key.replace("-", "_"), None)
@@ -182,10 +180,9 @@ def cmd_drive_sweep(args) -> int:
     lo = s.get("gamma99-lo", 0.2, _parse_float)
     hi = s.get("gamma99-hi", 4096.0, _parse_float)
     iters = s.get("gamma99-iters", 40, int)
-    threads = s.get("threads", 1, int)
     out = s.get("out", "drive_sweep.csv")
     header, rows = experiments.drive_sweep_rows(
-        ratios, gammas, markov, gamma_tpas, threads=threads,
+        ratios, gammas, markov, gamma_tpas,
         gamma99_lo=lo, gamma99_hi=hi, gamma99_iters=iters)
     print(write_csv(out, s.config_line(), header, rows))
     return 0
@@ -199,10 +196,9 @@ def cmd_constraint_sweep(args) -> int:
     n_cycles = s.get("n-cycles", "log:16:8192:10", _parse_ints)
     r_tot = s.get("r-tot", 20 * math.pi, _parse_float)
     phi_q = s.get("phi-q", experiments.DEFAULT_PHI_Q, _parse_float)
-    threads = s.get("threads", 1, int)
     out = s.get("out", "constraint_sweep.csv")
     header, rows = experiments.constraint_sweep_rows(
-        graph, gamma_ts, n_cycles, r_tot, phi_q=phi_q, threads=threads)
+        graph, gamma_ts, n_cycles, r_tot, phi_q=phi_q)
     print(write_csv(out, s.config_line(), header, rows))
     return 0
 
@@ -214,10 +210,9 @@ def cmd_anneal(args) -> int:
     r_grid = s.get("r-grid", "lin:4:1400:70", _parse_grid)
     phi_q = s.get("phi-q", experiments.DEFAULT_PHI_Q, _parse_float)
     tol = s.get("tol", 0.01, float)
-    threads = s.get("threads", 1, int)
     out = s.get("out", "ideal_vs_phase.csv")
     header, rows, criticals, fit = experiments.ideal_vs_phase_rows(
-        graph, n_cycles, r_grid, phi_q=phi_q, threads=threads, tol=tol)
+        graph, n_cycles, r_grid, phi_q=phi_q, tol=tol)
     print(write_csv(out, s.config_line(), header, rows))
     slope, intercept, r2 = fit
     print(f"critical r_tot per n_cycle: {criticals}")
@@ -337,13 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zeno-constrained optical annealing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, flags, threads=False):
+    def add(name, flags):
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output path")
-        if threads:
-            p.add_argument("--threads", type=int, help="worker processes")
-        p.add_argument("--seed", type=int, help="seed recorded with the run")
         for flag in flags:
             p.add_argument(f"--{flag}")
         return p
@@ -351,10 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("zeno-onset", ["variant", "tpa-ratios", "sfg-ratios", "tpa-truncation",
                        "sfg-truncation", "t-max", "nt"])
     add("drive-sweep", ["eta-ratios", "gammas", "markov-ratios", "gamma-tpas",
-                        "gamma99-lo", "gamma99-hi", "gamma99-iters"], threads=True)
-    add("constraint-sweep", ["graph", "gamma-ts", "n-cycles", "r-tot", "phi-q"],
-        threads=True)
-    add("anneal", ["graph", "n-cycles", "r-grid", "phi-q", "tol"], threads=True)
+                        "gamma99-lo", "gamma99-hi", "gamma99-iters"])
+    add("constraint-sweep", ["graph", "gamma-ts", "n-cycles", "r-tot", "phi-q"])
+    add("anneal", ["graph", "n-cycles", "r-grid", "phi-q", "tol"])
     add("wmis", ["w0-grid", "n-cycle", "r-tot", "phi-q"])
     add("qubo", ["qubo", "n-cycle", "r-tot"])
     add("mitigate", ["graph", "n-copies"])

@@ -1,14 +1,12 @@
 """Experiment drivers behind the CLI: each returns (header, rows) for CSV.
 
-Rows are plain tuples in deterministic grid order; heavy sweeps fan out over
-a process pool with results merged back in grid order, so output files are
-bit-identical across runs on one platform regardless of thread count.
+Rows are plain tuples in deterministic grid order, computed in this process,
+so output files are bit-identical across runs on one platform.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -42,14 +40,6 @@ DRIVE_DENSE_DIM = 11
 GAMMA99_LOG_TOL = 1e-12
 # Final success a constraint sweep's n99 column asks of a cycle count.
 N99_SUCCESS = 0.99
-
-
-def _map(fn, args, threads: int):
-    """Results in argument order: a pool's list, or a lazy map on one thread."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, args))
-    return map(fn, args)
 
 
 # ---------------------------------------------------------------- zeno onset
@@ -174,13 +164,12 @@ def gamma_99(ratio: float, lo: float = 0.2, hi: float = 4096.0,
     return math.exp(b)
 
 
-def _curve_rows(kind: str, point, args, threads: int, stop_at: float):
-    """Rows of one curve in grid order, ending at the first p1 >= stop_at.
-
-    On one thread the points past that one are never evaluated.
-    """
+def _curve_rows(kind: str, point, args, stop_at: float):
+    """Rows of one curve in grid order, ending at the first p1 >= stop_at;
+    the points past that one are never evaluated."""
     rows = []
-    for (r, g), p1 in zip(args, _map(point, args, threads)):
+    for r, g in args:
+        p1 = point((r, g))
         rows.append((kind, r, g, p1, int(p1 >= stop_at)))
         if p1 >= stop_at:
             break
@@ -188,13 +177,13 @@ def _curve_rows(kind: str, point, args, threads: int, stop_at: float):
 
 
 def drive_sweep_rows(ratios, gammas, markov_ratios, gamma_tpas,
-                     threads: int = 1, stop_at: float = 0.99,
+                     stop_at: float = 0.99,
                      gamma99_lo: float = 0.2, gamma99_hi: float = 4096.0,
                      gamma99_iters: int = 40):
     """Flip probability curves vs rate, per coherence ratio, plus references.
 
-    Curves stop once ``stop_at`` is reached; with ``threads=1`` the points
-    past it are not computed.  Emits three row kinds:
+    Curves stop once ``stop_at`` is reached; the points past it are not
+    computed.  Emits three row kinds:
     'sweep' (coherence interpolation), 'markov' (fixed effective pair-loss
     rate, growing pump loss), 'tpa_ref' (memoryless pair absorption), and a
     'gamma99' threshold row per coherence ratio.
@@ -204,67 +193,44 @@ def drive_sweep_rows(ratios, gammas, markov_ratios, gamma_tpas,
     rows = []
     for ratio in ratios:
         args = [(float(ratio), float(g)) for g in gammas]
-        rows += _curve_rows("sweep", _coherence_point, args, threads, stop_at)
+        rows += _curve_rows("sweep", _coherence_point, args, stop_at)
         rows.append(("gamma99", float(ratio),
                      gamma_99(float(ratio), lo=gamma99_lo, hi=gamma99_hi,
                               target=stop_at, iters=gamma99_iters),
                      stop_at, 1))
     for ratio in markov_ratios:
         args = [(float(ratio), float(g)) for g in gamma_tpas]
-        rows += _curve_rows("markov", _markov_point, args, threads, stop_at)
+        rows += _curve_rows("markov", _markov_point, args, stop_at)
     rows += _curve_rows("tpa_ref", _tpa_point, [(0.0, float(g)) for g in gamma_tpas],
-                        1, stop_at)
+                        stop_at)
     return header, rows
 
 
 # --------------------------------------------------------- constraint sweep
 
-def _constraint_point(args):
-    graph, n_cycle, r_tot, gamma_t, phi_q = args
-    schedule = make_schedule(n_cycle, r_tot)
-    rep = anneal_density(graph, schedule,
-                         ConstraintParams(phi_q, gamma_t),
-                         drive_mode="ideal-2level")
-    return (float(rep.success[-1]), float(rep.entropy.max()),
-            float(rep.entropy[-1]), float(rep.leakage[-1]))
-
-
 def constraint_sweep_rows(graph: ProblemGraph, gamma_ts, n_cycles,
-                          r_tot: float, phi_q: float = DEFAULT_PHI_Q,
-                          threads: int = 1):
+                          r_tot: float, phi_q: float = DEFAULT_PHI_Q):
     """Success and entropy vs cycle count across the coherence interpolation."""
     header = ["gamma_t", "n_cycle", "success", "entropy_max", "entropy_final",
               "leakage_final", "n99", "random_guess"]
     guess = 1.0 / 2 ** graph.n_vertices
-    args = [(graph, int(n), r_tot, float(gt), phi_q)
-            for gt in gamma_ts for n in n_cycles]
-    results = list(_map(_constraint_point, args, threads))
     rows = []
-    per_gt: dict[float, list[tuple[int, float]]] = {}
-    for (_, n, _, gt, _), res in zip(args, results):
-        per_gt.setdefault(gt, []).append((n, res[0]))
-    idx = 0
     for gt in gamma_ts:
-        gt = float(gt)
-        reached = [n for (n, s) in per_gt[gt] if s >= N99_SUCCESS]
-        n99 = min(reached) if reached else -1
+        points = []
         for n in n_cycles:
-            succ, smax, sfin, leak = results[idx]
-            rows.append((gt, int(n), succ, smax, sfin, leak, n99, guess))
-            idx += 1
+            rep = anneal_density(graph, make_schedule(int(n), r_tot),
+                                 ConstraintParams(phi_q, float(gt)),
+                                 drive_mode="ideal-2level")
+            points.append((float(gt), int(n), float(rep.success[-1]),
+                           float(rep.entropy.max()), float(rep.entropy[-1]),
+                           float(rep.leakage[-1])))
+        reached = [p[1] for p in points if p[2] >= N99_SUCCESS]
+        n99 = min(reached) if reached else -1
+        rows += [p + (n99, guess) for p in points]
     return header, rows
 
 
 # ------------------------------------------------- ideal vs phase (5 nodes)
-
-def _five_node_point(args):
-    """Final phase and ideal success over the r-grid, one batched run each."""
-    graph, n_cycle, r_grid, phi_q = args
-    schedule = make_schedule(n_cycle, r_grid)
-    p_phase = anneal_statevector(graph, schedule, phi_q).success[:, -1]
-    p_ideal = anneal_ideal(graph, schedule).success[:, -1]
-    return p_phase.tolist(), p_ideal.tolist()
-
 
 def detect_critical(r_grid, diffs, tol: float = 0.01) -> float:
     """Largest swept rotation below which phase and ideal agree within tol."""
@@ -277,20 +243,22 @@ def detect_critical(r_grid, diffs, tol: float = 0.01) -> float:
 
 
 def ideal_vs_phase_rows(graph: ProblemGraph, n_cycles, r_grid,
-                        phi_q: float = DEFAULT_PHI_Q, threads: int = 1,
-                        tol: float = 0.01):
+                        phi_q: float = DEFAULT_PHI_Q, tol: float = 0.01):
     """Success vs total rotation for phase-based and ideal constraints.
 
-    Emits 'point' rows for every grid entry, one 'critical' row per cycle
-    count, and a single 'fit' row with the linear fit of the critical values
-    against the cycle count.
+    Each cycle count takes one batched phase run and one batched ideal run
+    over the r-grid.  Emits 'point' rows for every grid entry, one 'critical'
+    row per cycle count, and a single 'fit' row with the linear fit of the
+    critical values against the cycle count.
     """
     header = ["row_kind", "n_cycle", "r_tot", "p_phase", "p_ideal", "abs_diff"]
     r_grid = [float(r) for r in r_grid]
     counts = [int(n) for n in n_cycles]
-    results = _map(_five_node_point, [(graph, n, r_grid, phi_q) for n in counts], threads)
     rows, criticals = [], []
-    for n, (p_phase, p_ideal) in zip(counts, results):
+    for n in counts:
+        schedule = make_schedule(n, r_grid)
+        p_phase = anneal_statevector(graph, schedule, phi_q).success[:, -1].tolist()
+        p_ideal = anneal_ideal(graph, schedule).success[:, -1].tolist()
         diffs = [abs(p - i) for p, i in zip(p_phase, p_ideal)]
         rows += [("point", n, r, p, i, d)
                  for r, p, i, d in zip(r_grid, p_phase, p_ideal, diffs)]

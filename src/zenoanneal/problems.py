@@ -7,7 +7,7 @@ against; they enumerate all 2^n assignments and are guarded to n <= 24.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +16,11 @@ BRUTE_FORCE_MAX_VERTICES = 24
 
 @dataclass(frozen=True)
 class ProblemGraph:
-    """Undirected graph with optional positive node weights and QUBO matrix."""
+    """Undirected graph with optional positive node weights."""
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
     weights: tuple[float, ...] | None = None
-    qubo: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_vertices < 1:
@@ -42,13 +41,6 @@ class ProblemGraph:
             if any(x <= 0 for x in w):
                 raise ValueError("weights must be positive")
             object.__setattr__(self, "weights", w)
-        if self.qubo is not None:
-            q = np.asarray(self.qubo, dtype=float)
-            if q.shape != (self.n_vertices, self.n_vertices):
-                raise ValueError("QUBO matrix shape must match the vertex count")
-            if not np.allclose(q, q.T, atol=1e-12):
-                raise ValueError("QUBO matrix must be symmetric")
-            object.__setattr__(self, "qubo", q)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -58,9 +50,9 @@ class ProblemGraph:
         return not any(u in chosen and v in chosen for u, v in self.edges)
 
 
-def graph_from_edges(n_vertices: int, edges, weights=None, qubo=None) -> ProblemGraph:
+def graph_from_edges(n_vertices: int, edges, weights=None) -> ProblemGraph:
     return ProblemGraph(n_vertices, frozenset(tuple(sorted(e)) for e in edges),
-                        None if weights is None else tuple(weights), qubo)
+                        None if weights is None else tuple(weights))
 
 
 def three_node_line() -> ProblemGraph:

@@ -255,6 +255,13 @@ def test_walsh_hadamard_mixer_matches_kron_reference(n):
         assert np.max(np.abs(out[row] - u @ amps[row])) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_transverse_mixer_at_zero_angle_is_exactly_the_identity(n):
+    # exact +-1 Walsh factors: a rounded 2^(-n/2) would leak norm every cycle
+    eye = np.eye(2 ** n)
+    assert np.array_equal(_transverse_mixer(n)(eye, np.zeros(2 ** n)), eye)
+
+
 def _pure_runs():
     five = five_node_example()
     weighted = graph_from_edges(3, [(0, 1), (1, 2)], weights=(1.0, 2.5, 1.2))

@@ -70,7 +70,7 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["anneal", "--help"])
     assert exc.value.code == 0
-    assert "--threads" in capsys.readouterr().out
+    assert "--r-grid" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [
@@ -85,6 +85,9 @@ def test_help_exits_0(capsys):
     ["frobnicate"],
     ["anneal", "--threads", "x"],
     ["wmis", "--threads", "2"],
+    ["drive-sweep", "--threads", "2"],
+    ["constraint-sweep", "--threads", "2"],
+    ["anneal", "--seed", "1"],
     ["anneal", "--r-grid", "nan"],
     ["qubo", "--r-tot", "nan"],
     ["constraint-sweep", "--r-tot", "nan"],
@@ -99,8 +102,10 @@ def test_help_exits_0(capsys):
     ["wmis", "--w0-grid", "nan", "--n-cycle", "20"],
 ], ids=["anneal-zero-cycles", "anneal-zero-rotation", "qubo-zero-cycles",
         "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph",
-        "unknown-flag", "no-subcommand", "unknown-subcommand", "bad-int-flag",
-        "threads-not-read", "anneal-nan-rotation", "qubo-nan-rotation",
+        "unknown-flag", "no-subcommand", "unknown-subcommand",
+        "anneal-threads-removed", "threads-not-read", "drive-sweep-threads-removed",
+        "constraint-sweep-threads-removed", "seed-removed", "anneal-nan-rotation",
+        "qubo-nan-rotation",
         "constraint-sweep-nan-rotation", "wmis-inf-rotation",
         "zeno-onset-negative-tpa-rate", "drive-sweep-negative-eta",
         "oracle-check-zero-gamma", "anneal-nan-pump-phase",
@@ -215,6 +220,7 @@ def test_constraint_sweep_command(tmp_path):
                 "--n-cycles", "16,64", "--r-tot", "20pi", "--out", out])
     assert code == 0
     lines = read_lines(out)
+    assert "threads=" not in lines[0] and "seed=" not in lines[0]
     assert lines[1].startswith("gamma_t,n_cycle,success")
     assert len(lines) == 2 + 4
 
@@ -239,24 +245,6 @@ def test_anneal_one_cycle_count_reports_no_fit(tmp_path, capsys):
                     "--out", out]) == 0
     assert "linear fit: slope=nan intercept=nan r2=nan" in capsys.readouterr().out
     assert read_lines(out)[-1] == "fit,0,nan,nan,nan,0.01"
-
-
-def test_anneal_threads_deterministic(tmp_path):
-    args = ["anneal", "--n-cycles", "16,32,48", "--r-grid", "lin:2pi:12pi:5"]
-    a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    assert run(args + ["--threads", "1", "--out", a]) == 0
-    assert run(args + ["--threads", "2", "--out", b]) == 0
-    assert read_lines(a)[1:] == read_lines(b)[1:]
-
-
-def test_constraint_sweep_threads_deterministic(tmp_path):
-    args = ["constraint-sweep", "--gamma-ts", "1.1107207345395915",
-            "--n-cycles", "16,32", "--r-tot", "20pi"]
-    a, b = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    assert run(args + ["--threads", "1", "--out", a]) == 0
-    assert run(args + ["--threads", "2", "--out", b]) == 0
-    # payload identical regardless of worker count (config line differs)
-    assert read_lines(a)[1:] == read_lines(b)[1:]
 
 
 def test_drive_sweep_command(tmp_path):
