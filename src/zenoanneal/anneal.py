@@ -5,6 +5,10 @@ Each cycle applies, in this fixed order: (1) a per-node phase rotation,
 Edge gadgets sharing a vertex need not commute, so the order is part of the
 contract and is recorded in every report.
 
+Node weights come from the graph alone: node j's phase each cycle is
+phi_i * w_j with ``ProblemGraph.weights`` (unit weights when it has none),
+and the same weights pick the optimal sets that success is scored against.
+
 ``anneal_density`` runs that cycle on a density matrix with the physical
 constraint gadget (built on per-mode dim >= 3) per edge.  The exact
 two-level drive keeps rho in the 2^n x 2^n block of 0/1 patterns, where phase
@@ -16,6 +20,8 @@ row of a batched schedule (a sequence of r_tot), for three paths:
 ``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
 ``anneal_ideal`` (a drive that cannot reach non-independent sets) and
 ``qubo_anneal`` (a zeta ramp on the QUBO energy).
+Every report carries its final state and its per-cycle entropy (zero on the
+pure paths).
 """
 
 from __future__ import annotations
@@ -62,7 +68,6 @@ class Schedule:
     tau: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
-    weights: tuple[float, ...] | None = None
     zeta: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -88,27 +93,19 @@ def make_schedule(n_cycle: int, r_tot) -> Schedule:
     return Schedule(n_cycle, r_field, tau, phi, c)
 
 
-def weighted_phases(schedule: Schedule, weights) -> Schedule:
-    """Attach per-node phase weights: node j sees phi_i * w_j each cycle."""
-    w = tuple(float(x) for x in weights)
-    if not all(math.isfinite(x) and x > 0 for x in w):
-        raise ValueError("phase weights must be finite and positive")
-    return Schedule(schedule.n_cycle, schedule.r_tot, schedule.tau,
-                    schedule.phi, schedule.c, w, schedule.zeta)
-
-
 @dataclass
 class AnnealReport:
-    """Per-cycle observables plus a summary of the final state."""
+    """Per-cycle observables, the final 0/1-pattern populations and the final
+    state (one per row of a batched schedule)."""
 
     n_cycle: int
     success: np.ndarray
     entropy: np.ndarray
     leakage: np.ndarray
     final_populations: dict[tuple[int, ...], float]
+    final_state: object
     cycle_order: str = CYCLE_ORDER
     meta: dict = field(default_factory=dict)
-    final_state: object | None = None
 
 
 def _bit_table(n: int) -> np.ndarray:
@@ -117,8 +114,9 @@ def _bit_table(n: int) -> np.ndarray:
 
 
 class _Observables:
-    """Per 0/1 pattern (rows of ``bits``): edge violations, optimality, and
-    the basis indices for success/leakage."""
+    """Per 0/1 pattern (rows of ``bits``): edge violations, weighted number
+    N_w = bits @ weights, optimality, and the basis indices for
+    success/leakage."""
 
     def __init__(self, space: FockSpace, graph: ProblemGraph):
         n = graph.n_vertices
@@ -127,8 +125,8 @@ class _Observables:
         self.patterns = list(map(tuple, self.bits.tolist()))
         self.violations = sum((self.bits[:, j] & self.bits[:, k] for j, k in graph.edges),
                               np.zeros(len(self.bits), dtype=int))
-        value = np.where(self.violations == 0,
-                         self.bits @ np.asarray(graph.weights or [1.0] * n), -np.inf)
+        self.number = self.bits @ np.asarray(graph.weights or (1.0,) * n)
+        value = np.where(self.violations == 0, self.number, -np.inf)
         # MIS is WMIS with unit weights; ties as in problems.brute_force_wmis
         self.optimal = value >= value.max() - 1e-12
         self.optima_idx = self.pattern_idx[self.optimal]
@@ -233,16 +231,16 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
                    constraint: ConstraintParams,
                    drive_mode: str = "ideal-2level",
                    drive: DriveParams | None = None,
-                   mode_dim: int = 3,
-                   record_entropy: bool = True,
-                   keep_final_state: bool = False) -> AnnealReport:
+                   mode_dim: int = 3) -> AnnealReport:
     """Density-matrix execution with physical constraint gadgets.
 
     ``mode_dim`` >= 3 is required whenever the graph has edges, since the
     gadgets route population through the two-photon state.  The ideal drive
     never leaves the 0/1 patterns, so that mode runs on the 2^n qubit block
-    once the gadget is checked to keep it closed; ``keep_final_state`` pads
-    the state back to the ``mode_dim`` space.
+    once the gadget is checked to keep it closed; the final state is padded
+    back to the ``mode_dim`` space.  A final state whose trace or
+    hermiticity drifted past the :class:`DensityState` tolerances raises
+    :class:`NonConvergenceError`.
     """
     if drive_mode not in DRIVE_MODES:
         raise ValueError(f"drive_mode must be one of {DRIVE_MODES}")
@@ -251,9 +249,7 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
     if np.ndim(schedule.phi) != 1:
         raise ValueError("anneal_density takes one schedule, not a batch of r_tot values")
     n = graph.n_vertices
-    weights = schedule.weights or tuple(1.0 for _ in range(n))
-    if len(weights) != n:
-        raise ValueError("need one phase weight per graph vertex")
+    weights = graph.weights or (1.0,) * n
     if drive_mode != "ideal-2level" and drive is None:
         raise ValueError(f"drive_mode {drive_mode!r} needs DriveParams")
 
@@ -277,7 +273,7 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
 
     rho = vacuum(space).to_density().matrix
     success = np.empty(schedule.n_cycle)
-    entropy = np.zeros(schedule.n_cycle)
+    entropy = np.empty(schedule.n_cycle)
     leak = np.empty(schedule.n_cycle)
     for i in range(schedule.n_cycle):
         rho = step(rho, float(schedule.phi[i]), float(schedule.c[i]))
@@ -286,24 +282,23 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
         diag = rho.diagonal().real
         success[i] = obs.success(diag)
         leak[i] = obs.leakage(diag)
-        if record_entropy:
-            entropy[i] = von_neumann_entropy(rho)
+        entropy[i] = von_neumann_entropy(rho)
 
-    final = None
-    if keep_final_state:
-        final = rho
-        if in_block:
-            idx = obs.bits @ np.array(full_space.strides)
-            final = np.zeros((full_space.total_dim,) * 2, dtype=complex)
-            final[np.ix_(idx, idx)] = rho
+    final = rho
+    if in_block:
+        idx = obs.bits @ np.array(full_space.strides)
+        final = np.zeros((full_space.total_dim,) * 2, dtype=complex)
+        final[np.ix_(idx, idx)] = rho
+    try:
         final = DensityState(full_space, final)
+    except ValueError as exc:
+        raise NonConvergenceError(f"final density state: {exc}") from exc
     return AnnealReport(
         schedule.n_cycle, success, entropy, leak,
-        obs.qubit_populations(rho.diagonal().real),
+        obs.qubit_populations(rho.diagonal().real), final,
         meta={"path": "density", "drive_mode": drive_mode, "mode_dim": mode_dim,
               "space": "qubit-block" if in_block else "full", "block_leak": block_leak,
-              "constraint": constraint, "r_tot": schedule.r_tot},
-        final_state=final)
+              "constraint": constraint, "r_tot": schedule.r_tot})
 
 
 def _walsh_signs(k: int) -> np.ndarray:
@@ -390,8 +385,7 @@ def _run_pure(schedule: Schedule, mixer, number: np.ndarray, proj: np.ndarray,
 
 
 def _pure_report(schedule: Schedule, bits: np.ndarray, amps: np.ndarray,
-                 success: np.ndarray, leak: np.ndarray, meta: dict,
-                 keep_final_state: bool) -> AnnealReport:
+                 success: np.ndarray, leak: np.ndarray, meta: dict) -> AnnealReport:
     """Pure-state report; a batched schedule keeps the batch axis (a (B,)
     array per pattern, a list of final states), a single one drops it."""
     space = make_space([2] * bits.shape[1])
@@ -401,19 +395,15 @@ def _pure_report(schedule: Schedule, bits: np.ndarray, amps: np.ndarray,
         success, leak, populations, final = (success[0], leak[0],
                                              populations[:, 0].tolist(), final[0])
     return AnnealReport(schedule.n_cycle, success, np.zeros_like(success), leak,
-                        dict(zip(map(tuple, bits.tolist()), populations)),
-                        meta={**meta, "r_tot": schedule.r_tot},
-                        final_state=final if keep_final_state else None)
+                        dict(zip(map(tuple, bits.tolist()), populations)), final,
+                        meta={**meta, "r_tot": schedule.r_tot})
 
 
-def _anneal_mis_pure(graph: ProblemGraph, schedule: Schedule, phi_q: float | None,
-                     keep_final_state: bool) -> AnnealReport:
+def _anneal_mis_pure(graph: ProblemGraph, schedule: Schedule,
+                     phi_q: float | None) -> AnnealReport:
     """Statevector run with kick pi + phi_q per violated edge, or with the
     ideal mixer when ``phi_q`` is None."""
     n = graph.n_vertices
-    weights = schedule.weights or tuple(1.0 for _ in range(n))
-    if len(weights) != n:
-        raise ValueError("need one phase weight per graph vertex")
     obs = _Observables(make_space([2] * n), graph)
     if phi_q is None:
         mixer, kicks, meta = _ideal_mixer(obs.violations == 0), None, {"path": "ideal"}
@@ -421,15 +411,13 @@ def _anneal_mis_pure(graph: ProblemGraph, schedule: Schedule, phi_q: float | Non
         mixer, meta = _transverse_mixer(n), {"path": "statevector", "phi_q": phi_q}
         kicks = np.exp(1j * (math.pi + phi_q) * obs.violations)
     proj = np.column_stack([obs.optimal, obs.violations == 0]).astype(float)
-    amps, records = _run_pure(schedule, mixer, obs.bits @ np.asarray(weights), proj,
-                              kicks=kicks)
+    amps, records = _run_pure(schedule, mixer, obs.number, proj, kicks=kicks)
     return _pure_report(schedule, obs.bits, amps, records[..., 0],
-                        1.0 - records[..., 1], meta, keep_final_state)
+                        1.0 - records[..., 1], meta)
 
 
 def anneal_statevector(graph: ProblemGraph, schedule: Schedule,
-                       phi_q: float,
-                       keep_final_state: bool = False) -> AnnealReport:
+                       phi_q: float) -> AnnealReport:
     """Pure-state run with the coherent-limit constraint.
 
     Each edge multiplies the |1_j 1_k> amplitudes by exp(i (pi + phi_q)),
@@ -438,13 +426,12 @@ def anneal_statevector(graph: ProblemGraph, schedule: Schedule,
     """
     if not math.isfinite(phi_q):
         raise ValueError("phi_q must be finite")
-    return _anneal_mis_pure(graph, schedule, phi_q, keep_final_state)
+    return _anneal_mis_pure(graph, schedule, phi_q)
 
 
-def anneal_ideal(graph: ProblemGraph, schedule: Schedule,
-                 keep_final_state: bool = False) -> AnnealReport:
+def anneal_ideal(graph: ProblemGraph, schedule: Schedule) -> AnnealReport:
     """Reference run: driver matrix elements into non-independent sets are zeroed."""
-    return _anneal_mis_pure(graph, schedule, None, keep_final_state)
+    return _anneal_mis_pure(graph, schedule, None)
 
 
 def linear_three_parameter_profile(n_cycle: int, r_tot):
@@ -464,8 +451,7 @@ def linear_three_parameter_profile(n_cycle: int, r_tot):
     return tau, phi, c, zeta
 
 
-def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot,
-                keep_final_state: bool = False) -> AnnealReport:
+def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot) -> AnnealReport:
     """Three-parameter anneal minimizing E = sum_jk s_j s_k Q_jk on the
     :func:`linear_three_parameter_profile` ramp.
 
@@ -485,4 +471,4 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot,
     meta = {"path": "qubo", "energy": energy,
             "optima": list(map(tuple, bits[optimal].tolist()))}
     return _pure_report(schedule, bits, amps, records[..., 0],
-                        np.zeros_like(records[..., 0]), meta, keep_final_state)
+                        np.zeros_like(records[..., 0]), meta)

@@ -86,8 +86,6 @@ class Settings:
             value = flag
         elif self.cfg.has_option(self.section, key):
             value = self.cfg.get(self.section, key)
-        elif self.cfg.has_option("common", key):
-            value = self.cfg.get("common", key)
         else:
             value = default
         try:

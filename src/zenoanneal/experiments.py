@@ -15,7 +15,7 @@ from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form_uncorrected,
                        pair_coherence_ode, sfg_rate_for_tpa_target)
 from .anneal import (anneal_density, anneal_ideal, anneal_statevector,
-                     make_schedule, qubo_anneal, weighted_phases)
+                     make_schedule, qubo_anneal)
 from .fock import make_space, vacuum
 from .gadgets import ConstraintParams, drive_generator
 from .problems import (ProblemGraph, brute_force_mis, mitigation_encode,
@@ -89,21 +89,18 @@ def _drive_p1(kind: str, gamma: float, eta: float, t: float) -> float:
     return float(diag[occ == 1].sum())
 
 
-def _coherence_point(args):
-    ratio, gamma = args
+def _coherence_point(ratio: float, gamma: float) -> float:
     eta = ratio * CRITICAL_ETA_FACTOR * gamma
     return _drive_p1("sfg", gamma, eta, math.pi / 2.0)
 
 
-def _markov_point(args):
-    eta_over_gtpa, gamma_tpa = args
+def _markov_point(eta_over_gtpa: float, gamma_tpa: float) -> float:
     eta = eta_over_gtpa * gamma_tpa
     gamma = sfg_rate_for_tpa_target(gamma_tpa, eta)
     return _drive_p1("sfg", gamma, eta, math.pi / 2.0)
 
 
-def _tpa_point(args):
-    _, gamma = args
+def _tpa_point(_, gamma: float) -> float:
     return _drive_p1("tpa", gamma, 0.0, math.pi / 2.0)
 
 
@@ -132,7 +129,7 @@ def gamma_99(ratio: float, lo: float = 0.2, hi: float = 4096.0,
     capped solve there can end farther from the root than bisection would.
     """
     _check_gamma99_args(lo, hi, iters)
-    f = lambda g: _coherence_point((ratio, g)) - target
+    f = lambda g: _coherence_point(ratio, g) - target
     fa = f(lo)
     if fa > 0:
         return lo
@@ -164,13 +161,14 @@ def gamma_99(ratio: float, lo: float = 0.2, hi: float = 4096.0,
     return math.exp(b)
 
 
-def _curve_rows(kind: str, point, args, stop_at: float):
-    """Rows of one curve in grid order, ending at the first p1 >= stop_at;
-    the points past that one are never evaluated."""
+def _curve_rows(kind: str, ratio, gammas, point, stop_at: float):
+    """Rows point(ratio, gamma) of one curve in gamma-grid order, ending at the
+    first p1 >= stop_at; the points past that one are never evaluated."""
     rows = []
-    for r, g in args:
-        p1 = point((r, g))
-        rows.append((kind, r, g, p1, int(p1 >= stop_at)))
+    ratio = float(ratio)
+    for g in map(float, gammas):
+        p1 = point(ratio, g)
+        rows.append((kind, ratio, g, p1, int(p1 >= stop_at)))
         if p1 >= stop_at:
             break
     return rows
@@ -192,17 +190,14 @@ def drive_sweep_rows(ratios, gammas, markov_ratios, gamma_tpas,
     header = ["row_kind", "eta_ratio", "gamma", "p1", "reached_target"]
     rows = []
     for ratio in ratios:
-        args = [(float(ratio), float(g)) for g in gammas]
-        rows += _curve_rows("sweep", _coherence_point, args, stop_at)
+        rows += _curve_rows("sweep", ratio, gammas, _coherence_point, stop_at)
         rows.append(("gamma99", float(ratio),
                      gamma_99(float(ratio), lo=gamma99_lo, hi=gamma99_hi,
                               target=stop_at, iters=gamma99_iters),
                      stop_at, 1))
     for ratio in markov_ratios:
-        args = [(float(ratio), float(g)) for g in gamma_tpas]
-        rows += _curve_rows("markov", _markov_point, args, stop_at)
-    rows += _curve_rows("tpa_ref", _tpa_point, [(0.0, float(g)) for g in gamma_tpas],
-                        stop_at)
+        rows += _curve_rows("markov", ratio, gamma_tpas, _markov_point, stop_at)
+    rows += _curve_rows("tpa_ref", 0.0, gamma_tpas, _tpa_point, stop_at)
     return header, rows
 
 
@@ -290,8 +285,7 @@ def wmis_rows(w0_grid, n_cycle: int, r_tot: float,
 
     def point(w0):
         g = ProblemGraph(2, frozenset({(0, 1)}), (float(w0), 1.0))
-        schedule = weighted_phases(make_schedule(n_cycle, r_tot), (float(w0), 1.0))
-        rep = anneal_statevector(g, schedule, phi_q)
+        rep = anneal_statevector(g, make_schedule(n_cycle, r_tot), phi_q)
         p = rep.final_populations
         return (float(w0), p[(0, 0)], p[(0, 1)], p[(1, 0)], p[(1, 1)],
                 float(rep.success[-1]))

@@ -142,10 +142,10 @@ class DensityState:
         if mat.shape != (d, d):
             raise ValueError(f"density matrix has shape {mat.shape}, expected ({d}, {d})")
         herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_err > HERMITICITY_TOL:
+        if not herm_err <= HERMITICITY_TOL:  # NaN fails too
             raise ValueError(f"density matrix not Hermitian (max deviation {herm_err:.3e})")
         tr_err = abs(complex(np.trace(mat)) - 1.0)
-        if tr_err > TRACE_TOL:
+        if not tr_err <= TRACE_TOL:
             raise ValueError(f"density matrix trace differs from 1 by {tr_err:.3e}")
         object.__setattr__(self, "matrix", mat)
 
@@ -253,35 +253,6 @@ def apply_local_operator_vector(op: np.ndarray, amps: np.ndarray,
                                 space: FockSpace, targets) -> np.ndarray:
     """Apply a local operator to a raw amplitude vector."""
     return _apply_axes(op, amps, space.mode_dims, targets)
-
-
-def apply_local(op: np.ndarray, state: PureState | DensityState, targets):
-    """Apply an operator or superoperator on a subset of modes.
-
-    ``op`` of shape (d, d) is treated as an operator (unitary conjugation for
-    density inputs); shape (d^2, d^2) as a superoperator on the column-stacked
-    local block.  ``d`` must equal the product of the targeted mode dims.
-    """
-    targets = [int(t) for t in targets]
-    if len(set(targets)) != len(targets):
-        raise ValueError("duplicate target modes")
-    for t in targets:
-        if t < 0 or t >= state.space.n_modes:
-            raise ValueError(f"target mode {t} out of range")
-    d_loc = math.prod(state.space.mode_dims[t] for t in targets)
-    op = np.asarray(op)
-    if isinstance(state, PureState):
-        if op.shape != (d_loc, d_loc):
-            raise ValueError(f"operator shape {op.shape} does not match local dim {d_loc}")
-        return PureState(state.space,
-                         apply_local_operator_vector(op, state.amplitudes, state.space, targets))
-    if op.shape == (d_loc, d_loc):
-        mat = apply_local_operator_matrix(op, state.matrix, state.space, targets)
-    elif op.shape == (d_loc * d_loc, d_loc * d_loc):
-        mat = apply_local_superop_matrix(op, state.matrix, state.space, targets)
-    else:
-        raise ValueError(f"operator shape {op.shape} does not match local dim {d_loc}")
-    return DensityState(state.space, mat)
 
 
 def embed_local_operator(op: np.ndarray, space: FockSpace, targets) -> np.ndarray:

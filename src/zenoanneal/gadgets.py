@@ -52,14 +52,6 @@ class ConstraintParams:
         if self.eta_t < 0:
             raise ValueError("eta_t must be nonnegative")
 
-    @property
-    def coherence_mode(self) -> str:
-        if math.isclose(self.gamma_t, GAMMA_T_INCOHERENT, rel_tol=1e-9):
-            return "incoherent"
-        if self.eta_t == 0 and math.isclose(self.gamma_t, GAMMA_T_COHERENT, rel_tol=1e-9):
-            return "coherent"
-        return "partial"
-
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -210,10 +202,3 @@ def constraint_superop(space: FockSpace, j: int, k: int,
         local = pumped_phase_gadget(make_space([space.mode_dims[mode]]), 0, params)
         nl[mode] = embed_local_superop(local.matrix, space, [mode])
     return Superoperator(space, s_bs.conj().T @ nl[j] @ nl[k] @ s_bs)
-
-
-def conservative_pump_phase(d: float) -> float:
-    """Safe pump phase pi + pi/d for a resolution parameter d > 0."""
-    if d <= 0:
-        raise ValueError("d must be positive")
-    return math.pi + math.pi / d

@@ -7,6 +7,7 @@ against; they enumerate all 2^n assignments and are guarded to n <= 24.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,11 @@ BRUTE_FORCE_MAX_VERTICES = 24
 
 @dataclass(frozen=True)
 class ProblemGraph:
-    """Undirected graph with optional positive node weights."""
+    """Undirected graph with optional finite positive node weights.
+
+    The weights score a run (WMIS optima) and drive its per-node phase
+    rotations; without them every node weighs 1.
+    """
 
     n_vertices: int
     edges: frozenset[tuple[int, int]]
@@ -38,8 +43,8 @@ class ProblemGraph:
             w = tuple(float(x) for x in self.weights)
             if len(w) != self.n_vertices:
                 raise ValueError("need one weight per vertex")
-            if any(x <= 0 for x in w):
-                raise ValueError("weights must be positive")
+            if not all(math.isfinite(x) and x > 0 for x in w):
+                raise ValueError("weights must be finite and positive")
             object.__setattr__(self, "weights", w)
 
     def sorted_edges(self) -> list[tuple[int, int]]:

@@ -4,15 +4,16 @@ Entry points:
 
 * :func:`expm_dense` materializes exp(t G) as a dense superoperator, up to
   Hilbert dimension ``DENSE_DIM_THRESHOLD``,
-* :func:`expm_apply` and :func:`expm_apply_vec` compute the action on one
-  state without ever forming the dense matrix (Al-Mohy & Higham, SIAM J. Sci.
+* :func:`expm_apply_vec` computes the action on one vectorized state
+  without ever forming the dense matrix (Al-Mohy & Higham, SIAM J. Sci.
   Comput. 33, 2011),
 * :func:`trajectory` returns the states on an evenly spaced time grid from 0:
   one dense step raised to successive powers up to ``DENSE_DIM_THRESHOLD``,
   the action method's interval form above it,
-* :class:`BinaryExpCache` (:func:`build_cache`, :func:`apply_cached`)
-  precomputes exponentials for halved durations so a sweep with per-cycle
-  times never exponentiates inside its inner loop.
+* :class:`BinaryExpCache` (:func:`build_cache`) precomputes exponentials for
+  halved durations; :meth:`BinaryExpCache.matrix_for` composes them into the
+  map for any per-cycle time, so a sweep never exponentiates inside its
+  inner loop.
 
 Phase rotations additionally get :class:`PhaseKernel`: the superoperator of a
 weighted photon-number rotation is diagonal in the number basis, so applying
@@ -50,10 +51,6 @@ class Superoperator:
     space: FockSpace
     matrix: np.ndarray
 
-    def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        d = self.space.total_dim
-        return (self.matrix @ mat.flatten(order="F")).reshape((d, d), order="F")
-
     def apply(self, state: DensityState) -> DensityState:
         return devectorize(self.matrix @ vectorize(state), self.space)
 
@@ -71,17 +68,11 @@ def expm_dense(gen: GeneratorSpec, t: float) -> Superoperator:
     d = gen.space.total_dim
     if d > DENSE_DIM_THRESHOLD:
         raise DimensionGuardError(
-            f"total_dim {d} exceeds dense cap {DENSE_DIM_THRESHOLD}; use expm_apply")
+            f"total_dim {d} exceeds dense cap {DENSE_DIM_THRESHOLD}; use expm_apply_vec")
     mat = scipy.linalg.expm((t * gen.matrix).toarray())
     if not np.all(np.isfinite(mat)):
         raise NonConvergenceError("matrix exponential produced non-finite entries")
     return Superoperator(gen.space, mat)
-
-
-def expm_apply(gen: GeneratorSpec, t: float, state: DensityState) -> DensityState:
-    """Action of exp(t G) on one state without forming the dense matrix."""
-    vec = expm_apply_vec(gen, t, vectorize(state))
-    return devectorize(vec, gen.space)
 
 
 def _expm_multiply(mat, vec: np.ndarray, **interval) -> np.ndarray:
@@ -100,6 +91,7 @@ def _expm_multiply(mat, vec: np.ndarray, **interval) -> np.ndarray:
 
 
 def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
+    """exp(t G) vec without forming the dense matrix."""
     _check_time(gen, t)
     return _expm_multiply(gen.matrix * t, vec)
 
@@ -162,12 +154,6 @@ class BinaryExpCache:
             step /= 2
         return chosen
 
-    def apply_vec(self, t: float, vec: np.ndarray) -> np.ndarray:
-        out = vec
-        for j in self.select_stages(t):
-            out = self.stages[j].matrix @ out
-        return out
-
     def matrix_for(self, t: float) -> np.ndarray:
         """Composed superoperator matrix for duration t (small spaces only)."""
         d2 = self.generator.space.total_dim ** 2
@@ -185,10 +171,6 @@ def build_cache(gen: GeneratorSpec, t_max: float, m: int) -> BinaryExpCache:
         raise ValueError("t_max must be positive")
     stages = tuple(expm_dense(gen, t_max / 2 ** j) for j in range(m))
     return BinaryExpCache(gen, float(t_max), int(m), stages)
-
-
-def apply_cached(cache: BinaryExpCache, t: float, state: DensityState) -> DensityState:
-    return devectorize(cache.apply_vec(t, vectorize(state)), cache.generator.space)
 
 
 class PhaseKernel:

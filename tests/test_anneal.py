@@ -10,10 +10,9 @@ from zenoanneal import anneal
 from zenoanneal.anneal import (_transverse_mixer, anneal_density, anneal_ideal,
                                anneal_statevector, leakage,
                                linear_three_parameter_profile, make_schedule,
-                               qubo_anneal, success_probability,
-                               weighted_phases)
-from zenoanneal.fock import (DensityState, make_space, number_state, vacuum,
-                            von_neumann_entropy)
+                               qubo_anneal, success_probability)
+from zenoanneal.fock import (DensityState, make_space, number_state, population,
+                            vacuum, von_neumann_entropy)
 from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 GAMMA_T_COHERENT, GAMMA_T_INCOHERENT,
                                 constraint_superop, embed_local_superop,
@@ -81,16 +80,6 @@ def test_batched_schedule_rows_equal_single_schedules():
         assert np.array_equal(profile[3][row], zeta)
 
 
-def test_weighted_phases():
-    s = make_schedule(10, 5.0)
-    w = weighted_phases(s, (1.0, 2.0))
-    assert w.weights == (1.0, 2.0)
-    assert np.array_equal(w.phi, s.phi)
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            weighted_phases(s, (1.0, bad))
-
-
 def x_rotation(c):
     """exp(-i c X) on one qubit."""
     return np.array([[math.cos(c), -1j * math.sin(c)],
@@ -119,8 +108,7 @@ def test_single_mode_transfer_matches_two_level_oracle():
 def test_statevector_matches_density_when_coherent():
     g = three_node_line()
     schedule = make_schedule(120, 20 * math.pi)
-    rep_d = anneal_density(g, schedule, ConstraintParams(0.7, GAMMA_T_COHERENT),
-                           record_entropy=False)
+    rep_d = anneal_density(g, schedule, ConstraintParams(0.7, GAMMA_T_COHERENT))
     rep_s = anneal_statevector(g, schedule, 0.7)
     assert np.max(np.abs(rep_d.success - rep_s.success)) < 1e-8
     assert np.max(np.abs(rep_d.leakage - rep_s.leakage)) < 1e-8
@@ -144,7 +132,7 @@ def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
     then each sorted edge's gadget by einsum."""
     n = graph.n_vertices
     space = make_space([mode_dim] * n)
-    weights = schedule.weights or (1.0,) * n
+    weights = graph.weights or (1.0,) * n
     number = sum(w * reduce(np.kron, [np.arange(mode_dim) if k == m else np.ones(mode_dim)
                                       for k in range(n)])
                  for m, w in enumerate(weights))
@@ -172,12 +160,9 @@ def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
                                         ConstraintParams(PHI_Q, GAMMA_T_COHERENT)],
                          ids=["incoherent", "partial", "coherent"])
 def test_density_cycle_matches_global_superoperators(weights, constraint):
-    g = three_node_line()
+    g = graph_from_edges(3, [(0, 1), (1, 2)], weights=weights)
     schedule = make_schedule(24, 6 * math.pi)
-    if weights is not None:
-        schedule = weighted_phases(schedule, weights)
-    rep = anneal_density(g, schedule, constraint, record_entropy=False,
-                         keep_final_state=True)
+    rep = anneal_density(g, schedule, constraint)
     expect = density_cycle_oracle(g, schedule, constraint)[0]
     assert np.max(np.abs(rep.final_state.matrix - expect)) < 1e-12
 
@@ -200,9 +185,9 @@ def test_qubit_block_run_matches_full_space_oracle(n, weighted, gamma_t, eta_t):
     g = _random_graph(rng, n)
     schedule = make_schedule(32, rng.uniform(4 * math.pi, 10 * math.pi))
     if weighted:
-        schedule = weighted_phases(schedule, rng.uniform(0.5, 2.0, size=n))
+        g = graph_from_edges(n, g.edges, weights=rng.uniform(0.5, 2.0, size=n))
     constraint = ConstraintParams(PHI_Q, gamma_t, eta_t)
-    rep = anneal_density(g, schedule, constraint, keep_final_state=True)
+    rep = anneal_density(g, schedule, constraint)
     rho, success, leak, entropy = density_cycle_oracle(g, schedule, constraint)
     assert rep.meta["space"] == "qubit-block"
     assert np.max(np.abs(rep.final_state.matrix - rho)) < 1e-13
@@ -228,6 +213,23 @@ def test_qubit_block_run_refuses_a_gadget_that_leaves_the_block(monkeypatch, gad
     with pytest.raises(NonConvergenceError, match="0/1 block"):
         anneal_density(three_node_line(), make_schedule(4, 1.0),
                        ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
+
+
+def trace_breaking_gadget(space, j, k, params):
+    """1.1 x the identity on [3, 3]: keeps the 0/1 block closed but grows the
+    trace every time it is applied."""
+    return Superoperator(space, 1.1 * np.eye(space.total_dim ** 2))
+
+
+@pytest.mark.parametrize("drive_mode, drive", [("ideal-2level", None),
+                                               ("zeno-tpa", DriveParams(1.0, 40.0))],
+                         ids=["qubit-block", "full-space"])
+def test_density_run_that_breaks_the_trace_raises(monkeypatch, drive_mode, drive):
+    monkeypatch.setattr(anneal, "constraint_superop", trace_breaking_gadget)
+    with pytest.raises(NonConvergenceError, match="trace"):
+        anneal_density(three_node_line(), make_schedule(4, 1.0),
+                       ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
+                       drive_mode=drive_mode, drive=drive)
 
 
 def test_density_report_records_space_and_block_leak():
@@ -270,7 +272,7 @@ def _pure_runs():
     return {
         "statevector": lambda r: anneal_statevector(five, make_schedule(48, r), PHI_Q),
         "weighted-statevector": lambda r: anneal_statevector(
-            weighted, weighted_phases(make_schedule(48, r), weighted.weights), 0.7),
+            weighted, make_schedule(48, r), 0.7),
         "ideal": lambda r: anneal_ideal(five, make_schedule(48, r)),
         "qubo": lambda r: qubo_anneal(q, 48, r),
     }
@@ -327,9 +329,11 @@ def test_ideal_path_never_leaks():
 
 def test_ideal_path_concentrates_on_optimum():
     g = five_node_example()
-    rep = anneal_ideal(g, make_schedule(256, 40 * math.pi), keep_final_state=True)
+    rep = anneal_ideal(g, make_schedule(256, 40 * math.pi))
     assert rep.success[-1] > 0.95
     assert rep.final_populations[(1, 0, 0, 1, 1)] > 0.95
+    assert abs(population(rep.final_state, (1, 0, 0, 1, 1))
+               - rep.final_populations[(1, 0, 0, 1, 1)]) < 1e-12
 
 
 def test_zeno_tpa_drive_mode_approaches_ideal():
@@ -337,14 +341,12 @@ def test_zeno_tpa_drive_mode_approaches_ideal():
     # from the exact two-level drive must shrink as the absorber strengthens
     g = graph_from_edges(1, [])
     schedule = make_schedule(60, 6 * math.pi)
-    ideal = anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
-                           record_entropy=False)
+    ideal = anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
     diffs = []
     for gamma in (150.0, 600.0):
         zeno = anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
                               drive_mode="zeno-tpa",
-                              drive=DriveParams(c=1.0, gamma=gamma),
-                              record_entropy=False)
+                              drive=DriveParams(c=1.0, gamma=gamma))
         diffs.append(abs(zeno.success[-1] - ideal.success[-1]))
     assert diffs[1] < diffs[0]
     assert diffs[1] < 0.05
@@ -353,14 +355,12 @@ def test_zeno_tpa_drive_mode_approaches_ideal():
 def test_zeno_sfg_drive_mode_approaches_ideal():
     g = graph_from_edges(1, [])
     schedule = make_schedule(60, 6 * math.pi)
-    ideal = anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
-                           record_entropy=False)
+    ideal = anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
     diffs = []
     for gamma in (20.0, 50.0):
         zeno = anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
                               drive_mode="zeno-sfg",
-                              drive=DriveParams(c=1.0, gamma=gamma),
-                              record_entropy=False)
+                              drive=DriveParams(c=1.0, gamma=gamma))
         diffs.append(abs(zeno.success[-1] - ideal.success[-1]))
     assert diffs[1] < diffs[0]
     assert diffs[1] < 0.05
@@ -381,30 +381,46 @@ def test_anneal_guards():
     with pytest.raises(ValueError):
         anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
                        mode_dim=2)
-    with pytest.raises(ValueError):
-        anneal_density(g, weighted_phases(schedule, (1.0, 1.0)),
-                       ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
     with pytest.raises(ValueError, match="phi_q"):
         anneal_statevector(g, schedule, math.nan)
+
+
+# Final success on the two-node graph w = (1.5, 1.0), 400 cycles and
+# r_tot = 80 pi, as each path gave with these weights set on the schedule
+# instead of the graph; run with unit phases, each reads about 0.5.
+WEIGHTED_TWO_NODE_SUCCESS = {"statevector": 0.9978306852866239,
+                             "ideal": 0.9997315485071334,
+                             "density": 0.9978306852866403}
+
+
+@pytest.mark.parametrize("path", sorted(WEIGHTED_TWO_NODE_SUCCESS))
+def test_weighted_graph_anneals_with_its_own_weights(path):
+    g = graph_from_edges(2, [(0, 1)], weights=(1.5, 1.0))
+    schedule = make_schedule(400, 80 * math.pi)
+    if path == "statevector":
+        rep = anneal_statevector(g, schedule, PHI_Q)
+    elif path == "ideal":
+        rep = anneal_ideal(g, schedule)
+    else:
+        rep = anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
+    assert abs(rep.success[-1] - WEIGHTED_TWO_NODE_SUCCESS[path]) < 1e-12
+    assert rep.final_populations[(1, 0)] > 0.99
 
 
 def test_wmis_two_node_crossover():
     g = graph_from_edges(2, [(0, 1)])
     for w0, expect in ((0.5, (0, 1)), (1.5, (1, 0))):
-        schedule = weighted_phases(make_schedule(400, 80 * math.pi), (w0, 1.0))
         gw = graph_from_edges(2, [(0, 1)], weights=(w0, 1.0))
-        rep = anneal_density(gw, schedule,
-                             ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
-                             record_entropy=False)
+        rep = anneal_density(gw, make_schedule(400, 80 * math.pi),
+                             ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
         assert rep.final_populations[expect] > 0.9
         assert rep.success[-1] > 0.9
 
 
 def test_equal_weights_symmetric():
     g = graph_from_edges(2, [(0, 1)])
-    schedule = weighted_phases(make_schedule(300, 60 * math.pi), (1.0, 1.0))
-    rep = anneal_density(g, schedule, ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
-                         record_entropy=False)
+    rep = anneal_density(g, make_schedule(300, 60 * math.pi),
+                         ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
     p = rep.final_populations
     assert abs(p[(0, 1)] - p[(1, 0)]) < 1e-9
 

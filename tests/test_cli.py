@@ -7,7 +7,7 @@ from zenoanneal import anneal, experiments
 from zenoanneal.cli import main
 from zenoanneal.propagator import DimensionGuardError
 
-from test_anneal import leaky_gadget
+from test_anneal import leaky_gadget, trace_breaking_gadget
 
 
 def run(args):
@@ -210,6 +210,16 @@ def test_constraint_sweep_gadget_leaving_the_qubit_block_exits_2(tmp_path, monke
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("numerical guard: edge gadget moves")
+    assert not os.path.exists(tmp_path / "cs.csv")
+
+
+def test_constraint_sweep_gadget_breaking_the_trace_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(anneal, "constraint_superop", trace_breaking_gadget)
+    code = run(["constraint-sweep", "--gamma-ts", "1.0", "--n-cycles", "16",
+                "--out", tmp_path / "cs.csv"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("numerical guard: final density state")
     assert not os.path.exists(tmp_path / "cs.csv")
 
 

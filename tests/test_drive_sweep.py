@@ -18,23 +18,23 @@ def evaluated(monkeypatch):
     seen = []
     point = experiments._coherence_point
 
-    def counted(args):
-        seen.append(args)
-        return point(args)
+    def counted(ratio, gamma):
+        seen.append((ratio, gamma))
+        return point(ratio, gamma)
 
     monkeypatch.setattr(experiments, "_coherence_point", counted)
     return seen
 
 
 def fake_p1(monkeypatch, p1):
-    monkeypatch.setattr(experiments, "_coherence_point", lambda args: p1(args[1]))
+    monkeypatch.setattr(experiments, "_coherence_point", lambda ratio, gamma: p1(gamma))
 
 
 def test_gamma_99_above_switch_matches_bisection_in_few_evaluations(evaluated):
     g = gamma_99(0.005, lo=10.3, hi=20.0)
     assert abs(g / BISECTION_ROOT - 1.0) < 1e-11
     assert len(evaluated) <= 15
-    assert experiments._coherence_point((0.005, g)) >= 0.99
+    assert experiments._coherence_point(0.005, g) >= 0.99
 
 
 def test_gamma_99_bisects_across_truncation_switch():
@@ -105,5 +105,5 @@ def test_action_path_repeats_whatever_the_global_seed():
     values = set()
     for seed in range(6):
         np.random.seed(seed)
-        values.add(experiments._coherence_point((1.0, 330.174958128)))
+        values.add(experiments._coherence_point(1.0, 330.174958128))
     assert len(values) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ def test_graph_validation():
         graph_from_edges(2, [(0, 5)])
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 1)], weights=(1.0, -2.0))
+    with pytest.raises(ValueError, match="one weight per vertex"):
+        graph_from_edges(2, [(0, 1)], weights=(1.0,))
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf])
+def test_graph_rejects_weights_that_are_not_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        graph_from_edges(2, [(0, 1)], weights=(1.0, bad))
 
 
 def test_mis_three_node_line():

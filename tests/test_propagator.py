@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from zenoanneal.fock import make_space, number_state, vectorize
+from zenoanneal.fock import devectorize, make_space, number_state, vectorize
 from zenoanneal.gadgets import drive_generator
 from zenoanneal.generators import (combine, displacement_generator,
                                    loss_dissipator, phase_generator,
                                    tpa_dissipator)
 from zenoanneal.propagator import (DimensionGuardError, PhaseKernel,
-                                   _expm_multiply, apply_cached, build_cache,
-                                   expm_apply, expm_apply_vec, expm_dense,
-                                   trajectory)
+                                   _expm_multiply, build_cache, expm_apply_vec,
+                                   expm_dense, trajectory)
 
 from test_fock import random_density
 
@@ -51,7 +50,7 @@ def test_expm_apply_matches_dense():
     gen = random_generator(1, dims=(3, 2))
     rho = random_density(gen.space, seed=2)
     dense = expm_dense(gen, 0.7).apply(rho)
-    action = expm_apply(gen, 0.7, rho)
+    action = devectorize(expm_apply_vec(gen, 0.7, vectorize(rho)), gen.space)
     assert np.max(np.abs(dense.matrix - action.matrix)) < 1e-9
     assert abs(np.trace(action.matrix) - 1) < 1e-10
 
@@ -84,32 +83,28 @@ def test_dense_dimension_guard():
 def test_cache_exact_at_t_max_and_zero():
     gen = random_generator(5)
     cache = build_cache(gen, t_max=0.8, m=8)
-    rho = random_density(gen.space, seed=6)
-    direct = expm_dense(gen, 0.8).apply(rho)
-    cached = apply_cached(cache, 0.8, rho)
-    assert np.max(np.abs(direct.matrix - cached.matrix)) < 1e-13
-    ident = apply_cached(cache, 0.0, rho)
-    assert np.max(np.abs(ident.matrix - rho.matrix)) == 0.0
+    direct = expm_dense(gen, 0.8).matrix
+    assert np.max(np.abs(direct - cache.matrix_for(0.8))) < 1e-13
+    assert np.array_equal(cache.matrix_for(0.0), np.eye(direct.shape[0]))
 
 
 def test_cache_random_times_match_dense():
     gen = random_generator(7)
     t_max = 0.6
     cache = build_cache(gen, t_max=t_max, m=30)
-    rho = random_density(gen.space, seed=8)
+    rho = vectorize(random_density(gen.space, seed=8))
     rng = np.random.default_rng(9)
     for t in rng.uniform(0.0, 2 * t_max - 1e-9, size=8):
-        direct = expm_dense(gen, float(t)).apply(rho)
-        cached = apply_cached(cache, float(t), rho)
-        assert np.max(np.abs(direct.matrix - cached.matrix)) < 1e-8
+        direct = expm_dense(gen, float(t)).matrix @ rho
+        cached = cache.matrix_for(float(t)) @ rho
+        assert np.max(np.abs(direct - cached)) < 1e-8
 
 
 def test_cache_guards():
     gen = random_generator(10)
     cache = build_cache(gen, t_max=0.5, m=4)
-    rho = random_density(gen.space, seed=11)
     with pytest.raises(ValueError):
-        apply_cached(cache, 1.0, rho)
+        cache.matrix_for(1.0)
     with pytest.raises(ValueError):
         build_cache(gen, t_max=0.5, m=0)
 
