@@ -9,12 +9,13 @@ Node weights come from the graph alone: node j's phase each cycle is
 phi_i * w_j with ``ProblemGraph.weights`` (unit weights when it has none),
 and the same weights pick the optimal sets that success is scored against.
 
-``anneal_density`` runs that cycle on a density matrix with the physical
-constraint gadget (built on per-mode dim >= 3) per edge.  The exact
+``_run_density`` runs that cycle on a (B, D, D) stack of density matrices,
+one row per schedule, with the physical constraint gadget (built on per-mode
+dim >= 3) per edge; ``anneal_density`` is its one-row case.  The exact
 two-level drive keeps rho in the 2^n x 2^n block of 0/1 patterns, where phase
-and drive are one unitary V rho V^dag; the TPA and SFG drives populate |2>,
-so they run on the full space as a :class:`PhaseKernel` multiply and one
-local drive superoperator per mode.
+and drive are one unitary V rho V^dag per row; the TPA and SFG drives populate
+|2>, so they run one row on the full space as a :class:`PhaseKernel` multiply
+and one local drive superoperator per mode.
 ``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
 row of a batched schedule (a sequence of r_tot), for three paths:
 ``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
@@ -34,7 +35,7 @@ import numpy as np
 # apply_local_operator_matrix is unused here but perfbench/tracing.py binds it.
 from .fock import (DensityState, FockSpace, PureState,
                    apply_local_operator_matrix, apply_local_superop_matrix,
-                   make_space, vacuum, von_neumann_entropy)
+                   make_space, von_neumann_entropy)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       drive_generator, pump_maps)
 from .problems import ProblemGraph
@@ -132,11 +133,11 @@ class _Observables:
         self.optima_idx = self.pattern_idx[self.optimal]
         self.independent_idx = self.pattern_idx[self.violations == 0]
 
-    def success(self, diag: np.ndarray) -> float:
-        return float(diag[self.optima_idx].sum())
+    def success(self, diag: np.ndarray):
+        return diag.take(self.optima_idx, axis=-1).sum(axis=-1)
 
-    def leakage(self, diag: np.ndarray) -> float:
-        return float(1.0 - diag[self.independent_idx].sum())
+    def leakage(self, diag: np.ndarray):
+        return 1.0 - diag.take(self.independent_idx, axis=-1).sum(axis=-1)
 
     def qubit_populations(self, diag: np.ndarray) -> dict[tuple[int, ...], float]:
         return dict(zip(self.patterns, diag[self.pattern_idx].tolist()))
@@ -145,13 +146,13 @@ class _Observables:
 def success_probability(state, graph: ProblemGraph) -> float:
     """Population on the basis patterns of every optimal vertex set."""
     obs = _Observables(state.space, graph)
-    return obs.success(_diag(state))
+    return float(obs.success(_diag(state)))
 
 
 def leakage(state, graph: ProblemGraph) -> float:
     """Population outside independent 0/1 patterns (including >= 2 photons)."""
     obs = _Observables(state.space, graph)
-    return obs.leakage(_diag(state))
+    return float(obs.leakage(_diag(state)))
 
 
 def _diag(state) -> np.ndarray:
@@ -163,7 +164,8 @@ def _diag(state) -> np.ndarray:
 def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
                c_max: float):
     """(rho, phi, c) -> the weighted phase, then one local drive
-    superoperator per mode, composed from a binary exponential cache.
+    superoperator per mode, composed from a binary exponential cache, on a
+    (1, D, D) stack: the full-space drive runs one row at a time.
 
     The drive hardware runs for t = c / drive.c <= c_max / drive.c each
     cycle, so the blockade exposure scales together with the rotation angle
@@ -184,6 +186,7 @@ def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
     phase = PhaseKernel(space, weights)
 
     def step(rho, phi, c):
+        (phi,), (c,) = phi, c
         rho = phase.apply_matrix(rho, phi)
         drive_map = local_drive(c)
         for m in range(space.n_modes):
@@ -194,24 +197,24 @@ def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
 
 
 def _ideal_step(n: int, weights):
-    """(rho, phi, c) -> V rho V^dag on the 2^n qubit block, where
-    V = W diag(exp(-i c lam)) W diag(exp(-i phi N_w)) is the weighted phase
-    followed by exp(-i c X) on every qubit: W = H^{(x)n}, lam = n - 2 popcount
-    and N_w = bits @ weights, as in the pure-state mixer.
+    """(rho, phi, c) -> V_b rho_b V_b^dag for each row b of a (B, 2^n, 2^n)
+    stack, where V = W diag(exp(-i c lam)) W diag(exp(-i phi N_w)) is the
+    weighted phase followed by exp(-i c X) on every qubit: W = H^{(x)n},
+    lam = n - 2 popcount and N_w = bits @ weights, as in the pure-state mixer.
 
     W W is formed from the exact +-1 signs and divided by 2^n, which is also
     exact; a rounded 2^(-n/2) would bias |det V| and drift the trace by about
     1e-16 per cycle.
     """
     bits = _bit_table(n)
-    signs = _walsh_signs(n)
+    signs = _walsh_signs(n).astype(complex)
     mixer_phases = _phase_diagonal(n - 2 * bits.sum(axis=1))
     number_phases = _phase_diagonal(bits @ np.asarray(weights))
 
     def step(rho, phi, c):
-        v = (signs * mixer_phases(np.array([c]))) @ (
-            signs * number_phases(np.array([phi]))) / (1 << n)
-        return v @ rho @ v.conj().T
+        v = (signs * mixer_phases(c)[:, None]) @ (
+            signs * number_phases(phi)[:, None]) / (1 << n)
+        return v @ rho @ v.conj().mT
 
     return step
 
@@ -232,73 +235,107 @@ def anneal_density(graph: ProblemGraph, schedule: Schedule,
                    drive_mode: str = "ideal-2level",
                    drive: DriveParams | None = None,
                    mode_dim: int = 3) -> AnnealReport:
-    """Density-matrix execution with physical constraint gadgets.
+    """Density-matrix execution with physical constraint gadgets: the one-row
+    case of :func:`anneal_density_batch`."""
+    return anneal_density_batch(graph, [schedule], [constraint], drive_mode, drive,
+                                mode_dim)[0]
+
+
+def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
+                         drive_mode: str = "ideal-2level",
+                         drive: DriveParams | None = None,
+                         mode_dim: int = 3) -> list[AnnealReport]:
+    """Density runs of one graph, run b with ``schedules[b]`` and
+    ``constraints[b]``, as rows of one (B, D, D) stack; reports in that order.
 
     ``mode_dim`` >= 3 is required whenever the graph has edges, since the
-    gadgets route population through the two-photon state.  The ideal drive
-    never leaves the 0/1 patterns, so that mode runs on the 2^n qubit block
-    once the gadget is checked to keep it closed; the final state is padded
-    back to the ``mode_dim`` space.  A final state whose trace or
-    hermiticity drifted past the :class:`DensityState` tolerances raises
+    gadgets route population through the two-photon state; each distinct
+    constraint builds its gadget once.  The ideal drive never leaves the 0/1
+    patterns, so it runs in the 2^n qubit block once each gadget is checked
+    to keep it closed; the zeno drives run one schedule on the full space.
+    Rows run longest schedule first and leave the stack as theirs ends.  A
+    final state whose trace or hermiticity drifted past the
+    :class:`DensityState` tolerances, or a NaN state, raises
     :class:`NonConvergenceError`.
     """
     if drive_mode not in DRIVE_MODES:
         raise ValueError(f"drive_mode must be one of {DRIVE_MODES}")
     if graph.edges and mode_dim < 3:
         raise ValueError("constraint gadgets need per-mode dim >= 3")
-    if np.ndim(schedule.phi) != 1:
-        raise ValueError("anneal_density takes one schedule, not a batch of r_tot values")
+    if any(np.ndim(schedule.phi) != 1 for schedule in schedules):
+        raise ValueError("a density run takes one schedule, not a batch of r_tot values")
+    in_block = drive_mode == "ideal-2level"
+    if not in_block and (drive is None or len(schedules) != 1):
+        raise ValueError(f"drive_mode {drive_mode!r} needs DriveParams and runs one schedule")
+    if not schedules:
+        return []
     n = graph.n_vertices
     weights = graph.weights or (1.0,) * n
-    if drive_mode != "ideal-2level" and drive is None:
-        raise ValueError(f"drive_mode {drive_mode!r} needs DriveParams")
 
     edges = graph.sorted_edges()
-    gadget, block, block_leak = None, None, 0.0
-    if edges:
-        gadget = constraint_superop(make_space([mode_dim, mode_dim]), 0, 1, constraint).matrix
-        block, block_leak = _qubit_block(gadget, mode_dim)
+    gadgets = dict.fromkeys(constraints, (None, None, 0.0))
+    for con in gadgets if edges else ():
+        gadget = constraint_superop(make_space([mode_dim, mode_dim]), 0, 1, con).matrix
+        gadgets[con] = (gadget, *_qubit_block(gadget, mode_dim))
     full_space = make_space([mode_dim] * n)
-    in_block = drive_mode == "ideal-2level"
     if in_block:
-        if not block_leak <= BLOCK_LEAK_TOL:
-            raise NonConvergenceError(
-                f"edge gadget moves {block_leak:.3e} out of the 0/1 block "
-                f"(tolerance {BLOCK_LEAK_TOL:g})")
-        space, gadget, step = make_space([2] * n), block, _ideal_step(n, weights)
+        for _, _, block_leak in gadgets.values():
+            if not block_leak <= BLOCK_LEAK_TOL:
+                raise NonConvergenceError(
+                    f"edge gadget moves {block_leak:.3e} out of the 0/1 block "
+                    f"(tolerance {BLOCK_LEAK_TOL:g})")
+        space, step = make_space([2] * n), _ideal_step(n, weights)
     else:
         space = full_space
-        step = _zeno_step(space, weights, drive, drive_mode, float(np.max(schedule.c)))
+        step = _zeno_step(space, weights, drive, drive_mode, float(np.max(schedules[0].c)))
     obs = _Observables(space, graph)
 
-    rho = vacuum(space).to_density().matrix
-    success = np.empty(schedule.n_cycle)
-    entropy = np.empty(schedule.n_cycle)
-    leak = np.empty(schedule.n_cycle)
-    for i in range(schedule.n_cycle):
-        rho = step(rho, float(schedule.phi[i]), float(schedule.c[i]))
-        for (j, k) in edges:
-            rho = apply_local_superop_matrix(gadget, rho, space, [j, k])
-        diag = rho.diagonal().real
-        success[i] = obs.success(diag)
-        leak[i] = obs.leakage(diag)
-        entropy[i] = von_neumann_entropy(rho)
+    order = sorted(range(len(schedules)), key=lambda b: -schedules[b].n_cycle)
+    lengths = [schedules[b].n_cycle for b in order]
+    angles = np.zeros((2, len(order), lengths[0]))
+    for row, b in enumerate(order):
+        angles[:, row, :lengths[row]] = schedules[b].phi, schedules[b].c
+    maps = [gadgets[constraints[b]][1 if in_block else 0] for b in order]
+    shared = all(m is maps[0] for m in maps)  # one map, or one per row
+    ops = maps[0] if shared else np.stack(maps)
+    rho = np.zeros((len(order), space.total_dim, space.total_dim), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    records, finals, k = np.empty((len(order), 3, lengths[0])), list(rho), len(order)
+    for i in range(lengths[0]):
+        while lengths[k - 1] <= i:
+            k -= 1
+            finals[k] = rho[k]
+        rho = step(rho[:k], angles[0, :k, i], angles[1, :k, i])
+        for edge in edges:
+            rho = apply_local_superop_matrix(ops if shared else ops[:k], rho, space, edge)
+        diag = rho.diagonal(0, 1, 2).real
+        records[:k, 0, i], records[:k, 1, i] = obs.success(diag), obs.leakage(diag)
+        try:
+            records[:k, 2, i] = von_neumann_entropy(rho)
+        except np.linalg.LinAlgError as exc:  # eigvalsh of a NaN state
+            raise NonConvergenceError(f"density state at cycle {i + 1}: {exc}") from exc
+    finals[:k] = rho
 
-    final = rho
-    if in_block:
-        idx = obs.bits @ np.array(full_space.strides)
-        final = np.zeros((full_space.total_dim,) * 2, dtype=complex)
-        final[np.ix_(idx, idx)] = rho
-    try:
-        final = DensityState(full_space, final)
-    except ValueError as exc:
-        raise NonConvergenceError(f"final density state: {exc}") from exc
-    return AnnealReport(
-        schedule.n_cycle, success, entropy, leak,
-        obs.qubit_populations(rho.diagonal().real), final,
-        meta={"path": "density", "drive_mode": drive_mode, "mode_dim": mode_dim,
-              "space": "qubit-block" if in_block else "full", "block_leak": block_leak,
-              "constraint": constraint, "r_tot": schedule.r_tot})
+    idx = np.ix_(*[obs.bits @ np.array(full_space.strides)] * 2)
+    reports = [None] * len(order)
+    for row, b in enumerate(order):
+        rho, (success, leak, entropy) = finals[row], records[row, :, :lengths[row]]
+        final = rho
+        if in_block:
+            final = np.zeros((full_space.total_dim,) * 2, dtype=complex)
+            final[idx] = rho
+        try:
+            final = DensityState(full_space, final)
+        except ValueError as exc:
+            raise NonConvergenceError(f"final density state: {exc}") from exc
+        reports[b] = AnnealReport(
+            lengths[row], success, entropy, leak,
+            obs.qubit_populations(rho.diagonal().real), final,
+            meta={"path": "density", "drive_mode": drive_mode, "mode_dim": mode_dim,
+                  "space": "qubit-block" if in_block else "full",
+                  "block_leak": gadgets[constraints[b]][2],
+                  "constraint": constraints[b], "r_tot": schedules[b].r_tot})
+    return reports
 
 
 def _walsh_signs(k: int) -> np.ndarray:

@@ -70,7 +70,7 @@ class Settings:
     """Flag-over-config-over-default resolution for one subcommand."""
 
     def __init__(self, args: argparse.Namespace, section: str):
-        self.cfg = configparser.ConfigParser()
+        self.cfg = configparser.ConfigParser(interpolation=None)  # '%' is literal
         self.section = section
         self.args = args
         self.resolved: dict[str, str] = {}
@@ -78,7 +78,16 @@ class Settings:
         if path:
             if not os.path.exists(path):
                 raise ConfigError(f"config file not found: {path}")
-            self.cfg.read(path)
+            try:
+                self.cfg.read(path)
+            except configparser.Error as exc:
+                raise ConfigError(f"bad config file {path}: {str(exc).splitlines()[0]}") from exc
+            if self.cfg.defaults():
+                raise ConfigError(f"config file {path}: keys under [DEFAULT] are not read")
+            known = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
+            for key in self.cfg.options(section) if self.cfg.has_section(section) else ():
+                if key not in known:  # the subcommand's flags, minus --config
+                    raise ConfigError(f"config file {path}: unknown key {key!r} in [{section}]")
 
     def get(self, key: str, default, cast=str):
         flag = getattr(self.args, key.replace("-", "_"), None)

@@ -14,8 +14,9 @@ from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form,
                        pair_coherence_closed_form_uncorrected,
                        pair_coherence_ode, sfg_rate_for_tpa_target)
-from .anneal import (anneal_density, anneal_ideal, anneal_statevector,
-                     make_schedule, qubo_anneal)
+# anneal_density is unused here but perfbench/tracing.py binds it.
+from .anneal import (anneal_density, anneal_density_batch, anneal_ideal,
+                     anneal_statevector, make_schedule, qubo_anneal)
 from .fock import make_space, vacuum
 from .gadgets import ConstraintParams, drive_generator
 from .problems import (ProblemGraph, brute_force_mis, mitigation_encode,
@@ -205,24 +206,26 @@ def drive_sweep_rows(ratios, gammas, markov_ratios, gamma_tpas,
 
 def constraint_sweep_rows(graph: ProblemGraph, gamma_ts, n_cycles,
                           r_tot: float, phi_q: float = DEFAULT_PHI_Q):
-    """Success and entropy vs cycle count across the coherence interpolation."""
+    """Success and entropy vs cycle count across the coherence interpolation.
+
+    Every (gamma_t, n_cycle) point, gamma_t outermost, is a row of one
+    ideal-2level :func:`anneal_density_batch` call: one qubit-block loop, one
+    gadget per gamma_t.
+    """
     header = ["gamma_t", "n_cycle", "success", "entropy_max", "entropy_final",
               "leakage_final", "n99", "random_guess"]
     guess = 1.0 / 2 ** graph.n_vertices
-    rows = []
-    for gt in gamma_ts:
-        points = []
-        for n in n_cycles:
-            rep = anneal_density(graph, make_schedule(int(n), r_tot),
-                                 ConstraintParams(phi_q, float(gt)),
-                                 drive_mode="ideal-2level")
-            points.append((float(gt), int(n), float(rep.success[-1]),
-                           float(rep.entropy.max()), float(rep.entropy[-1]),
-                           float(rep.leakage[-1])))
-        reached = [p[1] for p in points if p[2] >= N99_SUCCESS]
-        n99 = min(reached) if reached else -1
-        rows += [p + (n99, guess) for p in points]
-    return header, rows
+    grid = [(float(gt), int(n)) for gt in gamma_ts for n in n_cycles]
+    reports = anneal_density_batch(graph, [make_schedule(n, r_tot) for _, n in grid],
+                                   [ConstraintParams(phi_q, gt) for gt, _ in grid])
+    points = [(gt, n, float(rep.success[-1]), float(rep.entropy.max()),
+               float(rep.entropy[-1]), float(rep.leakage[-1]))
+              for (gt, n), rep in zip(grid, reports)]
+    n99 = {}
+    for gt, n, success, *_ in points:
+        if success >= N99_SUCCESS:
+            n99[gt] = min(n, n99.get(gt, n))
+    return header, [p + (n99.get(p[0], -1), guess) for p in points]
 
 
 # ------------------------------------------------- ideal vs phase (5 nodes)

@@ -219,22 +219,25 @@ def partial_trace_matrix(mat: np.ndarray, mode_dims, keep) -> np.ndarray:
 def _apply_axes(op: np.ndarray, flat: np.ndarray, dims, axes) -> np.ndarray:
     """Apply ``op`` to the ``axes`` of ``flat`` seen as a C-order ``dims`` tensor.
 
-    The targeted axes go first and the others follow in their original order,
-    so ``op`` multiplies the (d_loc, rest) matricization; the permutation is
-    then undone and the result has the shape of ``flat``.
+    Leading axes of ``flat`` beyond ``dims`` form a batch, and ``op`` is one
+    matrix or a stack with one per batch entry.  The targeted axes go first
+    after the batch and the others follow in their original order, so ``op``
+    multiplies each (d_loc, rest) matricization; the permutation is then
+    undone and the result has the shape of ``flat``.
     """
-    perm = list(axes) + [a for a in range(len(dims)) if a not in axes]
+    perm = [0] + [a + 1 for a in axes] + [a + 1 for a in range(len(dims)) if a not in axes]
     inv = sorted(range(len(perm)), key=perm.__getitem__)
-    tensor = np.asarray(flat).reshape(dims).transpose(perm)
+    tensor = np.asarray(flat).reshape((-1, *dims)).transpose(perm)
     shape = tensor.shape
-    d_loc = math.prod(shape[:len(axes)])
-    out = np.asarray(op) @ tensor.reshape(d_loc, -1)
+    d_loc = math.prod(shape[1:len(axes) + 1])
+    out = np.asarray(op) @ tensor.reshape(shape[0], d_loc, -1)
     return out.reshape(shape).transpose(inv).reshape(np.shape(flat))
 
 
 def apply_local_superop_matrix(superop: np.ndarray, mat: np.ndarray,
                                space: FockSpace, targets) -> np.ndarray:
-    """Apply a local superoperator matrix to a raw density matrix."""
+    """Apply a local superoperator matrix to a raw density matrix, or to a
+    (B, D, D) stack of them with one superoperator or a stack of B."""
     targets = [int(t) for t in targets]
     cols = [space.n_modes + t for t in targets]
     return _apply_axes(superop, mat, space.mode_dims * 2, cols + targets)
@@ -260,15 +263,15 @@ def embed_local_operator(op: np.ndarray, space: FockSpace, targets) -> np.ndarra
     return _apply_axes(op, np.eye(space.total_dim), space.mode_dims * 2, targets)
 
 
-def von_neumann_entropy(state: DensityState | np.ndarray) -> float:
-    """Entropy in bits of a state or raw density matrix; eigenvalues below
+def von_neumann_entropy(state: DensityState | np.ndarray) -> float | np.ndarray:
+    """Entropy in bits of a state or raw density matrix, or an array of them
+    for a (B, D, D) stack (one eigvalsh call); eigenvalues below
     ``ENTROPY_EIG_CLIP`` count as zero."""
     mat = state.matrix if isinstance(state, DensityState) else np.asarray(state)
     lam = np.linalg.eigvalsh(mat)
-    lam = lam[lam > ENTROPY_EIG_CLIP]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log2(lam)))
+    lam = np.where(lam > ENTROPY_EIG_CLIP, lam, 1.0)  # 1 log2(1) is exactly 0
+    # 0.0 - sum, so that a pure state gives +0.0 and not -0.0
+    return 0.0 - (lam * np.log2(lam)).sum(axis=-1)
 
 
 def population(state: PureState | DensityState, occupations) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -162,6 +163,20 @@ def beamsplitter(space: FockSpace, j: int, k: int) -> np.ndarray:
     return scipy.linalg.expm(1j * (math.pi / 4) * coupler)
 
 
+@lru_cache(maxsize=None)
+def _gadget_parts(space: FockSpace, mode: int):
+    """Params-free parts of :func:`pumped_phase_gadget`, shared and read-only:
+    (unit SFG generator, unit pump loss, pump phase diagonal, append, trace)."""
+    gen_sfg, joint_space = drive_generator("sfg", space, mode)
+    pump = joint_space.n_modes - 1
+    loss = loss_dissipator(joint_space, pump)
+    arrays = (phase_generator(joint_space, pump).matrix.diagonal(),
+              *pump_maps(space.total_dim, joint_space.mode_dims[pump]))
+    for arr in (gen_sfg.matrix.data, loss.matrix.data, *arrays):
+        arr.flags.writeable = False
+    return (gen_sfg, loss, *arrays)
+
+
 def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams) -> Superoperator:
     """Two SFG half-passes with pump phase/loss in between, pump traced at the end.
 
@@ -169,19 +184,15 @@ def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams) -
     (incoherent removal); at pi/(2 sqrt 2) it returns with amplitude
     -exp(i phi_q) (coherent phase kick of pi + phi_q).
     """
-    gen_sfg, joint_space = drive_generator("sfg", space, mode)
-    pump = joint_space.n_modes - 1
+    gen_sfg, loss, phase, append, trace = _gadget_parts(space, mode)
     half = expm_dense(gen_sfg, params.gamma_t).matrix
     # The phase superoperator is diagonal and pump loss is phase covariant, so
     # the two commute and the phase is exponentiated entrywise.  Left inside
     # one expm, a tiny phi_q makes the triangular generator's diagonal nearly
     # degenerate and scipy's triangular shortcut overflows.
-    phase = phase_generator(joint_space, pump).matrix.diagonal()
     mid = np.diag(np.exp(-params.phi_q * phase))
     if params.eta_t != 0.0:
-        loss = expm_dense(loss_dissipator(joint_space, pump), params.eta_t)
-        mid = mid @ loss.matrix
-    append, trace = pump_maps(space.total_dim, joint_space.mode_dims[pump])
+        mid = mid @ expm_dense(loss, params.eta_t).matrix
     return Superoperator(space, trace @ (half @ mid @ half) @ append)
 
 
@@ -191,14 +202,12 @@ def constraint_superop(space: FockSpace, j: int, k: int,
 
     Leaves all zero/one-photon patterns except |1_j 1_k> alone; what happens
     to |1_j 1_k> ranges from incoherent removal to a pure phase kick of
-    pi + phi_q depending on ``params``.
+    pi + phi_q depending on ``params``.  The beamsplitter needs both modes to
+    share a dimension, so one local gadget serves both.
     """
     if j == k:
         raise ValueError("constraint needs two distinct modes")
-    u_bs = beamsplitter(space, j, k)
-    s_bs = unitary_conjugation_superop(u_bs)
-    nl = {}
-    for mode in (j, k):
-        local = pumped_phase_gadget(make_space([space.mode_dims[mode]]), 0, params)
-        nl[mode] = embed_local_superop(local.matrix, space, [mode])
-    return Superoperator(space, s_bs.conj().T @ nl[j] @ nl[k] @ s_bs)
+    s_bs = unitary_conjugation_superop(beamsplitter(space, j, k))
+    local = pumped_phase_gadget(make_space([space.mode_dims[j]]), 0, params).matrix
+    nl_j, nl_k = (embed_local_superop(local, space, [m]) for m in (j, k))
+    return Superoperator(space, s_bs.conj().T @ nl_j @ nl_k @ s_bs)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from zenoanneal import anneal
-from zenoanneal.anneal import (_transverse_mixer, anneal_density, anneal_ideal,
+from zenoanneal import anneal, experiments
+from zenoanneal.anneal import (_transverse_mixer, anneal_density,
+                               anneal_density_batch, anneal_ideal,
                                anneal_statevector, leakage,
                                linear_three_parameter_profile, make_schedule,
                                qubo_anneal, success_probability)
@@ -230,6 +231,42 @@ def test_density_run_that_breaks_the_trace_raises(monkeypatch, drive_mode, drive
         anneal_density(three_node_line(), make_schedule(4, 1.0),
                        ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
                        drive_mode=drive_mode, drive=drive)
+
+
+def test_zeno_run_of_a_nan_state_raises_nonconvergence(monkeypatch):
+    # the full-space zeno drives take the entropy of every cycle's state
+    monkeypatch.setattr(anneal, "constraint_superop", nan_gadget)
+    with pytest.raises(NonConvergenceError):
+        anneal_density(three_node_line(), make_schedule(4, 1.0),
+                       ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
+                       drive_mode="zeno-tpa", drive=DriveParams(1.0, 40.0))
+
+
+def test_batched_density_rows_match_single_runs():
+    # rows of unequal length and distinct gadgets leave the batch at different cycles
+    g = graph_from_edges(4, [(0, 1), (1, 2), (1, 3)], weights=(1.0, 1.7, 0.6, 1.2))
+    gamma_ts, n_cycles = [GAMMA_T_INCOHERENT, 0.8, GAMMA_T_COHERENT], [9, 30, 4, 17]
+    runs = [(ConstraintParams(PHI_Q, gt, 0.2), make_schedule(n, 9 * math.pi))
+            for gt in gamma_ts for n in n_cycles]
+    batch = anneal_density_batch(g, [s for _, s in runs], [c for c, _ in runs])
+    for (constraint, schedule), rep in zip(runs, batch):
+        single = anneal_density(g, schedule, constraint)
+        assert np.array_equal(rep.success, single.success)
+        assert np.max(np.abs(rep.entropy - single.entropy)) <= 1e-15
+        assert np.max(np.abs(rep.leakage - single.leakage)) <= 1e-15
+        assert np.max(np.abs(rep.final_state.matrix - single.final_state.matrix)) <= 1e-15
+        assert rep.meta == single.meta
+    _, rows = experiments.constraint_sweep_rows(g, gamma_ts, n_cycles, 9 * math.pi,
+                                                phi_q=PHI_Q)
+    assert [(gt, n) for gt, n, *_ in rows] == [(gt, n) for gt in gamma_ts for n in n_cycles]
+    for (gt, n, success, s_max, s_final, leak, *_), (constraint, schedule) in zip(
+            rows, [(ConstraintParams(PHI_Q, gt), make_schedule(n, 9 * math.pi))
+                   for gt in gamma_ts for n in n_cycles]):
+        single = anneal_density(g, schedule, constraint)
+        assert success == single.success[-1]
+        assert abs(s_max - single.entropy.max()) <= 1e-15
+        assert abs(s_final - single.entropy[-1]) <= 1e-15
+        assert abs(leak - single.leakage[-1]) <= 1e-15
 
 
 def test_density_report_records_space_and_block_leak():

@@ -121,6 +121,32 @@ def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
     assert not os.path.exists(tmp_path / "x.csv")
 
 
+@pytest.mark.parametrize("text, needle", [
+    ("[wmis]\nn-cyle = 20\n", "'n-cyle'"),
+    ("[wmis]\nconfig = other.ini\n", "'config'"),
+    ("[DEFAULT]\nn-cycle = 20\n[wmis]\nw0-grid = 1\n", "[DEFAULT]"),
+    ("[DEFAULT]\nn-cycle = 20\n", "[DEFAULT]"),
+    ("n-cycle = 20\n", "no section headers"),
+    ("[wmis]\nn-cycle = 20%\n", "'20%'"),
+], ids=["misspelled-key", "config-key", "default-section", "default-only",
+        "no-section", "percent"])
+def test_bad_config_files_are_config_errors(tmp_path, capsys, text, needle):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert run(["wmis", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and needle in err
+    assert not os.path.exists(tmp_path / "x.csv")
+
+
+def test_config_file_for_other_commands_is_accepted(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[DEFAULT]\n[wmis]\nw0-grid = 1\nn-cycle = 20\n[qubo]\nbogus = 1\n")
+    out = tmp_path / "w.csv"
+    assert run(["wmis", "--config", cfg, "--out", out]) == 0
+    assert "n-cycle=20 " in read_lines(out)[0]
+
+
 def test_wmis_command(tmp_path):
     out = tmp_path / "wmis.csv"
     code = run(["wmis", "--w0-grid", "0.5,1.5", "--n-cycle", "200",

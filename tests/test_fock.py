@@ -200,6 +200,14 @@ def test_local_application_matches_entrywise_oracle(dims, targets):
     expect = np.array([[out_vec[r + d * c] for c in range(d)] for r in range(d)])
     assert np.allclose(apply_local_superop_matrix(superop, rho, space, targets), expect,
                        rtol=0, atol=1e-11)
+    # a (2, D, D) stack takes one map per row, or one map shared by both rows
+    stack, maps = np.stack([rho, rho.conj().T]), np.stack([superop, superop.T])
+    for ops in (maps, superop):
+        out = apply_local_superop_matrix(ops, stack, space, targets)
+        for b in range(2):
+            one = ops[b] if ops.ndim == 3 else ops
+            assert np.array_equal(out[b], apply_local_superop_matrix(one, stack[b], space,
+                                                                     targets))
 
 
 def test_apply_local_disjoint_modes_commute():
@@ -225,7 +233,8 @@ def test_apply_local_dimension_mismatch():
 
 def test_entropy_pure_state_zero():
     space = make_space([3, 2])
-    assert von_neumann_entropy(number_state(space, (1, 1)).to_density()) == 0.0
+    s = von_neumann_entropy(number_state(space, (1, 1)).to_density())
+    assert s == 0.0 and math.copysign(1.0, s) == 1.0  # +0.0, printed as 0
 
 
 def test_entropy_maximally_mixed_qubits():
@@ -247,6 +256,9 @@ def test_entropy_unitary_invariance():
 def test_entropy_accepts_raw_matrix():
     rho = random_density(make_space([3, 2]), seed=14)
     assert von_neumann_entropy(rho.matrix) == von_neumann_entropy(rho)
+    other = random_density(make_space([3, 2]), seed=15).matrix
+    stacked = von_neumann_entropy(np.stack([rho.matrix, other]))
+    assert stacked.tolist() == [von_neumann_entropy(rho), von_neumann_entropy(other)]
 
 
 def test_population_examples():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+from zenoanneal import gadgets
 from zenoanneal.fock import (PureState, apply_local_superop_matrix,
                              make_space, number_state, partial_trace,
                              population, vacuum, vectorize)
@@ -16,7 +17,7 @@ from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 pumped_phase_gadget, unitary_conjugation_superop)
 from zenoanneal.generators import (annihilation_operator, combine,
                                    dissipator_superop, displacement_generator,
-                                   loss_dissipator, sfg_generator,
+                                   loss_dissipator, phase_generator, sfg_generator,
                                    tpa_dissipator)
 from zenoanneal.propagator import expm_dense
 
@@ -372,3 +373,46 @@ def test_pumped_phase_gadget_maps_states_to_states(dim, phi_q, gamma_t, eta_t, s
     space = make_space([dim])
     gadget = pumped_phase_gadget(space, 0, ConstraintParams(phi_q, gamma_t, eta_t))
     assert_density_map(gadget, space, seed)
+
+
+def uncached_pumped_phase_gadget(d, params):
+    """The local gadget on [d] from freshly built generators and pump maps."""
+    gen, joint = drive_generator("sfg", make_space([d]), 0)
+    half = expm_dense(gen, params.gamma_t).matrix
+    mid = np.diag(np.exp(-params.phi_q * phase_generator(joint, 1).matrix.diagonal()))
+    if params.eta_t != 0.0:
+        mid = mid @ expm_dense(loss_dissipator(joint, 1), params.eta_t).matrix
+    append, trace = pump_maps(d, joint.mode_dims[1])
+    return trace @ (half @ mid @ half) @ append
+
+
+@pytest.mark.parametrize("dims, j, k", [([3, 3], 0, 1), ([3, 3], 1, 0), ([3, 2, 3], 2, 0)])
+@pytest.mark.parametrize("params", [ConstraintParams(4.7, GAMMA_T_INCOHERENT),
+                                    ConstraintParams(0.3, 0.8, eta_t=0.6),
+                                    ConstraintParams(1e-12, GAMMA_T_COHERENT, eta_t=2.0)])
+def test_constraint_superop_matches_uncached_composition(dims, j, k, params):
+    space = make_space(dims)
+    local = uncached_pumped_phase_gadget(dims[j], params)
+    s_bs = unitary_conjugation_superop(beamsplitter(space, j, k))
+    expect = (s_bs.conj().T @ embed_local_superop(local, space, [j])
+              @ embed_local_superop(local, space, [k]) @ s_bs)
+    assert np.array_equal(constraint_superop(space, j, k, params).matrix, expect)
+    assert np.array_equal(pumped_phase_gadget(make_space([dims[j]]), 0, params).matrix, local)
+
+
+def test_constraint_superop_needs_equal_mode_dims():
+    # the beamsplitter mixes the two modes, so they always share a dimension
+    with pytest.raises(ValueError, match="share a dimension"):
+        constraint_superop(make_space([3, 4]), 0, 1, ConstraintParams(1.0, 0.8))
+
+
+def test_cached_gadget_parts_are_read_only_and_rebuild_identically():
+    space, params = make_space([3]), ConstraintParams(0.9, 0.7, eta_t=0.4)
+    before = pumped_phase_gadget(space, 0, params).matrix
+    gen_sfg, loss, *arrays = gadgets._gadget_parts(space, 0)
+    for arr in [gen_sfg.matrix.data, loss.matrix.data, *arrays]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    gadgets._gadget_parts.cache_clear()
+    assert gadgets._gadget_parts(space, 0)[0] is not gen_sfg
+    assert np.array_equal(pumped_phase_gadget(space, 0, params).matrix, before)
