@@ -1,21 +1,18 @@
 """Zeno-constrained all-optical annealing toolkit."""
 
-from .fock import (DensityState, FockSpace, PureState, devectorize,
-                   make_space, number_state, partial_trace, population, vacuum,
-                   vectorize, von_neumann_entropy)
+from .fock import (DensityState, FockSpace, PureState, make_space, vacuum,
+                   von_neumann_entropy)
 from .generators import (GeneratorSpec, combine, displacement_generator,
                          loss_dissipator, phase_generator, sfg_generator,
                          tpa_dissipator)
 from .propagator import (BinaryExpCache, DimensionGuardError,
-                         NonConvergenceError, PhaseKernel, Superoperator,
-                         build_cache, expm_apply_vec, expm_dense, trajectory)
+                         NonConvergenceError, PhaseKernel, build_cache,
+                         expm_apply_vec, expm_dense, trajectory)
 from .gadgets import (ConstraintParams, DriveParams, GAMMA_T_COHERENT,
                       GAMMA_T_INCOHERENT, beamsplitter, constraint_superop,
-                      drive_generator, drive_superop, pump_maps,
-                      pumped_phase_gadget)
+                      drive_generator, pump_maps, pumped_phase_gadget)
 from .anneal import (AnnealReport, Schedule, anneal_density, anneal_ideal,
-                     anneal_statevector, leakage, make_schedule, qubo_anneal,
-                     success_probability)
+                     anneal_statevector, make_schedule, qubo_anneal)
 from .problems import (ProblemGraph, brute_force_mis, brute_force_qubo,
                        brute_force_wmis, complete_graph, five_node_example,
                        graph_from_edges, loss_injection_experiment,

@@ -7,9 +7,10 @@ two-photon states under lossy SFG obeys a damped-oscillator pair
     d rho_1p / dt = i sqrt(2) gamma rho_12 - (eta / 2) rho_1p
 
 with the pump initially empty (rho_1p(0) = 0).  This module integrates that
-system with a fixed-step RK4 scheme and also evaluates the closed-form
-solutions per damping regime.  The integrator is the authoritative oracle for
-cross-checking the full superoperator propagation.
+linear system with a fixed-step RK4 scheme, each step one 2 x 2 matrix, and
+also evaluates the closed-form solutions per damping regime.  The integrator
+is the authoritative oracle for cross-checking the full superoperator
+propagation.
 """
 
 from __future__ import annotations
@@ -47,30 +48,31 @@ class DampingParams:
         return "underdamped" if disc < 0 else "overdamped"
 
 
-def _rhs(params: DampingParams, y: np.ndarray) -> np.ndarray:
-    coupling = 1j * math.sqrt(2) * params.gamma
-    return np.array([coupling * y[1],
-                     coupling * y[0] - 0.5 * params.eta * y[1]])
+def _rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of the linear system y' = A y as a matrix, y <- P y:
+    the RK4 stability polynomial P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24."""
+    ha = h * a
+    ha2 = ha @ ha
+    return np.eye(len(a)) + ha + ha2 / 2 + ha2 @ ha / 6 + ha2 @ ha2 / 24
 
 
 def _rk4(params: DampingParams, y0: np.ndarray, t_grid: np.ndarray,
          substeps: int) -> np.ndarray:
+    coupling = 1j * math.sqrt(2) * params.gamma
+    a = np.array([[0.0, coupling], [coupling, -0.5 * params.eta]])
     out = np.empty((len(t_grid), 2), dtype=complex)
-    y = y0.astype(complex)
+    u, v = map(complex, y0)
     t_prev = 0.0
     for i, t in enumerate(t_grid):
         span = t - t_prev
         if span < 0:
             raise ValueError("t_grid must be nondecreasing")
         if span > 0:
-            h = span / substeps
+            (p00, p01), (p10, p11) = _rk4_step_matrix(a, span / substeps).tolist()
+            # y <- P y on Python complex scalars: 2x faster than a 2x2 NumPy matvec
             for _ in range(substeps):
-                k1 = _rhs(params, y)
-                k2 = _rhs(params, y + 0.5 * h * k1)
-                k3 = _rhs(params, y + 0.5 * h * k2)
-                k4 = _rhs(params, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = y
+                u, v = p00 * u + p01 * v, p10 * u + p11 * v
+        out[i] = u, v
         t_prev = t
     return out
 

@@ -143,24 +143,6 @@ class _Observables:
         return dict(zip(self.patterns, diag[self.pattern_idx].tolist()))
 
 
-def success_probability(state, graph: ProblemGraph) -> float:
-    """Population on the basis patterns of every optimal vertex set."""
-    obs = _Observables(state.space, graph)
-    return float(obs.success(_diag(state)))
-
-
-def leakage(state, graph: ProblemGraph) -> float:
-    """Population outside independent 0/1 patterns (including >= 2 photons)."""
-    obs = _Observables(state.space, graph)
-    return float(obs.leakage(_diag(state)))
-
-
-def _diag(state) -> np.ndarray:
-    if isinstance(state, DensityState):
-        return state.matrix.diagonal().real
-    return np.abs(state.amplitudes) ** 2
-
-
 def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
                c_max: float):
     """(rho, phi, c) -> the weighted phase, then one local drive
@@ -275,7 +257,7 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     edges = graph.sorted_edges()
     gadgets = dict.fromkeys(constraints, (None, None, 0.0))
     for con in gadgets if edges else ():
-        gadget = constraint_superop(make_space([mode_dim, mode_dim]), 0, 1, con).matrix
+        gadget = constraint_superop(make_space([mode_dim, mode_dim]), 0, 1, con)
         gadgets[con] = (gadget, *_qubit_block(gadget, mode_dim))
     full_space = make_space([mode_dim] * n)
     if in_block:
@@ -496,12 +478,21 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot) -> AnnealReport:
     applies a pump-phase kick of zeta * (Q_jk + Q_kj) on |1_j 1_k>, which is
     only realizable with a lossless pump.  A sequence of r_tot runs a batch;
     ``meta`` holds the optima and every pattern's energy in basis order.
+    A Q that is not square, is empty, or has a non-finite entry or pattern
+    energy raises ValueError before any cycle runs.
     """
     q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+        raise ValueError(f"QUBO matrix must be square and non-empty, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("QUBO matrix has a non-finite entry")
     tau, phi, c, zeta = linear_three_parameter_profile(n_cycle, r_tot)
     schedule = Schedule(n_cycle, r_tot, tau, phi, c, zeta=zeta)
     bits = _bit_table(q.shape[0])
-    energy = ((bits @ q) * bits).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = ((bits @ q) * bits).sum(axis=1)
+    if not np.all(np.isfinite(energy)):
+        raise ValueError("QUBO pattern energies overflow to non-finite values")
     optimal = energy <= energy.min() + 1e-12  # the tie rule of brute_force_qubo
     amps, records = _run_pure(schedule, _transverse_mixer(q.shape[0]), bits.sum(axis=1),
                               optimal[:, None].astype(float), energy=energy)

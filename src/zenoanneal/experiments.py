@@ -82,7 +82,7 @@ def _drive_p1(kind: str, gamma: float, eta: float, t: float) -> float:
     vec = vacuum(space).to_density().matrix.flatten(order="F")
     d = space.total_dim
     if d <= DRIVE_DENSE_DIM:
-        vec = expm_dense(gen, t).matrix @ vec
+        vec = expm_dense(gen, t) @ vec
     else:
         vec = expm_apply_vec(gen, t, vec)
     diag = vec.reshape((d, d), order="F").diagonal().real
@@ -249,6 +249,8 @@ def ideal_vs_phase_rows(graph: ProblemGraph, n_cycles, r_grid,
     row per cycle count, and a single 'fit' row with the linear fit of the
     critical values against the cycle count.
     """
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     header = ["row_kind", "n_cycle", "r_tot", "p_phase", "p_ideal", "abs_diff"]
     r_grid = [float(r) for r in r_grid]
     counts = [int(n) for n in n_cycles]

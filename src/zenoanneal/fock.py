@@ -75,20 +75,6 @@ class FockSpace:
                 raise ValueError(f"occupation {n} out of range for mode {m} (dim {d})")
         return sum(n * s for n, s in zip(occ, self.strides))
 
-    def occupations(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`index`."""
-        if index < 0 or index >= self.total_dim:
-            raise ValueError(f"basis index {index} out of range")
-        out = []
-        for s, d in zip(self.strides, self.mode_dims):
-            n, index = divmod(index, s)
-            out.append(n)
-        return tuple(out)
-
-    def all_occupations(self):
-        """Iterate occupation tuples in basis order."""
-        return np.ndindex(*self.mode_dims)
-
     def occupation_array(self, mode: int) -> np.ndarray:
         """Per-basis-state photon number of one mode, as an int array."""
         if mode < 0 or mode >= self.n_modes:
@@ -117,7 +103,7 @@ class PureState:
             raise ValueError(f"amplitude vector has shape {amps.shape}, "
                              f"expected ({self.space.total_dim},)")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: |psi|^2 = {norm_sq}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -155,65 +141,12 @@ class DensityState:
         if lam.min() < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {lam.min():.3e} below floor")
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
 
 def vacuum(space: FockSpace) -> PureState:
     """All-modes-empty state."""
     amps = np.zeros(space.total_dim, dtype=complex)
     amps[0] = 1.0
     return PureState(space, amps)
-
-
-def number_state(space: FockSpace, occupations) -> PureState:
-    """Basis state with the given photon numbers."""
-    amps = np.zeros(space.total_dim, dtype=complex)
-    amps[space.index(occupations)] = 1.0
-    return PureState(space, amps)
-
-
-def vectorize(state: DensityState | np.ndarray) -> np.ndarray:
-    """Column-stack a density matrix into a vector."""
-    mat = state.matrix if isinstance(state, DensityState) else np.asarray(state)
-    return mat.flatten(order="F")
-
-
-def devectorize(vec: np.ndarray, space: FockSpace) -> DensityState:
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(vec)
-    d = space.total_dim
-    if vec.shape != (d * d,):
-        raise ValueError(f"vector has shape {vec.shape}, expected ({d * d},)")
-    return DensityState(space, vec.reshape((d, d), order="F"))
-
-
-def partial_trace(state: DensityState, keep) -> DensityState:
-    """Trace out every mode not listed in ``keep``."""
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep must name at least one mode")
-    n = state.space.n_modes
-    for k in keep:
-        if k < 0 or k >= n:
-            raise ValueError(f"mode {k} out of range")
-    mat = partial_trace_matrix(state.matrix, state.space.mode_dims, keep)
-    return DensityState(make_space([state.space.mode_dims[k] for k in keep]), mat)
-
-
-def partial_trace_matrix(mat: np.ndarray, mode_dims, keep) -> np.ndarray:
-    """Partial trace on a raw matrix; ``keep`` is a sorted mode list."""
-    dims = tuple(mode_dims)
-    n = len(dims)
-    tensor = np.asarray(mat).reshape(dims + dims)
-    traced = [m for m in range(n) if m not in keep]
-    # Trace highest axes first so earlier axis numbers stay valid.
-    offset = n
-    for m in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=m, axis2=m + offset)
-        offset -= 1
-    d_keep = math.prod(dims[k] for k in keep)
-    return tensor.reshape((d_keep, d_keep))
 
 
 def _apply_axes(op: np.ndarray, flat: np.ndarray, dims, axes) -> np.ndarray:
@@ -252,12 +185,6 @@ def apply_local_operator_matrix(op: np.ndarray, mat: np.ndarray,
     return _apply_axes(np.conj(op), mat.T, dims, targets).T
 
 
-def apply_local_operator_vector(op: np.ndarray, amps: np.ndarray,
-                                space: FockSpace, targets) -> np.ndarray:
-    """Apply a local operator to a raw amplitude vector."""
-    return _apply_axes(op, amps, space.mode_dims, targets)
-
-
 def embed_local_operator(op: np.ndarray, space: FockSpace, targets) -> np.ndarray:
     """Expand a local operator to the full space by identity tensoring."""
     return _apply_axes(op, np.eye(space.total_dim), space.mode_dims * 2, targets)
@@ -272,11 +199,3 @@ def von_neumann_entropy(state: DensityState | np.ndarray) -> float | np.ndarray:
     lam = np.where(lam > ENTROPY_EIG_CLIP, lam, 1.0)  # 1 log2(1) is exactly 0
     # 0.0 - sum, so that a pure state gives +0.0 and not -0.0
     return 0.0 - (lam * np.log2(lam)).sum(axis=-1)
-
-
-def population(state: PureState | DensityState, occupations) -> float:
-    """Probability of one occupation pattern."""
-    idx = state.space.index(occupations)
-    if isinstance(state, PureState):
-        return float(np.abs(state.amplitudes[idx]) ** 2)
-    return float(state.matrix[idx, idx].real)

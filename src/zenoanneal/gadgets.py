@@ -23,7 +23,7 @@ from .fock import (FockSpace, apply_local_superop_matrix, embed_local_operator,
 from .generators import (GeneratorSpec, combine, displacement_generator,
                          loss_dissipator, phase_generator, sfg_generator,
                          tpa_dissipator, annihilation_operator)
-from .propagator import Superoperator, expm_dense
+from .propagator import expm_dense
 
 # Per-half SFG angles bounding the coherence interpolation: at the lower
 # endpoint the photon pair ends up in the (traced) pump, at the upper endpoint
@@ -64,8 +64,8 @@ class DriveParams:
 
     def __post_init__(self):
         for name in ("c", "gamma", "eta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def default_pump_dim(mode_dim: int) -> int:
@@ -129,23 +129,6 @@ def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
     return combine(parts), joint
 
 
-def drive_superop(kind: str, space: FockSpace, mode: int, t: float, c: float = 0.0,
-                  gamma: float = 1.0, eta: float = 0.0) -> Superoperator:
-    """exp(t G) of the :func:`drive_generator` drive on ``mode``.
-
-    An SFG pump is appended empty and traced out afterwards.  With c = 0 and
-    the default rates this is the bare blockade at exposure gamma t = t; with
-    eta = 0 the SFG drive is fully coherent, and eta interpolates toward the
-    incoherent blockade, reaching critical damping at eta = 4 sqrt(2) gamma.
-    """
-    gen, joint = drive_generator(kind, space, mode, c, gamma, eta)
-    mat = expm_dense(gen, t).matrix
-    if joint != space:
-        append, trace = pump_maps(space.total_dim, joint.mode_dims[-1])
-        mat = trace @ mat @ append
-    return Superoperator(space, mat)
-
-
 def beamsplitter(space: FockSpace, j: int, k: int) -> np.ndarray:
     """50:50 beamsplitter unitary with convention a_j -> (a_j + i a_k)/sqrt(2).
 
@@ -177,7 +160,7 @@ def _gadget_parts(space: FockSpace, mode: int):
     return (gen_sfg, loss, *arrays)
 
 
-def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams) -> Superoperator:
+def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams) -> np.ndarray:
     """Two SFG half-passes with pump phase/loss in between, pump traced at the end.
 
     At gamma_t = pi/(4 sqrt 2) the photon pair is dumped into the pump
@@ -185,19 +168,19 @@ def pumped_phase_gadget(space: FockSpace, mode: int, params: ConstraintParams) -
     -exp(i phi_q) (coherent phase kick of pi + phi_q).
     """
     gen_sfg, loss, phase, append, trace = _gadget_parts(space, mode)
-    half = expm_dense(gen_sfg, params.gamma_t).matrix
+    half = expm_dense(gen_sfg, params.gamma_t)
     # The phase superoperator is diagonal and pump loss is phase covariant, so
     # the two commute and the phase is exponentiated entrywise.  Left inside
     # one expm, a tiny phi_q makes the triangular generator's diagonal nearly
     # degenerate and scipy's triangular shortcut overflows.
     mid = np.diag(np.exp(-params.phi_q * phase))
     if params.eta_t != 0.0:
-        mid = mid @ expm_dense(loss, params.eta_t).matrix
-    return Superoperator(space, trace @ (half @ mid @ half) @ append)
+        mid = mid @ expm_dense(loss, params.eta_t)
+    return trace @ (half @ mid @ half) @ append
 
 
 def constraint_superop(space: FockSpace, j: int, k: int,
-                       params: ConstraintParams) -> Superoperator:
+                       params: ConstraintParams) -> np.ndarray:
     """Edge constraint: beamsplitter-conjugated pumped phase gadgets on both modes.
 
     Leaves all zero/one-photon patterns except |1_j 1_k> alone; what happens
@@ -208,6 +191,6 @@ def constraint_superop(space: FockSpace, j: int, k: int,
     if j == k:
         raise ValueError("constraint needs two distinct modes")
     s_bs = unitary_conjugation_superop(beamsplitter(space, j, k))
-    local = pumped_phase_gadget(make_space([space.mode_dims[j]]), 0, params).matrix
+    local = pumped_phase_gadget(make_space([space.mode_dims[j]]), 0, params)
     nl_j, nl_k = (embed_local_superop(local, space, [m]) for m in (j, k))
-    return Superoperator(space, s_bs.conj().T @ nl_j @ nl_k @ s_bs)
+    return s_bs.conj().T @ nl_j @ nl_k @ s_bs

@@ -78,7 +78,8 @@ def parse_edge_list(text: str) -> ProblemGraph:
     """Parse 'u v [weight]' lines; '#' starts a comment.
 
     A third token is accepted as an edge annotation and ignored by the
-    solvers (node weights for the weighted problem come from configuration).
+    solvers.  The graph carries no node weights: the weighted problem's come
+    from the ``wmis`` sweep itself.
     """
     edges = []
     max_vertex = -1

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .fock import DensityState, FockSpace, devectorize, vectorize
+from .fock import FockSpace
 from .generators import GeneratorSpec
 
 # Dense exponentiation is allowed up to this Hilbert-space dimension;
@@ -44,17 +44,6 @@ class NonConvergenceError(RuntimeError):
     """Raised when an exponential application produced non-finite values."""
 
 
-@dataclass(frozen=True)
-class Superoperator:
-    """A realized linear map on vectorized density matrices."""
-
-    space: FockSpace
-    matrix: np.ndarray
-
-    def apply(self, state: DensityState) -> DensityState:
-        return devectorize(self.matrix @ vectorize(state), self.space)
-
-
 def _check_time(gen: GeneratorSpec, t: float) -> None:
     if not np.isfinite(t):
         raise ValueError(f"non-finite time {t}")
@@ -62,7 +51,7 @@ def _check_time(gen: GeneratorSpec, t: float) -> None:
         raise ValueError("negative time is not allowed for dissipative generators")
 
 
-def expm_dense(gen: GeneratorSpec, t: float) -> Superoperator:
+def expm_dense(gen: GeneratorSpec, t: float) -> np.ndarray:
     """Dense exp(t G) via scaling-and-squaring."""
     _check_time(gen, t)
     d = gen.space.total_dim
@@ -72,7 +61,7 @@ def expm_dense(gen: GeneratorSpec, t: float) -> Superoperator:
     mat = scipy.linalg.expm((t * gen.matrix).toarray())
     if not np.all(np.isfinite(mat)):
         raise NonConvergenceError("matrix exponential produced non-finite entries")
-    return Superoperator(gen.space, mat)
+    return mat
 
 
 def _expm_multiply(mat, vec: np.ndarray, **interval) -> np.ndarray:
@@ -114,7 +103,7 @@ def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
                               num=n, endpoint=True)
     # One dense exponential of the step, then matrix-vector iteration;
     # robust to stiff generators where series stepping crawls.
-    step = expm_dense(gen, float(times[1])).matrix
+    step = expm_dense(gen, float(times[1]))
     out = [vec]
     for _ in range(n - 1):
         out.append(step @ out[-1])
@@ -132,7 +121,7 @@ class BinaryExpCache:
     generator: GeneratorSpec
     t_max: float
     m: int
-    stages: tuple[Superoperator, ...]
+    stages: tuple[np.ndarray, ...]
 
     def select_stages(self, t: float) -> list[int]:
         if self.m < 1:
@@ -159,7 +148,7 @@ class BinaryExpCache:
         d2 = self.generator.space.total_dim ** 2
         out = np.eye(d2, dtype=complex)
         for j in self.select_stages(t):
-            out = self.stages[j].matrix @ out
+            out = self.stages[j] @ out
         return out
 
 

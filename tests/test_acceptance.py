@@ -16,7 +16,7 @@ from zenoanneal.anneal import (anneal_density, anneal_ideal,
 from zenoanneal.experiments import (CRITICAL_ETA_FACTOR, DEFAULT_PHI_Q,
                                     detect_critical, full_pair_coherence,
                                     gamma_99, zeno_onset_rows)
-from zenoanneal.fock import make_space, number_state, population, vectorize
+from zenoanneal.fock import make_space
 from zenoanneal.gadgets import (ConstraintParams, GAMMA_T_COHERENT,
                                 GAMMA_T_INCOHERENT, constraint_superop)
 from zenoanneal.generators import (combine, displacement_generator,
@@ -29,6 +29,7 @@ from zenoanneal.problems import (brute_force_mis, complete_graph,
 from zenoanneal.propagator import build_cache, expm_apply_vec, expm_dense
 from zenoanneal.timebin import all_pairs_shuffle, compile_graph_program, verify_program
 
+from oracles import apply_superop, number_state, population
 from test_fock import random_density
 from itertools import combinations
 
@@ -105,12 +106,13 @@ def test_criterion_5_constraint_gadget_unit_truths():
     """Incoherent endpoint removes |11>; coherent endpoint is a pi/2 kick."""
     space = make_space([3, 3])
     inc = constraint_superop(space, 0, 1, ConstraintParams(0.0, GAMMA_T_INCOHERENT))
-    out = inc.apply(number_state(space, (1, 1)).to_density())
+    out = apply_superop(inc, number_state(space, (1, 1)).to_density())
     residual = abs(population(out, (0, 0)) - 1.0)
     fixed_err = 0.0
     for occ in ((0, 0), (0, 1), (1, 0)):
         rho = number_state(space, occ).to_density()
-        fixed_err = max(fixed_err, float(np.max(np.abs(inc.apply(rho).matrix - rho.matrix))))
+        fixed_err = max(fixed_err,
+                        float(np.max(np.abs(apply_superop(inc, rho).matrix - rho.matrix))))
     coh = constraint_superop(space, 0, 1,
                              ConstraintParams(3 * math.pi / 2, GAMMA_T_COHERENT))
     patterns = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -122,7 +124,7 @@ def test_criterion_5_constraint_gadget_unit_truths():
         for q in patterns:
             e = np.zeros((d, d), dtype=complex)
             e[space.index(p), space.index(q)] = 1.0
-            res = (coh.matrix @ e.flatten(order="F")).reshape((d, d), order="F")
+            res = (coh @ e.flatten(order="F")).reshape((d, d), order="F")
             factor = expect.get(p, 1.0) * np.conj(expect.get(q, 1.0))
             e_out = e * factor
             block_err = max(block_err, float(np.max(np.abs(res - e_out))))
@@ -260,9 +262,10 @@ def test_criterion_10_propagator_self_consistency():
         parts.append((loss_dissipator(space, len(dims) - 1),
                       float(rng.uniform(0.1, 1.5))))
         gen = combine(parts)
-        rho = vectorize(random_density(space, seed=int(rng.integers(0, 2 ** 31))))
+        rho = random_density(space, seed=int(rng.integers(0, 2 ** 31))).matrix
+        rho = rho.flatten(order="F")
         t = float(rng.uniform(0.05, 1.2))
-        dense = expm_dense(gen, t).matrix @ rho
+        dense = expm_dense(gen, t) @ rho
         action = expm_apply_vec(gen, t, rho)
         # the composed stage matrix, as the zeno drive cycle uses it
         cached = build_cache(gen, t_max=0.75 * t, m=30).matrix_for(t) @ rho
@@ -270,7 +273,7 @@ def test_criterion_10_propagator_self_consistency():
                          float(np.max(np.abs(dense - action))),
                          float(np.max(np.abs(dense - cached))),
                          float(np.max(np.abs(action - cached))))
-        two_step = expm_dense(gen, 0.6 * t).matrix @ (expm_dense(gen, 0.4 * t).matrix @ rho)
+        two_step = expm_dense(gen, 0.6 * t) @ (expm_dense(gen, 0.4 * t) @ rho)
         worst_semigroup = max(worst_semigroup, float(np.max(np.abs(dense - two_step))))
     ok = worst_pair <= 1e-8 and worst_semigroup <= 1e-9
     report(10, ok, f"max pairwise path deviation {worst_pair:.2e} (<=1e-8), "

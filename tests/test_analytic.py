@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zenoanneal import analytic
 from zenoanneal.analytic import (DampingParams, effective_tpa_rate,
                                  pair_coherence_closed_form,
                                  pair_coherence_closed_form_uncorrected,
@@ -145,3 +146,17 @@ def test_full_pair_coherence_rejects_uneven_grid():
     params = DampingParams(1.0, 0.5)
     ode = pair_coherence_ode(params, 0.5, t)
     assert np.max(np.abs(full_pair_coherence(1.0, 0.5, t) - ode)) < 1e-8
+
+
+def test_rk4_step_matrix_is_four_explicit_stages():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h = rng.uniform(0.01, 1.0)
+        y = rng.normal(size=2) + 1j * rng.normal(size=2)
+        k1 = a @ y
+        k2 = a @ (y + 0.5 * h * k1)
+        k3 = a @ (y + 0.5 * h * k2)
+        k4 = a @ (y + h * k3)
+        expect = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.max(np.abs(analytic._rk4_step_matrix(a, h) @ y - expect)) < 1e-13

@@ -7,21 +7,22 @@ import pytest
 import scipy.linalg
 
 from zenoanneal import anneal, experiments
-from zenoanneal.anneal import (_transverse_mixer, anneal_density,
+from zenoanneal.anneal import (_Observables, _transverse_mixer, anneal_density,
                                anneal_density_batch, anneal_ideal,
-                               anneal_statevector, leakage,
+                               anneal_statevector,
                                linear_three_parameter_profile, make_schedule,
-                               qubo_anneal, success_probability)
-from zenoanneal.fock import (DensityState, make_space, number_state, population,
-                            vacuum, von_neumann_entropy)
+                               qubo_anneal)
+from zenoanneal.fock import DensityState, make_space, vacuum, von_neumann_entropy
 from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 GAMMA_T_COHERENT, GAMMA_T_INCOHERENT,
                                 constraint_superop, embed_local_superop,
                                 unitary_conjugation_superop)
-from zenoanneal.propagator import NonConvergenceError, Superoperator
+from zenoanneal.propagator import NonConvergenceError
 from zenoanneal.problems import (brute_force_mis, brute_force_qubo,
                                  brute_force_wmis, five_node_example,
                                  graph_from_edges, qubo_energy, three_node_line)
+
+from oracles import number_state, population
 
 PHI_Q = 3 * math.pi / 2  # pi/2 total constraint kick
 
@@ -139,7 +140,8 @@ def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
                  for m, w in enumerate(weights))
     flip = np.zeros((mode_dim, mode_dim))
     flip[0, 1] = flip[1, 0] = 1.0
-    local = constraint_superop(make_space([mode_dim] * 2), 0, 1, constraint).matrix
+    local = constraint_superop(make_space([mode_dim] * 2), 0, 1, constraint)
+    obs = _Observables(space, graph)
     rho = np.zeros((space.total_dim,) * 2, dtype=complex)
     rho[0, 0] = 1.0
     records = []
@@ -149,9 +151,8 @@ def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
         rho = u @ rho @ u.conj().T
         for j, k in graph.sorted_edges():
             rho = _apply_edge_map(rho, local, n, mode_dim, j, k)
-        state = DensityState(space, rho)
-        records.append((success_probability(state, graph), leakage(state, graph),
-                        von_neumann_entropy(rho)))
+        diag = DensityState(space, rho).matrix.diagonal().real
+        records.append((obs.success(diag), obs.leakage(diag), von_neumann_entropy(rho)))
     return (rho, *map(np.array, zip(*records)))
 
 
@@ -201,11 +202,11 @@ def leaky_gadget(space, j, k, params):
     """Stands in for constraint_superop: swaps |11> and |20> on [3, 3], so
     it moves |11> population out of the 0/1 block."""
     swap = np.eye(space.total_dim)[[0, 1, 2, 3, 6, 5, 4, 7, 8]]
-    return Superoperator(space, np.kron(swap, swap))
+    return np.kron(swap, swap)
 
 
 def nan_gadget(space, j, k, params):
-    return Superoperator(space, np.full((space.total_dim ** 2,) * 2, np.nan))
+    return np.full((space.total_dim ** 2,) * 2, np.nan)
 
 
 @pytest.mark.parametrize("gadget", [leaky_gadget, nan_gadget], ids=["leaky", "nan"])
@@ -219,7 +220,7 @@ def test_qubit_block_run_refuses_a_gadget_that_leaves_the_block(monkeypatch, gad
 def trace_breaking_gadget(space, j, k, params):
     """1.1 x the identity on [3, 3]: keeps the 0/1 block closed but grows the
     trace every time it is applied."""
-    return Superoperator(space, 1.1 * np.eye(space.total_dim ** 2))
+    return 1.1 * np.eye(space.total_dim ** 2)
 
 
 @pytest.mark.parametrize("drive_mode, drive", [("ideal-2level", None),
@@ -479,20 +480,27 @@ def test_ideal_success_monotone_in_rotation_budget(capsys):
               f"(coherent plateau oscillation, not asserted)")
 
 
+def pure_diag(state):
+    return np.abs(state.amplitudes) ** 2
+
+
 def test_success_and_leakage_observables():
     g = three_node_line()
     space = make_space([2, 2, 2])
+    obs = _Observables(space, g)
     st = number_state(space, (1, 0, 1))
-    assert success_probability(st, g) == 1.0
+    assert obs.success(pure_diag(st)) == 1.0
     mixed = DensityState(space, np.eye(8) / 8)
-    assert abs(success_probability(mixed, g) - 1 / 8) < 1e-12
-    vac = vacuum(space)
-    assert success_probability(vac, g) == 0.0
-    assert leakage(vac, g) == 0.0
+    assert abs(obs.success(mixed.matrix.diagonal().real) - 1 / 8) < 1e-12
+    vac = pure_diag(vacuum(space))
+    assert obs.success(vac) == 0.0
+    assert obs.leakage(vac) == 0.0
     bad = number_state(space, (1, 1, 0))
-    assert leakage(bad, g) == 1.0
-    tri = number_state(make_space([3, 3, 3]), (2, 0, 0))
-    assert leakage(tri, g) == 1.0  # two photons in a mode count as leaked
+    assert obs.leakage(pure_diag(bad)) == 1.0
+    space3 = make_space([3, 3, 3])
+    tri = number_state(space3, (2, 0, 0))
+    # two photons in a mode count as leaked
+    assert _Observables(space3, g).leakage(pure_diag(tri)) == 1.0
 
 
 def test_success_patterns_are_the_brute_force_optima():
@@ -507,8 +515,9 @@ def test_success_patterns_are_the_brute_force_optima():
         solver = brute_force_mis if g.weights is None else brute_force_wmis
         optima = {tuple(int(j in s) for j in range(g.n_vertices)) for s in solver(g)[1]}
         space = make_space([2 + i % 2] * g.n_vertices)  # qubit and 3-level modes
+        obs = _Observables(space, g)
         found = {p for p in product((0, 1), repeat=g.n_vertices)
-                 if success_probability(number_state(space, p), g) == 1.0}
+                 if obs.success(pure_diag(number_state(space, p))) == 1.0}
         assert found == optima
 
 
@@ -533,6 +542,17 @@ def test_qubo_gauge_transformed_optimum_at_vacuum():
     q = np.array([[1.0, 0.5], [0.5, 1.0]])
     rep = qubo_anneal(q, 400, 40 * math.pi)
     assert rep.final_populations[(0, 0)] > 0.99
+
+
+@pytest.mark.filterwarnings("error")  # rejected before any RuntimeWarning
+@pytest.mark.parametrize("q", [np.ones((2, 3)), np.ones(3), np.zeros((0, 0)),
+                               np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                               np.full((2, 2), 1e308), np.full((2, 2), -1e308)],
+                         ids=["not-square", "vector", "empty", "nan-entry",
+                              "energy-overflow", "negative-energy-overflow"])
+def test_qubo_anneal_rejects_a_bad_matrix(q):
+    with pytest.raises(ValueError, match="QUBO"):
+        qubo_anneal(q, 4, 1.0)
 
 
 def test_qubo_profile_endpoints():

@@ -73,6 +73,11 @@ def test_help_exits_0(capsys):
     assert "--r-grid" in capsys.readouterr().out
 
 
+BAD_FILES = {"BAD_GRAPH": "0 1\n0 x\n", "NAN_QUBO": "1 nan\nnan 1\n",
+             "HUGE_QUBO": "1e308 1e308\n1e308 1e308\n", "EMPTY_QUBO": "",
+             "RAGGED_QUBO": "1 2 3\n"}
+
+
 @pytest.mark.parametrize("args", [
     ["anneal", "--n-cycles", "0"],
     ["anneal", "--r-grid", "0,1"],
@@ -100,6 +105,12 @@ def test_help_exits_0(capsys):
     ["constraint-sweep", "--gamma-ts", "inf"],
     ["wmis", "--phi-q", "nan"],
     ["wmis", "--w0-grid", "nan", "--n-cycle", "20"],
+    ["qubo", "--qubo", "NAN_QUBO"],
+    ["qubo", "--qubo", "HUGE_QUBO"],
+    ["qubo", "--qubo", "EMPTY_QUBO"],
+    ["qubo", "--qubo", "RAGGED_QUBO"],
+    ["anneal", "--tol", "nan", "--n-cycles", "8", "--r-grid", "1,2"],
+    ["anneal", "--tol", "-1", "--n-cycles", "8", "--r-grid", "1,2"],
 ], ids=["anneal-zero-cycles", "anneal-zero-rotation", "qubo-zero-cycles",
         "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph",
         "unknown-flag", "no-subcommand", "unknown-subcommand",
@@ -110,11 +121,13 @@ def test_help_exits_0(capsys):
         "zeno-onset-negative-tpa-rate", "drive-sweep-negative-eta",
         "oracle-check-zero-gamma", "anneal-nan-pump-phase",
         "constraint-sweep-nan-pump-phase", "constraint-sweep-inf-gamma-t",
-        "wmis-nan-pump-phase", "wmis-nan-weight"])
+        "wmis-nan-pump-phase", "wmis-nan-weight", "qubo-nan-entry",
+        "qubo-energy-overflow", "qubo-empty", "qubo-not-square", "anneal-nan-tol",
+        "anneal-negative-tol"])
 def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
-    bad_graph = tmp_path / "bad.txt"
-    bad_graph.write_text("0 1\n0 x\n")
-    args = [bad_graph if a == "BAD_GRAPH" else a for a in args]
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    args = [tmp_path / a if a in BAD_FILES else a for a in args]
     assert run(args + ["--out", tmp_path / "x.csv"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from zenoanneal.fock import DensityState, make_space, number_state
+from zenoanneal.fock import DensityState, make_space
 from zenoanneal.gadgets import drive_generator
 from zenoanneal.generators import (annihilation_operator, combine,
                                    displacement_generator, hamiltonian_superop,
@@ -13,6 +13,7 @@ from zenoanneal.generators import (annihilation_operator, combine,
                                    sfg_generator, tpa_dissipator)
 from zenoanneal.propagator import expm_dense
 
+from oracles import number_state
 from test_fock import random_density
 
 
