@@ -32,8 +32,9 @@ class DampingParams:
     eta: float
 
     def __post_init__(self):
-        if self.gamma < 0 or self.eta < 0:
-            raise ValueError("rates must be nonnegative")
+        if not (0 <= self.gamma < math.inf and 0 <= self.eta < math.inf):  # NaN fails too
+            raise ValueError(f"rates must be finite and nonnegative, "
+                             f"got gamma={self.gamma}, eta={self.eta}")
 
     @property
     def discriminant(self) -> float:

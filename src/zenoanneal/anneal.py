@@ -9,7 +9,7 @@ Node weights come from the graph alone: node j's phase each cycle is
 phi_i * w_j with ``ProblemGraph.weights`` (unit weights when it has none),
 and the same weights pick the optimal sets that success is scored against.
 
-``_run_density`` runs that cycle on a (B, D, D) stack of density matrices,
+``anneal_density_batch`` runs that cycle on a (B, D, D) stack of density matrices,
 one row per schedule, with the physical constraint gadget (built on per-mode
 dim >= 3) per edge; ``anneal_density`` is its one-row case.  The exact
 two-level drive keeps rho in the 2^n x 2^n block of 0/1 patterns, where phase
@@ -17,12 +17,13 @@ and drive are one unitary V rho V^dag per row; the TPA and SFG drives populate
 |2>, so they run one row on the full space as a :class:`PhaseKernel` multiply
 and one local drive superoperator per mode.
 ``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
-row of a batched schedule (a sequence of r_tot), for three paths:
+row of a batched schedule (a sequence of r_tot), a block of cycles at a time,
+for three paths:
 ``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
 ``anneal_ideal`` (a drive that cannot reach non-independent sets) and
 ``qubo_anneal`` (a zeta ramp on the QUBO energy).
 Every report carries its final state and its per-cycle entropy (zero on the
-pure paths).
+pure paths); a pure-path report also carries ``meta["norm_drift"]``.
 """
 
 from __future__ import annotations
@@ -190,12 +191,11 @@ def _ideal_step(n: int, weights):
     """
     bits = _bit_table(n)
     signs = _walsh_signs(n).astype(complex)
-    mixer_phases = _phase_diagonal(n - 2 * bits.sum(axis=1))
-    number_phases = _phase_diagonal(bits @ np.asarray(weights))
+    phases = _phase_tables(n - 2 * bits.sum(axis=1), bits @ np.asarray(weights))
 
     def step(rho, phi, c):
-        v = (signs * mixer_phases(c)[:, None]) @ (
-            signs * number_phases(phi)[:, None]) / (1 << n)
+        mixer_phases, number_phases = phases(c, phi)
+        v = (signs * mixer_phases[:, None]) @ (signs * number_phases[:, None]) / (1 << n)
         return v @ rho @ v.conj().mT
 
     return step
@@ -326,54 +326,76 @@ def _walsh_signs(k: int) -> np.ndarray:
     return 1 - 2 * ((bits @ bits.T) & 1)
 
 
-def _phase_diagonal(values: np.ndarray):
-    """angles -> exp(-i angle_b values) for one angle per row, with one exp
-    per distinct value (number and n - 2 popcount take only n + 1 values)."""
-    distinct, index = np.unique(values, return_inverse=True)
-    neg_i_distinct = -1j * distinct
-    return lambda angles: np.exp(angles[:, None] * neg_i_distinct)[:, index]
+def _phase_tables(*values: np.ndarray):
+    """(angles_1, ..., angles_m) -> [exp(-i angles_j values_j) for each j],
+    each with the angles' shape plus the basis axis.
 
+    Each diagonal takes few distinct values (number and n - 2 popcount take
+    only n + 1), so one exp runs over the distinct values of all m diagonals
+    and one take per diagonal spreads them over the basis.
+    """
+    distinct, index = zip(*(np.unique(v, return_inverse=True) for v in values))
+    neg_i_distinct = [-1j * d for d in distinct]
+    bounds = np.cumsum([0] + [len(d) for d in distinct])
+    for idx, start in zip(index, bounds):
+        idx += start
 
-def _eigen_mixer(lam: np.ndarray, to_eig, from_eig):
-    """(amps, c) -> exp(-i c_b M) on every row, in M's eigenbasis W:
-    amps <- ((amps @ W) * exp(-i c lam)) @ W^T."""
-    phases = _phase_diagonal(lam)
-    return lambda amps, c: from_eig(to_eig(amps) * phases(c))
+    def phases(*angles):
+        table = np.empty(np.shape(angles[0]) + (bounds[-1],), dtype=complex)
+        for a, d, start, stop in zip(angles, neg_i_distinct, bounds, bounds[1:]):
+            np.multiply(a[..., None], d, out=table[..., start:stop])
+        np.exp(table, out=table)
+        return [table.take(idx, axis=-1) for idx in index]
+
+    return phases
 
 
 def _transverse_mixer(n: int):
-    """exp(-i c X) on each of n qubits: W = H^{(x)n}, lam = n - 2 popcount.
+    """(to_eig, lam, from_eig) of exp(-i c X) on each of n qubits: its
+    eigenbasis W = H^{(x)n} and lam = n - 2 popcount, so that the mixer is
+    amps <- from_eig(to_eig(amps) * exp(-i c lam)).
 
     W = S / 2^(n/2) with S the exact +-1 Walsh signs and S S = 2^n: the
     forward pass applies S and the inverse S / 2^n, both exact, so at c = 0
     the mixer is exactly the identity and the norm does not leak.
-    S = S_(n-k) (x) S_k with k = min(n, 7): the low k bits are one matmul on
-    a (B 2^(n-k), 2^k) reshape, the high bits a second on (B, 2^(n-k), 2^k),
-    so no 2^n x 2^n matrix is formed.
+    For n <= 7 each pass is one matmul by the 2^n x 2^n signs.  Beyond that
+    S = S_(n-7) (x) S_7: the low 7 bits are one matmul on a (B 2^(n-7), 2^7)
+    reshape, the high bits a second on (B, 2^(n-7), 2^7), so no 2^n x 2^n
+    matrix is formed.
     """
     k = min(n, 7)
     low, high = _walsh_signs(k).astype(complex), _walsh_signs(n - k).astype(complex)
 
     def walsh(low: np.ndarray):
+        if n == k:
+            return lambda amps: amps @ low
+
         def transform(amps: np.ndarray) -> np.ndarray:
             out = amps.reshape(-1, low.shape[0]) @ low
-            if n > k:
-                out = high @ out.reshape(amps.shape[0], high.shape[0], low.shape[0])
+            out = high @ out.reshape(amps.shape[0], high.shape[0], low.shape[0])
             return out.reshape(amps.shape)
         return transform
 
-    return _eigen_mixer(n - 2 * _bit_table(n).sum(axis=1), walsh(low), walsh(low / (1 << n)))
+    return walsh(low), n - 2 * _bit_table(n).sum(axis=1), walsh(low / (1 << n))
 
 
 def _ideal_mixer(independent: np.ndarray):
-    """The transverse mixer with every matrix element that touches a
-    non-independent pattern removed, diagonalized once."""
+    """(to_eig, lam, from_eig) of the transverse mixer with every matrix
+    element that touches a non-independent pattern removed, diagonalized
+    once."""
     idx = np.arange(len(independent))
     single_flip = np.bitwise_count(idx[:, None] ^ idx[None, :]) == 1
     lam, vecs = np.linalg.eigh(
         (single_flip & independent[:, None] & independent[None, :]).astype(float))
     w = vecs.astype(complex)
-    return _eigen_mixer(lam, lambda amps: amps @ w, lambda amps: amps @ w.T)
+    return (lambda amps: amps @ w), lam, (lambda amps: amps @ w.T)
+
+
+# Largest B * k * 2^n amplitudes the pure-state engine keeps for one block
+# of k cycles: 64 KiB of states, and phase tables two to three times that.
+# Larger blocks run the cycles no faster and raise peak memory (2^13 added
+# 0.8 MB of peak RSS on the mis-pure benchmark).
+PURE_BLOCK_ELEMENTS = 1 << 12
 
 
 def _run_pure(schedule: Schedule, mixer, number: np.ndarray, proj: np.ndarray,
@@ -381,33 +403,52 @@ def _run_pure(schedule: Schedule, mixer, number: np.ndarray, proj: np.ndarray,
     """The pure-state cycle engine; returns (final amplitudes, records).
 
     A (B, 2^n) state, one row per schedule row, starts in vacuum.  Each cycle
-    applies exp(-i(phi_b number + zeta_b energy)), ``mixer`` at angle c_b and
-    the constant diagonal ``kicks``, then records |amps|^2 @ proj in a
-    (B, n_cycle, k) array; memory per cycle stays O(B 2^n).
+    applies exp(-i(phi_b number + zeta_b energy)), the ``mixer`` parts
+    (to_eig, lam, from_eig) at angle c_b and the constant unimodular diagonal
+    ``kicks``, and records |amps|^2 @ [proj, 1] in a (B, n_cycle, k + 1)
+    array; the last column is each row's squared norm.
+
+    Cycles run in blocks of at most ``PURE_BLOCK_ELEMENTS / (B 2^n)``, at
+    least one: one exp builds the block's phase diagonals, a (k, B, 2^n)
+    buffer keeps its states, and one matmul gives its records.  Kicks leave
+    vacuum and |amps| unchanged, so each is folded into the next cycle's
+    diagonal and the last one is applied at the end.
     """
-    phi, c = np.atleast_2d(schedule.phi), np.atleast_2d(schedule.c)
-    number_phases = _phase_diagonal(number)
-    if schedule.zeta is not None:
-        zeta, energy_phases = np.atleast_2d(schedule.zeta), _phase_diagonal(energy)
-    amps = np.zeros((phi.shape[0], len(number)), dtype=complex)
+    to_eig, lam, from_eig = mixer
+    parts = [(schedule.phi, number), (schedule.zeta, energy), (schedule.c, lam)]
+    angles, diagonals = zip(*[(np.atleast_2d(a).T, d) for a, d in parts if a is not None])
+    phases = _phase_tables(*diagonals)
+    proj = np.column_stack([proj, np.ones(len(number))])
+    amps = np.zeros((angles[0].shape[1], len(number)), dtype=complex)
     amps[:, 0] = 1.0
-    records = np.empty((phi.shape[0], schedule.n_cycle, proj.shape[1]))
-    for i in range(schedule.n_cycle):
-        diag = number_phases(phi[:, i])
-        if schedule.zeta is not None:
-            diag *= energy_phases(zeta[:, i])
-        amps = mixer(amps * diag, c[:, i])
+    records = np.empty((len(amps), schedule.n_cycle, proj.shape[1]))
+    block = max(1, PURE_BLOCK_ELEMENTS // amps.size)
+    for start in range(0, schedule.n_cycle, block):
+        diag, *energy_phases, mix = phases(*(a[start:start + block] for a in angles))
+        if energy_phases:  # popped, so its table is freed before the cycles run
+            diag *= energy_phases.pop()
         if kicks is not None:
-            amps *= kicks
-        records[:, i] = (np.abs(amps) ** 2) @ proj
+            diag *= kicks
+        states = np.empty(diag.shape, dtype=complex)
+        for j in range(len(diag)):
+            states[j] = from_eig(to_eig(amps * diag[j]) * mix[j])
+            amps = states[j]
+        records[:, start:start + len(states)] = (
+            (np.abs(states) ** 2) @ proj).transpose(1, 0, 2)
+    if kicks is not None:
+        amps = amps * kicks
     return amps, records
 
 
 def _pure_report(schedule: Schedule, bits: np.ndarray, amps: np.ndarray,
-                 success: np.ndarray, leak: np.ndarray, meta: dict) -> AnnealReport:
-    """Pure-state report; a batched schedule keeps the batch axis (a (B,)
-    array per pattern, a list of final states), a single one drops it."""
+                 records: np.ndarray, leak: np.ndarray, meta: dict) -> AnnealReport:
+    """Pure-state report from :func:`_run_pure`'s output: success is the
+    first record, ``meta["norm_drift"]`` the largest |norm - 1| of any row
+    at any cycle.  A batched schedule keeps the batch axis (a (B,) array per
+    pattern, a list of final states), a single one drops it."""
     space = make_space([2] * bits.shape[1])
+    success = records[..., 0]
+    norm_drift = float(np.max(np.abs(np.sqrt(records[..., -1]) - 1.0)))
     final = [PureState(space, a / np.linalg.norm(a)) for a in amps]
     populations = (np.abs(amps) ** 2).T
     if np.ndim(schedule.phi) == 1:
@@ -415,7 +456,7 @@ def _pure_report(schedule: Schedule, bits: np.ndarray, amps: np.ndarray,
                                              populations[:, 0].tolist(), final[0])
     return AnnealReport(schedule.n_cycle, success, np.zeros_like(success), leak,
                         dict(zip(map(tuple, bits.tolist()), populations)), final,
-                        meta={**meta, "r_tot": schedule.r_tot})
+                        meta={**meta, "r_tot": schedule.r_tot, "norm_drift": norm_drift})
 
 
 def _anneal_mis_pure(graph: ProblemGraph, schedule: Schedule,
@@ -431,8 +472,7 @@ def _anneal_mis_pure(graph: ProblemGraph, schedule: Schedule,
         kicks = np.exp(1j * (math.pi + phi_q) * obs.violations)
     proj = np.column_stack([obs.optimal, obs.violations == 0]).astype(float)
     amps, records = _run_pure(schedule, mixer, obs.number, proj, kicks=kicks)
-    return _pure_report(schedule, obs.bits, amps, records[..., 0],
-                        1.0 - records[..., 1], meta)
+    return _pure_report(schedule, obs.bits, amps, records, 1.0 - records[..., 1], meta)
 
 
 def anneal_statevector(graph: ProblemGraph, schedule: Schedule,
@@ -498,5 +538,4 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot) -> AnnealReport:
                               optimal[:, None].astype(float), energy=energy)
     meta = {"path": "qubo", "energy": energy,
             "optima": list(map(tuple, bits[optimal].tolist()))}
-    return _pure_report(schedule, bits, amps, records[..., 0],
-                        np.zeros_like(records[..., 0]), meta)
+    return _pure_report(schedule, bits, amps, records, np.zeros_like(records[..., 0]), meta)

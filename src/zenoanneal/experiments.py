@@ -50,6 +50,8 @@ def zeno_onset_rows(variant: str, ratios, truncation: int,
     """Population time series of the driven mode for each gamma/c ratio."""
     if variant not in ("tpa", "sfg"):
         raise ValueError("variant must be 'tpa' or 'sfg'")
+    if not 0 < t_max < math.inf:  # NaN fails too
+        raise ValueError(f"t_max must be finite and positive, got {t_max}")
     header = ["variant", "gamma_over_c", "t", "p0", "p1", "p_higher"]
     rows = []
     times = np.linspace(0.0, t_max, n_t)
@@ -103,6 +105,14 @@ def _markov_point(eta_over_gtpa: float, gamma_tpa: float) -> float:
 
 def _tpa_point(_, gamma: float) -> float:
     return _drive_p1("tpa", gamma, 0.0, math.pi / 2.0)
+
+
+def _finite_ratios(name: str, ratios) -> list[float]:
+    """``ratios`` as floats; ValueError unless each is finite and nonnegative."""
+    ratios = [float(r) for r in ratios]
+    if not all(0 <= r < math.inf for r in ratios):  # NaN fails too
+        raise ValueError(f"{name} must be finite and nonnegative, got {ratios}")
+    return ratios
 
 
 def _check_gamma99_args(lo: float, hi: float, iters: int) -> None:
@@ -188,6 +198,8 @@ def drive_sweep_rows(ratios, gammas, markov_ratios, gamma_tpas,
     'gamma99' threshold row per coherence ratio.
     """
     _check_gamma99_args(gamma99_lo, gamma99_hi, gamma99_iters)
+    ratios = _finite_ratios("eta ratios", ratios)
+    markov_ratios = _finite_ratios("markov ratios", markov_ratios)
     header = ["row_kind", "eta_ratio", "gamma", "p1", "reached_target"]
     rows = []
     for ratio in ratios:
@@ -364,6 +376,7 @@ def oracle_check_rows(gammas, eta_ratios, n_t: int = 201):
     gammas = [float(g) for g in gammas]
     if not all(g > 0 for g in gammas):
         raise ValueError(f"oracle-check gammas must be positive, got {gammas}")
+    eta_ratios = _finite_ratios("oracle-check eta ratios", eta_ratios)
     rows = []
     for gamma in gammas:
         for ratio in eta_ratios:

@@ -109,10 +109,11 @@ def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
     "tpa" blockades by two-photon absorption and has no pump, so eta must be
     0.  "sfg" converts pairs into a pump appended as the last mode, sized by
     :func:`default_pump_dim` to hold every convertible pair, that loses
-    photons at rate ``eta``.  Both rates must be nonnegative.
+    photons at rate ``eta``.  Both rates must be finite and nonnegative.
     """
-    if not (gamma >= 0 and eta >= 0):
-        raise ValueError(f"drive rates must be nonnegative, got gamma={gamma}, eta={eta}")
+    if not (0 <= gamma < math.inf and 0 <= eta < math.inf):  # NaN fails too
+        raise ValueError(f"drive rates must be finite and nonnegative, "
+                         f"got gamma={gamma}, eta={eta}")
     if kind == "tpa":
         if eta != 0.0:
             raise ValueError("a TPA drive has no pump to lose photons from; eta must be 0")

@@ -1,10 +1,12 @@
 import math
 from functools import reduce
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from zenoanneal import anneal, experiments
 from zenoanneal.anneal import (_Observables, _transverse_mixer, anneal_density,
@@ -283,13 +285,19 @@ def test_density_report_records_space_and_block_leak():
     assert bare.meta["block_leak"] == 0.0
 
 
+def apply_mixer(mixer, amps, c):
+    """exp(-i c_b M) on row b of amps, from the mixer's eigenbasis parts."""
+    to_eig, lam, from_eig = mixer
+    return from_eig(to_eig(amps) * np.exp(-1j * c[:, None] * lam))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9])
 def test_walsh_hadamard_mixer_matches_kron_reference(n):
     # n = 9 runs the two-factor Walsh-Hadamard transform
     rng = np.random.default_rng(n)
     amps = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
     c = rng.uniform(-2.0, 2.0, size=3)
-    out = _transverse_mixer(n)(amps, c)
+    out = apply_mixer(_transverse_mixer(n), amps, c)
     for row in range(3):
         u = reduce(np.kron, [x_rotation(c[row])] * n)
         assert np.max(np.abs(out[row] - u @ amps[row])) < 1e-12
@@ -299,7 +307,7 @@ def test_walsh_hadamard_mixer_matches_kron_reference(n):
 def test_transverse_mixer_at_zero_angle_is_exactly_the_identity(n):
     # exact +-1 Walsh factors: a rounded 2^(-n/2) would leak norm every cycle
     eye = np.eye(2 ** n)
-    assert np.array_equal(_transverse_mixer(n)(eye, np.zeros(2 ** n)), eye)
+    assert np.array_equal(apply_mixer(_transverse_mixer(n), eye, np.zeros(2 ** n)), eye)
 
 
 def _pure_runs():
@@ -330,6 +338,71 @@ def test_batched_run_matches_per_schedule_runs(path):
         assert batch.final_populations.keys() == single.final_populations.keys()
         for pattern, p in single.final_populations.items():
             assert abs(batch.final_populations[pattern][row] - p) < 1e-12
+
+
+def _block_runs(n, edges, phi_q, seed):
+    graph = graph_from_edges(n, edges)
+    q = np.random.default_rng(seed).normal(size=(n, n))
+    return {"statevector": lambda s: anneal_statevector(graph, s, phi_q),
+            "ideal": lambda s: anneal_ideal(graph, s),
+            "qubo": lambda s: qubo_anneal(q, s.n_cycle, s.r_tot)}
+
+
+def _block_run(path, schedule, cap, n, edges, phi_q, seed):
+    """(success, leakage, final amplitudes) with B k 2^n capped at ``cap``."""
+    with mock.patch.object(anneal, "PURE_BLOCK_ELEMENTS", cap):
+        rep = _block_runs(n, edges, phi_q, seed)[path](schedule)
+    final = rep.final_state if isinstance(rep.final_state, list) else [rep.final_state]
+    return (np.atleast_2d(rep.success), np.atleast_2d(rep.leakage),
+            np.array([state.amplitudes for state in final]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 6), edge_mask=st.integers(0, 2 ** 15 - 1),
+       n_cycle=st.integers(1, 300),
+       r_tots=st.lists(st.floats(0.5, 300.0), min_size=2, max_size=3),
+       phi_q=st.floats(0.0, 2 * math.pi), seed=st.integers(0, 99), data=st.data())
+def test_pure_runs_do_not_depend_on_the_cycle_block(n, edge_mask, n_cycle, r_tots, phi_q,
+                                                    seed, data):
+    # one cycle per block, a block that does not divide n_cycle, one block
+    edges = [e for i, e in enumerate(combinations(range(n), 2)) if edge_mask >> i & 1]
+    k = data.draw(st.integers(2, n_cycle + 1).filter(lambda k: n_cycle % k), label="k")
+    width = len(r_tots) << n
+    caps = (1, k * width, n_cycle * width)
+    args = (n, edges, phi_q, seed)
+    for path in ("statevector", "ideal", "qubo"):
+        batch = make_schedule(n_cycle, r_tots)
+        ref = _block_run(path, batch, caps[-1], *args)
+        runs = [_block_run(path, batch, cap, *args) for cap in caps[:-1]]
+        singles = [[_block_run(path, make_schedule(n_cycle, r), cap, *args)
+                    for r in r_tots] for cap in caps]
+        runs += [tuple(np.concatenate(parts) for parts in zip(*rows)) for rows in singles]
+        for run in runs:
+            for got, want in zip(run, ref):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13, path
+
+
+@pytest.mark.parametrize("path", ["statevector", "ideal", "qubo"])
+def test_pure_paths_report_norm_drift(path):
+    five = five_node_example()
+    q = np.random.default_rng(5).normal(size=(5, 5))
+    run = {"statevector": lambda: anneal_statevector(five, make_schedule(1024, 300.0), PHI_Q),
+           "ideal": lambda: anneal_ideal(five, make_schedule(1024, 300.0)),
+           "qubo": lambda: qubo_anneal(q, 1024, 300.0)}[path]
+    assert 0.0 <= run().meta["norm_drift"] <= 1e-12
+
+
+def test_norm_drift_sees_a_mixer_that_is_not_unitary(monkeypatch):
+    exact = anneal._transverse_mixer
+
+    def scaled(n):
+        to_eig, lam, from_eig = exact(n)
+        return to_eig, lam, lambda amps: from_eig(amps) * (1 + 1e-6)
+
+    monkeypatch.setattr(anneal, "_transverse_mixer", scaled)
+    rep = anneal_statevector(five_node_example(), make_schedule(16, 10.0), PHI_Q)
+    assert rep.meta["norm_drift"] >= 1e-6
 
 
 def test_qubo_energies_and_optima_match_brute_force():

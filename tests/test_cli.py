@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -77,6 +79,18 @@ BAD_FILES = {"BAD_GRAPH": "0 1\n0 x\n", "NAN_QUBO": "1 nan\nnan 1\n",
              "HUGE_QUBO": "1e308 1e308\n1e308 1e308\n", "EMPTY_QUBO": "",
              "RAGGED_QUBO": "1 2 3\n"}
 
+# Non-finite rates and times once printed a traceback, a misleading message,
+# or a RuntimeWarning before the config error.  Warnings go through pytest's
+# capture in-process, so these cases also run in a fresh interpreter.
+NON_FINITE_CASES = [
+    ["oracle-check", "--eta-ratios", "inf"],
+    ["oracle-check", "--eta-ratios", "nan"],
+    ["zeno-onset", "--variant", "tpa", "--tpa-ratios", "inf"],
+    ["zeno-onset", "--t-max", "inf"],
+    ["drive-sweep", "--eta-ratios", "inf", "--gammas", "1", "--markov-ratios", "4",
+     "--gamma-tpas", "1"],
+]
+
 
 @pytest.mark.parametrize("args", [
     ["anneal", "--n-cycles", "0"],
@@ -111,6 +125,7 @@ BAD_FILES = {"BAD_GRAPH": "0 1\n0 x\n", "NAN_QUBO": "1 nan\nnan 1\n",
     ["qubo", "--qubo", "RAGGED_QUBO"],
     ["anneal", "--tol", "nan", "--n-cycles", "8", "--r-grid", "1,2"],
     ["anneal", "--tol", "-1", "--n-cycles", "8", "--r-grid", "1,2"],
+    *NON_FINITE_CASES,
 ], ids=["anneal-zero-cycles", "anneal-zero-rotation", "qubo-zero-cycles",
         "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph",
         "unknown-flag", "no-subcommand", "unknown-subcommand",
@@ -123,7 +138,8 @@ BAD_FILES = {"BAD_GRAPH": "0 1\n0 x\n", "NAN_QUBO": "1 nan\nnan 1\n",
         "constraint-sweep-nan-pump-phase", "constraint-sweep-inf-gamma-t",
         "wmis-nan-pump-phase", "wmis-nan-weight", "qubo-nan-entry",
         "qubo-energy-overflow", "qubo-empty", "qubo-not-square", "anneal-nan-tol",
-        "anneal-negative-tol"])
+        "anneal-negative-tol", "oracle-check-inf-eta-ratio", "oracle-check-nan-eta-ratio",
+        "zeno-onset-inf-tpa-rate", "zeno-onset-inf-t-max", "drive-sweep-inf-eta-ratio"])
 def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
     for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)
@@ -132,6 +148,15 @@ def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not os.path.exists(tmp_path / "x.csv")
+    if args in NON_FINITE_CASES:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(anneal.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "zenoanneal.cli", *args,
+                               "--out", str(tmp_path / "x.csv")],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+        assert not os.path.exists(tmp_path / "x.csv")
 
 
 @pytest.mark.parametrize("text, needle", [
