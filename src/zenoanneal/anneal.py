@@ -39,7 +39,7 @@ from .fock import (DensityState, FockSpace, PureState,
                    make_space, von_neumann_entropy)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       drive_generator, pump_maps)
-from .problems import ProblemGraph
+from .problems import ProblemGraph, _guard_size
 from .propagator import NonConvergenceError, PhaseKernel, build_cache
 
 CYCLE_ORDER = "phase->drive->constraints"
@@ -118,10 +118,12 @@ def _bit_table(n: int) -> np.ndarray:
 class _Observables:
     """Per 0/1 pattern (rows of ``bits``): edge violations, weighted number
     N_w = bits @ weights, optimality, and the basis indices for
-    success/leakage."""
+    success/leakage.  A graph too large for exhaustive search raises
+    ValueError before any table is built."""
 
     def __init__(self, space: FockSpace, graph: ProblemGraph):
         n = graph.n_vertices
+        _guard_size(n)
         self.bits = _bit_table(n)
         self.pattern_idx = self.bits @ np.array(space.strides)
         self.patterns = list(map(tuple, self.bits.tolist()))
@@ -266,11 +268,10 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
                 raise NonConvergenceError(
                     f"edge gadget moves {block_leak:.3e} out of the 0/1 block "
                     f"(tolerance {BLOCK_LEAK_TOL:g})")
-        space, step = make_space([2] * n), _ideal_step(n, weights)
-    else:
-        space = full_space
-        step = _zeno_step(space, weights, drive, drive_mode, float(np.max(schedules[0].c)))
+    space = make_space([2] * n) if in_block else full_space
     obs = _Observables(space, graph)
+    step = (_ideal_step(n, weights) if in_block else
+            _zeno_step(space, weights, drive, drive_mode, float(np.max(schedules[0].c))))
 
     order = sorted(range(len(schedules)), key=lambda b: -schedules[b].n_cycle)
     lengths = [schedules[b].n_cycle for b in order]
@@ -350,6 +351,36 @@ def _phase_tables(*values: np.ndarray):
     return phases
 
 
+# Largest n whose Walsh pass is one matmul by the 2^n x 2^n signs, and the
+# most qubits one Kronecker factor covers above it: with BLAS on one thread,
+# 16 x 16 factors ran an n = 13-14 pass faster than 8 x 8 or 32 x 32 ones.
+WALSH_MATMUL_QUBITS = 7
+WALSH_FACTOR_QUBITS = 4
+
+
+def _kron_pass(factors: list[np.ndarray]):
+    """amps -> amps @ (F_1 (x) ... (x) F_m) on the last axis, for symmetric
+    real factors, F_1 on the highest bits.
+
+    Each factor but the last is one real matmul F_j @ (pre, d_j, 2 post) on
+    the float view of the complex amplitudes; the last is a right multiply
+    of the float view of the (rows, d_m) low bits by F_m (x) 1_2.
+    """
+    *lead, last = factors
+    last = np.kron(last, np.eye(2))
+
+    def transform(amps: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(amps, dtype=complex)
+        post = x.shape[-1]
+        for f in lead:
+            post //= len(f)
+            x = np.matmul(f, x.reshape(-1, len(f), post).view(float)).view(complex)
+        x = x.reshape(-1, post).view(float) @ last
+        return x.view(complex).reshape(amps.shape)
+
+    return transform
+
+
 def _transverse_mixer(n: int):
     """(to_eig, lam, from_eig) of exp(-i c X) on each of n qubits: its
     eigenbasis W = H^{(x)n} and lam = n - 2 popcount, so that the mixer is
@@ -358,25 +389,21 @@ def _transverse_mixer(n: int):
     W = S / 2^(n/2) with S the exact +-1 Walsh signs and S S = 2^n: the
     forward pass applies S and the inverse S / 2^n, both exact, so at c = 0
     the mixer is exactly the identity and the norm does not leak.
-    For n <= 7 each pass is one matmul by the 2^n x 2^n signs.  Beyond that
-    S = S_(n-7) (x) S_7: the low 7 bits are one matmul on a (B 2^(n-7), 2^7)
-    reshape, the high bits a second on (B, 2^(n-7), 2^7), so no 2^n x 2^n
-    matrix is formed.
+    For n <= ``WALSH_MATMUL_QUBITS`` each pass is one matmul by the
+    2^n x 2^n signs.  Beyond that S = S_k1 (x) ... (x) S_km, m factors of at
+    most ``WALSH_FACTOR_QUBITS`` qubits each (Fino and Algazi 1976), applied
+    by :func:`_kron_pass` in real arithmetic; the inverse puts its 1/2^n on
+    the first factor.  No 2^n x 2^n matrix is formed.
     """
-    k = min(n, 7)
-    low, high = _walsh_signs(k).astype(complex), _walsh_signs(n - k).astype(complex)
-
-    def walsh(low: np.ndarray):
-        if n == k:
-            return lambda amps: amps @ low
-
-        def transform(amps: np.ndarray) -> np.ndarray:
-            out = amps.reshape(-1, low.shape[0]) @ low
-            out = high @ out.reshape(amps.shape[0], high.shape[0], low.shape[0])
-            return out.reshape(amps.shape)
-        return transform
-
-    return walsh(low), n - 2 * _bit_table(n).sum(axis=1), walsh(low / (1 << n))
+    lam = n - 2 * _bit_table(n).sum(axis=1)
+    if n <= WALSH_MATMUL_QUBITS:
+        signs = _walsh_signs(n).astype(complex)
+        inverse = signs / (1 << n)
+        return (lambda amps: amps @ signs), lam, (lambda amps: amps @ inverse)
+    m = -(-n // WALSH_FACTOR_QUBITS)
+    sizes = [n // m + 1] * (n % m) + [n // m] * (m - n % m)
+    signs = [_walsh_signs(k).astype(float) for k in sizes]
+    return _kron_pass(signs), lam, _kron_pass([signs[0] / (1 << n), *signs[1:]])
 
 
 def _ideal_mixer(independent: np.ndarray):
@@ -455,7 +482,7 @@ def _pure_report(schedule: Schedule, bits: np.ndarray, amps: np.ndarray,
         success, leak, populations, final = (success[0], leak[0],
                                              populations[:, 0].tolist(), final[0])
     return AnnealReport(schedule.n_cycle, success, np.zeros_like(success), leak,
-                        dict(zip(map(tuple, bits.tolist()), populations)), final,
+                        dict(zip(zip(*bits.T.tolist()), populations)), final,
                         meta={**meta, "r_tot": schedule.r_tot, "norm_drift": norm_drift})
 
 
@@ -517,13 +544,15 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot) -> AnnealReport:
     Diagonal elements ride on the per-mode phases; each off-diagonal pair
     applies a pump-phase kick of zeta * (Q_jk + Q_kj) on |1_j 1_k>, which is
     only realizable with a lossless pump.  A sequence of r_tot runs a batch;
-    ``meta`` holds the optima and every pattern's energy in basis order.
-    A Q that is not square, is empty, or has a non-finite entry or pattern
-    energy raises ValueError before any cycle runs.
+    ``meta`` holds the optima, and every pattern's energy and optimality
+    mask in basis order.  A Q that is not square, is empty, has more than
+    ``problems.BRUTE_FORCE_MAX_VERTICES`` variables, or has a non-finite entry
+    or pattern energy raises ValueError before any 2^n table is built.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
         raise ValueError(f"QUBO matrix must be square and non-empty, got shape {q.shape}")
+    _guard_size(q.shape[0])
     if not np.all(np.isfinite(q)):
         raise ValueError("QUBO matrix has a non-finite entry")
     tau, phi, c, zeta = linear_three_parameter_profile(n_cycle, r_tot)
@@ -536,6 +565,6 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot) -> AnnealReport:
     optimal = energy <= energy.min() + 1e-12  # the tie rule of brute_force_qubo
     amps, records = _run_pure(schedule, _transverse_mixer(q.shape[0]), bits.sum(axis=1),
                               optimal[:, None].astype(float), energy=energy)
-    meta = {"path": "qubo", "energy": energy,
+    meta = {"path": "qubo", "energy": energy, "optimal": optimal,
             "optima": list(map(tuple, bits[optimal].tolist()))}
     return _pure_report(schedule, bits, amps, records, np.zeros_like(records[..., 0]), meta)

@@ -15,8 +15,8 @@ from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form_uncorrected,
                        pair_coherence_ode, sfg_rate_for_tpa_target)
 # anneal_density is unused here but perfbench/tracing.py binds it.
-from .anneal import (anneal_density, anneal_density_batch, anneal_ideal,
-                     anneal_statevector, make_schedule, qubo_anneal)
+from .anneal import (_bit_table, anneal_density, anneal_density_batch,
+                     anneal_ideal, anneal_statevector, make_schedule, qubo_anneal)
 from .fock import make_space, vacuum
 from .gadgets import ConstraintParams, drive_generator
 from .problems import (ProblemGraph, brute_force_mis, mitigation_encode,
@@ -37,6 +37,9 @@ TRUNCATION_SWITCH_GAMMA = 10.0
 # path.  The 18- and 66-level SFG spaces stay on the action path, where dense
 # was about 2x slower at d = 18.
 DRIVE_DENSE_DIM = 11
+# Smallest eta / gamma_TPA of a Markov curve: a TPA target rate above eta/4
+# has no SFG rate (analytic.sfg_rate_for_tpa_target).
+MARKOV_RATIO_MIN = 4.0
 # gamma_99 stops once its bracket is this narrow in log gamma.
 GAMMA99_LOG_TOL = 1e-12
 # Final success a constraint sweep's n99 column asks of a cycle count.
@@ -107,12 +110,16 @@ def _tpa_point(_, gamma: float) -> float:
     return _drive_p1("tpa", gamma, 0.0, math.pi / 2.0)
 
 
-def _finite_ratios(name: str, ratios) -> list[float]:
-    """``ratios`` as floats; ValueError unless each is finite and nonnegative."""
-    ratios = [float(r) for r in ratios]
-    if not all(0 <= r < math.inf for r in ratios):  # NaN fails too
-        raise ValueError(f"{name} must be finite and nonnegative, got {ratios}")
-    return ratios
+def _finite_values(name: str, values, least: float = 0.0,
+                   positive: bool = False) -> list[float]:
+    """``values`` as floats; ValueError naming them unless each is finite and
+    at least ``least``, and above zero when ``positive``."""
+    values = [float(v) for v in values]
+    if not all(least <= v < math.inf and (v > 0 or not positive)  # NaN fails too
+               for v in values):
+        want = "positive" if positive else f"at least {least:g}" if least else "nonnegative"
+        raise ValueError(f"{name} must be finite and {want}, got {values}")
+    return values
 
 
 def _check_gamma99_args(lo: float, hi: float, iters: int) -> None:
@@ -195,11 +202,16 @@ def drive_sweep_rows(ratios, gammas, markov_ratios, gamma_tpas,
     computed.  Emits three row kinds:
     'sweep' (coherence interpolation), 'markov' (fixed effective pair-loss
     rate, growing pump loss), 'tpa_ref' (memoryless pair absorption), and a
-    'gamma99' threshold row per coherence ratio.
+    'gamma99' threshold row per coherence ratio.  Every input is checked
+    before any point is evaluated: ratios and gammas finite and nonnegative,
+    Markov ratios finite and at least ``MARKOV_RATIO_MIN``, TPA gammas finite
+    and positive.
     """
     _check_gamma99_args(gamma99_lo, gamma99_hi, gamma99_iters)
-    ratios = _finite_ratios("eta ratios", ratios)
-    markov_ratios = _finite_ratios("markov ratios", markov_ratios)
+    ratios = _finite_values("eta ratios", ratios)
+    gammas = _finite_values("gammas", gammas)
+    markov_ratios = _finite_values("markov ratios", markov_ratios, least=MARKOV_RATIO_MIN)
+    gamma_tpas = _finite_values("TPA gammas", gamma_tpas, positive=True)
     header = ["row_kind", "eta_ratio", "gamma", "p1", "reached_target"]
     rows = []
     for ratio in ratios:
@@ -312,15 +324,18 @@ def wmis_rows(w0_grid, n_cycle: int, r_tot: float,
 
 
 def qubo_rows(q: np.ndarray, n_cycle: int, r_tot: float):
-    """Final assignment distribution of the three-parameter anneal."""
+    """Final assignment distribution of the three-parameter anneal, one row
+    per assignment in basis order."""
     header = ["assignment", "energy", "probability", "is_optimal", "success"]
     rep = qubo_anneal(q, n_cycle, r_tot)
-    optima = set(rep.meta["optima"])
-    success = float(rep.success[-1])
-    # final_populations and meta["energy"] are both in basis order
-    return header, [("".join(map(str, bits)), energy, prob, int(bits in optima), success)
-                    for (bits, prob), energy in zip(rep.final_populations.items(),
-                                                    rep.meta["energy"].tolist())]
+    n = np.shape(q)[0]
+    # each row of '0'/'1' bytes read as one n-byte string
+    names = (_bit_table(n) + ord("0")).astype(np.uint8).view(f"S{n}").astype(str)
+    # final_populations, meta["energy"] and meta["optimal"] are all in basis order
+    return header, list(zip(names.ravel().tolist(), rep.meta["energy"].tolist(),
+                            rep.final_populations.values(),
+                            rep.meta["optimal"].astype(int).tolist(),
+                            [float(rep.success[-1])] * len(names)))
 
 
 # ----------------------------------------------------------------- mitigate
@@ -373,10 +388,8 @@ def oracle_check_rows(gammas, eta_ratios, n_t: int = 201):
     """Cross-check ODE, closed forms, and the full propagation per regime."""
     header = ["gamma", "eta", "regime", "max_ode_vs_full", "max_ode_vs_closed",
               "max_ode_vs_uncorrected", "sign_changes", "gamma_roundtrip_err"]
-    gammas = [float(g) for g in gammas]
-    if not all(g > 0 for g in gammas):
-        raise ValueError(f"oracle-check gammas must be positive, got {gammas}")
-    eta_ratios = _finite_ratios("oracle-check eta ratios", eta_ratios)
+    gammas = _finite_values("oracle-check gammas", gammas, positive=True)
+    eta_ratios = _finite_values("oracle-check eta ratios", eta_ratios)
     rows = []
     for gamma in gammas:
         for ratio in eta_ratios:

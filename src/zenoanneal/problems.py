@@ -114,8 +114,8 @@ def parse_qubo(text: str) -> np.ndarray:
 
 def _guard_size(n: int) -> None:
     if n > BRUTE_FORCE_MAX_VERTICES:
-        raise ValueError(f"exhaustive search guarded to {BRUTE_FORCE_MAX_VERTICES} "
-                         f"vertices, got {n}")
+        raise ValueError(f"exhaustive search over 2^n patterns is guarded to "
+                         f"n <= {BRUTE_FORCE_MAX_VERTICES}, got n = {n}")
 
 
 def _edge_masks(graph: ProblemGraph) -> list[int]:

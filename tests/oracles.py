@@ -1,6 +1,7 @@
 """Reference helpers that only tests use: basis states, populations, a
-superoperator matrix applied to a density state, the partial trace, and the
-dense map of a drive with its pump traced out."""
+superoperator matrix applied to a density state, the partial trace, the
+dense map of a drive with its pump traced out, and a butterfly Walsh
+transform."""
 
 import math
 
@@ -55,3 +56,16 @@ def drive_superop(kind, space, mode, t, c=0.0, gamma=1.0, eta=0.0) -> np.ndarray
         append, trace = pump_maps(space.total_dim, joint.mode_dims[-1])
         mat = trace @ mat @ append
     return mat
+
+
+def fwht(x: np.ndarray) -> np.ndarray:
+    """S x along the last axis, S_xy = (-1)^popcount(x & y) unnormalized, by
+    the radix-2 butterfly: one (a + b, a - b) stage per bit."""
+    out = np.array(x, dtype=complex)
+    h = 1
+    while h < out.shape[-1]:
+        pairs = out.reshape(*out.shape[:-1], -1, 2, h)
+        a, b = pairs[..., 0, :].copy(), pairs[..., 1, :].copy()
+        pairs[..., 0, :], pairs[..., 1, :] = a + b, a - b
+        h *= 2
+    return out

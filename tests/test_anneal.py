@@ -24,7 +24,7 @@ from zenoanneal.problems import (brute_force_mis, brute_force_qubo,
                                  brute_force_wmis, five_node_example,
                                  graph_from_edges, qubo_energy, three_node_line)
 
-from oracles import number_state, population
+from oracles import fwht, number_state, population
 
 PHI_Q = 3 * math.pi / 2  # pi/2 total constraint kick
 
@@ -310,6 +310,35 @@ def test_transverse_mixer_at_zero_angle_is_exactly_the_identity(n):
     assert np.array_equal(apply_mixer(_transverse_mixer(n), eye, np.zeros(2 ** n)), eye)
 
 
+@pytest.mark.parametrize("n", range(6, 15))
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_walsh_passes_match_butterfly_oracle(n, rows, dtype):
+    # n >= 8 runs the Kronecker-factored passes; n = 6, 7 the single matmul
+    rng = np.random.default_rng(100 * n + rows)
+    x = rng.normal(size=(rows, 2 ** n))
+    if dtype is complex:
+        x = x + 1j * rng.normal(size=x.shape)
+    to_eig, _, from_eig = _transverse_mixer(n)
+    tol = 1e-12 * np.linalg.norm(x, axis=1, keepdims=True)
+    s_x = fwht(x)
+    assert np.all(np.abs(to_eig(x) - s_x) <= tol)
+    assert np.all(np.abs(from_eig(x) - s_x / 2 ** n) <= tol)
+    # a strided view is made contiguous first
+    assert np.all(np.abs(to_eig(np.repeat(x, 2, axis=1)[:, ::2]) - s_x) <= tol)
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_factored_mixer_at_zero_angle_is_exact_on_integer_inputs(n):
+    # integer amplitudes: S x, S S x = 2^n x and the 1/2^n are all exact
+    rng = np.random.default_rng(n)
+    x = rng.integers(-8, 9, size=(3, 2 ** n)) + 1j * rng.integers(-8, 9, size=(3, 2 ** n))
+    assert np.array_equal(apply_mixer(_transverse_mixer(n), x, np.zeros(3)), x)
+    to_eig, _, from_eig = _transverse_mixer(n)
+    assert np.array_equal(to_eig(x), fwht(x))
+    assert np.array_equal(from_eig(to_eig(x.real)), x.real)
+
+
 def _pure_runs():
     five = five_node_example()
     weighted = graph_from_edges(3, [(0, 1), (1, 2)], weights=(1.0, 2.5, 1.2))
@@ -416,6 +445,48 @@ def test_qubo_energies_and_optima_match_brute_force():
         assert np.allclose(rep.meta["energy"], [qubo_energy(q, p) for p in patterns],
                            rtol=0, atol=1e-12)
         assert set(rep.meta["optima"]) == set(brute_force_qubo(q)[1])
+
+
+def reference_qubo_rows(q, n_cycle, r_tot):
+    """qubo_rows one assignment at a time, from the exhaustive solver."""
+    rep = qubo_anneal(q, n_cycle, r_tot)
+    _, optima = brute_force_qubo(q)
+    success = float(rep.success[-1])
+    return [("".join(map(str, bits)), qubo_energy(q, bits), rep.final_populations[bits],
+             int(bits in optima), success)
+            for bits in product((0, 1), repeat=len(q))]
+
+
+def _quarter_integer_qubo(n):
+    # quarter-integer entries keep every pattern energy exact, so both energy
+    # sums agree bit for bit and ties are real ties
+    q = np.random.default_rng(n).integers(-4, 5, size=(n, n)) / 4
+    return q + q.T
+
+
+@pytest.mark.parametrize("q", [*map(_quarter_integer_qubo, (1, 2, 5, 9)),
+                               np.array([[-1.0, 3.0], [3.0, -1.0]])],
+                         ids=["n1", "n2", "n5", "n9", "tied-01-10"])
+def test_qubo_rows_match_one_at_a_time_reference(q):
+    _, rows = experiments.qubo_rows(q, 16, 8.0)
+    assert rows == reference_qubo_rows(q, 16, 8.0)
+
+
+def test_pure_paths_refuse_more_than_24_variables_before_any_table(monkeypatch):
+    def no_table(n):
+        raise AssertionError(f"2^{n} bit table built")
+
+    monkeypatch.setattr(anneal, "_bit_table", no_table)
+    wide = graph_from_edges(25, [(0, 1)])
+    for run in (lambda: qubo_anneal(np.zeros((25, 25)), 4, 1.0),
+                lambda: anneal_statevector(wide, make_schedule(4, 1.0), PHI_Q),
+                lambda: anneal_ideal(wide, make_schedule(4, 1.0)),
+                lambda: anneal_density(wide, make_schedule(4, 1.0),
+                                       ConstraintParams(PHI_Q, GAMMA_T_COHERENT))):
+        with pytest.raises(ValueError, match="n <= 24, got n = 25"):
+            run()
+    with pytest.raises(AssertionError, match="2\\^24 bit table"):  # 24 passes the guard
+        qubo_anneal(np.zeros((24, 24)), 4, 1.0)
 
 
 def test_coherent_run_stays_pure():

@@ -91,6 +91,10 @@ NON_FINITE_CASES = [
      "--gamma-tpas", "1"],
 ]
 
+# A small valid drive sweep; a later repeat of a flag overrides its value.
+DRIVE_SWEEP_SMALL = ["drive-sweep", "--eta-ratios", "0", "--gammas", "1",
+                     "--markov-ratios", "4", "--gamma-tpas", "1", "--gamma99-iters", "1"]
+
 
 @pytest.mark.parametrize("args", [
     ["anneal", "--n-cycles", "0"],
@@ -126,6 +130,12 @@ NON_FINITE_CASES = [
     ["anneal", "--tol", "nan", "--n-cycles", "8", "--r-grid", "1,2"],
     ["anneal", "--tol", "-1", "--n-cycles", "8", "--r-grid", "1,2"],
     *NON_FINITE_CASES,
+    [*DRIVE_SWEEP_SMALL, "--gamma-tpas", "inf"],
+    [*DRIVE_SWEEP_SMALL, "--gammas", "inf"],
+    [*DRIVE_SWEEP_SMALL, "--gamma-tpas", "0"],
+    [*DRIVE_SWEEP_SMALL, "--markov-ratios", "0"],
+    [*DRIVE_SWEEP_SMALL, "--markov-ratios", "3"],
+    ["oracle-check", "--gammas", "inf"],
 ], ids=["anneal-zero-cycles", "anneal-zero-rotation", "qubo-zero-cycles",
         "wmis-zero-weight", "constraint-sweep-zero-cycles", "timebin-bad-graph",
         "unknown-flag", "no-subcommand", "unknown-subcommand",
@@ -139,7 +149,10 @@ NON_FINITE_CASES = [
         "wmis-nan-pump-phase", "wmis-nan-weight", "qubo-nan-entry",
         "qubo-energy-overflow", "qubo-empty", "qubo-not-square", "anneal-nan-tol",
         "anneal-negative-tol", "oracle-check-inf-eta-ratio", "oracle-check-nan-eta-ratio",
-        "zeno-onset-inf-tpa-rate", "zeno-onset-inf-t-max", "drive-sweep-inf-eta-ratio"])
+        "zeno-onset-inf-tpa-rate", "zeno-onset-inf-t-max", "drive-sweep-inf-eta-ratio",
+        "drive-sweep-inf-tpa-gamma", "drive-sweep-inf-gamma", "drive-sweep-zero-tpa-gamma",
+        "drive-sweep-zero-markov-ratio", "drive-sweep-unreachable-markov-ratio",
+        "oracle-check-inf-gamma"])
 def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
     for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)
@@ -157,6 +170,20 @@ def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
         assert proc.returncode == 1
         assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
         assert not os.path.exists(tmp_path / "x.csv")
+
+
+def test_qubo_file_over_24_variables_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def no_table(n):
+        raise AssertionError(f"2^{n} bit table built")
+
+    monkeypatch.setattr(anneal, "_bit_table", no_table)
+    qfile = tmp_path / "wide.txt"
+    qfile.write_text(("0 " * 25 + "\n") * 25)
+    assert run(["qubo", "--qubo", qfile, "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("config error: exhaustive search over 2^n patterns is guarded "
+                   "to n <= 24, got n = 25\n")
+    assert not os.path.exists(tmp_path / "x.csv")
 
 
 @pytest.mark.parametrize("text, needle", [

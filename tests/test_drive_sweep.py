@@ -73,6 +73,29 @@ def test_gamma_99_rejects_bad_bracket_before_evaluating(evaluated, lo, hi, iters
     assert evaluated == []
 
 
+@pytest.mark.parametrize("bad, needle", [
+    ({"gammas": [math.inf]}, "gammas must be finite and nonnegative, got [inf]"),
+    ({"gammas": [math.nan]}, "gammas must be finite and nonnegative, got [nan]"),
+    ({"gamma_tpas": [math.inf]}, "TPA gammas must be finite and positive, got [inf]"),
+    ({"gamma_tpas": [0.0]}, "TPA gammas must be finite and positive, got [0.0]"),
+    ({"markov_ratios": [0.0]}, "markov ratios must be finite and at least 4, got [0.0]"),
+    ({"markov_ratios": [3.9]}, "markov ratios must be finite and at least 4, got [3.9]"),
+    ({"markov_ratios": [math.inf]}, "markov ratios must be finite and at least 4, got [inf]"),
+], ids=["inf-gamma", "nan-gamma", "inf-tpa-gamma", "zero-tpa-gamma", "zero-markov-ratio",
+        "unreachable-markov-ratio", "inf-markov-ratio"])
+def test_drive_sweep_checks_every_input_before_any_point(monkeypatch, bad, needle):
+    def no_point(*args):
+        raise AssertionError("a drive point was evaluated")
+
+    monkeypatch.setattr(experiments, "_drive_p1", no_point)
+    good = {"ratios": [0.0], "gammas": [1.0], "markov_ratios": [4.0], "gamma_tpas": [1.0]}
+    with pytest.raises(AssertionError):  # these inputs pass the checks
+        drive_sweep_rows(**good, gamma99_iters=1)
+    with pytest.raises(ValueError) as exc:
+        drive_sweep_rows(**{**good, **bad}, gamma99_iters=1)
+    assert str(exc.value) == needle
+
+
 def test_drive_sweep_stops_curve_at_target(evaluated):
     _, rows = drive_sweep_rows([0.005], [2.0, 30.0, 300.0], [], [],
                                gamma99_lo=10.3, gamma99_hi=20.0)
