@@ -39,7 +39,7 @@ from .fock import (DensityState, FockSpace, PureState,
                    make_space, von_neumann_entropy)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       drive_generator, pump_maps)
-from .problems import ProblemGraph, _guard_size
+from .problems import ProblemGraph, _bit_table, _qubo_scores, _wmis_scores
 from .propagator import NonConvergenceError, PhaseKernel, build_cache
 
 CYCLE_ORDER = "phase->drive->constraints"
@@ -110,29 +110,15 @@ class AnnealReport:
     meta: dict = field(default_factory=dict)
 
 
-def _bit_table(n: int) -> np.ndarray:
-    """(2^n, n) occupations of every 0/1 pattern in basis order (mode 0 slowest)."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
 class _Observables:
-    """Per 0/1 pattern (rows of ``bits``): edge violations, weighted number
-    N_w = bits @ weights, optimality, and the basis indices for
-    success/leakage.  A graph too large for exhaustive search raises
-    ValueError before any table is built."""
+    """Per 0/1 pattern (rows of ``bits``), from ``problems._wmis_scores``:
+    edge violations, weighted number N_w = bits @ weights, optimality, and
+    the basis indices for success/leakage.  A graph too large for exhaustive
+    search raises ValueError before any table is built."""
 
     def __init__(self, space: FockSpace, graph: ProblemGraph):
-        n = graph.n_vertices
-        _guard_size(n)
-        self.bits = _bit_table(n)
+        self.bits, self.violations, self.number, self.optimal = _wmis_scores(graph)
         self.pattern_idx = self.bits @ np.array(space.strides)
-        self.patterns = list(map(tuple, self.bits.tolist()))
-        self.violations = sum((self.bits[:, j] & self.bits[:, k] for j, k in graph.edges),
-                              np.zeros(len(self.bits), dtype=int))
-        self.number = self.bits @ np.asarray(graph.weights or (1.0,) * n)
-        value = np.where(self.violations == 0, self.number, -np.inf)
-        # MIS is WMIS with unit weights; ties as in problems.brute_force_wmis
-        self.optimal = value >= value.max() - 1e-12
         self.optima_idx = self.pattern_idx[self.optimal]
         self.independent_idx = self.pattern_idx[self.violations == 0]
 
@@ -143,7 +129,7 @@ class _Observables:
         return 1.0 - diag.take(self.independent_idx, axis=-1).sum(axis=-1)
 
     def qubit_populations(self, diag: np.ndarray) -> dict[tuple[int, ...], float]:
-        return dict(zip(self.patterns, diag[self.pattern_idx].tolist()))
+        return dict(zip(zip(*self.bits.T.tolist()), diag[self.pattern_idx].tolist()))
 
 
 def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
@@ -181,19 +167,20 @@ def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
     return step
 
 
-def _ideal_step(n: int, weights):
+def _ideal_step(bits: np.ndarray, number: np.ndarray):
     """(rho, phi, c) -> V_b rho_b V_b^dag for each row b of a (B, 2^n, 2^n)
     stack, where V = W diag(exp(-i c lam)) W diag(exp(-i phi N_w)) is the
     weighted phase followed by exp(-i c X) on every qubit: W = H^{(x)n},
-    lam = n - 2 popcount and N_w = bits @ weights, as in the pure-state mixer.
+    lam = n - 2 popcount of the pattern table ``bits`` and N_w the weighted
+    ``number``, as in the pure-state mixer.
 
     W W is formed from the exact +-1 signs and divided by 2^n, which is also
     exact; a rounded 2^(-n/2) would bias |det V| and drift the trace by about
     1e-16 per cycle.
     """
-    bits = _bit_table(n)
+    n = bits.shape[1]
     signs = _walsh_signs(n).astype(complex)
-    phases = _phase_tables(n - 2 * bits.sum(axis=1), bits @ np.asarray(weights))
+    phases = _phase_tables(n - 2 * bits.sum(axis=1), number)
 
     def step(rho, phi, c):
         mixer_phases, number_phases = phases(c, phi)
@@ -270,7 +257,7 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
                     f"(tolerance {BLOCK_LEAK_TOL:g})")
     space = make_space([2] * n) if in_block else full_space
     obs = _Observables(space, graph)
-    step = (_ideal_step(n, weights) if in_block else
+    step = (_ideal_step(obs.bits, obs.number) if in_block else
             _zeno_step(space, weights, drive, drive_mode, float(np.max(schedules[0].c))))
 
     order = sorted(range(len(schedules)), key=lambda b: -schedules[b].n_cycle)
@@ -545,25 +532,14 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot) -> AnnealReport:
     applies a pump-phase kick of zeta * (Q_jk + Q_kj) on |1_j 1_k>, which is
     only realizable with a lossless pump.  A sequence of r_tot runs a batch;
     ``meta`` holds the optima, and every pattern's energy and optimality
-    mask in basis order.  A Q that is not square, is empty, has more than
-    ``problems.BRUTE_FORCE_MAX_VERTICES`` variables, or has a non-finite entry
-    or pattern energy raises ValueError before any 2^n table is built.
+    mask in basis order, from ``problems._qubo_scores``; a bad Q (not square,
+    empty, over the size guard, or a non-finite entry or energy) raises
+    ValueError there, before the anneal runs.
     """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
-        raise ValueError(f"QUBO matrix must be square and non-empty, got shape {q.shape}")
-    _guard_size(q.shape[0])
-    if not np.all(np.isfinite(q)):
-        raise ValueError("QUBO matrix has a non-finite entry")
     tau, phi, c, zeta = linear_three_parameter_profile(n_cycle, r_tot)
     schedule = Schedule(n_cycle, r_tot, tau, phi, c, zeta=zeta)
-    bits = _bit_table(q.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = ((bits @ q) * bits).sum(axis=1)
-    if not np.all(np.isfinite(energy)):
-        raise ValueError("QUBO pattern energies overflow to non-finite values")
-    optimal = energy <= energy.min() + 1e-12  # the tie rule of brute_force_qubo
-    amps, records = _run_pure(schedule, _transverse_mixer(q.shape[0]), bits.sum(axis=1),
+    bits, energy, optimal = _qubo_scores(q)
+    amps, records = _run_pure(schedule, _transverse_mixer(bits.shape[1]), bits.sum(axis=1),
                               optimal[:, None].astype(float), energy=energy)
     meta = {"path": "qubo", "energy": energy, "optimal": optimal,
             "optima": list(map(tuple, bits[optimal].tolist()))}

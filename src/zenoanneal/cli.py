@@ -99,7 +99,7 @@ class Settings:
             value = default
         try:
             out = cast(value) if not (cast is str and value is None) else value
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(round(inf)) overflows
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
         self.resolved[key] = str(value)
         return out
@@ -135,19 +135,27 @@ def write_csv(path: str, config_line: str, header, rows) -> str:
     return path
 
 
-def _load_graph(settings: Settings, default_factory):
-    path = settings.get("graph", None)
+def _read_input(settings: Settings, key: str, what: str, parse):
+    """parse() of the text of the file the ``key`` setting names, or None
+    when it names none."""
+    path = settings.get(key, None)
     if path is None:
-        graph = default_factory()
-        settings.resolved["graph"] = "<builtin>"
-        return graph
+        return None
     if not os.path.exists(path):
-        raise ConfigError(f"graph file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            return parse_edge_list(fh.read())
+            return parse(fh.read())
         except ValueError as exc:
-            raise ConfigError(f"bad graph file {path}: {exc}") from exc
+            raise ConfigError(f"bad {what} file {path}: {exc}") from exc
+
+
+def _load_graph(settings: Settings, default_factory):
+    graph = _read_input(settings, "graph", "graph", parse_edge_list)
+    if graph is None:
+        graph = default_factory()
+        settings.resolved["graph"] = "<builtin>"
+    return graph
 
 
 # ------------------------------------------------------------- subcommands
@@ -241,18 +249,10 @@ def cmd_wmis(args) -> int:
 
 def cmd_qubo(args) -> int:
     s = Settings(args, "qubo")
-    path = s.get("qubo", None)
-    if path is None:
+    q = _read_input(s, "qubo", "QUBO", parse_qubo)
+    if q is None:
         q = np.array([[-1.0, 3.0], [3.0, -1.0]])
         s.resolved["qubo"] = "<builtin>"
-    else:
-        if not os.path.exists(path):
-            raise ConfigError(f"QUBO file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                q = parse_qubo(fh.read())
-            except ValueError as exc:
-                raise ConfigError(f"bad QUBO file {path}: {exc}") from exc
     n_cycle = s.get("n-cycle", 1500, int)
     r_tot = s.get("r-tot", 60 * math.pi, _parse_float)
     out = s.get("out", "qubo.csv")
@@ -273,16 +273,11 @@ def cmd_mitigate(args) -> int:
 
 def cmd_timebin_compile(args) -> int:
     s = Settings(args, "timebin-compile")
-    path = s.get("graph", None)
-    if path is None:
+    graph = _read_input(s, "graph", "graph", parse_edge_list)
+    if graph is None:
         n = s.get("complete", 5, int)
         graph = complete_graph(n)
         s.resolved["graph"] = f"<complete:{n}>"
-    else:
-        if not os.path.exists(path):
-            raise ConfigError(f"graph file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            graph = parse_edge_list(fh.read())
     n_bins = s.get("n-bins", graph.n_vertices, int)
     out = _out_path(s.get("out", "timebin_program.txt"))
     program = compile_graph_program(graph, n_bins)

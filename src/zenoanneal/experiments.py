@@ -15,12 +15,12 @@ from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form_uncorrected,
                        pair_coherence_ode, sfg_rate_for_tpa_target)
 # anneal_density is unused here but perfbench/tracing.py binds it.
-from .anneal import (_bit_table, anneal_density, anneal_density_batch,
-                     anneal_ideal, anneal_statevector, make_schedule, qubo_anneal)
+from .anneal import (anneal_density, anneal_density_batch, anneal_ideal,
+                     anneal_statevector, make_schedule, qubo_anneal)
 from .fock import make_space, vacuum
 from .gadgets import ConstraintParams, drive_generator
-from .problems import (ProblemGraph, brute_force_mis, mitigation_encode,
-                       loss_injection_experiment)
+from .problems import (ProblemGraph, _bit_table, _encoded_optimum,
+                       loss_injection_batch)
 from .propagator import expm_apply_vec, expm_dense, trajectory
 
 CRITICAL_ETA_FACTOR = 4.0 * math.sqrt(2.0)
@@ -341,22 +341,25 @@ def qubo_rows(q: np.ndarray, n_cycle: int, r_tot: float):
 # ----------------------------------------------------------------- mitigate
 
 def mitigation_rows(graph: ProblemGraph, n_copies):
-    """Exhaustive loss-pattern study of the copy encoding."""
+    """Exhaustive loss-pattern study of the copy encoding: per copy count,
+    one :func:`loss_injection_batch` over every subset of the photons of the
+    encoded optimum."""
     header = ["n_copy", "pattern_index", "n_lost", "decode_success",
               "decoded_independent", "decoded_set"]
+    labels = [str(j) for j in range(graph.n_vertices)]
     rows = []
-    for n_copy in n_copies:
-        n_copy = int(n_copy)
-        encoded = mitigation_encode(graph, n_copy)
-        _, encoded_optima = brute_force_mis(encoded)
-        support = sorted(min(encoded_optima, key=sorted))
-        for pattern_idx in range(1 << len(support)):
-            lost = [support[b] for b in range(len(support))
-                    if (pattern_idx >> b) & 1]
-            result = loss_injection_experiment(graph, n_copy, lost)
-            rows.append((n_copy, pattern_idx, len(lost),
-                         int(result["success"]), int(result["independent"]),
-                         "".join(str(v) for v in sorted(result["decoded"])) or "-"))
+    for n_copy in map(int, n_copies):
+        sample = _encoded_optimum(graph, n_copy)
+        support = np.flatnonzero(sample)
+        lost = _bit_table(len(support))[:, ::-1]  # pattern p loses support[b] at bit b
+        samples = np.repeat(sample[None], len(lost), axis=0)
+        samples[:, support] = lost == 0
+        out = loss_injection_batch(graph, n_copy, samples)
+        names = ["".join(j for j, d in zip(labels, row) if d) or "-"
+                 for row in out["decoded"].tolist()]
+        rows += zip([n_copy] * len(lost), range(len(lost)), lost.sum(axis=1).tolist(),
+                    out["success"].astype(int).tolist(),
+                    out["independent"].astype(int).tolist(), names)
     return header, rows
 
 

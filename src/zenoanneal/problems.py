@@ -2,7 +2,11 @@
 error-mitigation encoding.
 
 The exhaustive solvers are the ground truth every anneal result is scored
-against; they enumerate all 2^n assignments and are guarded to n <= 24.
+against.  They, the anneal observables and the loss-pattern study share the
+one enumeration of 0/1 patterns: a (2^n, n) table in basis order (vertex 0
+the most significant bit), scored as arrays, where a pattern is optimal
+within ``TIE_TOL`` of the best score.  The table takes 8 n 2^n bytes
+(3.2 GB at n = 24), so it is guarded to n <= 24.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BRUTE_FORCE_MAX_VERTICES = 24
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,65 +123,65 @@ def _guard_size(n: int) -> None:
                          f"n <= {BRUTE_FORCE_MAX_VERTICES}, got n = {n}")
 
 
-def _edge_masks(graph: ProblemGraph) -> list[int]:
-    return [(1 << u) | (1 << v) for u, v in graph.edges]
+def _bit_table(n: int) -> np.ndarray:
+    """(2^n, n) occupations of every 0/1 pattern in basis order (vertex 0 the
+    most significant bit)."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def _optimal(score: np.ndarray) -> np.ndarray:
+    """The tie rule: optimal is within ``TIE_TOL`` of the largest score."""
+    return score >= score.max() - TIE_TOL
+
+
+def _wmis_scores(graph: ProblemGraph):
+    """(bits, violations, number, optimal): the pattern table, and per row
+    the violated edges, the weighted size N_w = bits @ weights (unit weights
+    when the graph has none) and WMIS optimality."""
+    n = graph.n_vertices
+    _guard_size(n)
+    bits = _bit_table(n)
+    violations = sum((bits[:, j] & bits[:, k] for j, k in graph.edges),
+                     np.zeros(len(bits), dtype=int))
+    number = bits @ np.asarray(graph.weights or (1.0,) * n)
+    return bits, violations, number, _optimal(np.where(violations == 0, number, -np.inf))
+
+
+def _qubo_scores(q):
+    """(bits, energy, optimal): the pattern table, and per row
+    E = sum_jk s_j s_k Q_jk (both triangles) and minimality.  A bad Q raises
+    ValueError before the table is built, a non-finite E after."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
+        raise ValueError(f"QUBO matrix must be square and non-empty, got shape {q.shape}")
+    _guard_size(q.shape[0])
+    if not np.all(np.isfinite(q)):
+        raise ValueError("QUBO matrix has a non-finite entry")
+    bits = _bit_table(q.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = ((bits @ q) * bits).sum(axis=1)
+    if not np.all(np.isfinite(energy)):
+        raise ValueError("QUBO pattern energies overflow to non-finite values")
+    return bits, energy, _optimal(-energy)
 
 
 def brute_force_mis(graph: ProblemGraph) -> tuple[int, list[frozenset[int]]]:
     """Exhaustive maximum independent set; returns (size, all optima)."""
-    _guard_size(graph.n_vertices)
-    masks = _edge_masks(graph)
-    best, optima = -1, []
-    for assignment in range(1 << graph.n_vertices):
-        if any((assignment & m) == m for m in masks):
-            continue
-        size = assignment.bit_count()
-        if size > best:
-            best, optima = size, [assignment]
-        elif size == best:
-            optima.append(assignment)
-    sets = [frozenset(i for i in range(graph.n_vertices) if a >> i & 1) for a in optima]
-    return best, sets
+    size, optima = brute_force_wmis(ProblemGraph(graph.n_vertices, graph.edges))
+    return int(size), optima
 
 
 def brute_force_wmis(graph: ProblemGraph) -> tuple[float, list[frozenset[int]]]:
     """Weighted variant; unit weights when none are set."""
-    _guard_size(graph.n_vertices)
-    w = graph.weights or tuple(1.0 for _ in range(graph.n_vertices))
-    masks = _edge_masks(graph)
-    best, optima = None, []
-    for assignment in range(1 << graph.n_vertices):
-        if any((assignment & m) == m for m in masks):
-            continue
-        value = sum(w[i] for i in range(graph.n_vertices) if assignment >> i & 1)
-        if best is None or value > best + 1e-12:
-            best, optima = value, [assignment]
-        elif abs(value - best) <= 1e-12:
-            optima.append(assignment)
-    sets = [frozenset(i for i in range(graph.n_vertices) if a >> i & 1) for a in optima]
-    return float(best), sets
-
-
-def qubo_energy(q: np.ndarray, bits) -> float:
-    """E = sum_jk s_j s_k Q_jk with the double sum counting both triangles."""
-    s = np.asarray(bits, dtype=float)
-    return float(s @ q @ s)
+    bits, _, number, optimal = _wmis_scores(graph)
+    return (float(number[optimal].max()),
+            [frozenset(np.flatnonzero(row).tolist()) for row in bits[optimal]])
 
 
 def brute_force_qubo(q: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
     """Exhaustive QUBO minimization; returns (min energy, all argmin bit tuples)."""
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    _guard_size(n)
-    best, optima = None, []
-    for assignment in range(1 << n):
-        bits = tuple((assignment >> i) & 1 for i in range(n))
-        e = qubo_energy(q, bits)
-        if best is None or e < best - 1e-12:
-            best, optima = e, [bits]
-        elif abs(e - best) <= 1e-12:
-            optima.append(bits)
-    return float(best), optima
+    bits, energy, optimal = _qubo_scores(q)
+    return float(energy.min()), list(map(tuple, bits[optimal].tolist()))
 
 
 def encoded_vertex(j: int, k: int, n_copy: int) -> int:
@@ -216,27 +221,44 @@ def mitigation_decode(encoded_sample, n_copy: int) -> frozenset[int]:
                      if any(sample[encoded_vertex(j, k, n_copy)] for k in range(n_copy)))
 
 
+def _encoded_optimum(graph: ProblemGraph, n_copy: int) -> np.ndarray:
+    """(n * n_copy,) bool: the first optimum of the copy encoding by sorted
+    vertices, the sample a loss study starts from."""
+    _guard_size(graph.n_vertices * n_copy)
+    _, optima = brute_force_mis(mitigation_encode(graph, n_copy))
+    sample = np.zeros(graph.n_vertices * n_copy, dtype=bool)
+    sample[sorted(min(optima, key=sorted))] = True
+    return sample
+
+
+def loss_injection_batch(graph: ProblemGraph, n_copy: int, samples) -> dict:
+    """Decode the rows of a (P, n * n_copy) boolean ``samples`` array (a
+    vertex is selected when any copy is) into (P, n) ``decoded`` sets, each
+    scored for ``success`` (a maximum independent set) and ``independent``."""
+    n = graph.n_vertices
+    samples = np.asarray(samples, dtype=bool)
+    decoded = samples.reshape(len(samples), n, n_copy).any(axis=2)
+    _, violations, _, optimal = _wmis_scores(ProblemGraph(n, graph.edges))
+    index = decoded @ (1 << np.arange(n - 1, -1, -1))  # basis order, vertex 0 first
+    return {"decoded": decoded, "success": optimal[index],
+            "independent": violations[index] == 0}
+
+
 def loss_injection_experiment(graph: ProblemGraph, n_copy: int,
                               loss_pattern) -> dict:
-    """Drop photons from an optimal encoded sample and try to decode.
+    """Drop photons from an optimal encoded sample and try to decode: the
+    one-sample case of :func:`loss_injection_batch`.
 
     ``loss_pattern`` is an iterable of encoded vertex indices forced to 0.
     Returns per-run facts: whether decoding recovered an optimum, and whether
     the decoded set is still independent (it always should be; loss only ever
     shrinks a set).
     """
-    encoded = mitigation_encode(graph, n_copy)
-    _, encoded_optima = brute_force_mis(encoded)
-    chosen = min(encoded_optima, key=sorted)
-    sample = [1 if i in chosen else 0 for i in range(encoded.n_vertices)]
+    sample = _encoded_optimum(graph, n_copy)
     for idx in loss_pattern:
-        if sample[idx] == 0:
+        if not sample[idx]:
             raise ValueError(f"loss pattern sets vertex {idx} which carries no photon")
-        sample[idx] = 0
-    decoded = mitigation_decode(sample, n_copy)
-    _, optima = brute_force_mis(graph)
-    return {
-        "decoded": decoded,
-        "success": decoded in optima,
-        "independent": graph.is_independent(decoded),
-    }
+        sample[idx] = False
+    out = {k: v[0] for k, v in loss_injection_batch(graph, n_copy, sample[None]).items()}
+    return {"decoded": frozenset(np.flatnonzero(out["decoded"]).tolist()),
+            "success": bool(out["success"]), "independent": bool(out["independent"])}

@@ -1,7 +1,9 @@
 """Reference helpers that only tests use: basis states, populations, a
 superoperator matrix applied to a density state, the partial trace, the
-dense map of a drive with its pump traced out, and a butterfly Walsh
-transform."""
+dense map of a drive with its pump traced out, a butterfly Walsh
+transform, and the one-assignment-at-a-time exhaustive solvers and loss
+study that the array solvers in ``zenoanneal.problems`` are checked
+against."""
 
 import math
 
@@ -9,6 +11,7 @@ import numpy as np
 
 from zenoanneal.fock import DensityState, PureState, make_space
 from zenoanneal.gadgets import drive_generator, pump_maps
+from zenoanneal.problems import mitigation_decode, mitigation_encode
 from zenoanneal.propagator import expm_dense
 
 
@@ -69,3 +72,102 @@ def fwht(x: np.ndarray) -> np.ndarray:
         pairs[..., 0, :], pairs[..., 1, :] = a + b, a - b
         h *= 2
     return out
+
+
+def _edge_masks(graph) -> list[int]:
+    return [(1 << u) | (1 << v) for u, v in graph.edges]
+
+
+def loop_brute_force_mis(graph):
+    """(size, all optima) of the maximum independent set, one assignment
+    at a time."""
+    masks = _edge_masks(graph)
+    best, optima = -1, []
+    for assignment in range(1 << graph.n_vertices):
+        if any((assignment & m) == m for m in masks):
+            continue
+        size = assignment.bit_count()
+        if size > best:
+            best, optima = size, [assignment]
+        elif size == best:
+            optima.append(assignment)
+    sets = [frozenset(i for i in range(graph.n_vertices) if a >> i & 1) for a in optima]
+    return best, sets
+
+
+def loop_brute_force_wmis(graph):
+    """Weighted variant; unit weights when none are set."""
+    w = graph.weights or tuple(1.0 for _ in range(graph.n_vertices))
+    masks = _edge_masks(graph)
+    best, optima = None, []
+    for assignment in range(1 << graph.n_vertices):
+        if any((assignment & m) == m for m in masks):
+            continue
+        value = sum(w[i] for i in range(graph.n_vertices) if assignment >> i & 1)
+        if best is None or value > best + 1e-12:
+            best, optima = value, [assignment]
+        elif abs(value - best) <= 1e-12:
+            optima.append(assignment)
+    sets = [frozenset(i for i in range(graph.n_vertices) if a >> i & 1) for a in optima]
+    return float(best), sets
+
+
+def qubo_energy(q: np.ndarray, bits) -> float:
+    """E = sum_jk s_j s_k Q_jk with the double sum counting both triangles."""
+    s = np.asarray(bits, dtype=float)
+    return float(s @ q @ s)
+
+
+def loop_brute_force_qubo(q):
+    """(min energy, all argmin bit tuples), one assignment at a time."""
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    best, optima = None, []
+    for assignment in range(1 << n):
+        bits = tuple((assignment >> i) & 1 for i in range(n))
+        e = qubo_energy(q, bits)
+        if best is None or e < best - 1e-12:
+            best, optima = e, [bits]
+        elif abs(e - best) <= 1e-12:
+            optima.append(bits)
+    return float(best), optima
+
+
+def loop_loss_injection_experiment(graph, n_copy, loss_pattern) -> dict:
+    """Drop photons from an optimal encoded sample and decode it, solving
+    the encoding and the graph one assignment at a time."""
+    encoded = mitigation_encode(graph, n_copy)
+    _, encoded_optima = loop_brute_force_mis(encoded)
+    chosen = min(encoded_optima, key=sorted)
+    sample = [1 if i in chosen else 0 for i in range(encoded.n_vertices)]
+    for idx in loss_pattern:
+        if sample[idx] == 0:
+            raise ValueError(f"loss pattern sets vertex {idx} which carries no photon")
+        sample[idx] = 0
+    decoded = mitigation_decode(sample, n_copy)
+    _, optima = loop_brute_force_mis(graph)
+    return {
+        "decoded": decoded,
+        "success": decoded in optima,
+        "independent": graph.is_independent(decoded),
+    }
+
+
+def loop_mitigation_rows(graph, n_copies):
+    """``experiments.mitigation_rows`` one loss pattern at a time."""
+    header = ["n_copy", "pattern_index", "n_lost", "decode_success",
+              "decoded_independent", "decoded_set"]
+    rows = []
+    for n_copy in n_copies:
+        n_copy = int(n_copy)
+        encoded = mitigation_encode(graph, n_copy)
+        _, encoded_optima = loop_brute_force_mis(encoded)
+        support = sorted(min(encoded_optima, key=sorted))
+        for pattern_idx in range(1 << len(support)):
+            lost = [support[b] for b in range(len(support))
+                    if (pattern_idx >> b) & 1]
+            result = loop_loss_injection_experiment(graph, n_copy, lost)
+            rows.append((n_copy, pattern_idx, len(lost),
+                         int(result["success"]), int(result["independent"]),
+                         "".join(str(v) for v in sorted(result["decoded"])) or "-"))
+    return header, rows

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from zenoanneal import anneal, experiments
+from zenoanneal import anneal, experiments, problems
 from zenoanneal.anneal import (_Observables, _transverse_mixer, anneal_density,
                                anneal_density_batch, anneal_ideal,
                                anneal_statevector,
@@ -20,11 +20,11 @@ from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 constraint_superop, embed_local_superop,
                                 unitary_conjugation_superop)
 from zenoanneal.propagator import NonConvergenceError
-from zenoanneal.problems import (brute_force_mis, brute_force_qubo,
-                                 brute_force_wmis, five_node_example,
-                                 graph_from_edges, qubo_energy, three_node_line)
+from zenoanneal.problems import (complete_graph, five_node_example,
+                                 graph_from_edges, three_node_line)
 
-from oracles import fwht, number_state, population
+from oracles import (fwht, loop_brute_force_mis, loop_brute_force_qubo,
+                     loop_brute_force_wmis, number_state, population, qubo_energy)
 
 PHI_Q = 3 * math.pi / 2  # pi/2 total constraint kick
 
@@ -444,13 +444,13 @@ def test_qubo_energies_and_optima_match_brute_force():
         assert len(patterns) == 2 ** n
         assert np.allclose(rep.meta["energy"], [qubo_energy(q, p) for p in patterns],
                            rtol=0, atol=1e-12)
-        assert set(rep.meta["optima"]) == set(brute_force_qubo(q)[1])
+        assert set(rep.meta["optima"]) == set(loop_brute_force_qubo(q)[1])
 
 
 def reference_qubo_rows(q, n_cycle, r_tot):
-    """qubo_rows one assignment at a time, from the exhaustive solver."""
+    """qubo_rows one assignment at a time, from the loop solver."""
     rep = qubo_anneal(q, n_cycle, r_tot)
-    _, optima = brute_force_qubo(q)
+    _, optima = loop_brute_force_qubo(q)
     success = float(rep.success[-1])
     return [("".join(map(str, bits)), qubo_energy(q, bits), rep.final_populations[bits],
              int(bits in optima), success)
@@ -476,7 +476,7 @@ def test_pure_paths_refuse_more_than_24_variables_before_any_table(monkeypatch):
     def no_table(n):
         raise AssertionError(f"2^{n} bit table built")
 
-    monkeypatch.setattr(anneal, "_bit_table", no_table)
+    monkeypatch.setattr(problems, "_bit_table", no_table)
     wide = graph_from_edges(25, [(0, 1)])
     for run in (lambda: qubo_anneal(np.zeros((25, 25)), 4, 1.0),
                 lambda: anneal_statevector(wide, make_schedule(4, 1.0), PHI_Q),
@@ -656,13 +656,62 @@ def test_success_patterns_are_the_brute_force_optima():
         edges = [e for e in combinations(range(6), 2) if rng.random() < 0.4]
         graphs.append(graph_from_edges(6, edges, weights=rng.uniform(0.5, 2.0, 6)))
     for i, g in enumerate(graphs):
-        solver = brute_force_mis if g.weights is None else brute_force_wmis
+        solver = loop_brute_force_mis if g.weights is None else loop_brute_force_wmis
         optima = {tuple(int(j in s) for j in range(g.n_vertices)) for s in solver(g)[1]}
         space = make_space([2 + i % 2] * g.n_vertices)  # qubit and 3-level modes
         obs = _Observables(space, g)
         found = {p for p in product((0, 1), repeat=g.n_vertices)
                  if obs.success(pure_diag(number_state(space, p))) == 1.0}
         assert found == optima
+
+
+def _parent_pattern_table(n):
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def _assert_identical(a, b):
+    assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("g", [
+    five_node_example(), three_node_line(), graph_from_edges(4, []), complete_graph(5),
+    graph_from_edges(4, [(0, 1), (1, 2), (2, 3)], weights=(1.0, 2.0, 2.0, 1.0)),
+    graph_from_edges(6, [(0, 1), (0, 3), (2, 5), (3, 4)],
+                     weights=np.random.default_rng(3).uniform(0.5, 2.0, 6)),
+    graph_from_edges(3, [(0, 1)], weights=(1.0, 1.0 + 5e-13, 0.25)),
+], ids=["five-node", "line", "edgeless", "complete", "weighted", "random-weights", "near-tie"])
+def test_observables_arrays_are_the_former_formulas(g):
+    # the anneal paths stay bit for bit as they were: these are the formulas
+    # _Observables used before it read problems._wmis_scores
+    n = g.n_vertices
+    bits = _parent_pattern_table(n)
+    violations = sum((bits[:, j] & bits[:, k] for j, k in g.edges),
+                     np.zeros(len(bits), dtype=int))
+    number = bits @ np.asarray(g.weights or (1.0,) * n)
+    value = np.where(violations == 0, number, -np.inf)
+    for mode_dim in (2, 3):
+        space = make_space([mode_dim] * n)
+        obs = _Observables(space, g)
+        _assert_identical(obs.bits, bits)
+        _assert_identical(obs.violations, violations)
+        _assert_identical(obs.number, number)
+        _assert_identical(obs.optimal, value >= value.max() - 1e-12)
+        _assert_identical(obs.pattern_idx, bits @ np.array(space.strides))
+        assert list(obs.qubit_populations(np.arange(space.total_dim, dtype=float))) == \
+            list(map(tuple, bits.tolist()))
+
+
+@pytest.mark.parametrize("q", [
+    np.random.default_rng(5).normal(size=(6, 6)), np.random.default_rng(9).normal(size=(9, 9)),
+    np.array([[-1.0, 1.0], [1.0, -1.0 + 5e-13]]), np.zeros((3, 3)), [[2.0]],
+], ids=["random-6", "random-9", "near-tie", "all-tied", "one-variable"])
+def test_qubo_meta_is_the_former_formulas(q):
+    bits = _parent_pattern_table(len(q))
+    energy = ((bits @ np.asarray(q, dtype=float)) * bits).sum(axis=1)
+    meta = qubo_anneal(q, 2, 1.0).meta
+    _assert_identical(meta["energy"], energy)
+    _assert_identical(meta["optimal"], energy <= energy.min() + 1e-12)
+    assert meta["optima"] == list(map(tuple, bits[energy <= energy.min() + 1e-12].tolist()))
 
 
 def test_qubo_all_zero_biases_to_vacuum():

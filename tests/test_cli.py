@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from zenoanneal import anneal, experiments
+from zenoanneal import anneal, experiments, problems
 from zenoanneal.cli import main
 from zenoanneal.propagator import DimensionGuardError
 
@@ -79,9 +79,10 @@ BAD_FILES = {"BAD_GRAPH": "0 1\n0 x\n", "NAN_QUBO": "1 nan\nnan 1\n",
              "HUGE_QUBO": "1e308 1e308\n1e308 1e308\n", "EMPTY_QUBO": "",
              "RAGGED_QUBO": "1 2 3\n"}
 
-# Non-finite rates and times once printed a traceback, a misleading message,
-# or a RuntimeWarning before the config error.  Warnings go through pytest's
-# capture in-process, so these cases also run in a fresh interpreter.
+# Non-finite rates, times and integer grids once printed a traceback, a
+# misleading message, or a RuntimeWarning before the config error.  Warnings
+# go through pytest's capture in-process, so these cases also run in a fresh
+# interpreter.
 NON_FINITE_CASES = [
     ["oracle-check", "--eta-ratios", "inf"],
     ["oracle-check", "--eta-ratios", "nan"],
@@ -89,6 +90,9 @@ NON_FINITE_CASES = [
     ["zeno-onset", "--t-max", "inf"],
     ["drive-sweep", "--eta-ratios", "inf", "--gammas", "1", "--markov-ratios", "4",
      "--gamma-tpas", "1"],
+    ["mitigate", "--n-copies", "inf"],
+    ["constraint-sweep", "--n-cycles", "inf"],
+    ["anneal", "--n-cycles", "1e400"],
 ]
 
 # A small valid drive sweep; a later repeat of a flag overrides its value.
@@ -150,6 +154,7 @@ DRIVE_SWEEP_SMALL = ["drive-sweep", "--eta-ratios", "0", "--gammas", "1",
         "qubo-energy-overflow", "qubo-empty", "qubo-not-square", "anneal-nan-tol",
         "anneal-negative-tol", "oracle-check-inf-eta-ratio", "oracle-check-nan-eta-ratio",
         "zeno-onset-inf-tpa-rate", "zeno-onset-inf-t-max", "drive-sweep-inf-eta-ratio",
+        "mitigate-inf-copies", "constraint-sweep-inf-cycles", "anneal-overflowing-cycles",
         "drive-sweep-inf-tpa-gamma", "drive-sweep-inf-gamma", "drive-sweep-zero-tpa-gamma",
         "drive-sweep-zero-markov-ratio", "drive-sweep-unreachable-markov-ratio",
         "oracle-check-inf-gamma"])
@@ -172,11 +177,20 @@ def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
         assert not os.path.exists(tmp_path / "x.csv")
 
 
+@pytest.mark.parametrize("command", ["timebin-compile", "constraint-sweep"])
+def test_bad_graph_file_error_names_the_file(tmp_path, capsys, command):
+    gfile = tmp_path / "bad.txt"
+    gfile.write_text(BAD_FILES["BAD_GRAPH"])
+    assert run([command, "--graph", gfile, "--out", tmp_path / "x.csv"]) == 1
+    assert capsys.readouterr().err == (f"config error: bad graph file {gfile}: line 2: "
+                                       "invalid literal for int() with base 10: 'x'\n")
+
+
 def test_qubo_file_over_24_variables_is_a_config_error(tmp_path, capsys, monkeypatch):
     def no_table(n):
         raise AssertionError(f"2^{n} bit table built")
 
-    monkeypatch.setattr(anneal, "_bit_table", no_table)
+    monkeypatch.setattr(problems, "_bit_table", no_table)
     qfile = tmp_path / "wide.txt"
     qfile.write_text(("0 " * 25 + "\n") * 25)
     assert run(["qubo", "--qubo", qfile, "--out", tmp_path / "x.csv"]) == 1

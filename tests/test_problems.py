@@ -1,15 +1,21 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from zenoanneal.experiments import mitigation_rows
 from zenoanneal.problems import (brute_force_mis,
                                  brute_force_qubo, brute_force_wmis,
                                  complete_graph, five_node_example,
-                                 graph_from_edges, loss_injection_experiment,
+                                 graph_from_edges, loss_injection_batch,
+                                 loss_injection_experiment,
                                  mitigation_decode, mitigation_encode,
-                                 parse_edge_list, parse_qubo, qubo_energy,
-                                 three_node_line)
+                                 parse_edge_list, parse_qubo, three_node_line)
+
+from oracles import (loop_brute_force_mis, loop_brute_force_qubo,
+                     loop_brute_force_wmis, loop_mitigation_rows, qubo_energy)
 
 
 def test_graph_validation():
@@ -164,3 +170,58 @@ def test_complete_graph_structure():
     assert len(g.edges) == 10
     value, _ = brute_force_mis(g)
     assert value == 1
+
+
+# The loop oracles keep a running best and the array solvers compare with
+# the overall best, so the two tie rules agree when distinct values lie more
+# than 2e-12 apart; quarter-integer weights and integer Q keep every sum
+# exact and every distinct value at least 0.25 apart, and still give ties.
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), edge_bits=st.integers(0, 2 ** 45 - 1),
+       quarters=st.none() | st.lists(st.integers(1, 8), min_size=10, max_size=10))
+@example(n=10, edge_bits=0, quarters=None)
+@example(n=10, edge_bits=2 ** 45 - 1, quarters=None)
+@example(n=9, edge_bits=0, quarters=[3] * 10)
+@example(n=8, edge_bits=2 ** 45 - 1, quarters=[1, 2, 3, 4, 4, 3, 2, 1, 5, 6])
+def test_solvers_match_the_loop_oracles(n, edge_bits, quarters):
+    edges = [e for b, e in enumerate(combinations(range(n), 2)) if edge_bits >> b & 1]
+    weights = None if quarters is None else [k / 4 for k in quarters[:n]]
+    g = graph_from_edges(n, edges, weights)
+    size, optima = brute_force_mis(g)
+    ref_size, ref_optima = loop_brute_force_mis(g)
+    assert type(size) is int and size == ref_size
+    assert set(optima) == set(ref_optima) and len(optima) == len(ref_optima)
+    value, optima = brute_force_wmis(g)
+    ref_value, ref_optima = loop_brute_force_wmis(g)
+    assert value == ref_value
+    assert set(optima) == set(ref_optima) and len(optima) == len(ref_optima)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
+    .map(lambda v: np.array(v, dtype=float).reshape(n, n))))
+@example(q=np.zeros((8, 8)))
+def test_qubo_solver_matches_the_loop_oracle(q):
+    best, optima = brute_force_qubo(q)
+    ref_best, ref_optima = loop_brute_force_qubo(q)
+    assert best == ref_best
+    assert set(optima) == set(ref_optima) and len(optima) == len(ref_optima)
+
+
+@pytest.mark.parametrize("graph, n_copies", [(three_node_line(), [1, 2, 3]),
+                                             (five_node_example(), [1, 2])],
+                         ids=["line", "five-node"])
+def test_mitigation_rows_match_the_per_pattern_oracle(graph, n_copies):
+    assert mitigation_rows(graph, n_copies) == loop_mitigation_rows(graph, n_copies)
+
+
+def test_loss_injection_batch_scores_every_row():
+    g = three_node_line()
+    samples = [[1, 1, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0],
+               [0, 0, 0, 0, 0, 0]]
+    out = loss_injection_batch(g, 2, samples)
+    assert out["decoded"].tolist() == [[True, False, True], [True, False, False],
+                                       [True, True, False], [False, False, False]]
+    assert out["success"].tolist() == [True, False, False, False]
+    assert out["independent"].tolist() == [True, True, False, True]
