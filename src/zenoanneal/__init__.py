@@ -16,8 +16,8 @@ from .anneal import (AnnealReport, Schedule, anneal_density, anneal_ideal,
 from .problems import (ProblemGraph, brute_force_mis, brute_force_qubo,
                        brute_force_wmis, complete_graph, five_node_example,
                        graph_from_edges, loss_injection_experiment,
-                       mitigation_decode, mitigation_encode, parse_edge_list,
-                       parse_qubo, three_node_line)
+                       mitigation_encode, parse_edge_list, parse_qubo,
+                       three_node_line)
 from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form, pair_coherence_ode,
                        sfg_rate_for_tpa_target)

@@ -76,10 +76,11 @@ class Settings:
         self.resolved: dict[str, str] = {}
         path = getattr(args, "config", None)
         if path:
-            if not os.path.exists(path):
-                raise ConfigError(f"config file not found: {path}")
             try:
-                self.cfg.read(path)
+                with open(path, encoding="utf-8") as fh:
+                    self.cfg.read_file(fh)
+            except OSError as exc:
+                raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
             except configparser.Error as exc:
                 raise ConfigError(f"bad config file {path}: {str(exc).splitlines()[0]}") from exc
             if self.cfg.defaults():
@@ -109,14 +110,17 @@ class Settings:
         return f"# config: command={self.section} {pairs}"
 
 
-def _out_path(path: str) -> str:
+def _open_out(path: str):
+    """``path`` opened for writing, under ZENOANNEAL_OUT when that is set and
+    the path is relative; a path that cannot be written is a config error."""
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return path
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
 def _fmt(value) -> str:
@@ -126,13 +130,12 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: str, config_line: str, header, rows) -> str:
-    path = _out_path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         fh.write(config_line + "\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
+    return fh.name
 
 
 def _read_input(settings: Settings, key: str, what: str, parse):
@@ -141,13 +144,13 @@ def _read_input(settings: Settings, key: str, what: str, parse):
     path = settings.get(key, None)
     if path is None:
         return None
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
-        except ValueError as exc:
-            raise ConfigError(f"bad {what} file {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _load_graph(settings: Settings, default_factory):
@@ -279,13 +282,13 @@ def cmd_timebin_compile(args) -> int:
         graph = complete_graph(n)
         s.resolved["graph"] = f"<complete:{n}>"
     n_bins = s.get("n-bins", graph.n_vertices, int)
-    out = _out_path(s.get("out", "timebin_program.txt"))
+    out = s.get("out", "timebin_program.txt")
     program = compile_graph_program(graph, n_bins)
     report = verify_program(program, graph)
-    with open(out, "w", encoding="utf-8") as fh:
+    with _open_out(out) as fh:
         fh.write(s.config_line() + "\n")
         fh.write(render_program(program))
-    print(out)
+    print(fh.name)
     print(f"verification: {'ok' if report.ok else 'FAILED'}; "
           f"{len(report.edges_covered)}/{len(graph.edges)} edges covered; "
           f"{len(report.violations)} violations")

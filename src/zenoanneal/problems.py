@@ -18,6 +18,10 @@ import numpy as np
 
 BRUTE_FORCE_MAX_VERTICES = 24
 TIE_TOL = 1e-12
+# Table rows per scorer slab, whose float temporaries take 8 n rows bytes.
+# Keep it a multiple of 16: OpenBLAS sums slabs of 1 or 3 rows in another
+# order, which moves the last bits of the scores.
+SCORE_SLAB_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,6 @@ class ProblemGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-    def is_independent(self, subset) -> bool:
-        chosen = set(subset)
-        return not any(u in chosen and v in chosen for u, v in self.edges)
 
 
 def graph_from_edges(n_vertices: int, edges, weights=None) -> ProblemGraph:
@@ -129,6 +129,13 @@ def _bit_table(n: int) -> np.ndarray:
     return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
+def _by_slab(score, bits: np.ndarray) -> np.ndarray:
+    """score(rows) over slabs of at most ``SCORE_SLAB_ROWS`` table rows, so
+    that no (2^n, n) float temporary outlives one slab."""
+    return np.concatenate([score(bits[start:start + SCORE_SLAB_ROWS])
+                           for start in range(0, len(bits), SCORE_SLAB_ROWS)])
+
+
 def _optimal(score: np.ndarray) -> np.ndarray:
     """The tie rule: optimal is within ``TIE_TOL`` of the largest score."""
     return score >= score.max() - TIE_TOL
@@ -143,7 +150,8 @@ def _wmis_scores(graph: ProblemGraph):
     bits = _bit_table(n)
     violations = sum((bits[:, j] & bits[:, k] for j, k in graph.edges),
                      np.zeros(len(bits), dtype=int))
-    number = bits @ np.asarray(graph.weights or (1.0,) * n)
+    weights = np.asarray(graph.weights or (1.0,) * n)
+    number = _by_slab(lambda rows: rows @ weights, bits)
     return bits, violations, number, _optimal(np.where(violations == 0, number, -np.inf))
 
 
@@ -159,7 +167,7 @@ def _qubo_scores(q):
         raise ValueError("QUBO matrix has a non-finite entry")
     bits = _bit_table(q.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = ((bits @ q) * bits).sum(axis=1)
+        energy = _by_slab(lambda rows: ((rows @ q) * rows).sum(axis=1), bits)
     if not np.all(np.isfinite(energy)):
         raise ValueError("QUBO pattern energies overflow to non-finite values")
     return bits, energy, _optimal(-energy)
@@ -209,16 +217,6 @@ def mitigation_encode(graph: ProblemGraph, n_copy: int) -> ProblemGraph:
         weights = tuple(graph.weights[j] for j in range(graph.n_vertices)
                         for _ in range(n_copy))
     return graph_from_edges(graph.n_vertices * n_copy, edges, weights)
-
-
-def mitigation_decode(encoded_sample, n_copy: int) -> frozenset[int]:
-    """A vertex counts as selected when any of its copies is."""
-    sample = list(encoded_sample)
-    if len(sample) % n_copy != 0:
-        raise ValueError("sample length is not a multiple of n_copy")
-    n = len(sample) // n_copy
-    return frozenset(j for j in range(n)
-                     if any(sample[encoded_vertex(j, k, n_copy)] for k in range(n_copy)))
 
 
 def _encoded_optimum(graph: ProblemGraph, n_copy: int) -> np.ndarray:

@@ -1,17 +1,18 @@
 """Reference helpers that only tests use: basis states, populations, a
 superoperator matrix applied to a density state, the partial trace, the
 dense map of a drive with its pump traced out, a butterfly Walsh
-transform, and the one-assignment-at-a-time exhaustive solvers and loss
-study that the array solvers in ``zenoanneal.problems`` are checked
-against."""
+transform, the QUBO anneal with one exact phase exp per cycle, and the
+one-assignment-at-a-time exhaustive solvers, decoder and loss study that
+the array solvers in ``zenoanneal.problems`` are checked against."""
 
 import math
 
 import numpy as np
 
+from zenoanneal.anneal import _transverse_mixer, linear_three_parameter_profile
 from zenoanneal.fock import DensityState, PureState, make_space
 from zenoanneal.gadgets import drive_generator, pump_maps
-from zenoanneal.problems import mitigation_decode, mitigation_encode
+from zenoanneal.problems import _qubo_scores, encoded_vertex, mitigation_encode
 from zenoanneal.propagator import expm_dense
 
 
@@ -74,6 +75,27 @@ def fwht(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def exact_qubo_anneal(q, n_cycle: int, r_tot):
+    """(populations, success, norm drift) of ``qubo_anneal`` run with one
+    exact exp(-i phi_j N) exp(-i zeta_j E) per cycle: (B, 2^n) final
+    populations in basis order, (B, n_cycle) success, and the largest
+    |norm - 1| at any cycle."""
+    bits, energy, optimal = _qubo_scores(q)
+    number = bits.sum(axis=1)
+    _, phi, c, zeta = (np.atleast_2d(a) for a in linear_three_parameter_profile(n_cycle, r_tot))
+    to_eig, lam, from_eig = _transverse_mixer(bits.shape[1])
+    amps = np.zeros((len(phi), len(energy)), dtype=complex)
+    amps[:, 0] = 1.0
+    success, drift = np.empty(phi.shape), 0.0
+    for j in range(n_cycle):
+        diag = np.exp(phi[:, j, None] * (-1j * number)) * np.exp(zeta[:, j, None] * (-1j * energy))
+        amps = from_eig(to_eig(amps * diag) * np.exp(c[:, j, None] * (-1j * lam)))
+        populations = np.abs(amps) ** 2
+        success[:, j] = populations @ optimal
+        drift = max(drift, float(np.max(np.abs(np.sqrt(populations.sum(axis=1)) - 1.0))))
+    return populations, success, drift
+
+
 def _edge_masks(graph) -> list[int]:
     return [(1 << u) | (1 << v) for u, v in graph.edges]
 
@@ -133,6 +155,21 @@ def loop_brute_force_qubo(q):
     return float(best), optima
 
 
+def mitigation_decode(encoded_sample, n_copy: int) -> frozenset[int]:
+    """A vertex counts as selected when any of its copies is."""
+    sample = list(encoded_sample)
+    if len(sample) % n_copy != 0:
+        raise ValueError("sample length is not a multiple of n_copy")
+    n = len(sample) // n_copy
+    return frozenset(j for j in range(n)
+                     if any(sample[encoded_vertex(j, k, n_copy)] for k in range(n_copy)))
+
+
+def is_independent(graph, subset) -> bool:
+    chosen = set(subset)
+    return not any(u in chosen and v in chosen for u, v in graph.edges)
+
+
 def loop_loss_injection_experiment(graph, n_copy, loss_pattern) -> dict:
     """Drop photons from an optimal encoded sample and decode it, solving
     the encoding and the graph one assignment at a time."""
@@ -149,7 +186,7 @@ def loop_loss_injection_experiment(graph, n_copy, loss_pattern) -> dict:
     return {
         "decoded": decoded,
         "success": decoded in optima,
-        "independent": graph.is_independent(decoded),
+        "independent": is_independent(graph, decoded),
     }
 
 

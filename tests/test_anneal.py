@@ -9,8 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from zenoanneal import anneal, experiments, problems
-from zenoanneal.anneal import (_Observables, _transverse_mixer, anneal_density,
-                               anneal_density_batch, anneal_ideal,
+from zenoanneal.anneal import (Populations, _Observables, _transverse_mixer,
+                               anneal_density, anneal_density_batch, anneal_ideal,
                                anneal_statevector,
                                linear_three_parameter_profile, make_schedule,
                                qubo_anneal)
@@ -23,8 +23,9 @@ from zenoanneal.propagator import NonConvergenceError
 from zenoanneal.problems import (complete_graph, five_node_example,
                                  graph_from_edges, three_node_line)
 
-from oracles import (fwht, loop_brute_force_mis, loop_brute_force_qubo,
-                     loop_brute_force_wmis, number_state, population, qubo_energy)
+from oracles import (exact_qubo_anneal, fwht, loop_brute_force_mis,
+                     loop_brute_force_qubo, loop_brute_force_wmis, number_state,
+                     population, qubo_energy)
 
 PHI_Q = 3 * math.pi / 2  # pi/2 total constraint kick
 
@@ -410,6 +411,88 @@ def test_pure_runs_do_not_depend_on_the_cycle_block(n, edge_mask, n_cycle, r_tot
             for got, want in zip(run, ref):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13, path
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 9), n_cycle=st.integers(1, 1500),
+       r_tot=st.floats(0.5, 300.0) | st.lists(st.floats(0.5, 300.0), min_size=2, max_size=3),
+       seed=st.integers(0, 99))
+def test_qubo_phase_recurrence_matches_one_exp_per_cycle(n, n_cycle, r_tot, seed):
+    q = np.random.default_rng(seed).normal(size=(n, n))
+    rep = qubo_anneal(q, n_cycle, r_tot)
+    populations, success, _ = exact_qubo_anneal(q, n_cycle, r_tot)
+    got = np.atleast_2d(np.array(rep.final_populations.values()).T)
+    assert got.shape == populations.shape
+    assert np.max(np.abs(got - populations)) <= 1e-13
+    assert np.max(np.abs(np.atleast_2d(rep.success) - success)) <= 1e-13
+    assert rep.meta["norm_drift"] <= 1e-12
+
+
+def test_qubo_energy_phases_recur_between_exact_anchors(monkeypatch):
+    q = np.random.default_rng(4).normal(size=(5, 5))
+    schedule = anneal.Schedule(1500, 300.0, *linear_three_parameter_profile(1500, 300.0))
+    energy = problems._qubo_scores(q)[1]
+    exact = np.exp(schedule.zeta[:, None] * (-1j * energy))
+    anchors = np.arange(1500) % anneal.PHASE_ANCHOR_CYCLES == 0
+    got = np.array([diag[0] for diag in anneal._ramp_phases(schedule, energy)])
+    assert np.array_equal(got[anchors], exact[anchors])
+    assert np.max(np.abs(got - exact)) <= 2e-15
+    # one anchor in 1500 cycles: the D + D (R - 1) product alone drifted 4e-15
+    monkeypatch.setattr(anneal, "PHASE_ANCHOR_CYCLES", 10 ** 6)
+    got = np.array([diag[0] for diag in anneal._ramp_phases(schedule, energy)])
+    assert np.max(np.abs(got - exact)) <= 2e-14
+
+
+def _old_population_dict(bits, populations):
+    return dict(zip(zip(*bits.T.tolist()), populations))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_populations_view_is_the_old_dict_in_basis_order(n):
+    bits = problems._bit_table(n)
+    values = np.random.default_rng(n).uniform(size=1 << n)
+    view = Populations(values)
+    assert len(view) == 1 << n
+    assert list(view) == list(map(tuple, bits.tolist())) == list(product((0, 1), repeat=n))
+    assert view == _old_population_dict(bits, values.tolist())
+    assert view.values() == values.tolist()
+    assert all(type(p) is float for p in view.values())
+    assert view[(1,) * n] == values[-1] and (0,) * n in view
+    for bad in [(0,) * (n + 1), (0,) * (n - 1) + (2,), [0] * n, "0" * n, None]:
+        assert bad not in view
+        with pytest.raises(KeyError):
+            view[bad]
+    with pytest.raises(TypeError):
+        view[(0,) * n] = 1.0
+
+
+def test_populations_view_values_read_the_array_without_lookups():
+    view = Populations(np.arange(8.0))
+    with mock.patch.object(Populations, "__getitem__", side_effect=AssertionError):
+        assert view.values() == list(range(8))
+
+
+def test_batched_populations_view_rows():
+    q = np.random.default_rng(8).normal(size=(4, 4))
+    batch = qubo_anneal(q, 40, [5.0, 30.0])
+    rows = np.array(batch.final_populations.values())
+    assert rows.shape == (16, 2) and not batch.final_populations[(0,) * 4].flags.writeable
+    for index, pattern in enumerate(batch.final_populations):
+        assert np.array_equal(batch.final_populations[pattern], rows[index])
+    for column, r_tot in enumerate([5.0, 30.0]):
+        single = qubo_anneal(q, 40, r_tot).final_populations
+        assert single == _old_population_dict(problems._bit_table(4), single.values())
+        assert np.max(np.abs(rows[:, column] - single.values())) < 1e-12
+
+
+def test_density_reports_carry_the_populations_view():
+    rep = anneal_density(three_node_line(), make_schedule(8, 5.0),
+                         ConstraintParams(PHI_Q, GAMMA_T_COHERENT))
+    assert isinstance(rep.final_populations, Populations)
+    diag = rep.final_state.matrix.diagonal().real
+    space = rep.final_state.space
+    assert rep.final_populations == {p: float(diag[space.index(p)])
+                                     for p in product((0, 1), repeat=3)}
 
 
 @pytest.mark.parametrize("path", ["statevector", "ideal", "qubo"])

@@ -200,6 +200,26 @@ def test_qubo_file_over_24_variables_is_a_config_error(tmp_path, capsys, monkeyp
     assert not os.path.exists(tmp_path / "x.csv")
 
 
+@pytest.mark.parametrize("args", [
+    ["qubo", "--qubo", "DIR"],
+    ["constraint-sweep", "--graph", "DIR"],
+    ["qubo", "--config", "DIR"],
+    ["qubo", "--n-cycle", "4", "--out", "DIR"],
+    ["timebin-compile", "--complete", "3", "--out", "DIR"],
+], ids=["qubo-file", "graph-file", "config-file", "out-file", "timebin-out-file"])
+def test_paths_that_are_not_readable_files_are_config_errors(tmp_path, capsys, args):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    args = [folder if a == "DIR" else a for a in args]
+    if "--out" not in args:
+        args += ["--out", tmp_path / "x.csv"]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f" {folder}: " in err
+    assert not os.path.exists(tmp_path / "x.csv")
+
+
 @pytest.mark.parametrize("text, needle", [
     ("[wmis]\nn-cyle = 20\n", "'n-cyle'"),
     ("[wmis]\nconfig = other.ini\n", "'config'"),

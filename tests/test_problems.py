@@ -1,21 +1,23 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from zenoanneal import problems
 from zenoanneal.experiments import mitigation_rows
 from zenoanneal.problems import (brute_force_mis,
                                  brute_force_qubo, brute_force_wmis,
                                  complete_graph, five_node_example,
                                  graph_from_edges, loss_injection_batch,
-                                 loss_injection_experiment,
-                                 mitigation_decode, mitigation_encode,
+                                 loss_injection_experiment, mitigation_encode,
                                  parse_edge_list, parse_qubo, three_node_line)
 
 from oracles import (loop_brute_force_mis, loop_brute_force_qubo,
-                     loop_brute_force_wmis, loop_mitigation_rows, qubo_energy)
+                     loop_brute_force_wmis, loop_mitigation_rows, mitigation_decode,
+                     qubo_energy)
 
 
 def test_graph_validation():
@@ -225,3 +227,42 @@ def test_loss_injection_batch_scores_every_row():
                                        [True, True, False], [False, False, False]]
     assert out["success"].tolist() == [True, False, False, False]
     assert out["independent"].tolist() == [True, True, False, True]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 9])
+def test_scorers_are_the_same_in_every_slab(monkeypatch, n):
+    # Slab row counts stay multiples of 16: OpenBLAS sums a slab of 1 or 3
+    # rows in another order, which moves energies by about 1e-14 (measured).
+    # 48 leaves a partial last slab whenever 2^n > 48.
+    rng = np.random.default_rng(n)
+    q = rng.normal(size=(n, n))
+    graph = graph_from_edges(n, [(j, j + 1) for j in range(n - 1)],
+                             weights=rng.uniform(0.5, 2.0, n))
+    bits = problems._bit_table(n)
+    energy = ((bits @ q) * bits).sum(axis=1)  # the unslabbed formulas
+    number = bits @ graph.weights
+    for slab in (16, 48, 1 << n):
+        monkeypatch.setattr(problems, "SCORE_SLAB_ROWS", slab)
+        _, got_energy, optimal = problems._qubo_scores(q)
+        _, violations, got_number, wmis_optimal = problems._wmis_scores(graph)
+        assert np.array_equal(got_energy, energy) and np.array_equal(got_number, number)
+        assert np.array_equal(optimal, energy <= energy.min() + 1e-12)
+        value = np.where(violations == 0, number, -np.inf)
+        assert np.array_equal(wmis_optimal, value >= value.max() - 1e-12)
+
+
+def test_scorers_keep_no_float_table_past_one_slab():
+    # the int64 pattern table is the one (2^n, n) array left; the parent's
+    # (bits @ q) * bits took three times its size
+    n = 17
+    q = np.random.default_rng(0).normal(size=(n, n))
+    graph = graph_from_edges(n, [(0, 1)], weights=np.full(n, 1.5))
+    table_bytes = 8 * n << n
+    for score in (lambda: problems._qubo_scores(q), lambda: problems._wmis_scores(graph)):
+        tracemalloc.start()
+        try:
+            score()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table_bytes
