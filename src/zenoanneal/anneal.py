@@ -41,7 +41,7 @@ from .fock import (DensityState, FockSpace, PureState,
                    make_space, von_neumann_entropy)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       drive_generator, pump_maps)
-from .problems import ProblemGraph, _bit_table, _qubo_scores, _wmis_scores
+from .problems import ProblemGraph, _optima, _qubo_scores, _wmis_scores
 from .propagator import NonConvergenceError, PhaseKernel, build_cache
 
 CYCLE_ORDER = "phase->drive->constraints"
@@ -55,6 +55,11 @@ ZENO_CACHE_STAGES = 30
 # Largest mass an edge gadget may send out of the 0/1 patterns from one
 # qubit-block input column before the ideal-2level run refuses the block.
 BLOCK_LEAK_TOL = 1e-12
+
+# Largest bytes a run's largest arrays may take: the ideal path's eigenbasis,
+# the density path's (B, D, D) final states on the full space.  A run over it
+# raises ValueError before building them.
+RUN_BYTES_MAX = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -138,15 +143,26 @@ class AnnealReport:
     meta: dict = field(default_factory=dict)
 
 
+def _guard_bytes(nbytes: int, what: str) -> None:
+    if nbytes > RUN_BYTES_MAX:
+        raise ValueError(f"{what} would take {nbytes} bytes, over the "
+                         f"{RUN_BYTES_MAX}-byte bound")
+
+
+def _pattern_index(space: FockSpace) -> np.ndarray:
+    """Index in ``space`` of each 0/1 pattern: its binary digits in base mode_dim."""
+    index = np.arange(1 << space.n_modes)
+    return sum(((index >> b) & 1) * stride for b, stride in enumerate(reversed(space.strides)))
+
+
 class _Observables:
-    """Per 0/1 pattern (rows of ``bits``), from ``problems._wmis_scores``:
-    edge violations, weighted number N_w = bits @ weights, optimality, and
-    the basis indices for success/leakage.  A graph too large for exhaustive
-    search raises ValueError before any table is built."""
+    """Per 0/1 pattern in basis order, from ``problems._wmis_scores``: edge
+    violations, weighted number N_w, optimality, and the basis indices for
+    success/leakage.  A graph over the n <= 24 guard raises ValueError first."""
 
     def __init__(self, space: FockSpace, graph: ProblemGraph):
-        self.bits, self.violations, self.number, self.optimal = _wmis_scores(graph)
-        self.pattern_idx = self.bits @ np.array(space.strides)
+        self.violations, self.number, self.optimal = _wmis_scores(graph)
+        self.pattern_idx = _pattern_index(space)
         self.optima_idx = self.pattern_idx[self.optimal]
         self.independent_idx = self.pattern_idx[self.violations == 0]
 
@@ -195,20 +211,18 @@ def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
     return step
 
 
-def _ideal_step(bits: np.ndarray, number: np.ndarray):
+def _ideal_step(n: int, number: np.ndarray):
     """(rho, phi, c) -> V_b rho_b V_b^dag for each row b of a (B, 2^n, 2^n)
     stack, where V = W diag(exp(-i c lam)) W diag(exp(-i phi N_w)) is the
     weighted phase followed by exp(-i c X) on every qubit: W = H^{(x)n},
-    lam = n - 2 popcount of the pattern table ``bits`` and N_w the weighted
-    ``number``, as in the pure-state mixer.
+    lam = n - 2 popcount and N_w the weighted ``number``, as in the pure-state mixer.
 
     W W is formed from the exact +-1 signs and divided by 2^n, which is also
     exact; a rounded 2^(-n/2) would bias |det V| and drift the trace by about
     1e-16 per cycle.
     """
-    n = bits.shape[1]
     signs = _walsh_signs(n).astype(complex)
-    phases = _phase_tables(n - 2 * bits.sum(axis=1), number)
+    phases = _phase_tables(n - 2 * np.bitwise_count(np.arange(1 << n)).astype(int), number)
 
     def step(rho, phi, c):
         mixer_phases, number_phases = phases(c, phi)
@@ -285,7 +299,8 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
                     f"(tolerance {BLOCK_LEAK_TOL:g})")
     space = make_space([2] * n) if in_block else full_space
     obs = _Observables(space, graph)
-    step = (_ideal_step(obs.bits, obs.number) if in_block else
+    _guard_bytes(16 * len(schedules) * full_space.total_dim ** 2, "the final density states")
+    step = (_ideal_step(n, obs.number) if in_block else
             _zeno_step(space, weights, drive, drive_mode, float(np.max(schedules[0].c))))
 
     order = sorted(range(len(schedules)), key=lambda b: -schedules[b].n_cycle)
@@ -314,7 +329,7 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
             raise NonConvergenceError(f"density state at cycle {i + 1}: {exc}") from exc
     finals[:k] = rho
 
-    idx = np.ix_(*[obs.bits @ np.array(full_space.strides)] * 2)
+    idx = np.ix_(*[_pattern_index(full_space)] * 2)
     reports = [None] * len(order)
     for row, b in enumerate(order):
         rho, (success, leak, entropy) = finals[row], records[row, :, :lengths[row]]
@@ -338,8 +353,8 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
 
 def _walsh_signs(k: int) -> np.ndarray:
     """2^(k/2) H^{(x)k}, exactly: entry (x, y) is (-1)^popcount(x & y)."""
-    bits = _bit_table(k)
-    return 1 - 2 * ((bits @ bits.T) & 1)
+    index = np.arange(1 << k)
+    return np.where(np.bitwise_count(index[:, None] & index) & 1, -1, 1)
 
 
 def _phase_tables(*values: np.ndarray):
@@ -437,7 +452,7 @@ def _transverse_mixer(n: int):
     by :func:`_kron_pass` in real arithmetic; the inverse puts its 1/2^n on
     the first factor.  No 2^n x 2^n matrix is formed.
     """
-    lam = n - 2 * _bit_table(n).sum(axis=1)
+    lam = n - 2 * np.bitwise_count(np.arange(1 << n)).astype(int)
     if n <= WALSH_MATMUL_QUBITS:
         signs = _walsh_signs(n).astype(complex)
         inverse = signs / (1 << n)
@@ -449,14 +464,13 @@ def _transverse_mixer(n: int):
 
 
 def _ideal_mixer(independent: np.ndarray):
-    """(to_eig, lam, from_eig) of the transverse mixer with every matrix
-    element that touches a non-independent pattern removed, diagonalized
-    once."""
-    idx = np.arange(len(independent))
-    single_flip = np.bitwise_count(idx[:, None] ^ idx[None, :]) == 1
-    lam, vecs = np.linalg.eigh(
-        (single_flip & independent[:, None] & independent[None, :]).astype(float))
-    w = vecs.astype(complex)
+    """(to_eig, lam, from_eig) of the transverse mixer on the I independent patterns only:
+    their I x I single-flip matrix diagonalized once, embedded as their rows of (2^n, I)."""
+    idx = np.flatnonzero(independent)
+    _guard_bytes(8 * len(idx) ** 2 + 16 * len(independent) * len(idx), "the ideal mixer")
+    lam, vecs = np.linalg.eigh((np.bitwise_count(idx[:, None] ^ idx) == 1).astype(float))
+    w = np.zeros((len(independent), len(idx)), dtype=complex)
+    w[idx] = vecs
     return (lambda amps: amps @ w), lam, (lambda amps: amps @ w.T)
 
 
@@ -534,12 +548,11 @@ def _anneal_mis_pure(graph: ProblemGraph, schedule: Schedule,
                      phi_q: float | None) -> AnnealReport:
     """Statevector run with kick pi + phi_q per violated edge, or with the
     ideal mixer when ``phi_q`` is None."""
-    n = graph.n_vertices
-    obs = _Observables(make_space([2] * n), graph)
+    obs = _Observables(make_space([2] * graph.n_vertices), graph)
     if phi_q is None:
         mixer, kicks, meta = _ideal_mixer(obs.violations == 0), None, {"path": "ideal"}
     else:
-        mixer, meta = _transverse_mixer(n), {"path": "statevector", "phi_q": phi_q}
+        mixer, meta = _transverse_mixer(graph.n_vertices), {"path": "statevector", "phi_q": phi_q}
         kicks = np.exp(1j * (math.pi + phi_q) * obs.violations)
     proj = np.column_stack([obs.optimal, obs.violations == 0]).astype(float)
     amps, records = _run_pure(schedule, mixer, obs.number, proj, kicks=kicks)
@@ -595,9 +608,9 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot) -> AnnealReport:
     """
     tau, phi, c, zeta = linear_three_parameter_profile(n_cycle, r_tot)
     schedule = Schedule(n_cycle, r_tot, tau, phi, c, zeta=zeta)
-    bits, energy, optimal = _qubo_scores(q)
-    amps, records = _run_pure(schedule, _transverse_mixer(bits.shape[1]), bits.sum(axis=1),
+    energy, optimal = _qubo_scores(q)
+    number = np.bitwise_count(np.arange(len(energy))).astype(int)
+    amps, records = _run_pure(schedule, _transverse_mixer(len(q)), number,
                               optimal[:, None].astype(float), energy=energy)
-    meta = {"path": "qubo", "energy": energy, "optimal": optimal,
-            "optima": list(map(tuple, bits[optimal].tolist()))}
+    meta = {"path": "qubo", "energy": energy, "optimal": optimal, "optima": _optima(optimal)}
     return _pure_report(schedule, amps, records, np.zeros_like(records[..., 0]), meta)

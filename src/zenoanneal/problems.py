@@ -3,10 +3,10 @@ error-mitigation encoding.
 
 The exhaustive solvers are the ground truth every anneal result is scored
 against.  They, the anneal observables and the loss-pattern study share the
-one enumeration of 0/1 patterns: a (2^n, n) table in basis order (vertex 0
-the most significant bit), scored as arrays, where a pattern is optimal
-within ``TIE_TOL`` of the best score.  The table takes 8 n 2^n bytes
-(3.2 GB at n = 24), so it is guarded to n <= 24.
+one enumeration of 0/1 patterns: per-pattern arrays in basis order (vertex 0
+the most significant bit), where a pattern is optimal within ``TIE_TOL`` of
+the best score.  Occupation rows are built one slab at a time, or for the
+few patterns a caller lists; the enumeration is guarded to n <= 24.
 """
 
 from __future__ import annotations
@@ -123,17 +123,18 @@ def _guard_size(n: int) -> None:
                          f"n <= {BRUTE_FORCE_MAX_VERTICES}, got n = {n}")
 
 
-def _bit_table(n: int) -> np.ndarray:
-    """(2^n, n) occupations of every 0/1 pattern in basis order (vertex 0 the
-    most significant bit)."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+def _bit_table(n: int, index=None) -> np.ndarray:
+    """(len(index), n) 0/1 rows of the patterns at ``index`` (all by default), vertex 0 first."""
+    index = np.arange(1 << n) if index is None else index
+    return (index[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
-def _by_slab(score, bits: np.ndarray) -> np.ndarray:
-    """score(rows) over slabs of at most ``SCORE_SLAB_ROWS`` table rows, so
-    that no (2^n, n) float temporary outlives one slab."""
-    return np.concatenate([score(bits[start:start + SCORE_SLAB_ROWS])
-                           for start in range(0, len(bits), SCORE_SLAB_ROWS)])
+def _by_slab(score, n: int) -> np.ndarray:
+    """score(rows) over the 2^n patterns in slabs of at most
+    ``SCORE_SLAB_ROWS`` table rows, so that no table outlives one slab."""
+    return np.concatenate([
+        score(_bit_table(n, np.arange(start, min(start + SCORE_SLAB_ROWS, 1 << n))))
+        for start in range(0, 1 << n, SCORE_SLAB_ROWS)])
 
 
 def _optimal(score: np.ndarray) -> np.ndarray:
@@ -141,36 +142,41 @@ def _optimal(score: np.ndarray) -> np.ndarray:
     return score >= score.max() - TIE_TOL
 
 
+def _optima(optimal: np.ndarray) -> list[tuple[int, ...]]:
+    """The 0/1 tuples of the patterns ``optimal`` marks, in basis order."""
+    rows = _bit_table(len(optimal).bit_length() - 1, np.flatnonzero(optimal))
+    return list(map(tuple, rows.tolist()))
+
+
 def _wmis_scores(graph: ProblemGraph):
-    """(bits, violations, number, optimal): the pattern table, and per row
-    the violated edges, the weighted size N_w = bits @ weights (unit weights
-    when the graph has none) and WMIS optimality."""
+    """(violations, number, optimal) per pattern: the violated edges, the
+    weighted size N_w = bits @ weights (unit weights when the graph has
+    none) and WMIS optimality."""
     n = graph.n_vertices
     _guard_size(n)
-    bits = _bit_table(n)
-    violations = sum((bits[:, j] & bits[:, k] for j, k in graph.edges),
-                     np.zeros(len(bits), dtype=int))
+    index = np.arange(1 << n)
+    violations = sum(((index >> n - 1 - j) & (index >> n - 1 - k) & 1 for j, k in graph.edges),
+                     np.zeros(1 << n, dtype=int))
     weights = np.asarray(graph.weights or (1.0,) * n)
-    number = _by_slab(lambda rows: rows @ weights, bits)
-    return bits, violations, number, _optimal(np.where(violations == 0, number, -np.inf))
+    number = _by_slab(lambda rows: rows @ weights, n)
+    return violations, number, _optimal(np.where(violations == 0, number, -np.inf))
 
 
 def _qubo_scores(q):
-    """(bits, energy, optimal): the pattern table, and per row
-    E = sum_jk s_j s_k Q_jk (both triangles) and minimality.  A bad Q raises
-    ValueError before the table is built, a non-finite E after."""
+    """(energy, optimal) per pattern: E = sum_jk s_j s_k Q_jk (both
+    triangles) and minimality.  A bad Q raises ValueError before any pattern
+    is scored, a non-finite E after."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.size == 0:
         raise ValueError(f"QUBO matrix must be square and non-empty, got shape {q.shape}")
     _guard_size(q.shape[0])
     if not np.all(np.isfinite(q)):
         raise ValueError("QUBO matrix has a non-finite entry")
-    bits = _bit_table(q.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = _by_slab(lambda rows: ((rows @ q) * rows).sum(axis=1), bits)
+        energy = _by_slab(lambda rows: ((rows @ q) * rows).sum(axis=1), q.shape[0])
     if not np.all(np.isfinite(energy)):
         raise ValueError("QUBO pattern energies overflow to non-finite values")
-    return bits, energy, _optimal(-energy)
+    return energy, _optimal(-energy)
 
 
 def brute_force_mis(graph: ProblemGraph) -> tuple[int, list[frozenset[int]]]:
@@ -181,15 +187,15 @@ def brute_force_mis(graph: ProblemGraph) -> tuple[int, list[frozenset[int]]]:
 
 def brute_force_wmis(graph: ProblemGraph) -> tuple[float, list[frozenset[int]]]:
     """Weighted variant; unit weights when none are set."""
-    bits, _, number, optimal = _wmis_scores(graph)
+    _, number, optimal = _wmis_scores(graph)
     return (float(number[optimal].max()),
-            [frozenset(np.flatnonzero(row).tolist()) for row in bits[optimal]])
+            [frozenset(j for j, bit in enumerate(row) if bit) for row in _optima(optimal)])
 
 
 def brute_force_qubo(q: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
     """Exhaustive QUBO minimization; returns (min energy, all argmin bit tuples)."""
-    bits, energy, optimal = _qubo_scores(q)
-    return float(energy.min()), list(map(tuple, bits[optimal].tolist()))
+    energy, optimal = _qubo_scores(q)
+    return float(energy.min()), _optima(optimal)
 
 
 def encoded_vertex(j: int, k: int, n_copy: int) -> int:
@@ -206,16 +212,10 @@ def mitigation_encode(graph: ProblemGraph, n_copy: int) -> ProblemGraph:
     """
     if n_copy < 1:
         raise ValueError("n_copy must be at least 1")
-    edges = []
-    for u, v in graph.edges:
-        for p in range(n_copy):
-            for q in range(n_copy):
-                edges.append((encoded_vertex(u, p, n_copy),
-                              encoded_vertex(v, q, n_copy)))
-    weights = None
-    if graph.weights is not None:
-        weights = tuple(graph.weights[j] for j in range(graph.n_vertices)
-                        for _ in range(n_copy))
+    edges = [(encoded_vertex(u, p, n_copy), encoded_vertex(v, q, n_copy))
+             for u, v in graph.edges for p in range(n_copy) for q in range(n_copy)]
+    weights = None if graph.weights is None else tuple(
+        w for w in graph.weights for _ in range(n_copy))
     return graph_from_edges(graph.n_vertices * n_copy, edges, weights)
 
 
@@ -236,7 +236,7 @@ def loss_injection_batch(graph: ProblemGraph, n_copy: int, samples) -> dict:
     n = graph.n_vertices
     samples = np.asarray(samples, dtype=bool)
     decoded = samples.reshape(len(samples), n, n_copy).any(axis=2)
-    _, violations, _, optimal = _wmis_scores(ProblemGraph(n, graph.edges))
+    violations, _, optimal = _wmis_scores(ProblemGraph(n, graph.edges))
     index = decoded @ (1 << np.arange(n - 1, -1, -1))  # basis order, vertex 0 first
     return {"decoded": decoded, "success": optimal[index],
             "independent": violations[index] == 0}

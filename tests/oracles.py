@@ -1,13 +1,16 @@
 """Reference helpers that only tests use: basis states, populations, a
 superoperator matrix applied to a density state, the partial trace, the
 dense map of a drive with its pump traced out, a butterfly Walsh
-transform, the QUBO anneal with one exact phase exp per cycle, and the
+transform, the QUBO anneal with one exact phase exp per cycle, the ideal
+anneal with one drive expm per cycle on the independent patterns, and the
 one-assignment-at-a-time exhaustive solvers, decoder and loss study that
 the array solvers in ``zenoanneal.problems`` are checked against."""
 
 import math
+from itertools import product
 
 import numpy as np
+import scipy.linalg
 
 from zenoanneal.anneal import _transverse_mixer, linear_three_parameter_profile
 from zenoanneal.fock import DensityState, PureState, make_space
@@ -80,10 +83,10 @@ def exact_qubo_anneal(q, n_cycle: int, r_tot):
     exact exp(-i phi_j N) exp(-i zeta_j E) per cycle: (B, 2^n) final
     populations in basis order, (B, n_cycle) success, and the largest
     |norm - 1| at any cycle."""
-    bits, energy, optimal = _qubo_scores(q)
-    number = bits.sum(axis=1)
+    energy, optimal = _qubo_scores(q)
+    number = np.bitwise_count(np.arange(len(energy))).astype(int)
     _, phi, c, zeta = (np.atleast_2d(a) for a in linear_three_parameter_profile(n_cycle, r_tot))
-    to_eig, lam, from_eig = _transverse_mixer(bits.shape[1])
+    to_eig, lam, from_eig = _transverse_mixer(len(q))
     amps = np.zeros((len(phi), len(energy)), dtype=complex)
     amps[:, 0] = 1.0
     success, drift = np.empty(phi.shape), 0.0
@@ -94,6 +97,34 @@ def exact_qubo_anneal(q, n_cycle: int, r_tot):
         success[:, j] = populations @ optimal
         drift = max(drift, float(np.max(np.abs(np.sqrt(populations.sum(axis=1)) - 1.0))))
     return populations, success, drift
+
+
+def exact_ideal_anneal(graph, schedule):
+    """(populations, success) of ``anneal_ideal`` run with one
+    ``scipy.linalg.expm`` of the drive per cycle, on the independent 0/1
+    patterns only: (2^n,) final populations in basis order and (n_cycle,)
+    success."""
+    n = graph.n_vertices
+    weights = graph.weights or (1.0,) * n
+    patterns = list(product((0, 1), repeat=n))  # basis order, vertex 0 first
+    independent = [i for i, p in enumerate(patterns)
+                   if not any(p[u] and p[v] for u, v in graph.edges)]
+    number = np.array([sum(w for w, bit in zip(weights, patterns[i]) if bit)
+                       for i in independent])
+    flips = np.array([[float(sum(a != b for a, b in zip(patterns[i], patterns[j])) == 1)
+                       for j in independent] for i in independent])
+    optima = loop_brute_force_wmis(graph)[1]
+    optimal = np.array([frozenset(j for j, bit in enumerate(patterns[i]) if bit) in optima
+                        for i in independent])
+    psi = np.zeros(len(independent), dtype=complex)
+    psi[0] = 1.0
+    success = np.empty(schedule.n_cycle)
+    for j, (phi, c) in enumerate(zip(schedule.phi, schedule.c)):
+        psi = scipy.linalg.expm(-1j * c * flips) @ (np.exp(-1j * phi * number) * psi)
+        success[j] = np.sum(np.abs(psi[optimal]) ** 2)
+    populations = np.zeros(1 << n)
+    populations[independent] = np.abs(psi) ** 2
+    return populations, success
 
 
 def _edge_masks(graph) -> list[int]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 from itertools import combinations, product
 from unittest import mock
@@ -23,7 +24,7 @@ from zenoanneal.propagator import NonConvergenceError
 from zenoanneal.problems import (complete_graph, five_node_example,
                                  graph_from_edges, three_node_line)
 
-from oracles import (exact_qubo_anneal, fwht, loop_brute_force_mis,
+from oracles import (exact_ideal_anneal, exact_qubo_anneal, fwht, loop_brute_force_mis,
                      loop_brute_force_qubo, loop_brute_force_wmis, number_state,
                      population, qubo_energy)
 
@@ -556,8 +557,8 @@ def test_qubo_rows_match_one_at_a_time_reference(q):
 
 
 def test_pure_paths_refuse_more_than_24_variables_before_any_table(monkeypatch):
-    def no_table(n):
-        raise AssertionError(f"2^{n} bit table built")
+    def no_table(n, index=None):
+        raise AssertionError(f"bit table for n = {n} built")
 
     monkeypatch.setattr(problems, "_bit_table", no_table)
     wide = graph_from_edges(25, [(0, 1)])
@@ -568,7 +569,7 @@ def test_pure_paths_refuse_more_than_24_variables_before_any_table(monkeypatch):
                                        ConstraintParams(PHI_Q, GAMMA_T_COHERENT))):
         with pytest.raises(ValueError, match="n <= 24, got n = 25"):
             run()
-    with pytest.raises(AssertionError, match="2\\^24 bit table"):  # 24 passes the guard
+    with pytest.raises(AssertionError, match="n = 24 built"):  # 24 passes the guard
         qubo_anneal(np.zeros((24, 24)), 4, 1.0)
 
 
@@ -599,6 +600,87 @@ def test_ideal_path_concentrates_on_optimum():
     assert rep.final_populations[(1, 0, 0, 1, 1)] > 0.95
     assert abs(population(rep.final_state, (1, 0, 0, 1, 1))
                - rep.final_populations[(1, 0, 0, 1, 1)]) < 1e-12
+
+
+@pytest.mark.parametrize("g", [
+    five_node_example(),
+    graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)], weights=(1.0, 2.5, 1.5, 0.75)),
+], ids=["five-node", "weighted-4"])
+def test_ideal_path_matches_one_expm_per_cycle_on_independent_patterns(g):
+    # at 1024 cycles the full-basis eigenbasis was 1.8e-12 off; this one 6e-13
+    schedule = make_schedule(1024, 300.0)
+    rep = anneal_ideal(g, schedule)
+    populations, success = exact_ideal_anneal(g, schedule)
+    assert np.max(np.abs(np.array(rep.final_populations.values()) - populations)) <= 1e-12
+    assert np.max(np.abs(rep.success - success)) <= 1e-12
+
+
+def test_ideal_path_is_the_statevector_path_on_an_edgeless_graph():
+    # no pattern violates an edge, so both mixers are exp(-i c X) on every
+    # qubit and no kick acts
+    g = graph_from_edges(4, [], weights=(1.0, 0.5, 2.0, 1.25))
+    schedule = make_schedule(256, 60.0)
+    ideal, phase = anneal_ideal(g, schedule), anneal_statevector(g, schedule, PHI_Q)
+    assert np.max(np.abs(np.array(ideal.final_populations.values())
+                         - phase.final_populations.values())) <= 1e-13
+    assert np.max(np.abs(ideal.success - phase.success)) <= 1e-13
+
+
+def test_no_pure_path_asks_for_more_than_one_slab_of_table_rows(monkeypatch):
+    # the recorder stops a run at its first oversized table, before a
+    # full-basis path builds its 2^n x 2^n arrays
+    rows, table = [], problems._bit_table
+
+    def recording(*args):
+        out = table(*args)
+        rows.append(len(out))
+        assert len(out) <= problems.SCORE_SLAB_ROWS, f"{len(out)} table rows"
+        return out
+
+    monkeypatch.setattr(problems, "_bit_table", recording)
+    n = 15
+    qubo_anneal(np.random.default_rng(15).normal(size=(n, n)), 4, 1.0)
+    anneal_statevector(complete_graph(n), make_schedule(4, 1.0), PHI_Q)
+    anneal_ideal(complete_graph(n), make_schedule(4, 1.0))
+    assert sum(rows) >= 3 << n and problems.SCORE_SLAB_ROWS < 1 << n
+
+
+def test_ideal_path_memory_follows_the_independent_patterns():
+    # a 12-node path has 377 independent patterns of 4096; the full-basis
+    # eigenbasis took about 400 MB of tracemalloc peak
+    path = graph_from_edges(12, [(j, j + 1) for j in range(11)])
+    tracemalloc.start()
+    try:
+        anneal_ideal(path, make_schedule(4, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+def test_ideal_mixer_bytes_are_guarded_before_eigh(monkeypatch):
+    g = five_node_example()
+    n_independent = sum(
+        not any(p[u] and p[v] for u, v in g.edges) for p in product((0, 1), repeat=5))
+    nbytes = 8 * n_independent ** 2 + 16 * 32 * n_independent
+    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes)
+    anneal_ideal(g, make_schedule(4, 1.0))
+    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes - 1)
+    monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match=f"ideal mixer would take {nbytes} bytes"):
+        anneal_ideal(g, make_schedule(4, 1.0))
+
+
+def test_density_state_bytes_are_guarded_before_the_stack(monkeypatch):
+    g, con = three_node_line(), ConstraintParams(PHI_Q, GAMMA_T_COHERENT)
+    schedules = [make_schedule(4, 1.0), make_schedule(6, 2.0)]
+    nbytes = 16 * 2 * 27 ** 2  # two final states on the 3^3 space
+    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes)
+    anneal_density_batch(g, schedules, [con] * 2)
+    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes - 1)
+    monkeypatch.setattr(anneal, "_ideal_step", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match=f"final density states would take {nbytes} bytes"):
+        anneal_density_batch(g, schedules, [con] * 2)
 
 
 def test_zeno_tpa_drive_mode_approaches_ideal():
@@ -775,7 +857,6 @@ def test_observables_arrays_are_the_former_formulas(g):
     for mode_dim in (2, 3):
         space = make_space([mode_dim] * n)
         obs = _Observables(space, g)
-        _assert_identical(obs.bits, bits)
         _assert_identical(obs.violations, violations)
         _assert_identical(obs.number, number)
         _assert_identical(obs.optimal, value >= value.max() - 1e-12)

@@ -187,8 +187,8 @@ def test_bad_graph_file_error_names_the_file(tmp_path, capsys, command):
 
 
 def test_qubo_file_over_24_variables_is_a_config_error(tmp_path, capsys, monkeypatch):
-    def no_table(n):
-        raise AssertionError(f"2^{n} bit table built")
+    def no_table(n, index=None):
+        raise AssertionError(f"bit table for n = {n} built")
 
     monkeypatch.setattr(problems, "_bit_table", no_table)
     qfile = tmp_path / "wide.txt"
@@ -197,6 +197,22 @@ def test_qubo_file_over_24_variables_is_a_config_error(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err == ("config error: exhaustive search over 2^n patterns is guarded "
                    "to n <= 24, got n = 25\n")
+    assert not os.path.exists(tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize("command, what", [
+    (["anneal", "--n-cycles", "4", "--r-grid", "1"], "the ideal mixer"),
+    (["constraint-sweep", "--n-cycles", "4", "--gamma-ts", "1"], "the final density states"),
+], ids=["anneal-ideal", "constraint-sweep-density"])
+def test_graph_over_the_run_byte_bound_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                         command, what):
+    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", 1000)
+    gfile = tmp_path / "line.txt"
+    gfile.write_text("0 1\n1 2\n2 3\n")
+    assert run([*command, "--graph", gfile, "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {what} would take ") and err.count("\n") == 1
+    assert err.endswith("bytes, over the 1000-byte bound\n")
     assert not os.path.exists(tmp_path / "x.csv")
 
 

@@ -11,7 +11,8 @@ checkout, so it imports that checkout's ``src/``.
 Nothing under ``perfbench/`` is modified.  The output keeps, per run, the
 environment line (``{"perfbench": ...}``) and the result line that
 perfbench prints, and per checkout its commit, whether its tree was dirty,
-and the git tree hash of its ``src/`` as it stood when the runs were made.
+and the git tree hash and line count of its ``src/`` as it stood when the
+runs were made.
 The summary gives, per entry and end-to-end metric, both sides' quartiles,
 the median ratio and how many pairs the change won.
 
@@ -42,9 +43,22 @@ def _git(checkout: str, *args: str, env=None) -> str:
                           capture_output=True, env=env).stdout.strip()
 
 
+def src_lines(checkout: str) -> int:
+    """Lines of the ``*.py`` files under ``src/`` in the working tree, as
+    ``wc -l`` counts them."""
+    total = 0
+    for root, _, files in os.walk(os.path.join(checkout, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
+
+
 def describe(checkout: str) -> dict:
-    """Commit, dirty flag, and the tree hash of ``src/`` in the working tree
-    (built in a throwaway index, so the checkout's own index is untouched)."""
+    """Commit, dirty flag, the tree hash of ``src/`` in the working tree
+    (built in a throwaway index, so the checkout's own index is untouched)
+    and its line count."""
     with tempfile.TemporaryDirectory() as tmp:
         env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
         _git(checkout, "add", "src", env=env)
@@ -52,7 +66,7 @@ def describe(checkout: str) -> dict:
     return {"path": os.path.abspath(checkout),
             "revision": _git(checkout, "rev-parse", "HEAD"),
             "dirty": bool(_git(checkout, "status", "--porcelain", "--", "src")),
-            "src_tree": src_tree}
+            "src_tree": src_tree, "src_lines": src_lines(checkout)}
 
 
 def run_perfbench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
