@@ -15,7 +15,7 @@ dim >= 3) per edge; ``anneal_density`` is its one-row case.  The exact
 two-level drive keeps rho in the 2^n x 2^n block of 0/1 patterns, where phase
 and drive are one unitary V rho V^dag per row; the TPA and SFG drives populate
 |2>, so they run one row on the full space as a :class:`PhaseKernel` multiply
-and one local drive superoperator per mode.
+and one local drive superoperator on every mode.
 ``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
 row of a batched schedule (a sequence of r_tot), a block of cycles at a time,
 for three paths:
@@ -23,7 +23,8 @@ for three paths:
 ``anneal_ideal`` (a drive that cannot reach non-independent sets) and
 ``qubo_anneal`` (a zeta ramp on the QUBO energy).
 Every report carries its final state and its per-cycle entropy (zero on the
-pure paths); a pure-path report also carries ``meta["norm_drift"]``.
+pure paths); a pure-path report also carries ``meta["norm_drift"]``, a
+density report ``meta["trace_drift"]`` and ``meta["min_eigenvalue"]``.
 """
 
 from __future__ import annotations
@@ -31,14 +32,16 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
+import scipy.sparse
 
 # apply_local_operator_matrix is unused here but perfbench/tracing.py binds it.
 from .fock import (DensityState, FockSpace, PureState,
                    apply_local_operator_matrix, apply_local_superop_matrix,
-                   make_space, von_neumann_entropy)
+                   apply_superop_every_mode, eigenvalue_entropy, make_space)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       drive_generator, pump_maps)
 from .problems import ProblemGraph, _optima, _qubo_scores, _wmis_scores
@@ -57,8 +60,8 @@ ZENO_CACHE_STAGES = 30
 BLOCK_LEAK_TOL = 1e-12
 
 # Largest bytes a run's largest arrays may take: the ideal path's eigenbasis,
-# the density path's (B, D, D) final states on the full space.  A run over it
-# raises ValueError before building them.
+# the density path's (B, D, D) final states on the space it runs in.  A run
+# over it raises ValueError before building them.
 RUN_BYTES_MAX = 1 << 31
 
 
@@ -176,37 +179,43 @@ class _Observables:
         return Populations(diag[self.pattern_idx])
 
 
-def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
-               c_max: float):
-    """(rho, phi, c) -> the weighted phase, then one local drive
-    superoperator per mode, composed from a binary exponential cache, on a
-    (1, D, D) stack: the full-space drive runs one row at a time.
+@lru_cache(maxsize=8)
+def _zeno_generator(mode_kind: str, mode_dim: int, drive: DriveParams):
+    """(generator, joint space) of one mode's zeno drive, shared by its schedules."""
+    return drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]), 0,
+                           drive.c, drive.gamma, drive.eta)
 
-    The drive hardware runs for t = c / drive.c <= c_max / drive.c each
+
+def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
+               c: np.ndarray):
+    """(rho, phi, c) -> the weighted phase, then one local drive superoperator
+    on every mode of a (1, D, D) stack: the full-space drive runs one row at a time.
+
+    The drive hardware runs for t = c / drive.c <= max(c) / drive.c each
     cycle, so the blockade exposure scales together with the rotation angle
     exactly as it would physically.  An SFG pump is appended empty and traced
-    out.
+    out.  One table holds the map of each distinct t: the binary cache
+    stages t selects composed onto the append map, one matmul per stage.
     """
     if drive.c <= 0:
         raise ValueError("zeno drive modes need a positive displacement rate c")
     mode_dim = space.mode_dims[0]
-    gen, joint = drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]),
-                                 0, drive.c, drive.gamma, drive.eta)
-    cache = build_cache(gen, c_max / drive.c, ZENO_CACHE_STAGES)
-    if joint.n_modes == 1:
-        local_drive = lambda c: cache.matrix_for(c / drive.c)
-    else:
-        append, trace = pump_maps(mode_dim, joint.mode_dims[-1])
-        local_drive = lambda c: trace @ cache.matrix_for(c / drive.c) @ append
+    gen, joint = _zeno_generator(mode_kind, mode_dim, drive)
+    times = np.unique(c / drive.c)
+    cache = build_cache(gen, times[-1], ZENO_CACHE_STAGES)
+    append, trace = pump_maps(mode_dim, joint.total_dim // mode_dim)
+    # t <= t_max selects each stage at most once; maps[r] is (stages @ append)^T
+    chosen = np.array([np.bincount(cache.select_stages(t), minlength=cache.m) for t in times])
+    maps = np.repeat(append.T[None], len(times), axis=0).astype(complex)
+    for stage, rows in zip(cache.stages, chosen.T > 0):
+        maps[rows] = (maps[rows].reshape(-1, len(stage)) @ stage.T).reshape(-1, *append.T.shape)
+    maps = (maps @ trace.T).mT
     phase = PhaseKernel(space, weights)
 
     def step(rho, phi, c):
         (phi,), (c,) = phi, c
         rho = phase.apply_matrix(rho, phi)
-        drive_map = local_drive(c)
-        for m in range(space.n_modes):
-            rho = apply_local_superop_matrix(drive_map, rho, space, [m])
-        return rho
+        return apply_superop_every_mode(maps[np.searchsorted(times, c / drive.c)], rho, space)
 
     return step
 
@@ -265,11 +274,12 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     gadgets route population through the two-photon state; each distinct
     constraint builds its gadget once.  The ideal drive never leaves the 0/1
     patterns, so it runs in the 2^n qubit block once each gadget is checked
-    to keep it closed; the zeno drives run one schedule on the full space.
-    Rows run longest schedule first and leave the stack as theirs ends.  A
-    final state whose trace or hermiticity drifted past the
-    :class:`DensityState` tolerances, or a NaN state, raises
-    :class:`NonConvergenceError`.
+    to keep it closed, and reports its final states there; the zeno drives
+    run one schedule on the full space.  Rows run longest schedule first and
+    leave the stack as theirs ends.  ``meta`` holds a row's largest
+    |trace - 1| and smallest eigenvalue over all cycles.  A final state whose
+    trace or hermiticity drifted past the :class:`DensityState` tolerances,
+    or a NaN state, raises :class:`NonConvergenceError`.
     """
     if drive_mode not in DRIVE_MODES:
         raise ValueError(f"drive_mode must be one of {DRIVE_MODES}")
@@ -289,19 +299,19 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     gadgets = dict.fromkeys(constraints, (None, None, 0.0))
     for con in gadgets if edges else ():
         gadget = constraint_superop(make_space([mode_dim, mode_dim]), 0, 1, con)
-        gadgets[con] = (gadget, *_qubit_block(gadget, mode_dim))
-    full_space = make_space([mode_dim] * n)
+        # about 390 of the 6561 entries of the [3, 3] map are nonzero: CSR
+        gadgets[con] = (scipy.sparse.csr_array(gadget), *_qubit_block(gadget, mode_dim))
     if in_block:
         for _, _, block_leak in gadgets.values():
             if not block_leak <= BLOCK_LEAK_TOL:
                 raise NonConvergenceError(
                     f"edge gadget moves {block_leak:.3e} out of the 0/1 block "
                     f"(tolerance {BLOCK_LEAK_TOL:g})")
-    space = make_space([2] * n) if in_block else full_space
+    space = make_space([2 if in_block else mode_dim] * n)
     obs = _Observables(space, graph)
-    _guard_bytes(16 * len(schedules) * full_space.total_dim ** 2, "the final density states")
+    _guard_bytes(16 * len(schedules) * space.total_dim ** 2, "the final density states")
     step = (_ideal_step(n, obs.number) if in_block else
-            _zeno_step(space, weights, drive, drive_mode, float(np.max(schedules[0].c))))
+            _zeno_step(space, weights, drive, drive_mode, schedules[0].c))
 
     order = sorted(range(len(schedules)), key=lambda b: -schedules[b].n_cycle)
     lengths = [schedules[b].n_cycle for b in order]
@@ -313,7 +323,7 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     ops = maps[0] if shared else np.stack(maps)
     rho = np.zeros((len(order), space.total_dim, space.total_dim), dtype=complex)
     rho[:, 0, 0] = 1.0
-    records, finals, k = np.empty((len(order), 3, lengths[0])), list(rho), len(order)
+    records, finals, k = np.empty((len(order), 5, lengths[0])), list(rho), len(order)
     for i in range(lengths[0]):
         while lengths[k - 1] <= i:
             k -= 1
@@ -323,22 +333,19 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
             rho = apply_local_superop_matrix(ops if shared else ops[:k], rho, space, edge)
         diag = rho.diagonal(0, 1, 2).real
         records[:k, 0, i], records[:k, 1, i] = obs.success(diag), obs.leakage(diag)
+        records[:k, 4, i] = diag.sum(axis=-1)
         try:
-            records[:k, 2, i] = von_neumann_entropy(rho)
+            lam = np.linalg.eigvalsh(rho)
         except np.linalg.LinAlgError as exc:  # eigvalsh of a NaN state
             raise NonConvergenceError(f"density state at cycle {i + 1}: {exc}") from exc
+        records[:k, 2, i], records[:k, 3, i] = eigenvalue_entropy(lam), lam[:, 0]
     finals[:k] = rho
 
-    idx = np.ix_(*[_pattern_index(full_space)] * 2)
     reports = [None] * len(order)
     for row, b in enumerate(order):
-        rho, (success, leak, entropy) = finals[row], records[row, :, :lengths[row]]
-        final = rho
-        if in_block:
-            final = np.zeros((full_space.total_dim,) * 2, dtype=complex)
-            final[idx] = rho
+        rho, (success, leak, entropy, lam, trace) = finals[row], records[row, :, :lengths[row]]
         try:
-            final = DensityState(full_space, final)
+            final = DensityState(space, rho)
         except ValueError as exc:
             raise NonConvergenceError(f"final density state: {exc}") from exc
         reports[b] = AnnealReport(
@@ -347,7 +354,9 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
             meta={"path": "density", "drive_mode": drive_mode, "mode_dim": mode_dim,
                   "space": "qubit-block" if in_block else "full",
                   "block_leak": gadgets[constraints[b]][2],
-                  "constraint": constraints[b], "r_tot": schedules[b].r_tot})
+                  "constraint": constraints[b], "r_tot": schedules[b].r_tot,
+                  "trace_drift": float(np.abs(trace - 1.0).max()),
+                  "min_eigenvalue": float(lam.min())})
     return reports
 
 

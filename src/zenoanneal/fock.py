@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -149,21 +150,23 @@ def vacuum(space: FockSpace) -> PureState:
     return PureState(space, amps)
 
 
-def _apply_axes(op: np.ndarray, flat: np.ndarray, dims, axes) -> np.ndarray:
+def _apply_axes(op, flat: np.ndarray, dims, axes) -> np.ndarray:
     """Apply ``op`` to the ``axes`` of ``flat`` seen as a C-order ``dims`` tensor.
 
     Leading axes of ``flat`` beyond ``dims`` form a batch, and ``op`` is one
     matrix or a stack with one per batch entry.  The targeted axes go first
     after the batch and the others follow in their original order, so ``op``
-    multiplies each (d_loc, rest) matricization; the permutation is then
-    undone and the result has the shape of ``flat``.
+    multiplies each (d_loc, rest) matricization, a sparse ``op`` the single
+    (d_loc, B rest) one; the permutation is then undone, giving ``flat``'s shape.
     """
-    perm = [0] + [a + 1 for a in axes] + [a + 1 for a in range(len(dims)) if a not in axes]
+    sparse = scipy.sparse.issparse(op)
+    lead, rest = [a + 1 for a in axes], [a + 1 for a in range(len(dims)) if a not in axes]
+    perm = lead + [0] + rest if sparse else [0] + lead + rest
     inv = sorted(range(len(perm)), key=perm.__getitem__)
     tensor = np.asarray(flat).reshape((-1, *dims)).transpose(perm)
     shape = tensor.shape
-    d_loc = math.prod(shape[1:len(axes) + 1])
-    out = np.asarray(op) @ tensor.reshape(shape[0], d_loc, -1)
+    out = (op @ tensor.reshape(math.prod(shape[:len(axes)]), -1) if sparse else
+           np.asarray(op) @ tensor.reshape(shape[0], math.prod(shape[1:len(axes) + 1]), -1))
     return out.reshape(shape).transpose(inv).reshape(np.shape(flat))
 
 
@@ -174,6 +177,20 @@ def apply_local_superop_matrix(superop: np.ndarray, mat: np.ndarray,
     targets = [int(t) for t in targets]
     cols = [space.n_modes + t for t in targets]
     return _apply_axes(superop, mat, space.mode_dims * 2, cols + targets)
+
+
+def apply_superop_every_mode(superop: np.ndarray, mat: np.ndarray,
+                             space: FockSpace) -> np.ndarray:
+    """One local superoperator on every mode of a (B, D, D) stack whose modes
+    share a dimension: the axes permuted once into (column, row) pairs, then
+    per mode one (d^2, rest) matmul that moves its pair last, then unpermuted."""
+    n = space.n_modes
+    perm = [0] + [a + 1 for m in range(n) for a in (n + m, m)]
+    tensor = mat.reshape(-1, *space.mode_dims * 2).transpose(perm)
+    out = tensor.reshape(len(tensor), len(superop), -1)
+    for _ in range(n):
+        out = np.matmul(out.mT, superop.T).reshape(len(tensor), len(superop), -1)
+    return out.reshape(tensor.shape).transpose(np.argsort(perm)).reshape(mat.shape)
 
 
 def apply_local_operator_matrix(op: np.ndarray, mat: np.ndarray,
@@ -195,7 +212,11 @@ def von_neumann_entropy(state: DensityState | np.ndarray) -> float | np.ndarray:
     for a (B, D, D) stack (one eigvalsh call); eigenvalues below
     ``ENTROPY_EIG_CLIP`` count as zero."""
     mat = state.matrix if isinstance(state, DensityState) else np.asarray(state)
-    lam = np.linalg.eigvalsh(mat)
+    return eigenvalue_entropy(np.linalg.eigvalsh(mat))
+
+
+def eigenvalue_entropy(lam: np.ndarray) -> float | np.ndarray:
+    """Entropy in bits from density-matrix eigenvalues on the last axis."""
     lam = np.where(lam > ENTROPY_EIG_CLIP, lam, 1.0)  # 1 log2(1) is exactly 0
     # 0.0 - sum, so that a pure state gives +0.0 and not -0.0
     return 0.0 - (lam * np.log2(lam)).sum(axis=-1)

@@ -153,13 +153,18 @@ class BinaryExpCache:
 
 
 def build_cache(gen: GeneratorSpec, t_max: float, m: int) -> BinaryExpCache:
-    """One dense exponential per stage; none in the caller's inner loop."""
+    """Dense exponentials for the smallest stage and every 6th, each other
+    stage the square of the next smaller one (squaring all the way from the
+    smallest drifts to 1e-8); none in the caller's inner loop."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    stages = tuple(expm_dense(gen, t_max / 2 ** j) for j in range(m))
-    return BinaryExpCache(gen, float(t_max), int(m), stages)
+    stages = [None] * m
+    for j in reversed(range(m)):
+        stages[j] = (expm_dense(gen, t_max / 2 ** j) if j % 6 == 0 or j == m - 1
+                     else stages[j + 1] @ stages[j + 1])
+    return BinaryExpCache(gen, float(t_max), int(m), tuple(stages))
 
 
 class PhaseKernel:

@@ -2,7 +2,8 @@
 superoperator matrix applied to a density state, the partial trace, the
 dense map of a drive with its pump traced out, a butterfly Walsh
 transform, the QUBO anneal with one exact phase exp per cycle, the ideal
-anneal with one drive expm per cycle on the independent patterns, and the
+anneal with one drive expm per cycle on the independent patterns, the zeno
+density run with one composed drive map per cycle, and the
 one-assignment-at-a-time exhaustive solvers, decoder and loss study that
 the array solvers in ``zenoanneal.problems`` are checked against."""
 
@@ -12,11 +13,13 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
-from zenoanneal.anneal import _transverse_mixer, linear_three_parameter_profile
-from zenoanneal.fock import DensityState, PureState, make_space
-from zenoanneal.gadgets import drive_generator, pump_maps
+from zenoanneal.anneal import (ZENO_CACHE_STAGES, _Observables, _transverse_mixer,
+                               linear_three_parameter_profile)
+from zenoanneal.fock import (DensityState, PureState, apply_local_superop_matrix,
+                             make_space, von_neumann_entropy)
+from zenoanneal.gadgets import constraint_superop, drive_generator, pump_maps
 from zenoanneal.problems import _qubo_scores, encoded_vertex, mitigation_encode
-from zenoanneal.propagator import expm_dense
+from zenoanneal.propagator import PhaseKernel, build_cache, expm_dense
 
 
 def number_state(space, occupations) -> PureState:
@@ -63,6 +66,37 @@ def drive_superop(kind, space, mode, t, c=0.0, gamma=1.0, eta=0.0) -> np.ndarray
         append, trace = pump_maps(space.total_dim, joint.mode_dims[-1])
         mat = trace @ mat @ append
     return mat
+
+
+def zeno_density_oracle(graph, schedule, constraint, drive_mode, drive, mode_dim=3):
+    """(final rho, records) of a zeno density run, one cycle at a time: the
+    weighted phase, then the drive map composed by ``matrix_for`` with its
+    pump appended and traced out, applied mode by mode, then each sorted
+    edge's dense gadget.  Records are per cycle: success, leakage, entropy,
+    |trace - 1| and the smallest eigenvalue."""
+    n = graph.n_vertices
+    space = make_space([mode_dim] * n)
+    gen, joint = drive_generator(drive_mode.removeprefix("zeno-"), make_space([mode_dim]), 0,
+                                 drive.c, drive.gamma, drive.eta)
+    cache = build_cache(gen, float(np.max(schedule.c)) / drive.c, ZENO_CACHE_STAGES)
+    append, trace = pump_maps(mode_dim, joint.total_dim // mode_dim)
+    gadget = constraint_superop(make_space([mode_dim] * 2), 0, 1, constraint)
+    phase = PhaseKernel(space, graph.weights or (1.0,) * n)
+    obs = _Observables(space, graph)
+    rho = np.zeros((space.total_dim,) * 2, dtype=complex)
+    rho[0, 0] = 1.0
+    records = []
+    for phi, c in zip(schedule.phi, schedule.c):
+        rho = phase.apply_matrix(rho, phi)
+        drive_map = trace @ cache.matrix_for(c / drive.c) @ append
+        for m in range(n):
+            rho = apply_local_superop_matrix(drive_map, rho, space, [m])
+        for edge in graph.sorted_edges():
+            rho = apply_local_superop_matrix(gadget, rho, space, edge)
+        diag = rho.diagonal().real
+        records.append((obs.success(diag), obs.leakage(diag), von_neumann_entropy(rho),
+                        abs(diag.sum() - 1.0), np.linalg.eigvalsh(rho)[0]))
+    return rho, np.array(records).T
 
 
 def fwht(x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from zenoanneal.problems import (complete_graph, five_node_example,
 
 from oracles import (exact_ideal_anneal, exact_qubo_anneal, fwht, loop_brute_force_mis,
                      loop_brute_force_qubo, loop_brute_force_wmis, number_state,
-                     population, qubo_energy)
+                     population, qubo_energy, zeno_density_oracle)
 
 PHI_Q = 3 * math.pi / 2  # pi/2 total constraint kick
 
@@ -133,9 +133,10 @@ def _apply_edge_map(rho, local, n, d, j, k):
 
 
 def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
-    """(final rho, success, leakage, entropy) on the full mode_dim space: the
-    weighted phase and the drive as global unitaries (Kronecker products),
-    then each sorted edge's gadget by einsum."""
+    """(final rho, success, leakage, entropy, |trace - 1|, smallest eigenvalue
+    of the 0/1 block) on the full mode_dim space: the weighted phase and the
+    drive as global unitaries (Kronecker products), then each sorted edge's
+    gadget by einsum."""
     n = graph.n_vertices
     space = make_space([mode_dim] * n)
     weights = graph.weights or (1.0,) * n
@@ -146,6 +147,7 @@ def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
     flip[0, 1] = flip[1, 0] = 1.0
     local = constraint_superop(make_space([mode_dim] * 2), 0, 1, constraint)
     obs = _Observables(space, graph)
+    block = np.ix_(obs.pattern_idx, obs.pattern_idx)
     rho = np.zeros((space.total_dim,) * 2, dtype=complex)
     rho[0, 0] = 1.0
     records = []
@@ -156,8 +158,19 @@ def density_cycle_oracle(graph, schedule, constraint, mode_dim=3):
         for j, k in graph.sorted_edges():
             rho = _apply_edge_map(rho, local, n, mode_dim, j, k)
         diag = DensityState(space, rho).matrix.diagonal().real
-        records.append((obs.success(diag), obs.leakage(diag), von_neumann_entropy(rho)))
+        records.append((obs.success(diag), obs.leakage(diag), von_neumann_entropy(rho),
+                        abs(diag.sum() - 1.0), np.linalg.eigvalsh(rho[block])[0]))
     return (rho, *map(np.array, zip(*records)))
+
+
+def qubit_block(rho, n, mode_dim=3):
+    """The 0/1-pattern block of a full-space state, once its mass outside
+    the block is checked to be at most 1e-13."""
+    block = np.ix_(*[anneal._pattern_index(make_space([mode_dim] * n))] * 2)
+    outside = rho.copy()
+    outside[block] = 0.0
+    assert np.abs(outside).sum() <= 1e-13
+    return rho[block]
 
 
 @pytest.mark.parametrize("weights", [None, (1.0, 2.5, 1.2)], ids=["unit", "weighted"])
@@ -169,7 +182,8 @@ def test_density_cycle_matches_global_superoperators(weights, constraint):
     g = graph_from_edges(3, [(0, 1), (1, 2)], weights=weights)
     schedule = make_schedule(24, 6 * math.pi)
     rep = anneal_density(g, schedule, constraint)
-    expect = density_cycle_oracle(g, schedule, constraint)[0]
+    expect = qubit_block(density_cycle_oracle(g, schedule, constraint)[0], 3)
+    assert rep.final_state.space == make_space([2] * 3)
     assert np.max(np.abs(rep.final_state.matrix - expect)) < 1e-12
 
 
@@ -194,12 +208,15 @@ def test_qubit_block_run_matches_full_space_oracle(n, weighted, gamma_t, eta_t):
         g = graph_from_edges(n, g.edges, weights=rng.uniform(0.5, 2.0, size=n))
     constraint = ConstraintParams(PHI_Q, gamma_t, eta_t)
     rep = anneal_density(g, schedule, constraint)
-    rho, success, leak, entropy = density_cycle_oracle(g, schedule, constraint)
+    rho, success, leak, entropy, trace_err, lam_min = density_cycle_oracle(g, schedule,
+                                                                          constraint)
     assert rep.meta["space"] == "qubit-block"
-    assert np.max(np.abs(rep.final_state.matrix - rho)) < 1e-13
+    assert np.max(np.abs(rep.final_state.matrix - qubit_block(rho, n))) < 1e-13
     assert np.max(np.abs(rep.success - success)) < 1e-13
     assert np.max(np.abs(rep.leakage - leak)) < 1e-13
     assert np.max(np.abs(rep.entropy - entropy)) < 1e-13
+    assert abs(rep.meta["trace_drift"] - trace_err.max()) < 1e-13
+    assert abs(rep.meta["min_eigenvalue"] - lam_min.min()) < 1e-13
 
 
 def leaky_gadget(space, j, k, params):
@@ -674,7 +691,7 @@ def test_ideal_mixer_bytes_are_guarded_before_eigh(monkeypatch):
 def test_density_state_bytes_are_guarded_before_the_stack(monkeypatch):
     g, con = three_node_line(), ConstraintParams(PHI_Q, GAMMA_T_COHERENT)
     schedules = [make_schedule(4, 1.0), make_schedule(6, 2.0)]
-    nbytes = 16 * 2 * 27 ** 2  # two final states on the 3^3 space
+    nbytes = 16 * 2 * 8 ** 2  # two final states in the 2^3 qubit block
     monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes)
     anneal_density_batch(g, schedules, [con] * 2)
     monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes - 1)
@@ -711,6 +728,46 @@ def test_zeno_sfg_drive_mode_approaches_ideal():
         diffs.append(abs(zeno.success[-1] - ideal.success[-1]))
     assert diffs[1] < diffs[0]
     assert diffs[1] < 0.05
+
+
+@pytest.mark.parametrize("drive_mode, drive, constraint", [
+    ("zeno-tpa", DriveParams(1.0, 40.0), ConstraintParams(PHI_Q, 0.8, eta_t=0.2)),
+    ("zeno-sfg", DriveParams(1.0, 20.0, 10.0), ConstraintParams(PHI_Q, GAMMA_T_INCOHERENT)),
+    ("zeno-sfg", DriveParams(0.7, 7.0), ConstraintParams(PHI_Q, GAMMA_T_COHERENT)),
+], ids=["tpa", "sfg-lossy", "sfg-slow"])
+def test_zeno_runs_match_the_per_cycle_oracle(drive_mode, drive, constraint):
+    # one drive-map table, one pass over every mode and sparse edge gadgets
+    # against a matrix_for, per-mode, dense-gadget cycle
+    g = graph_from_edges(3, [(0, 1), (1, 2)], weights=(1.0, 1.6, 0.8))
+    schedule = make_schedule(48, 12 * math.pi)
+    rep = anneal_density(g, schedule, constraint, drive_mode=drive_mode, drive=drive)
+    rho, (success, leak, entropy, trace_err, lam_min) = zeno_density_oracle(
+        g, schedule, constraint, drive_mode, drive)
+    assert np.max(np.abs(rep.final_state.matrix - rho)) <= 1e-10
+    for got, expect in ((rep.success, success), (rep.leakage, leak), (rep.entropy, entropy)):
+        assert np.max(np.abs(got - expect)) <= 1e-10
+    assert abs(rep.meta["trace_drift"] - trace_err.max()) <= 1e-10
+    assert abs(rep.meta["min_eigenvalue"] - lam_min.min()) <= 1e-10
+
+
+def shrinking_gadget(space, j, k, params):
+    """(1 - 1e-13) x the identity on [3, 3]: closes the 0/1 block and loses
+    1e-13 of the trace each time it is applied."""
+    return (1.0 - 1e-13) * np.eye(space.total_dim ** 2)
+
+
+@pytest.mark.parametrize("drive_mode, drive", [("ideal-2level", None),
+                                               ("zeno-tpa", DriveParams(1.0, 40.0))],
+                         ids=["qubit-block", "full-space"])
+def test_density_monitors_follow_the_trace_and_the_spectrum(monkeypatch, drive_mode, drive):
+    # two edges for 10 cycles scale the trace by (1 - 1e-13)^20; the states
+    # have rank below D, so their smallest eigenvalue is a rounded zero
+    monkeypatch.setattr(anneal, "constraint_superop", shrinking_gadget)
+    rep = anneal_density(three_node_line(), make_schedule(10, 1.0),
+                         ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
+                         drive_mode=drive_mode, drive=drive)
+    assert abs(rep.meta["trace_drift"] - 20e-13) <= 1e-13
+    assert abs(rep.meta["min_eigenvalue"]) <= 1e-12
 
 
 def test_anneal_guards():

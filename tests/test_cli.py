@@ -216,6 +216,16 @@ def test_graph_over_the_run_byte_bound_is_a_config_error(tmp_path, capsys, monke
     assert not os.path.exists(tmp_path / "x.csv")
 
 
+def test_eight_node_constraint_sweep_runs_in_its_qubit_block(tmp_path):
+    # five 256 x 256 block states take 5 MB; embedded in the 3^8 space they
+    # were 3.4 GB, over the run byte bound
+    gfile, out = tmp_path / "path8.txt", tmp_path / "x.csv"
+    gfile.write_text("".join(f"{j} {j + 1}\n" for j in range(7)))
+    assert run(["constraint-sweep", "--graph", gfile, "--n-cycles", "4", "--out", out]) == 0
+    rows = read_lines(out)[2:]
+    assert len(rows) == 5 and all(row.endswith(",0.00390625") for row in rows)
+
+
 @pytest.mark.parametrize("args", [
     ["qubo", "--qubo", "DIR"],
     ["constraint-sweep", "--graph", "DIR"],

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from zenoanneal.fock import (DensityState, PureState,
                              apply_local_operator_matrix,
-                             apply_local_superop_matrix, embed_local_operator,
-                             make_space, vacuum, von_neumann_entropy)
+                             apply_local_superop_matrix, apply_superop_every_mode,
+                             embed_local_operator, make_space, vacuum,
+                             von_neumann_entropy)
 from zenoanneal.gadgets import unitary_conjugation_superop
 
 from oracles import number_state, partial_trace, population
@@ -201,6 +203,43 @@ def test_local_application_matches_entrywise_oracle(dims, targets):
             one = ops[b] if ops.ndim == 3 else ops
             assert np.array_equal(out[b], apply_local_superop_matrix(one, stack[b], space,
                                                                      targets))
+
+
+def random_superop(rng, d2):
+    """A random complex d2 x d2 map of spectral norm 1."""
+    superop = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+    return superop / np.linalg.norm(superop, 2)
+
+
+@pytest.mark.parametrize("dims", [[3, 3, 3], [2, 2]])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_superop_on_every_mode_is_the_per_mode_sequence(dims, batch):
+    space = make_space(dims)
+    rng = np.random.default_rng([batch, len(dims)])
+    superop = random_superop(rng, dims[0] ** 2)
+    stack = np.stack([random_density(space, seed=batch + b).matrix for b in range(batch)])
+    expect = stack
+    for m in range(len(dims)):
+        expect = apply_local_superop_matrix(superop, expect, space, [m])
+    out = apply_superop_every_mode(superop, stack, space)
+    assert out.shape == stack.shape
+    assert np.max(np.abs(out - expect)) <= 1e-14
+
+
+@pytest.mark.parametrize("targets", [[1], [0, 2], [2, 1]])
+def test_sparse_and_dense_shared_maps_agree(targets):
+    # a CSR map runs as one (d_loc, B rest) product, a dense one per row
+    space = make_space([3, 3, 3])
+    rng = np.random.default_rng(len(targets))
+    superop = random_superop(rng, 9 ** len(targets))
+    superop[rng.random(superop.shape) < 0.9] = 0.0
+    stack = np.stack([random_density(space, seed=b).matrix for b in range(2)])
+    for mat in (stack, stack[0]):
+        dense = apply_local_superop_matrix(superop, mat, space, targets)
+        sparse = apply_local_superop_matrix(scipy.sparse.csr_array(superop), mat, space,
+                                            targets)
+        assert sparse.shape == mat.shape
+        assert np.max(np.abs(sparse - dense)) <= 1e-14
 
 
 def test_apply_local_disjoint_modes_commute():

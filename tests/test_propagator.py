@@ -103,6 +103,22 @@ def test_cache_random_times_match_dense():
         assert np.max(np.abs(direct - cached)) < 1e-8
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_every_cache_stage_is_its_dense_exponential(seed):
+    # the squared stages between the exact ones, on random drive generators
+    rng = np.random.default_rng(seed)
+    gens = [random_generator(seed)]
+    for kind, eta in (("tpa", 0.0), ("sfg", float(rng.uniform(0.0, 30.0)))):
+        gamma = float(np.exp(rng.uniform(0.0, math.log(100.0))))
+        gens.append(drive_generator(kind, make_space([3]), 0, float(rng.uniform(0.3, 2.0)),
+                                    gamma, eta)[0])
+    for gen in gens:
+        t_max = float(rng.uniform(0.01, 1.0))
+        cache = build_cache(gen, t_max, 30)
+        for j, stage in enumerate(cache.stages):
+            assert np.max(np.abs(stage - expm_dense(gen, t_max / 2 ** j))) <= 1e-12
+
+
 def test_cache_guards():
     gen = random_generator(10)
     cache = build_cache(gen, t_max=0.5, m=4)

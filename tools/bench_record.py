@@ -13,8 +13,10 @@ environment line (``{"perfbench": ...}``) and the result line that
 perfbench prints, and per checkout its commit, whether its tree was dirty,
 and the git tree hash and line count of its ``src/`` as it stood when the
 runs were made.
-The summary gives, per entry and end-to-end metric, both sides' quartiles,
-the median ratio and how many pairs the change won.
+The summary gives, per entry and end-to-end metric, and per op class's
+median calibration-scaled seconds (``class_median_scaled_s[c]``, so that a
+record names the class that moved), both sides' quartiles, the median ratio
+and how many pairs the change won.
 
 Each ``--cli command[:pairs]`` entry times ``zenoanneal <command>`` at its
 default config in both checkouts, in alternating pairs, each run a fresh
@@ -146,18 +148,26 @@ def better_signs(checkout: str) -> dict[str, int]:
 
 
 def summarize(runs, workload: str, seed: int, better_by: dict[str, int]) -> list[dict]:
-    """Per end-to-end metric: each side's quartiles and how many pairs the
-    change won (ties count for neither side)."""
-    sides = {name: [r["result"]["metrics"] for r in runs
+    """Per end-to-end metric, and per op class as ``class_median_scaled_s[c]``
+    (that class's median calibration-scaled seconds, lower is better): each
+    side's quartiles, the median ratio and how many pairs the change won
+    (ties count for neither side)."""
+    sides = {name: [r for r in runs
                     if (r["workload"], r["seed"], r["checkout"]) == (workload, seed, name)]
              for name in ("parent", "change")}
+    first = sides["parent"][0]
+    series = [(metric, m["unit"], better_by[metric],
+               lambda r, metric=metric: r["result"]["metrics"][metric]["value"])
+              for metric, m in first["result"]["metrics"].items()]
+    series += [(f"class_median_scaled_s[{c}]", "s", -1,
+                lambda r, c=c: r["perfbench"]["class_median_scaled_s"][c])
+               for c in range(len(first["perfbench"]["class_median_scaled_s"]))]
     out = []
-    for metric, first in sides["parent"][0].items():
-        better = better_by[metric]
-        values = {name: [m[metric]["value"] for m in ms] for name, ms in sides.items()}
+    for metric, unit, better, value_of in series:
+        values = {name: [value_of(r) for r in rs] for name, rs in sides.items()}
         wins = sum((c - p) * better > 0 for p, c in zip(values["parent"], values["change"]))
         out.append({"workload": workload, "seed": seed, "metric": metric,
-                    "unit": first["unit"], "better": "higher" if better > 0 else "lower",
+                    "unit": unit, "better": "higher" if better > 0 else "lower",
                     "pairs": len(values["parent"]), "change_wins": wins,
                     "parent_quartiles": _quartiles(values["parent"]),
                     "change_quartiles": _quartiles(values["change"]),
