@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  Tolerances are fixed here, not tuned at runtime.  The whole suite
-is desk scale: about 25 s on a 2-vCPU VM, 14 s of it criterion 2.
+is desk scale: 34 s on a 2-vCPU VM with BLAS on one thread, 25 s of it
+criterion 2.
 """
 
 import math
