@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -179,13 +178,6 @@ class _Observables:
         return Populations(diag[self.pattern_idx])
 
 
-@lru_cache(maxsize=8)
-def _zeno_generator(mode_kind: str, mode_dim: int, drive: DriveParams):
-    """(generator, joint space) of one mode's zeno drive, shared by its schedules."""
-    return drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]), 0,
-                           drive.c, drive.gamma, drive.eta)
-
-
 def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
                c: np.ndarray):
     """(rho, phi, c) -> the weighted phase, then one local drive superoperator
@@ -200,7 +192,8 @@ def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
     if drive.c <= 0:
         raise ValueError("zeno drive modes need a positive displacement rate c")
     mode_dim = space.mode_dims[0]
-    gen, joint = _zeno_generator(mode_kind, mode_dim, drive)
+    gen, joint = drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]), 0,
+                                 drive.c, drive.gamma, drive.eta)
     times = np.unique(c / drive.c)
     cache = build_cache(gen, times[-1], ZENO_CACHE_STAGES)
     append, trace = pump_maps(mode_dim, joint.total_dim // mode_dim)

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import experiments
+from . import anneal, experiments
 from .gadgets import GAMMA_T_COHERENT, GAMMA_T_INCOHERENT
 from .problems import (complete_graph, five_node_example, parse_edge_list,
                        parse_qubo, three_node_line)
@@ -43,14 +43,23 @@ def _parse_float(text: str) -> float:
     return float(s)
 
 
+def _point_count(num: int, least: int, what: str) -> int:
+    """``num`` if at least ``least`` and its floats fit ``anneal.RUN_BYTES_MAX``."""
+    if not least <= num <= anneal.RUN_BYTES_MAX // 8:
+        raise ConfigError(f"{what} needs {least} to {anneal.RUN_BYTES_MAX // 8} points, "
+                          f"got {num}")
+    return num
+
+
 def _parse_grid(text: str) -> list[float]:
     """Grids: 'a,b,c' literals, 'lin:lo:hi:n', or 'log:lo:hi:n'."""
     s = str(text).strip()
     if s.startswith("lin:") or s.startswith("log:"):
         kind, lo, hi, num = s.split(":")
-        lo, hi, num = _parse_float(lo), _parse_float(hi), int(num)
-        if num < 1:
-            raise ConfigError(f"grid needs at least one point: {text!r}")
+        lo, hi = _parse_float(lo), _parse_float(hi)
+        if not math.isfinite(hi - lo):  # a bound or the span is not finite
+            raise ConfigError(f"grid bounds and their span must be finite: {text!r}")
+        num = _point_count(int(num), 1, f"grid {text!r}")
         if kind == "lin":
             return [float(x) for x in np.linspace(lo, hi, num)]
         if lo <= 0 or hi <= 0:
@@ -168,9 +177,7 @@ def cmd_zeno_onset(args) -> int:
     variant = s.get("variant", "both")
     if variant not in ("tpa", "sfg", "both"):
         raise ConfigError("variant must be tpa, sfg, or both")
-    nt = s.get("nt", 201, int)
-    if nt < 2:
-        raise ConfigError("nt must be at least 2")
+    nt = _point_count(s.get("nt", 201, int), 2, "nt")
     t_max = s.get("t-max", 2 * math.pi, _parse_float)
     out = s.get("out", "zeno_onset.csv")
     rows = []
@@ -301,7 +308,7 @@ def cmd_oracle_check(args) -> int:
     s = Settings(args, "oracle-check")
     gammas = s.get("gammas", "lin:0.6:1.4:5", _parse_grid)
     ratios = s.get("eta-ratios", "0,0.5,1,2,4", _parse_grid)
-    nt = s.get("nt", 201, int)
+    nt = _point_count(s.get("nt", 201, int), 2, "nt")
     out = s.get("out", "oracle_check.csv")
     header, rows = experiments.oracle_check_rows(gammas, ratios, n_t=nt)
     print(write_csv(out, s.config_line(), header, rows))

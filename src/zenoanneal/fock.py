@@ -59,12 +59,7 @@ class FockSpace:
 
     @property
     def strides(self) -> tuple[int, ...]:
-        out = []
-        acc = 1
-        for d in reversed(self.mode_dims):
-            out.append(acc)
-            acc *= d
-        return tuple(reversed(out))
+        return tuple(math.prod(self.mode_dims[m + 1:]) for m in range(self.n_modes))
 
     def index(self, occupations) -> int:
         """Flat basis index of an occupation tuple (last mode fastest)."""
@@ -80,10 +75,9 @@ class FockSpace:
         """Per-basis-state photon number of one mode, as an int array."""
         if mode < 0 or mode >= self.n_modes:
             raise ValueError(f"mode {mode} out of range")
-        n = np.arange(self.mode_dims[mode])
-        before = math.prod(self.mode_dims[:mode]) if mode > 0 else 1
-        after = math.prod(self.mode_dims[mode + 1:]) if mode + 1 < self.n_modes else 1
-        return np.tile(np.repeat(n, after), before)
+        after = math.prod(self.mode_dims[mode + 1:])  # 1 for the last mode
+        return np.tile(np.repeat(np.arange(self.mode_dims[mode]), after),
+                       math.prod(self.mode_dims[:mode]))
 
 
 def make_space(mode_dims) -> FockSpace:

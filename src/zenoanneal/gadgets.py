@@ -102,6 +102,13 @@ def pump_maps(d: int, pump_dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(blocks[0].T, blocks[0].T), sum(np.kron(b, b) for b in blocks)
 
 
+@lru_cache(maxsize=None)
+def _unit_part(kind: str, space: FockSpace, *modes: int) -> GeneratorSpec:
+    """The unit-rate drive part ``kind`` on ``space`` and ``modes``, built once."""
+    return {"disp": displacement_generator, "tpa": tpa_dissipator, "sfg": sfg_generator,
+            "loss": loss_dissipator}[kind](space, *modes)
+
+
 def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
                     gamma: float = 1.0, eta: float = 0.0) -> tuple[GeneratorSpec, FockSpace]:
     """c G_disp + gamma G_blockade on ``mode``; returns the generator and its space.
@@ -117,16 +124,16 @@ def drive_generator(kind: str, space: FockSpace, mode: int, c: float = 0.0,
     if kind == "tpa":
         if eta != 0.0:
             raise ValueError("a TPA drive has no pump to lose photons from; eta must be 0")
-        return combine([(displacement_generator(space, mode), c),
-                        (tpa_dissipator(space, mode), gamma)]), space
+        return combine([(_unit_part("disp", space, mode), c),
+                        (_unit_part("tpa", space, mode), gamma)]), space
     if kind != "sfg":
         raise ValueError("drive kind must be 'tpa' or 'sfg'")
     joint = make_space(list(space.mode_dims) + [default_pump_dim(space.mode_dims[mode])])
     pump = joint.n_modes - 1
-    parts = [(displacement_generator(joint, mode), c),
-             (sfg_generator(joint, mode, pump), gamma)]
+    parts = [(_unit_part("disp", joint, mode), c),
+             (_unit_part("sfg", joint, mode, pump), gamma)]
     if eta != 0.0:
-        parts.append((loss_dissipator(joint, pump), eta))
+        parts.append((_unit_part("loss", joint, pump), eta))
     return combine(parts), joint
 
 
@@ -153,10 +160,10 @@ def _gadget_parts(space: FockSpace, mode: int):
     (unit SFG generator, unit pump loss, pump phase diagonal, append, trace)."""
     gen_sfg, joint_space = drive_generator("sfg", space, mode)
     pump = joint_space.n_modes - 1
-    loss = loss_dissipator(joint_space, pump)
+    loss = _unit_part("loss", joint_space, pump)
     arrays = (phase_generator(joint_space, pump).matrix.diagonal(),
               *pump_maps(space.total_dim, joint_space.mode_dims[pump]))
-    for arr in (gen_sfg.matrix.data, loss.matrix.data, *arrays):
+    for arr in arrays:  # the generators' matrices are read-only already
         arr.flags.writeable = False
     return (gen_sfg, loss, *arrays)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,10 +24,7 @@ SPARSE_PRUNE_TOL = 1e-15
 
 @lru_cache(maxsize=None)
 def _annihilation(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
 
 
 @lru_cache(maxsize=None)
@@ -36,20 +33,32 @@ def annihilation_operator(mode_dims: tuple[int, ...], mode: int) -> sp.csr_array
     n_modes = len(mode_dims)
     if mode < 0 or mode >= n_modes:
         raise ValueError(f"mode {mode} out of range")
-    parts = []
-    for m, d in enumerate(mode_dims):
-        parts.append(sp.csr_array(_annihilation(d)) if m == mode else sp.identity(d, format="csr"))
-    out = parts[0]
-    for p in parts[1:]:
-        out = sp.kron(out, p, format="csr")
-    return sp.csr_array(out)
+    parts = [sp.csr_array(_annihilation(d)) if m == mode else sp.identity(d, format="csr")
+             for m, d in enumerate(mode_dims)]
+    return sp.csr_array(reduce(lambda out, p: sp.kron(out, p, format="csr"), parts))
 
 
 def _prune(mat: sp.csr_array) -> sp.csr_array:
-    mat = sp.csr_array(mat)
+    """A CSR copy of ``mat`` without entries below SPARSE_PRUNE_TOL, data read-only."""
+    mat = sp.csr_array(mat, copy=True)
     mat.data[np.abs(mat.data) < SPARSE_PRUNE_TOL] = 0.0
     mat.eliminate_zeros()
+    mat.data.flags.writeable = False
     return mat
+
+
+@lru_cache(maxsize=None)
+def hermitian_basis(dim: int) -> sp.csr_array:
+    """Unitary U whose columns are vec of the orthonormal Hermitian basis E_kk,
+    (E_kl + E_lk)/sqrt 2 and i(E_kl - E_lk)/sqrt 2, k < l, at most 2 nonzeros
+    per row: U^dag vec(rho) is real for a Hermitian rho."""
+    k, l = np.triu_indices(dim, 1)
+    idx, s = np.arange(dim * dim), math.sqrt(0.5)
+    sym, anti = np.split(idx[dim:], 2)
+    rows = np.concatenate([idx[:dim] * (dim + 1), *[k + dim * l, l + dim * k] * 2])
+    cols = np.concatenate([idx[:dim], sym, sym, anti, anti])
+    vals = np.repeat([1.0, s, s, 1j * s, -1j * s], [dim] + [len(k)] * 4)
+    return _prune(sp.csr_array((vals, (rows, cols)), shape=(dim * dim,) * 2))
 
 
 def hamiltonian_superop(h: sp.csr_array, dim: int) -> sp.csr_array:
@@ -71,22 +80,38 @@ def dissipator_superop(jump: sp.csr_array, dim: int) -> sp.csr_array:
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A master equation: Hamiltonian ``hamiltonian`` and ``jumps``, a tuple of
-    (rate, jump operator) pairs, all sparse on ``space``.
+    (rate, jump operator) pairs, all sparse on ``space``, and for a :func:`combine`
+    result its (part, weight) pairs.
 
-    ``matrix`` is the Liouvillian, built on first read.
+    ``matrix`` is the Liouvillian G, ``real_matrix`` the real U^dag G U in the
+    :func:`hermitian_basis` (ValueError if G does not keep matrices Hermitian):
+    read-only, built on first read, and with parts the sums of the parts' own.
     """
 
     space: FockSpace
     hamiltonian: sp.csr_array
     jumps: tuple[tuple[float, sp.csr_array], ...] = ()
+    parts: tuple[tuple[GeneratorSpec, float], ...] = ()
 
     @cached_property
     def matrix(self) -> sp.csr_array:
+        if self.parts:
+            return _prune(sum(w * part.matrix for part, w in self.parts))
         d = self.space.total_dim
         out = hamiltonian_superop(self.hamiltonian, d)
         for rate, jump in self.jumps:
             out = out + rate * dissipator_superop(jump, d)
         return _prune(out)
+
+    @cached_property
+    def real_matrix(self) -> sp.csr_array:
+        if self.parts:
+            return _prune(sum(w * part.real_matrix for part, w in self.parts))
+        basis = hermitian_basis(self.space.total_dim)  # G uncached: no complex copy kept
+        out = basis.conj().T @ GeneratorSpec.matrix.func(self) @ basis
+        if not abs(out.imag).max() <= 1e-12 * abs(out).max():  # round-off only
+            raise ValueError("generator does not keep Hermitian matrices Hermitian")
+        return _prune(out.real)
 
     @property
     def is_dissipative(self) -> bool:
@@ -146,7 +171,7 @@ def phase_generator(space: FockSpace, mode: int) -> GeneratorSpec:
 
 def combine(weighted: list[tuple[GeneratorSpec, float]]) -> GeneratorSpec:
     """Weighted sum of generators over a shared space: the Hamiltonians add,
-    the jumps are concatenated with their rates scaled."""
+    the jumps are concatenated with their rates scaled, the parts are kept."""
     if not weighted:
         raise ValueError("combine needs at least one generator")
     space = weighted[0][0].space
@@ -154,4 +179,5 @@ def combine(weighted: list[tuple[GeneratorSpec, float]]) -> GeneratorSpec:
         raise ValueError("generators live on different spaces")
     h = sum(gen.hamiltonian * rate for gen, rate in weighted)
     jumps = tuple((r * rate, jump) for gen, rate in weighted for r, jump in gen.jumps)
-    return GeneratorSpec(space, sp.csr_array(h), jumps)
+    parts = tuple((p, w * r) for gen, r in weighted for p, w in gen.parts or ((gen, 1.0),))
+    return GeneratorSpec(space, sp.csr_array(h), jumps, parts)

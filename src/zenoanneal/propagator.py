@@ -15,6 +15,11 @@ Entry points:
   map for any per-cycle time, so a sweep never exponentiates inside its
   inner loop.
 
+The action paths run on real coordinates: G keeps matrices Hermitian, so in
+the orthonormal Hermitian basis U it is the real ``GeneratorSpec.real_matrix``
+U^dag G U, a Hermitian state has real coordinates U^dag vec(rho), and every
+matvec, norm and ``onenormest`` is real, which is cheaper than complex.
+
 Phase rotations additionally get :class:`PhaseKernel`: the superoperator of a
 weighted photon-number rotation is diagonal in the number basis, so applying
 one reduces to a lookup-table multiply.
@@ -22,6 +27,7 @@ one reduces to a lookup-table multiply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +35,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .fock import FockSpace
-from .generators import GeneratorSpec
+from .generators import GeneratorSpec, hermitian_basis
 
 # Dense exponentiation is allowed up to this Hilbert-space dimension;
 # larger problems take the action path.
@@ -64,31 +70,38 @@ def expm_dense(gen: GeneratorSpec, t: float) -> np.ndarray:
     return mat
 
 
-def _expm_multiply(mat, vec: np.ndarray, **interval) -> np.ndarray:
+def _expm_multiply(real_matrix, vec: np.ndarray, **interval) -> np.ndarray:
+    """expm_multiply of a ``GeneratorSpec.real_matrix`` on the real coordinates
+    of ``vec``: one column, and a second only for an anti-Hermitian part."""
+    basis = hermitian_basis(math.isqrt(real_matrix.shape[0]))
+    coords = basis.conj().T @ vec
+    cols = np.stack([coords.real, coords.imag], -1) if np.any(coords.imag) else coords.real
     # expm_multiply picks its degree and step count from onenormest, which
     # draws from NumPy's global RNG; a fixed state makes the result repeat
     # from run to run, and the caller's state is put back afterwards.
     rng_state = np.random.get_state()
     np.random.seed(0)
     try:
-        out = scipy.sparse.linalg.expm_multiply(mat, vec, **interval)
+        out = scipy.sparse.linalg.expm_multiply(real_matrix, cols, **interval)
     finally:
         np.random.set_state(rng_state)
     if not np.all(np.isfinite(out)):
         raise NonConvergenceError("expm_multiply produced non-finite values")
-    return out
+    return (basis @ (out @ [1.0, 1j] if cols.ndim == 2 else out).T).T
 
 
 def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
-    """exp(t G) vec without forming the dense matrix."""
+    """exp(t G) vec without forming the dense matrix, on the real coordinates
+    of the module docstring; ValueError if G does not keep matrices Hermitian."""
     _check_time(gen, t)
-    return _expm_multiply(gen.matrix * t, vec)
+    return _expm_multiply(gen.real_matrix * t, vec)
 
 
 def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
     """Rows vec(rho(t)) for each t in ``times``, starting from vec(rho(0)) = vec.
 
-    ``times`` must be evenly spaced from 0 with at least two points.
+    ``times`` must be evenly spaced from 0 with at least two points.  Above
+    ``DENSE_DIM_THRESHOLD`` the action interval runs on real coordinates.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or not np.allclose(
@@ -99,7 +112,7 @@ def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
     n = len(times)
     if gen.space.total_dim > DENSE_DIM_THRESHOLD:
         _check_time(gen, times[-1])
-        return _expm_multiply(gen.matrix, vec, start=0.0, stop=float(times[-1]),
+        return _expm_multiply(gen.real_matrix, vec, start=0.0, stop=float(times[-1]),
                               num=n, endpoint=True)
     # One dense exponential of the step, then matrix-vector iteration;
     # robust to stiff generators where series stepping crawls.

@@ -79,10 +79,10 @@ BAD_FILES = {"BAD_GRAPH": "0 1\n0 x\n", "NAN_QUBO": "1 nan\nnan 1\n",
              "HUGE_QUBO": "1e308 1e308\n1e308 1e308\n", "EMPTY_QUBO": "",
              "RAGGED_QUBO": "1 2 3\n"}
 
-# Non-finite rates, times and integer grids once printed a traceback, a
-# misleading message, or a RuntimeWarning before the config error.  Warnings
-# go through pytest's capture in-process, so these cases also run in a fresh
-# interpreter.
+# Non-finite rates, times and integer grids, and oversized counts, once
+# printed a traceback, a misleading message, or a RuntimeWarning before the
+# config error.  Warnings go through pytest's capture in-process, so these
+# cases also run in a fresh interpreter.
 NON_FINITE_CASES = [
     ["oracle-check", "--eta-ratios", "inf"],
     ["oracle-check", "--eta-ratios", "nan"],
@@ -93,6 +93,15 @@ NON_FINITE_CASES = [
     ["mitigate", "--n-copies", "inf"],
     ["constraint-sweep", "--n-cycles", "inf"],
     ["anneal", "--n-cycles", "1e400"],
+    # grid bounds reach numpy only once finite, and no count asks for a float
+    # array over the run byte bound
+    ["drive-sweep", "--gammas", "log:1:inf:3"],
+    ["drive-sweep", "--gammas", "lin:-inf:inf:3"],
+    ["drive-sweep", "--gammas", "lin:-1e308:1e308:3"],
+    ["constraint-sweep", "--n-cycles", "log:16:inf:3"],
+    ["drive-sweep", "--gammas", "lin:1:2:100000000000"],
+    ["zeno-onset", "--nt", "100000000000"],
+    ["oracle-check", "--nt", "100000000000"],
 ]
 
 # A small valid drive sweep; a later repeat of a flag overrides its value.
@@ -155,6 +164,10 @@ DRIVE_SWEEP_SMALL = ["drive-sweep", "--eta-ratios", "0", "--gammas", "1",
         "anneal-negative-tol", "oracle-check-inf-eta-ratio", "oracle-check-nan-eta-ratio",
         "zeno-onset-inf-tpa-rate", "zeno-onset-inf-t-max", "drive-sweep-inf-eta-ratio",
         "mitigate-inf-copies", "constraint-sweep-inf-cycles", "anneal-overflowing-cycles",
+        "drive-sweep-inf-log-bound", "drive-sweep-inf-lin-bounds",
+        "drive-sweep-overflowing-lin-span", "constraint-sweep-inf-log-bound",
+        "drive-sweep-grid-over-byte-bound", "zeno-onset-nt-over-byte-bound",
+        "oracle-check-nt-over-byte-bound",
         "drive-sweep-inf-tpa-gamma", "drive-sweep-inf-gamma", "drive-sweep-zero-tpa-gamma",
         "drive-sweep-zero-markov-ratio", "drive-sweep-unreachable-markov-ratio",
         "oracle-check-inf-gamma"])

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from zenoanneal import experiments
+from zenoanneal import experiments, gadgets, generators
 from zenoanneal.experiments import _drive_p1, drive_sweep_rows, gamma_99
+from zenoanneal.generators import GeneratorSpec
 
 # 40-step log bisection of ratio 0.005 on [10.3, 20]
 BISECTION_ROOT = 11.192354026870767
@@ -120,6 +121,33 @@ def test_tpa_dense_path_matches_action_path(monkeypatch, gamma):
     action = _drive_p1("tpa", gamma, 0.0, math.pi / 2)
     assert len(dense_calls) == 1
     assert abs(dense - action) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [4.6, 20.0])
+def test_sfg_point_takes_one_action_with_its_generator(monkeypatch, gamma):
+    calls = []
+    expm_apply_vec = experiments.expm_apply_vec
+    monkeypatch.setattr(experiments, "expm_apply_vec",
+                        lambda *a, **k: calls.append(a) or expm_apply_vec(*a, **k))
+    monkeypatch.setattr(experiments, "expm_dense",
+                        lambda *a, **k: pytest.fail("an SFG point went dense"))
+    p1 = _drive_p1("sfg", gamma, 0.3 * gamma, math.pi / 2)
+    assert len(calls) == 1 and isinstance(calls[0][0], GeneratorSpec)
+    assert 0.0 <= p1 <= 1.0
+
+
+def test_repeated_drive_points_build_each_unit_part_once(monkeypatch):
+    built = []
+    for name in ("hamiltonian_superop", "dissipator_superop"):
+        build = getattr(generators, name)
+        monkeypatch.setattr(generators, name,
+                            lambda *a, build=build, name=name: built.append(name) or build(*a))
+    gadgets._unit_part.cache_clear()
+    for gamma in (1.5, 2.5, 3.5):  # one 66-level space, three rates
+        _drive_p1("sfg", gamma, 0.7 * gamma, math.pi / 2)
+    # displacement, SFG and pump loss, one Liouvillian each
+    assert gadgets._unit_part.cache_info().misses == 3
+    assert sorted(built) == ["dissipator_superop"] + ["hamiltonian_superop"] * 3
 
 
 def test_action_path_repeats_whatever_the_global_seed():

@@ -7,8 +7,9 @@ import scipy.sparse as sp
 
 from zenoanneal.fock import DensityState, make_space
 from zenoanneal.gadgets import drive_generator
-from zenoanneal.generators import (annihilation_operator, combine,
-                                   displacement_generator, hamiltonian_superop,
+from zenoanneal.generators import (_prune, annihilation_operator, combine,
+                                   dissipator_superop, displacement_generator,
+                                   hamiltonian_superop, hermitian_basis,
                                    loss_dissipator, phase_generator,
                                    sfg_generator, tpa_dissipator)
 from zenoanneal.propagator import expm_dense
@@ -237,3 +238,47 @@ def test_zero_rate_jump_is_still_dissipative():
     with pytest.raises(ValueError, match="negative time"):
         expm_dense(gen, -0.1)
     assert not combine([(displacement_generator(space, 0), 1.0)]).is_dissipative
+
+
+@pytest.mark.parametrize("kind, mode_dim, c, gamma, eta", [
+    ("sfg", 11, 1.0, 3.7, 2.9), ("sfg", 6, 1.0, 330.2, 1867.5), ("sfg", 3, 0.0, 1.0, 0.0),
+    ("tpa", 11, 1.0, 4.6, 0.0), ("tpa", 3, 0.8, 0.0, 0.0)])
+def test_summed_drive_liouvillian_is_the_one_built_from_its_summed_hamiltonian(
+        kind, mode_dim, c, gamma, eta):
+    # the parts' supports are disjoint, so summing their cached Liouvillians
+    # gives the Liouvillian of the summed H and scaled jumps entry for entry
+    gen, space = drive_generator(kind, make_space([mode_dim]), 0, c, gamma, eta)
+    d = space.total_dim
+    expect = hamiltonian_superop(gen.hamiltonian, d)
+    for rate, jump in gen.jumps:
+        expect = expect + rate * dissipator_superop(jump, d)
+    expect = _prune(expect)
+    assert (gen.matrix != expect).nnz == 0
+    # and the real form is the same map in the Hermitian basis
+    basis = hermitian_basis(d)
+    assert gen.real_matrix.dtype == np.float64
+    back = basis @ gen.real_matrix @ basis.conj().T
+    assert abs(back - expect).max() <= 1e-12 * abs(expect).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7])
+def test_hermitian_basis_is_unitary_with_hermitian_columns(dim):
+    basis = hermitian_basis(dim)
+    assert np.max(np.count_nonzero(basis.toarray(), axis=1)) <= 2
+    u = basis.toarray()
+    assert np.max(np.abs(u.conj().T @ u - np.eye(dim * dim))) < 1e-15
+    for col in u.T:
+        b = col.reshape((dim, dim), order="F")
+        assert np.array_equal(b, b.conj().T)
+    a = random_density(make_space([dim]), seed=dim).matrix
+    rho = a + a.conj().T  # exactly Hermitian
+    assert not np.any((basis.conj().T @ rho.flatten(order="F")).imag)
+
+
+def test_unit_liouvillians_are_read_only():
+    gen = combine([(displacement_generator(make_space([3]), 0), 0.5),
+                   (tpa_dissipator(make_space([3]), 0), 2.0)])
+    for part, _ in gen.parts:
+        for mat in (part.matrix, part.real_matrix, gen.matrix, gen.real_matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                mat.data[0] = 1.0

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from zenoanneal import propagator
 from zenoanneal.fock import make_space
 from zenoanneal.gadgets import drive_generator
-from zenoanneal.generators import (combine, displacement_generator,
-                                   loss_dissipator, phase_generator,
-                                   tpa_dissipator)
+from zenoanneal.generators import (GeneratorSpec, combine,
+                                   displacement_generator, loss_dissipator,
+                                   phase_generator, tpa_dissipator)
 from zenoanneal.propagator import (DimensionGuardError, PhaseKernel,
                                    _expm_multiply, build_cache, expm_apply_vec,
                                    expm_dense, trajectory)
@@ -187,7 +190,8 @@ def test_trajectory_dense_steps_match_interval_and_pointwise_action():
     vec = random_density(gen.space, seed=18).matrix.flatten(order="F")
     times = np.linspace(0.0, 2.5, 26)
     dense = trajectory(gen, times, vec)
-    interval = _expm_multiply(gen.matrix, vec, start=0.0, stop=2.5, num=26, endpoint=True)
+    interval = _expm_multiply(gen.real_matrix, vec, start=0.0, stop=2.5, num=26,
+                              endpoint=True)
     assert dense.shape == interval.shape == (26, vec.size)
     assert np.array_equal(dense[0], vec)
     assert np.max(np.abs(dense - interval)) < 1e-12
@@ -219,3 +223,59 @@ def test_trajectory_rejects_negative_times_when_dissipative():
     vec = random_density(gen.space, seed=22).matrix.flatten(order="F")
     with pytest.raises(ValueError, match="negative time"):
         trajectory(gen, np.linspace(0.0, -1.0, 5), vec)
+
+
+def random_master_equation(rng, dims, n_jumps) -> GeneratorSpec:
+    """A random Hermitian H and ``n_jumps`` random jumps at random rates."""
+    d = math.prod(dims)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    jumps = tuple((float(rng.uniform(0.0, 1.0)),
+                   sp.csr_array(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+                  for _ in range(n_jumps))
+    return GeneratorSpec(make_space(dims), sp.csr_array((a + a.conj().T) / 2), jumps)
+
+
+def random_vec(rng, d, hermitian):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = a + a.conj().T if hermitian else a
+    return (a / np.linalg.norm(a)).flatten(order="F")
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([(2,), (3,), (4,), (6,), (2, 2), (2, 3), (3, 2)]),
+       n_jumps=st.integers(0, 2), hermitian=st.booleans(),
+       t_exp=st.integers(-4, 0), t_frac=st.integers(0, 255), seed=st.integers(0, 2 ** 32 - 1))
+def test_dense_action_and_cache_agree_on_random_master_equations(dims, n_jumps, hermitian,
+                                                                 t_exp, t_frac, seed):
+    # t = t_max (1 + k/256) with t_max a power of two selects its cache
+    # stages exactly, so the three paths differ only by round-off
+    rng = np.random.default_rng(seed)
+    gen = random_master_equation(rng, dims, n_jumps)
+    vec = random_vec(rng, gen.space.total_dim, hermitian)
+    t_max = 2.0 ** t_exp
+    t = t_max * (1 + t_frac / 256)
+    dense = expm_dense(gen, t) @ vec
+    action = expm_apply_vec(gen, t, vec)
+    cached = build_cache(gen, t_max, 30).matrix_for(t) @ vec
+    for a, b in ((dense, action), (dense, cached), (action, cached)):
+        assert np.max(np.abs(a - b)) <= 1e-10
+    # the interval branch of trajectory, forced below the dense cap
+    times = np.linspace(0.0, t, 4)
+    expect = [expm_dense(gen, float(s)) @ vec for s in times]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagator, "DENSE_DIM_THRESHOLD", 0)
+        rows = trajectory(gen, times, vec)
+    assert np.max(np.abs(rows - expect)) <= 1e-10
+
+
+def test_action_path_refuses_a_non_hermitian_hamiltonian():
+    space = make_space([3])
+    h = sp.csr_array(np.triu(np.ones((3, 3))) + 0j)
+    gen = GeneratorSpec(space, h)
+    vec = random_density(space, seed=23).matrix.flatten(order="F")
+    with pytest.raises(ValueError, match="Hermitian"):
+        expm_apply_vec(gen, 0.5, vec)
+    with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagator, "DENSE_DIM_THRESHOLD", 0)
+            trajectory(gen, np.linspace(0.0, 0.5, 3), vec)

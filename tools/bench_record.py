@@ -2,7 +2,8 @@
 
     python3 tools/bench_record.py --parent ../parent --change . \
         --runs mis-pure:1 density-sweep:1:10 density-sweep:104729:6 \
-        --cli constraint-sweep:3 --seconds 30 --out BENCH_8.json
+        --cli constraint-sweep:3 "drive-sweep:3=--eta-ratios 0 --gammas 2,30" \
+        --seconds 30 --out BENCH_8.json
 
 Each ``workload:seed[:pairs]`` entry runs ``perfbench/run.py`` in the parent
 and in the change checkout, ``pairs`` times each (default 1), alternating
@@ -18,9 +19,10 @@ median calibration-scaled seconds (``class_median_scaled_s[c]``, so that a
 record names the class that moved), both sides' quartiles, the median ratio
 and how many pairs the change won.
 
-Each ``--cli command[:pairs]`` entry times ``zenoanneal <command>`` at its
-default config in both checkouts, in alternating pairs, each run a fresh
-process on its checkout's ``src/`` with BLAS pinned to one thread.  Per
+Each ``--cli command[:pairs][=flags]`` entry times ``zenoanneal <command>``
+at its default config, or with ``flags`` (split as a shell would) on top of
+it, in both checkouts, in alternating pairs, each run a fresh process on its
+checkout's ``src/`` with BLAS pinned to one thread.  Per
 pair it records both wall times and whether the two output files are
 byte-identical once their ``# config:`` lines (which name the output path)
 are dropped, and the numbers of the lines that differ.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
@@ -80,12 +83,13 @@ def run_perfbench(checkout: str, workload: str, seed: int, seconds: float) -> di
     return {**json.loads(env_line), "result": json.loads(result_line)}
 
 
-def run_cli(checkout: str, command: str, out: str) -> float:
-    """Wall seconds of ``zenoanneal <command> --out <out>`` run from ``checkout``."""
+def run_cli(checkout: str, command: str, flags: list[str], out: str) -> float:
+    """Wall seconds of ``zenoanneal <command> <flags> --out <out>`` run from
+    ``checkout``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"),
                **BLAS_PIN)
     t0 = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "zenoanneal.cli", command, "--out", out],
+    subprocess.run([sys.executable, "-m", "zenoanneal.cli", command, *flags, "--out", out],
                    cwd=checkout, env=env, check=True, capture_output=True)
     return time.perf_counter() - t0
 
@@ -96,7 +100,7 @@ def output_lines(path: str) -> list[bytes]:
         return [line for line in fh if not line.startswith(b"# config:")]
 
 
-def cli_pairs(checkouts: dict[str, str], command: str, pairs: int) -> dict:
+def cli_pairs(checkouts: dict[str, str], command: str, pairs: int, flags: list[str]) -> dict:
     """Alternating parent/change runs of one CLI command, with a summary."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,7 +108,7 @@ def cli_pairs(checkouts: dict[str, str], command: str, pairs: int) -> dict:
             seconds, outs = {}, {}
             for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 outs[name] = os.path.join(tmp, f"{name}_{i}.csv")
-                seconds[name] = run_cli(checkouts[name], command, outs[name])
+                seconds[name] = run_cli(checkouts[name], command, flags, outs[name])
             lines = {name: output_lines(path) for name, path in outs.items()}
             differ = [n for n, (a, b) in enumerate(zip(lines["parent"], lines["change"]), 2)
                       if a != b]
@@ -114,7 +118,7 @@ def cli_pairs(checkouts: dict[str, str], command: str, pairs: int) -> dict:
             print(f"cli {command} pair {i}: {json.dumps(runs[-1])}", file=sys.stderr)
     parent = statistics.median(r["parent_s"] for r in runs)
     change = statistics.median(r["change_s"] for r in runs)
-    return {"command": command, "config": "default", "blas_threads": 1,
+    return {"command": command, "config": shlex.join(flags) or "default", "blas_threads": 1,
             "nproc": os.cpu_count(), "pairs": pairs,
             "runs": runs, "parent_median_s": parent, "change_median_s": change,
             "speedup": parent / change,
@@ -123,10 +127,11 @@ def cli_pairs(checkouts: dict[str, str], command: str, pairs: int) -> dict:
                                                  for r in runs)}
 
 
-def _cli_entry(text: str) -> tuple[str, int]:
-    """command or command:pairs."""
-    command, *repeats = text.split(":")
-    return command, int(repeats[0]) if repeats else 1
+def _cli_entry(text: str) -> tuple[str, int, list[str]]:
+    """command, command:pairs, either followed by =flags."""
+    head, _, flags = text.partition("=")
+    command, *repeats = head.split(":")
+    return command, int(repeats[0]) if repeats else 1, shlex.split(flags)
 
 
 def _pair(text: str) -> tuple[str, int, int]:
@@ -183,7 +188,8 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", nargs="*", type=_pair, default=[],
                         help="workload:seed[:pairs] entries")
     parser.add_argument("--cli", nargs="*", type=_cli_entry, default=[],
-                        help="command[:pairs] entries, each run at its default config")
+                        help="command[:pairs][=flags] entries, run at the default "
+                             "config with any flags on top")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -202,7 +208,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} pair {i} {name}: "
                       f"{json.dumps(run['result']['metrics'])}", file=sys.stderr)
         record["summary"] += summarize(record["runs"], workload, seed, better_by)
-    record["cli"] = [cli_pairs(checkouts, command, pairs) for command, pairs in args.cli]
+    record["cli"] = [cli_pairs(checkouts, command, pairs, flags)
+                     for command, pairs, flags in args.cli]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
