@@ -33,9 +33,9 @@ DEFAULT_PHI_Q = 3.0 * math.pi / 2.0
 # there, so the gamma_99 search never interpolates across it.
 TRUNCATION_SWITCH_GAMMA = 10.0
 # Hilbert dimension up to which a drive point takes one dense exponential, the
-# TPA spaces.  Per point at t = pi/2, one session, one BLAS thread: complex dense
-# 6.0-6.6 ms, real action 10-33 ms at d = 11 (gamma 0.8, 4.6); at d = 18 (ratio 1)
-# 112-129 ms against 91 ms, 443 ms, 5.6 s at gamma = 62, 330, 4096.
+# TPA spaces.  Per point at t = pi/2, timed together on a 2-vCPU VM with one BLAS
+# thread: complex dense 6.0-6.6 ms, real action 10-33 ms at d = 11 (gamma 0.8,
+# 4.6); at d = 18 (ratio 1) 112-129 ms against 91 ms, 443 ms, 5.6 s at gamma 62, 330, 4096.
 DRIVE_DENSE_DIM = 11
 # Smallest eta / gamma_TPA of a Markov curve: a TPA target rate above eta/4
 # has no SFG rate (analytic.sfg_rate_for_tpa_target).
