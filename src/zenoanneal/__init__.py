@@ -1,7 +1,6 @@
 """Zeno-constrained all-optical annealing toolkit."""
 
-from .fock import (DensityState, FockSpace, PureState, make_space, vacuum,
-                   von_neumann_entropy)
+from .fock import DensityState, FockSpace, PureState, make_space, vacuum
 from .generators import (GeneratorSpec, combine, displacement_generator,
                          loss_dissipator, phase_generator, sfg_generator,
                          tpa_dissipator)
@@ -13,11 +12,9 @@ from .gadgets import (ConstraintParams, DriveParams, GAMMA_T_COHERENT,
                       drive_generator, pump_maps, pumped_phase_gadget)
 from .anneal import (AnnealReport, Schedule, anneal_density, anneal_ideal,
                      anneal_statevector, make_schedule, qubo_anneal)
-from .problems import (ProblemGraph, brute_force_mis, brute_force_qubo,
-                       brute_force_wmis, complete_graph, five_node_example,
-                       graph_from_edges, loss_injection_experiment,
-                       mitigation_encode, parse_edge_list, parse_qubo,
-                       three_node_line)
+from .problems import (ProblemGraph, brute_force_mis, brute_force_wmis,
+                       complete_graph, five_node_example, graph_from_edges,
+                       parse_edge_list, parse_qubo, three_node_line)
 from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form, pair_coherence_ode,
                        sfg_rate_for_tpa_target)

@@ -44,7 +44,9 @@ from .fock import (DensityState, FockSpace, PureState,
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       drive_generator, pump_maps)
 from .problems import ProblemGraph, _optima, _qubo_scores, _wmis_scores
-from .propagator import NonConvergenceError, PhaseKernel, build_cache
+# RUN_BYTES_MAX is unused here, but the CLI reads anneal.RUN_BYTES_MAX.
+from .propagator import (RUN_BYTES_MAX, NonConvergenceError, PhaseKernel,
+                         _guard_bytes, build_cache)
 
 CYCLE_ORDER = "phase->drive->constraints"
 
@@ -57,11 +59,6 @@ ZENO_CACHE_STAGES = 30
 # Largest mass an edge gadget may send out of the 0/1 patterns from one
 # qubit-block input column before the ideal-2level run refuses the block.
 BLOCK_LEAK_TOL = 1e-12
-
-# Largest bytes a run's largest arrays may take: the ideal path's eigenbasis,
-# the density path's (B, D, D) final states on the space it runs in.  A run
-# over it raises ValueError before building them.
-RUN_BYTES_MAX = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -82,6 +79,11 @@ class Schedule:
     zeta: np.ndarray | None = field(default=None, repr=False)
 
 
+def _guard_cycles(rows: int, n_cycle: int) -> None:
+    """Bound tau and, per schedule row, three angles and seven records."""
+    _guard_bytes(8 * n_cycle * (1 + 10 * rows), "the per-cycle schedule and records")
+
+
 def _cycle_grid(n_cycle: int, r_tot):
     """(tau, step): tau_i = i/(n_cycle+1) and r_tot/n_cycle, the step as a
     (B, 1) column when r_tot is a sequence of B values."""
@@ -91,6 +93,7 @@ def _cycle_grid(n_cycle: int, r_tot):
     if r.ndim > 1 or r.size == 0 or not np.all(np.isfinite(r) & (r > 0)):
         raise ValueError("r_tot must be finite and positive "
                          "(one value or a non-empty sequence)")
+    _guard_cycles(r.size, n_cycle)
     return np.arange(1, n_cycle + 1, dtype=float) / (n_cycle + 1), r[..., None] / n_cycle
 
 
@@ -143,12 +146,6 @@ class AnnealReport:
     final_state: object
     cycle_order: str = CYCLE_ORDER
     meta: dict = field(default_factory=dict)
-
-
-def _guard_bytes(nbytes: int, what: str) -> None:
-    if nbytes > RUN_BYTES_MAX:
-        raise ValueError(f"{what} would take {nbytes} bytes, over the "
-                         f"{RUN_BYTES_MAX}-byte bound")
 
 
 def _pattern_index(space: FockSpace) -> np.ndarray:
@@ -308,6 +305,7 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
 
     order = sorted(range(len(schedules)), key=lambda b: -schedules[b].n_cycle)
     lengths = [schedules[b].n_cycle for b in order]
+    _guard_cycles(len(order), lengths[0])
     angles = np.zeros((2, len(order), lengths[0]))
     for row, b in enumerate(order):
         angles[:, row, :lengths[row]] = schedules[b].phi, schedules[b].c

@@ -19,9 +19,9 @@ from .anneal import (anneal_density, anneal_density_batch, anneal_ideal,
                      anneal_statevector, make_schedule, qubo_anneal)
 from .fock import make_space, vacuum
 from .gadgets import ConstraintParams, drive_generator
-from .problems import (ProblemGraph, _bit_table, _encoded_optimum,
+from .problems import (ProblemGraph, _bit_table, brute_force_mis,
                        loss_injection_batch)
-from .propagator import expm_apply_vec, expm_dense, trajectory
+from .propagator import _guard_bytes, expm_apply_vec, expm_dense, trajectory
 
 CRITICAL_ETA_FACTOR = 4.0 * math.sqrt(2.0)
 
@@ -343,16 +343,25 @@ def qubo_rows(q: np.ndarray, n_cycle: int, r_tot: float):
 def mitigation_rows(graph: ProblemGraph, n_copies):
     """Exhaustive loss-pattern study of the copy encoding: per copy count,
     one :func:`loss_injection_batch` over every subset of the photons of the
-    encoded optimum."""
+    encoded optimum, every copy of each vertex of the graph's first maximum
+    independent set by sorted vertices (the encoding's own first optimum)."""
     header = ["n_copy", "pattern_index", "n_lost", "decode_success",
               "decoded_independent", "decoded_set"]
-    labels = [str(j) for j in range(graph.n_vertices)]
+    n = graph.n_vertices
+    labels = [str(j) for j in range(n)]
+    _, optima = brute_force_mis(graph)
+    first = np.array(sorted(min(optima, key=sorted)))
     rows = []
     for n_copy in map(int, n_copies):
-        sample = _encoded_optimum(graph, n_copy)
-        support = np.flatnonzero(sample)
-        lost = _bit_table(len(support))[:, ::-1]  # pattern p loses support[b] at bit b
-        samples = np.repeat(sample[None], len(lost), axis=0)
+        if n_copy < 1:
+            raise ValueError("n_copy must be at least 1")
+        photons = len(first) * n_copy
+        # per pattern: loss row and mask, sample, decoding, four columns; at most 2^64
+        _guard_bytes((9 * photons + n * (n_copy + 1) + 32) << min(photons, 64),
+                     f"the {photons}-photon loss study")
+        support = (first[:, None] * n_copy + np.arange(n_copy)).ravel()
+        lost = _bit_table(photons)[:, ::-1]  # pattern p loses support[b] at bit b
+        samples = np.zeros((len(lost), n * n_copy), dtype=bool)
         samples[:, support] = lost == 0
         out = loss_injection_batch(graph, n_copy, samples)
         names = ["".join(j for j, d in zip(labels, row) if d) or "-"

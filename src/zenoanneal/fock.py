@@ -26,7 +26,6 @@ import scipy.sparse
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-8
 NORM_TOL = 1e-12
 
 # Eigenvalues below this are treated as exact zeros in the entropy sum.
@@ -110,8 +109,8 @@ class PureState:
 class DensityState:
     """Density matrix over a :class:`FockSpace`.
 
-    Hermiticity and unit trace are checked on construction; positivity is an
-    O(dim^3) eigenvalue check left to :meth:`validate`.
+    Hermiticity and unit trace are checked on construction; positivity, an
+    O(dim^3) eigenvalue check, is left to the runs that record eigenvalues.
     """
 
     space: FockSpace
@@ -129,12 +128,6 @@ class DensityState:
         if not tr_err <= TRACE_TOL:
             raise ValueError(f"density matrix trace differs from 1 by {tr_err:.3e}")
         object.__setattr__(self, "matrix", mat)
-
-    def validate(self) -> None:
-        """Full validity check including the positivity floor."""
-        lam = np.linalg.eigvalsh(self.matrix)
-        if lam.min() < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {lam.min():.3e} below floor")
 
 
 def vacuum(space: FockSpace) -> PureState:
@@ -201,16 +194,9 @@ def embed_local_operator(op: np.ndarray, space: FockSpace, targets) -> np.ndarra
     return _apply_axes(op, np.eye(space.total_dim), space.mode_dims * 2, targets)
 
 
-def von_neumann_entropy(state: DensityState | np.ndarray) -> float | np.ndarray:
-    """Entropy in bits of a state or raw density matrix, or an array of them
-    for a (B, D, D) stack (one eigvalsh call); eigenvalues below
-    ``ENTROPY_EIG_CLIP`` count as zero."""
-    mat = state.matrix if isinstance(state, DensityState) else np.asarray(state)
-    return eigenvalue_entropy(np.linalg.eigvalsh(mat))
-
-
 def eigenvalue_entropy(lam: np.ndarray) -> float | np.ndarray:
-    """Entropy in bits from density-matrix eigenvalues on the last axis."""
+    """Von Neumann entropy in bits from density-matrix eigenvalues on the last
+    axis; eigenvalues below ``ENTROPY_EIG_CLIP`` count as zero."""
     lam = np.where(lam > ENTROPY_EIG_CLIP, lam, 1.0)  # 1 log2(1) is exactly 0
     # 0.0 - sum, so that a pure state gives +0.0 and not -0.0
     return 0.0 - (lam * np.log2(lam)).sum(axis=-1)

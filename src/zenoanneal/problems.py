@@ -1,12 +1,18 @@
-"""Problem instances, exhaustive reference solvers, and the photon-loss
-error-mitigation encoding.
+"""Problem instances, exhaustive reference solvers, and the decoder of the
+photon-loss error-mitigation encoding.
 
 The exhaustive solvers are the ground truth every anneal result is scored
-against.  They, the anneal observables and the loss-pattern study share the
+against.  They, the anneal observables and the loss-pattern decoder share the
 one enumeration of 0/1 patterns: per-pattern arrays in basis order (vertex 0
 the most significant bit), where a pattern is optimal within ``TIE_TOL`` of
 the best score.  Occupation rows are built one slab at a time, or for the
 few patterns a caller lists; the enumeration is guarded to n <= 24.
+
+The encoding gives each vertex n_copy photons (copy k of vertex j at index
+j * n_copy + k), and copies of adjacent vertices exclude each other.  Its
+maximum independent sets are therefore every copy of a maximum set of the
+graph, so the loss study starts from the graph's own optimum and never
+builds the encoded graph.
 """
 
 from __future__ import annotations
@@ -192,43 +198,6 @@ def brute_force_wmis(graph: ProblemGraph) -> tuple[float, list[frozenset[int]]]:
             [frozenset(j for j, bit in enumerate(row) if bit) for row in _optima(optimal)])
 
 
-def brute_force_qubo(q: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
-    """Exhaustive QUBO minimization; returns (min energy, all argmin bit tuples)."""
-    energy, optimal = _qubo_scores(q)
-    return float(energy.min()), _optima(optimal)
-
-
-def encoded_vertex(j: int, k: int, n_copy: int) -> int:
-    """Flatten copy k of original vertex j."""
-    return j * n_copy + k
-
-
-def mitigation_encode(graph: ProblemGraph, n_copy: int) -> ProblemGraph:
-    """Replicate the instance so photon loss degrades answers gracefully.
-
-    Every original edge {u, v} becomes the complete bipartite edge set between
-    the copies of u and the copies of v; copies of one vertex stay mutually
-    unconstrained.
-    """
-    if n_copy < 1:
-        raise ValueError("n_copy must be at least 1")
-    edges = [(encoded_vertex(u, p, n_copy), encoded_vertex(v, q, n_copy))
-             for u, v in graph.edges for p in range(n_copy) for q in range(n_copy)]
-    weights = None if graph.weights is None else tuple(
-        w for w in graph.weights for _ in range(n_copy))
-    return graph_from_edges(graph.n_vertices * n_copy, edges, weights)
-
-
-def _encoded_optimum(graph: ProblemGraph, n_copy: int) -> np.ndarray:
-    """(n * n_copy,) bool: the first optimum of the copy encoding by sorted
-    vertices, the sample a loss study starts from."""
-    _guard_size(graph.n_vertices * n_copy)
-    _, optima = brute_force_mis(mitigation_encode(graph, n_copy))
-    sample = np.zeros(graph.n_vertices * n_copy, dtype=bool)
-    sample[sorted(min(optima, key=sorted))] = True
-    return sample
-
-
 def loss_injection_batch(graph: ProblemGraph, n_copy: int, samples) -> dict:
     """Decode the rows of a (P, n * n_copy) boolean ``samples`` array (a
     vertex is selected when any copy is) into (P, n) ``decoded`` sets, each
@@ -240,23 +209,3 @@ def loss_injection_batch(graph: ProblemGraph, n_copy: int, samples) -> dict:
     index = decoded @ (1 << np.arange(n - 1, -1, -1))  # basis order, vertex 0 first
     return {"decoded": decoded, "success": optimal[index],
             "independent": violations[index] == 0}
-
-
-def loss_injection_experiment(graph: ProblemGraph, n_copy: int,
-                              loss_pattern) -> dict:
-    """Drop photons from an optimal encoded sample and try to decode: the
-    one-sample case of :func:`loss_injection_batch`.
-
-    ``loss_pattern`` is an iterable of encoded vertex indices forced to 0.
-    Returns per-run facts: whether decoding recovered an optimum, and whether
-    the decoded set is still independent (it always should be; loss only ever
-    shrinks a set).
-    """
-    sample = _encoded_optimum(graph, n_copy)
-    for idx in loss_pattern:
-        if not sample[idx]:
-            raise ValueError(f"loss pattern sets vertex {idx} which carries no photon")
-        sample[idx] = False
-    out = {k: v[0] for k, v in loss_injection_batch(graph, n_copy, sample[None]).items()}
-    return {"decoded": frozenset(np.flatnonzero(out["decoded"]).tolist()),
-            "success": bool(out["success"]), "independent": bool(out["independent"])}

@@ -41,6 +41,9 @@ from .generators import GeneratorSpec, hermitian_basis
 # larger problems take the action path.
 DENSE_DIM_THRESHOLD = 64
 
+# Largest bytes a run's largest arrays may take, checked before they are built.
+RUN_BYTES_MAX = 1 << 31
+
 
 class DimensionGuardError(ValueError):
     """Raised when a dense superoperator would exceed DENSE_DIM_THRESHOLD."""
@@ -48,6 +51,12 @@ class DimensionGuardError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """Raised when an exponential application produced non-finite values."""
+
+
+def _guard_bytes(nbytes: int, what: str) -> None:
+    if nbytes > RUN_BYTES_MAX:
+        raise ValueError(f"{what} would take {nbytes} bytes, over the "
+                         f"{RUN_BYTES_MAX}-byte bound")
 
 
 def _check_time(gen: GeneratorSpec, t: float) -> None:
@@ -110,6 +119,7 @@ def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
         raise ValueError("trajectory times must be an evenly spaced grid of "
                          "at least two points starting at 0")
     n = len(times)
+    _guard_bytes(16 * n * gen.space.total_dim ** 2, "the trajectory rows")
     if gen.space.total_dim > DENSE_DIM_THRESHOLD:
         _check_time(gen, times[-1])
         return _expm_multiply(gen.real_matrix, vec, start=0.0, stop=float(times[-1]),

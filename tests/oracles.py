@@ -1,11 +1,12 @@
 """Reference helpers that only tests use: basis states, populations, a
-superoperator matrix applied to a density state, the partial trace, the
-dense map of a drive with its pump traced out, a butterfly Walsh
-transform, the QUBO anneal with one exact phase exp per cycle, the ideal
-anneal with one drive expm per cycle on the independent patterns, the zeno
-density run with one composed drive map per cycle, and the
-one-assignment-at-a-time exhaustive solvers, decoder and loss study that
-the array solvers in ``zenoanneal.problems`` are checked against."""
+superoperator matrix applied to a density state, the positivity check and
+entropy of density states, the partial trace, the dense map of a drive with
+its pump traced out, a butterfly Walsh transform, the QUBO anneal with one
+exact phase exp per cycle, the ideal anneal with one drive expm per cycle on
+the independent patterns, the zeno density run with one composed drive map
+per cycle, the copy encoding as a graph, and the exhaustive solvers, decoder
+and loss study that the array solvers in ``zenoanneal.problems`` and
+``zenoanneal.experiments`` are checked against."""
 
 import math
 from itertools import product
@@ -16,10 +17,14 @@ import scipy.linalg
 from zenoanneal.anneal import (ZENO_CACHE_STAGES, _Observables, _transverse_mixer,
                                linear_three_parameter_profile)
 from zenoanneal.fock import (DensityState, PureState, apply_local_superop_matrix,
-                             make_space, von_neumann_entropy)
+                             eigenvalue_entropy, make_space)
 from zenoanneal.gadgets import constraint_superop, drive_generator, pump_maps
-from zenoanneal.problems import _qubo_scores, encoded_vertex, mitigation_encode
+from zenoanneal.problems import (_optima, _qubo_scores, brute_force_mis,
+                                 graph_from_edges, loss_injection_batch)
 from zenoanneal.propagator import PhaseKernel, build_cache, expm_dense
+
+# Smallest eigenvalue a valid density matrix may have.
+EIGENVALUE_FLOOR = -1e-8
 
 
 def number_state(space, occupations) -> PureState:
@@ -42,6 +47,20 @@ def apply_superop(mat: np.ndarray, state: DensityState) -> DensityState:
     d = state.space.total_dim
     out = mat @ state.matrix.flatten(order="F")
     return DensityState(state.space, out.reshape((d, d), order="F"))
+
+
+def validate_density(state: DensityState) -> None:
+    """Positivity check: ValueError if an eigenvalue is below the floor."""
+    lam = np.linalg.eigvalsh(state.matrix)
+    if lam.min() < EIGENVALUE_FLOOR:
+        raise ValueError(f"density matrix has eigenvalue {lam.min():.3e} below floor")
+
+
+def von_neumann_entropy(state):
+    """Entropy in bits of a state or raw density matrix, or an array of them
+    for a (B, D, D) stack (one eigvalsh call)."""
+    mat = state.matrix if isinstance(state, DensityState) else np.asarray(state)
+    return eigenvalue_entropy(np.linalg.eigvalsh(mat))
 
 
 def partial_trace(state: DensityState, keep) -> DensityState:
@@ -220,6 +239,46 @@ def loop_brute_force_qubo(q):
     return float(best), optima
 
 
+def brute_force_qubo(q):
+    """(min energy, all argmin bit tuples) from the per-pattern scorer."""
+    energy, optimal = _qubo_scores(q)
+    return float(energy.min()), _optima(optimal)
+
+
+def encoded_vertex(j: int, k: int, n_copy: int) -> int:
+    """Flatten copy k of original vertex j."""
+    return j * n_copy + k
+
+
+def mitigation_encode(graph, n_copy: int):
+    """The copy encoding as a graph: every original edge {u, v} becomes the
+    complete bipartite edge set between the copies of u and the copies of v;
+    copies of one vertex stay mutually unconstrained."""
+    if n_copy < 1:
+        raise ValueError("n_copy must be at least 1")
+    edges = [(encoded_vertex(u, p, n_copy), encoded_vertex(v, q, n_copy))
+             for u, v in graph.edges for p in range(n_copy) for q in range(n_copy)]
+    weights = None if graph.weights is None else tuple(
+        w for w in graph.weights for _ in range(n_copy))
+    return graph_from_edges(graph.n_vertices * n_copy, edges, weights)
+
+
+def loss_injection_experiment(graph, n_copy: int, loss_pattern) -> dict:
+    """Drop the encoded vertices ``loss_pattern`` from the first optimum of
+    the encoded graph by sorted vertices, found by exhaustive search, and
+    decode the sample with ``problems.loss_injection_batch``."""
+    _, optima = brute_force_mis(mitigation_encode(graph, n_copy))
+    sample = np.zeros(graph.n_vertices * n_copy, dtype=bool)
+    sample[sorted(min(optima, key=sorted))] = True
+    for idx in loss_pattern:
+        if not sample[idx]:
+            raise ValueError(f"loss pattern sets vertex {idx} which carries no photon")
+        sample[idx] = False
+    out = {k: v[0] for k, v in loss_injection_batch(graph, n_copy, sample[None]).items()}
+    return {"decoded": frozenset(np.flatnonzero(out["decoded"]).tolist()),
+            "success": bool(out["success"]), "independent": bool(out["independent"])}
+
+
 def mitigation_decode(encoded_sample, n_copy: int) -> frozenset[int]:
     """A vertex counts as selected when any of its copies is."""
     sample = list(encoded_sample)
@@ -235,30 +294,13 @@ def is_independent(graph, subset) -> bool:
     return not any(u in chosen and v in chosen for u, v in graph.edges)
 
 
-def loop_loss_injection_experiment(graph, n_copy, loss_pattern) -> dict:
-    """Drop photons from an optimal encoded sample and decode it, solving
-    the encoding and the graph one assignment at a time."""
-    encoded = mitigation_encode(graph, n_copy)
-    _, encoded_optima = loop_brute_force_mis(encoded)
-    chosen = min(encoded_optima, key=sorted)
-    sample = [1 if i in chosen else 0 for i in range(encoded.n_vertices)]
-    for idx in loss_pattern:
-        if sample[idx] == 0:
-            raise ValueError(f"loss pattern sets vertex {idx} which carries no photon")
-        sample[idx] = 0
-    decoded = mitigation_decode(sample, n_copy)
-    _, optima = loop_brute_force_mis(graph)
-    return {
-        "decoded": decoded,
-        "success": decoded in optima,
-        "independent": is_independent(graph, decoded),
-    }
-
-
 def loop_mitigation_rows(graph, n_copies):
-    """``experiments.mitigation_rows`` one loss pattern at a time."""
+    """``experiments.mitigation_rows`` one loss pattern at a time, from one
+    search of the graph and one of each copy encoding, each one assignment
+    at a time."""
     header = ["n_copy", "pattern_index", "n_lost", "decode_success",
               "decoded_independent", "decoded_set"]
+    _, optima = loop_brute_force_mis(graph)
     rows = []
     for n_copy in n_copies:
         n_copy = int(n_copy)
@@ -266,10 +308,9 @@ def loop_mitigation_rows(graph, n_copies):
         _, encoded_optima = loop_brute_force_mis(encoded)
         support = sorted(min(encoded_optima, key=sorted))
         for pattern_idx in range(1 << len(support)):
-            lost = [support[b] for b in range(len(support))
-                    if (pattern_idx >> b) & 1]
-            result = loop_loss_injection_experiment(graph, n_copy, lost)
-            rows.append((n_copy, pattern_idx, len(lost),
-                         int(result["success"]), int(result["independent"]),
-                         "".join(str(v) for v in sorted(result["decoded"])) or "-"))
+            kept = {support[b] for b in range(len(support)) if not (pattern_idx >> b) & 1}
+            decoded = mitigation_decode([i in kept for i in range(encoded.n_vertices)], n_copy)
+            rows.append((n_copy, pattern_idx, len(support) - len(kept),
+                         int(decoded in optima), int(is_independent(graph, decoded)),
+                         "".join(str(v) for v in sorted(decoded)) or "-"))
     return header, rows

@@ -25,12 +25,12 @@ from zenoanneal.generators import (combine, displacement_generator,
                                    tpa_dissipator)
 from zenoanneal.problems import (brute_force_mis, complete_graph,
                                  five_node_example, graph_from_edges,
-                                 loss_injection_experiment, mitigation_encode,
                                  three_node_line)
 from zenoanneal.propagator import build_cache, expm_apply_vec, expm_dense
 from zenoanneal.timebin import all_pairs_shuffle, compile_graph_program, verify_program
 
-from oracles import apply_superop, number_state, population
+from oracles import (apply_superop, loss_injection_experiment, mitigation_encode,
+                     number_state, population)
 from test_fock import random_density
 from itertools import combinations
 

@@ -9,13 +9,13 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from zenoanneal import anneal, experiments, problems
+from zenoanneal import anneal, experiments, problems, propagator
 from zenoanneal.anneal import (Populations, _Observables, _transverse_mixer,
                                anneal_density, anneal_density_batch, anneal_ideal,
                                anneal_statevector,
                                linear_three_parameter_profile, make_schedule,
                                qubo_anneal)
-from zenoanneal.fock import DensityState, make_space, vacuum, von_neumann_entropy
+from zenoanneal.fock import DensityState, make_space, vacuum
 from zenoanneal.gadgets import (ConstraintParams, DriveParams,
                                 GAMMA_T_COHERENT, GAMMA_T_INCOHERENT,
                                 constraint_superop, embed_local_superop,
@@ -26,7 +26,7 @@ from zenoanneal.problems import (complete_graph, five_node_example,
 
 from oracles import (exact_ideal_anneal, exact_qubo_anneal, fwht, loop_brute_force_mis,
                      loop_brute_force_qubo, loop_brute_force_wmis, number_state,
-                     population, qubo_energy, zeno_density_oracle)
+                     population, qubo_energy, von_neumann_entropy, zeno_density_oracle)
 
 PHI_Q = 3 * math.pi / 2  # pi/2 total constraint kick
 
@@ -680,9 +680,9 @@ def test_ideal_mixer_bytes_are_guarded_before_eigh(monkeypatch):
     n_independent = sum(
         not any(p[u] and p[v] for u, v in g.edges) for p in product((0, 1), repeat=5))
     nbytes = 8 * n_independent ** 2 + 16 * 32 * n_independent
-    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes)
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
     anneal_ideal(g, make_schedule(4, 1.0))
-    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes - 1)
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes - 1)
     monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError))
     with pytest.raises(ValueError, match=f"ideal mixer would take {nbytes} bytes"):
         anneal_ideal(g, make_schedule(4, 1.0))
@@ -692,9 +692,9 @@ def test_density_state_bytes_are_guarded_before_the_stack(monkeypatch):
     g, con = three_node_line(), ConstraintParams(PHI_Q, GAMMA_T_COHERENT)
     schedules = [make_schedule(4, 1.0), make_schedule(6, 2.0)]
     nbytes = 16 * 2 * 8 ** 2  # two final states in the 2^3 qubit block
-    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes)
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
     anneal_density_batch(g, schedules, [con] * 2)
-    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", nbytes - 1)
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes - 1)
     monkeypatch.setattr(anneal, "_ideal_step", mock.Mock(side_effect=AssertionError))
     with pytest.raises(ValueError, match=f"final density states would take {nbytes} bytes"):
         anneal_density_batch(g, schedules, [con] * 2)

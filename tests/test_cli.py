@@ -2,11 +2,14 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zenoanneal import anneal, experiments, problems
-from zenoanneal.cli import main
+from zenoanneal import anneal, experiments, problems, propagator
+from zenoanneal.cli import _parse_grid, main
 from zenoanneal.propagator import DimensionGuardError
 
 from test_anneal import leaky_gadget, trace_breaking_gadget
@@ -19,6 +22,26 @@ def run(args):
 def read_lines(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(FINITE, min_size=1, max_size=8))
+def test_grid_literals_round_trip(values):
+    assert _parse_grid(" , ".join(map(repr, values)) + ",") == values
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["lin", "log"]), lo=st.floats(1e-6, 1e6), hi=st.floats(1e-6, 1e6),
+       sign=st.sampled_from([1.0, -1.0]), num=st.integers(1, 60))
+def test_lin_and_log_grids_keep_their_count_and_endpoints(kind, lo, hi, sign, num):
+    if kind == "lin":  # a lin grid may cross 0
+        lo *= sign
+    grid = _parse_grid(f"{kind}:{lo!r}:{hi!r}:{num}")
+    assert len(grid) == num and grid[0] == lo
+    assert num == 1 or grid[-1] == hi
 
 
 def test_zeno_onset_csv(tmp_path, capsys):
@@ -102,6 +125,10 @@ NON_FINITE_CASES = [
     ["drive-sweep", "--gammas", "lin:1:2:100000000000"],
     ["zeno-onset", "--nt", "100000000000"],
     ["oracle-check", "--nt", "100000000000"],
+    # counts under that bound whose run arrays are over it: (3e6, 66^2)
+    # trajectory rows, and 1e12 cycles of schedule
+    ["zeno-onset", "--variant", "sfg", "--sfg-ratios", "1", "--nt", "3000000"],
+    ["anneal", "--n-cycles", "1e12", "--r-grid", "4"],
 ]
 
 # A small valid drive sweep; a later repeat of a flag overrides its value.
@@ -167,7 +194,8 @@ DRIVE_SWEEP_SMALL = ["drive-sweep", "--eta-ratios", "0", "--gammas", "1",
         "drive-sweep-inf-log-bound", "drive-sweep-inf-lin-bounds",
         "drive-sweep-overflowing-lin-span", "constraint-sweep-inf-log-bound",
         "drive-sweep-grid-over-byte-bound", "zeno-onset-nt-over-byte-bound",
-        "oracle-check-nt-over-byte-bound",
+        "oracle-check-nt-over-byte-bound", "zeno-onset-trajectory-over-byte-bound",
+        "anneal-cycles-over-byte-bound",
         "drive-sweep-inf-tpa-gamma", "drive-sweep-inf-gamma", "drive-sweep-zero-tpa-gamma",
         "drive-sweep-zero-markov-ratio", "drive-sweep-unreachable-markov-ratio",
         "oracle-check-inf-gamma"])
@@ -219,7 +247,7 @@ def test_qubo_file_over_24_variables_is_a_config_error(tmp_path, capsys, monkeyp
 ], ids=["anneal-ideal", "constraint-sweep-density"])
 def test_graph_over_the_run_byte_bound_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                          command, what):
-    monkeypatch.setattr(anneal, "RUN_BYTES_MAX", 1000)
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", 1000)
     gfile = tmp_path / "line.txt"
     gfile.write_text("0 1\n1 2\n2 3\n")
     assert run([*command, "--graph", gfile, "--out", tmp_path / "x.csv"]) == 1
@@ -325,6 +353,30 @@ def test_mitigate_command(tmp_path):
     assert lines[1].startswith("n_copy,pattern_index")
     # every decoded set independent
     assert all(ln.split(",")[4] == "1" for ln in lines[2:])
+
+
+def test_mitigate_starts_from_the_graphs_own_optimum(tmp_path):
+    # K5 at five copies encodes 25 vertices, past the 2^n search's n <= 24,
+    # but its optimum is the five photons of vertex 0
+    gfile = tmp_path / "k5.txt"
+    gfile.write_text("".join(f"{u} {v}\n" for u, v in combinations(range(5), 2)))
+    out = tmp_path / "mit.csv"
+    assert run(["mitigate", "--graph", gfile, "--n-copies", "5", "--out", out]) == 0
+    rows = [line.split(",") for line in read_lines(out)[2:]]
+    assert len(rows) == 32
+    assert [r[3] for r in rows] == ["1"] * 31 + ["0"]  # lost only with all five
+    assert [r[5] for r in rows] == ["0"] * 31 + ["-"]
+
+
+def test_loss_study_over_the_run_byte_bound_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_bit_table", mock.Mock(side_effect=AssertionError))
+    gfile = tmp_path / "edge.txt"
+    gfile.write_text("0 1\n")
+    assert run(["mitigate", "--graph", gfile, "--n-copies", "24",
+                "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the 24-photon loss study would take ")
+    assert err.count("\n") == 1 and not os.path.exists(tmp_path / "x.csv")
 
 
 def test_timebin_command(tmp_path, capsys):

@@ -19,7 +19,8 @@ from zenoanneal.generators import (annihilation_operator, combine,
                                    tpa_dissipator)
 from zenoanneal.propagator import expm_dense
 
-from oracles import apply_superop, drive_superop, number_state, partial_trace, population
+from oracles import (apply_superop, drive_superop, number_state, partial_trace, population,
+                     validate_density)
 from test_fock import random_density
 
 
@@ -270,7 +271,7 @@ def test_constraint_outputs_valid_states():
     for gt in (GAMMA_T_INCOHERENT, 0.8, GAMMA_T_COHERENT):
         om = constraint_superop(space, 0, 1, ConstraintParams(1.1, gt, eta_t=0.3))
         out = apply_superop(om, random_density(space, seed=32))
-        out.validate()
+        validate_density(out)
 
 
 def test_params_validation_and_labels():
@@ -360,7 +361,7 @@ def test_pump_maps_append_vacuum_and_trace_out(dims, pump_dim):
 
 def assert_density_map(superop, space, seed):
     # apply checks trace and hermiticity within 1e-10
-    apply_superop(superop, random_density(space, seed=seed)).validate()
+    validate_density(apply_superop(superop, random_density(space, seed=seed)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,22 +1,22 @@
 import math
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zenoanneal import problems
+from zenoanneal import experiments, problems, propagator
 from zenoanneal.experiments import mitigation_rows
-from zenoanneal.problems import (brute_force_mis,
-                                 brute_force_qubo, brute_force_wmis,
+from zenoanneal.problems import (brute_force_mis, brute_force_wmis,
                                  complete_graph, five_node_example,
                                  graph_from_edges, loss_injection_batch,
-                                 loss_injection_experiment, mitigation_encode,
                                  parse_edge_list, parse_qubo, three_node_line)
 
-from oracles import (loop_brute_force_mis, loop_brute_force_qubo,
-                     loop_brute_force_wmis, loop_mitigation_rows, mitigation_decode,
+from oracles import (brute_force_qubo, loop_brute_force_mis, loop_brute_force_qubo,
+                     loop_brute_force_wmis, loop_mitigation_rows,
+                     loss_injection_experiment, mitigation_decode, mitigation_encode,
                      qubo_energy)
 
 
@@ -216,6 +216,47 @@ def test_qubo_solver_matches_the_loop_oracle(q):
                          ids=["line", "five-node"])
 def test_mitigation_rows_match_the_per_pattern_oracle(graph, n_copies):
     assert mitigation_rows(graph, n_copies) == loop_mitigation_rows(graph, n_copies)
+
+
+# The encoded search reaches 2^18 assignments at n = 6 and n_copy = 3; its
+# first optimum must be every copy of the graph's own first optimum.
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6), edge_bits=st.integers(0, 2 ** 15 - 1), n_copy=st.integers(1, 3))
+@example(n=6, edge_bits=0, n_copy=2)
+@example(n=6, edge_bits=2 ** 15 - 1, n_copy=3)
+def test_mitigation_rows_match_the_oracle_on_random_graphs(n, edge_bits, n_copy):
+    edges = [e for b, e in enumerate(combinations(range(n), 2)) if edge_bits >> b & 1]
+    g = graph_from_edges(n, edges)
+    assert mitigation_rows(g, [n_copy]) == loop_mitigation_rows(g, [n_copy])
+
+
+def test_loss_study_bytes_are_guarded_before_the_pattern_table(monkeypatch):
+    # three_node_line at two copies: 4 photons, 9 * 4 + 3 * 3 + 32 bytes a pattern
+    nbytes = 77 << 4
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
+    assert len(mitigation_rows(three_node_line(), [2])[1]) == 16
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes - 1)
+    monkeypatch.setattr(experiments, "_bit_table", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match=f"4-photon loss study would take {nbytes} bytes"):
+        mitigation_rows(three_node_line(), [2])
+
+
+def test_mitigation_rows_reject_zero_copies():
+    with pytest.raises(ValueError, match="n_copy must be at least 1"):
+        mitigation_rows(three_node_line(), [1, 0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(edges=st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11))
+                     .filter(lambda e: e[0] != e[1]), min_size=1),
+       weights=st.booleans(), data=st.data())
+def test_edge_list_text_round_trips(edges, weights, data):
+    g = graph_from_edges(max(map(max, edges)) + 1, edges)
+    lines = [f"{u} {v}" + (" 2.5" if weights else "") for u, v in
+             data.draw(st.permutations(sorted(edges)), label="order")]
+    text = "# edges\n" + "\n".join(lines) + "\n\n"
+    parsed = parse_edge_list(text)
+    assert parsed == g and parsed.sorted_edges() == g.sorted_edges()
 
 
 def test_loss_injection_batch_scores_every_row():

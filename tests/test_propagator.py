@@ -15,7 +15,7 @@ from zenoanneal.propagator import (DimensionGuardError, PhaseKernel,
                                    _expm_multiply, build_cache, expm_apply_vec,
                                    expm_dense, trajectory)
 
-from oracles import apply_superop, number_state
+from oracles import apply_superop, number_state, validate_density
 from test_fock import random_density
 
 
@@ -181,7 +181,7 @@ def test_superoperator_output_satisfies_density_invariants():
     gen = random_generator(15, dims=(3, 2))
     rho = random_density(gen.space, seed=16)
     out = apply_superop(expm_dense(gen, 1.3), rho)
-    out.validate()
+    validate_density(out)
 
 
 def test_trajectory_dense_steps_match_interval_and_pointwise_action():

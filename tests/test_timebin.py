@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zenoanneal.problems import complete_graph, graph_from_edges, three_node_line
 from zenoanneal.timebin import (BLOCK_DELAY_HALF_D, CONSTRAINT_ROWS,
@@ -130,3 +131,15 @@ def test_render_program_deterministic():
     assert "# n_bins 4" in a
     data_lines = [ln for ln in a.splitlines() if ln and not ln.startswith("#")]
     assert len(data_lines) == 4 * 4  # n rounds x n bins
+
+
+# Random graphs on 2 to 12 vertices (the compiler needs two bins or more),
+# compiled onto their own bin count or up to two more.
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 12), edge_bits=st.integers(0, 2 ** 66 - 1), extra_bins=st.integers(0, 2))
+def test_compiled_programs_verify_on_random_graphs(n, edge_bits, extra_bins):
+    edges = [e for b, e in enumerate(combinations(range(n), 2)) if edge_bits >> b & 1]
+    g = graph_from_edges(n, edges)
+    report = verify_program(compile_graph_program(g, n + extra_bins), g)
+    assert report.ok and report.violations == []
+    assert report.edges_covered == g.edges

@@ -3,7 +3,7 @@
     python3 tools/bench_record.py --parent ../parent --change . \
         --runs mis-pure:1 density-sweep:1:10 density-sweep:104729:6 \
         --cli constraint-sweep:3 "drive-sweep:3=--eta-ratios 0 --gammas 2,30" \
-        --seconds 30 --out BENCH_8.json
+        --tier1 3 --seconds 30 --out BENCH_8.json
 
 Each ``workload:seed[:pairs]`` entry runs ``perfbench/run.py`` in the parent
 and in the change checkout, ``pairs`` times each (default 1), alternating
@@ -26,6 +26,13 @@ checkout's ``src/`` with BLAS pinned to one thread.  Per
 pair it records both wall times and whether the two output files are
 byte-identical once their ``# config:`` lines (which name the output path)
 are dropped, and the numbers of the lines that differ.
+
+``--tier1 pairs`` runs the tier-1 command (``TIER1``) in both checkouts, in
+alternating pairs, each a fresh process on its checkout's ``src/`` with BLAS
+pinned to one thread and pytest writing junit XML.  Per run it records the
+wall time, the exit code, the test counts and each acceptance criterion's
+(``test_acceptance.py::test_criterion_*``) junit time; the summary gives both
+sides' medians of each.
 """
 
 from __future__ import annotations
@@ -39,8 +46,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 
 BLAS_PIN = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# The repo's tier-1 test command, run from the checkout with its src/ first on PYTHONPATH.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+CRITERION_CLASS, CRITERION_PREFIX = "tests.test_acceptance", "test_criterion_"
 
 
 def _git(checkout: str, *args: str, env=None) -> str:
@@ -127,6 +138,46 @@ def cli_pairs(checkouts: dict[str, str], command: str, pairs: int, flags: list[s
                                                  for r in runs)}
 
 
+def run_tier1(checkout: str, xml_path: str) -> dict:
+    """Wall seconds, exit code, junit test counts and per-criterion seconds
+    of one tier-1 run in ``checkout``."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **BLAS_PIN)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1, f"--junitxml={xml_path}"],
+                          cwd=checkout, env=env, capture_output=True)
+    wall = time.perf_counter() - t0
+    suite = ET.parse(xml_path).getroot()
+    suite = suite if suite.tag == "testsuite" else suite.find("testsuite")
+    criteria = {case.get("name"): float(case.get("time"))
+                for case in suite.iter("testcase")
+                if case.get("classname") == CRITERION_CLASS
+                and case.get("name").startswith(CRITERION_PREFIX)}
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            **{k: int(suite.get(k)) for k in ("tests", "failures", "errors", "skipped")},
+            "criterion_s": criteria}
+
+
+def tier1_pairs(checkouts: dict[str, str], pairs: int) -> dict:
+    """Alternating parent/change tier-1 runs, with both sides' medians."""
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(pairs):
+            run = {"pair": i}
+            for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                run[name] = run_tier1(checkouts[name], os.path.join(tmp, f"{name}_{i}.xml"))
+            runs.append(run)
+            print(f"tier1 pair {i}: {json.dumps(run)}", file=sys.stderr)
+    median = {name: {"wall_s": statistics.median(r[name]["wall_s"] for r in runs),
+                     "criterion_s": {c: statistics.median(r[name]["criterion_s"][c]
+                                                          for r in runs)
+                                     for c in runs[0][name]["criterion_s"]}}
+              for name in ("parent", "change")}
+    return {"command": shlex.join(["python", *TIER1]), "blas_threads": 1,
+            "nproc": os.cpu_count(), "pairs": pairs, "runs": runs, "median": median}
+
+
 def _cli_entry(text: str) -> tuple[str, int, list[str]]:
     """command, command:pairs, either followed by =flags."""
     head, _, flags = text.partition("=")
@@ -190,6 +241,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cli", nargs="*", type=_cli_entry, default=[],
                         help="command[:pairs][=flags] entries, run at the default "
                              "config with any flags on top")
+    parser.add_argument("--tier1", type=int, default=0, metavar="PAIRS",
+                        help="alternating pairs of tier-1 runs with junit XML")
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
@@ -210,6 +263,8 @@ def main(argv=None) -> int:
         record["summary"] += summarize(record["runs"], workload, seed, better_by)
     record["cli"] = [cli_pairs(checkouts, command, pairs, flags)
                      for command, pairs, flags in args.cli]
+    if args.tier1:
+        record["tier1"] = tier1_pairs(checkouts, args.tier1)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
