@@ -125,8 +125,8 @@ NON_FINITE_CASES = [
     ["drive-sweep", "--gammas", "lin:1:2:100000000000"],
     ["zeno-onset", "--nt", "100000000000"],
     ["oracle-check", "--nt", "100000000000"],
-    # counts under that bound whose run arrays are over it: (3e6, 66^2)
-    # trajectory rows, and 1e12 cycles of schedule
+    # counts that reach the run, whose arrays would pass the byte bound:
+    # (3e6, 66^2) complex trajectory rows, and the schedule of 1e12 cycles
     ["zeno-onset", "--variant", "sfg", "--sfg-ratios", "1", "--nt", "3000000"],
     ["anneal", "--n-cycles", "1e12", "--r-grid", "4"],
 ]
