@@ -14,7 +14,7 @@ from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form,
                        pair_coherence_closed_form_uncorrected,
                        pair_coherence_ode, sfg_rate_for_tpa_target)
-# anneal_density is unused here but perfbench/tracing.py binds it.
+# anneal_density and expm_dense are unused here but perfbench/tracing.py binds them.
 from .anneal import (anneal_density, anneal_density_batch, anneal_ideal,
                      anneal_statevector, make_schedule, qubo_anneal)
 from .fock import make_space, vacuum
@@ -32,11 +32,6 @@ DEFAULT_PHI_Q = 3.0 * math.pi / 2.0
 # Drive sweeps keep ten photons below this rate and five from it on; p1 jumps
 # there, so the gamma_99 search never interpolates across it.
 TRUNCATION_SWITCH_GAMMA = 10.0
-# Hilbert dimension up to which a drive point takes one dense exponential, the
-# TPA spaces.  Per point at t = pi/2, timed together on a 2-vCPU VM with one BLAS
-# thread: complex dense 6.0-6.6 ms, real action 10-33 ms at d = 11 (gamma 0.8,
-# 4.6); at d = 18 (ratio 1) 112-129 ms against 91 ms, 443 ms, 5.6 s at gamma 62, 330, 4096.
-DRIVE_DENSE_DIM = 11
 # Smallest eta / gamma_TPA of a Markov curve: a TPA target rate above eta/4
 # has no SFG rate (analytic.sfg_rate_for_tpa_target).
 MARKOV_RATIO_MIN = 4.0
@@ -84,12 +79,8 @@ def _drive_p1(kind: str, gamma: float, eta: float, t: float) -> float:
     n_max = 10 if gamma < TRUNCATION_SWITCH_GAMMA else 5
     gen, space = drive_generator(kind, make_space([n_max + 1]), 0,
                                  c=1.0, gamma=gamma, eta=eta)
-    vec = vacuum(space).to_density().matrix.flatten(order="F")
+    vec = expm_apply_vec(gen, t, vacuum(space).to_density().matrix.flatten(order="F"))
     d = space.total_dim
-    if d <= DRIVE_DENSE_DIM:
-        vec = expm_dense(gen, t) @ vec
-    else:
-        vec = expm_apply_vec(gen, t, vec)
     diag = vec.reshape((d, d), order="F").diagonal().real
     occ = space.occupation_array(0)
     return float(diag[occ == 1].sum())
@@ -344,7 +335,8 @@ def mitigation_rows(graph: ProblemGraph, n_copies):
     """Exhaustive loss-pattern study of the copy encoding: per copy count,
     one :func:`loss_injection_batch` over every subset of the photons of the
     encoded optimum, every copy of each vertex of the graph's first maximum
-    independent set by sorted vertices (the encoding's own first optimum)."""
+    independent set by sorted vertices (the encoding's own first optimum).
+    ``decoded_set`` joins the decoded vertices with "+", "-" when none."""
     header = ["n_copy", "pattern_index", "n_lost", "decode_success",
               "decoded_independent", "decoded_set"]
     n = graph.n_vertices
@@ -364,7 +356,7 @@ def mitigation_rows(graph: ProblemGraph, n_copies):
         samples = np.zeros((len(lost), n * n_copy), dtype=bool)
         samples[:, support] = lost == 0
         out = loss_injection_batch(graph, n_copy, samples)
-        names = ["".join(j for j, d in zip(labels, row) if d) or "-"
+        names = ["+".join(j for j, d in zip(labels, row) if d) or "-"
                  for row in out["decoded"].tolist()]
         rows += zip([n_copy] * len(lost), range(len(lost)), lost.sum(axis=1).tolist(),
                     out["success"].astype(int).tolist(),

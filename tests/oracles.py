@@ -312,5 +312,5 @@ def loop_mitigation_rows(graph, n_copies):
             decoded = mitigation_decode([i in kept for i in range(encoded.n_vertices)], n_copy)
             rows.append((n_copy, pattern_idx, len(support) - len(kept),
                          int(decoded in optima), int(is_independent(graph, decoded)),
-                         "".join(str(v) for v in sorted(decoded)) or "-"))
+                         "+".join(str(v) for v in sorted(decoded)) or "-"))
     return header, rows

@@ -368,6 +368,24 @@ def test_mitigate_starts_from_the_graphs_own_optimum(tmp_path):
     assert [r[5] for r in rows] == ["0"] * 31 + ["-"]
 
 
+def test_mitigate_names_each_decoded_set_by_one_string(tmp_path):
+    # from 13 vertices on, labels joined without a separator read "12" for both
+    # {1, 2} and {12}; the optimum {1, ..., 12} loses support[b] at bit b
+    gfile = tmp_path / "star.txt"
+    gfile.write_text("0 12\n0 1\n0 2\n")
+    out = tmp_path / "mit.csv"
+    assert run(["mitigate", "--graph", gfile, "--n-copies", "1", "--out", out]) == 0
+    rows = [line.split(",") for line in read_lines(out)[2:]]
+    assert len(rows) == 1 << 12
+    sets = {}
+    for row in rows:
+        index = int(row[1])
+        kept = frozenset(v for b, v in enumerate(range(1, 13)) if not (index >> b) & 1)
+        sets.setdefault(row[5], set()).add(kept)
+    assert all(len(named) == 1 for named in sets.values())
+    assert sets["1+2"] == {frozenset({1, 2})} and sets["12"] == {frozenset({12})}
+
+
 def test_loss_study_over_the_run_byte_bound_is_a_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(experiments, "_bit_table", mock.Mock(side_effect=AssertionError))
     gfile = tmp_path / "edge.txt"

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from zenoanneal import experiments, gadgets, generators
-from zenoanneal.experiments import _drive_p1, drive_sweep_rows, gamma_99
+from zenoanneal.experiments import (CRITICAL_ETA_FACTOR, _drive_p1, drive_sweep_rows,
+                                    gamma_99)
+from zenoanneal.fock import make_space, vacuum
 from zenoanneal.generators import GeneratorSpec
+from zenoanneal.propagator import expm_dense
 
 # 40-step log bisection of ratio 0.005 on [10.3, 20]
 BISECTION_ROOT = 11.192354026870767
@@ -111,16 +115,25 @@ def test_drive_sweep_stops_curve_at_target(evaluated):
 
 @pytest.mark.parametrize("gamma", [0.8, 4.6, 20.0])
 def test_tpa_dense_path_matches_action_path(monkeypatch, gamma):
-    dense_calls = []
-    expm_dense = experiments.expm_dense
+    # the TPA spaces, d = 11 and 6, take the action like every drive point
     monkeypatch.setattr(experiments, "expm_dense",
-                        lambda *a, **k: dense_calls.append(a) or expm_dense(*a, **k))
-    dense = _drive_p1("tpa", gamma, 0.0, math.pi / 2)
-    assert len(dense_calls) == 1
-    monkeypatch.setattr(experiments, "DRIVE_DENSE_DIM", 0)
+                        lambda *a, **k: pytest.fail("a TPA point went dense"))
     action = _drive_p1("tpa", gamma, 0.0, math.pi / 2)
-    assert len(dense_calls) == 1
-    assert abs(dense - action) < 1e-12
+    gen, space = gadgets.drive_generator("tpa", make_space([11 if gamma < 10 else 6]), 0,
+                                         c=1.0, gamma=gamma)
+    vec = expm_dense(gen, math.pi / 2) @ vacuum(space).to_density().matrix.flatten(order="F")
+    p1 = vec.reshape(space.total_dim, -1, order="F").diagonal().real[1]
+    assert abs(action - p1) < 1e-12
+
+
+@pytest.mark.parametrize("kind, gamma, ratio", [("sfg", 4.6, 0.3), ("sfg", 330.174958128, 1.0),
+                                                ("tpa", 4.6, 0.0)])
+def test_drive_points_leave_the_global_rng_and_expm_multiply_alone(monkeypatch, kind, gamma,
+                                                                   ratio):
+    for owner, name in ((np.random, "seed"), (np.random, "get_state"),
+                        (np.random, "set_state"), (scipy.sparse.linalg, "expm_multiply")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: pytest.fail(name))
+    assert 0.0 <= _drive_p1(kind, gamma, ratio * CRITICAL_ETA_FACTOR * gamma, math.pi / 2) <= 1.0
 
 
 @pytest.mark.parametrize("gamma", [4.6, 20.0])

@@ -1,19 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from zenoanneal import propagator
-from zenoanneal.fock import make_space
+from zenoanneal.experiments import CRITICAL_ETA_FACTOR
+from zenoanneal.fock import make_space, vacuum
 from zenoanneal.gadgets import drive_generator
 from zenoanneal.generators import (GeneratorSpec, combine,
-                                   displacement_generator, loss_dissipator,
-                                   phase_generator, tpa_dissipator)
-from zenoanneal.propagator import (DimensionGuardError, PhaseKernel,
-                                   _expm_multiply, build_cache, expm_apply_vec,
-                                   expm_dense, trajectory)
+                                   displacement_generator, hermitian_basis,
+                                   loss_dissipator, phase_generator,
+                                   tpa_dissipator)
+from zenoanneal.propagator import (DimensionGuardError, NonConvergenceError, PhaseKernel,
+                                   _expm_multiply, _krylov_expv, build_cache,
+                                   expm_apply_vec, expm_dense, trajectory)
 
 from oracles import apply_superop, number_state, validate_density
 from test_fock import random_density
@@ -279,3 +283,117 @@ def test_action_path_refuses_a_non_hermitian_hamiltonian():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagator, "DENSE_DIM_THRESHOLD", 0)
             trajectory(gen, np.linspace(0.0, 0.5, 3), vec)
+
+
+def krylov_on_vec(gen, t, vec):
+    """``_krylov_expv`` on the real coordinates of a Hermitian ``vec``, mapped back."""
+    basis = hermitian_basis(gen.space.total_dim)
+    coords = basis.conj().T @ vec
+    assert np.max(np.abs(coords.imag)) < 1e-15
+    return basis @ _krylov_expv(gen.real_matrix * t, coords.real)
+
+
+@pytest.mark.parametrize("gamma", [62.0, 330.174958128, 4096.0])
+def test_krylov_matches_complex_dense_at_stiff_drive_points(gamma):
+    # the ratio-1 coherence points at d = 18, |tG|_1 from 3.4e3 to 2.2e5
+    gen, space = drive_generator("sfg", make_space([6]), 0, c=1.0, gamma=gamma,
+                                 eta=CRITICAL_ETA_FACTOR * gamma)
+    assert space.total_dim == 18
+    vec = vacuum(space).to_density().matrix.flatten(order="F")
+    t = math.pi / 2
+    assert np.max(np.abs(krylov_on_vec(gen, t, vec) - expm_dense(gen, t) @ vec)) <= 1e-11
+
+
+def counted_expm(monkeypatch):
+    """Sizes of the small exponentials the Krylov steps take, in order."""
+    sizes = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: sizes.append(len(a)) or expm(a))
+    return sizes
+
+
+def test_krylov_breaks_down_happily_on_a_space_smaller_than_its_basis(monkeypatch):
+    gen = random_generator(24)  # d = 3: nine real coordinates
+    vec = random_density(gen.space, seed=25).matrix.flatten(order="F")
+    sizes = counted_expm(monkeypatch)
+    out = krylov_on_vec(gen, 40.0, vec)
+    assert sizes == [9]  # the whole space in one step
+    assert np.max(np.abs(out - expm_dense(gen, 40.0) @ vec)) <= 1e-12
+
+
+def test_krylov_takes_an_invariant_vector_in_one_step(monkeypatch):
+    space = make_space([4])
+    vec = vacuum(space).to_density().matrix.flatten(order="F")
+    sizes = counted_expm(monkeypatch)
+    out = krylov_on_vec(tpa_dissipator(space, 0), 3.0, vec)  # vacuum is stationary
+    assert sizes == [1]
+    assert np.max(np.abs(out - vec)) <= 1e-15
+
+
+def test_krylov_at_zero_time_and_on_a_zero_vector():
+    gen = random_generator(26, dims=(3, 2))
+    vec = random_density(gen.space, seed=27).matrix.flatten(order="F")
+    coords = np.random.default_rng(28).normal(size=36)
+    assert np.array_equal(_krylov_expv(gen.real_matrix * 0.0, coords), coords)
+    assert np.max(np.abs(expm_apply_vec(gen, 0.0, vec) - vec)) <= 1e-15  # U U^dag round-off
+    assert np.array_equal(_krylov_expv(gen.real_matrix, np.zeros(36)), np.zeros(36))
+    zero = np.zeros_like(vec)
+    assert np.array_equal(expm_apply_vec(gen, 0.7, zero), zero)
+
+
+def test_krylov_action_takes_a_second_column_for_a_non_hermitian_vec(monkeypatch):
+    gen = random_generator(29, dims=(4, 2))  # 64 real coordinates, past the basis size
+    rng = np.random.default_rng(30)
+    vec = random_vec(rng, gen.space.total_dim, hermitian=False)
+    columns = []
+    krylov = propagator._krylov_expv
+    monkeypatch.setattr(propagator, "_krylov_expv",
+                        lambda a, v: columns.append(v) or krylov(a, v))
+    out = expm_apply_vec(gen, 1.3, vec)
+    assert len(columns) == 2
+    assert np.max(np.abs(out - expm_dense(gen, 1.3) @ vec)) <= 1e-12
+
+
+def test_krylov_action_refuses_a_non_finite_vec():
+    gen = random_generator(32)
+    vec = random_density(gen.space, seed=33).matrix.flatten(order="F")
+    vec[0] = np.nan
+    with pytest.raises(NonConvergenceError, match="not finite"):
+        expm_apply_vec(gen, 0.5, vec)
+
+
+def guarded_peak(monkeypatch, gen, times, vec):
+    """(bytes trajectory's guard counted, tracemalloc peak of the call)."""
+    counted = []
+    guard = propagator._guard_bytes
+    monkeypatch.setattr(propagator, "_guard_bytes",
+                        lambda nbytes, what: counted.append(nbytes) or guard(nbytes, what))
+    trajectory(gen, times[:2], vec)  # build the cached generator forms and basis first
+    counted.clear()
+    tracemalloc.start()
+    try:
+        trajectory(gen, times, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1
+    return counted[0], peak
+
+
+@pytest.mark.parametrize("variant, truncation, n_t", [("sfg", 11, 500), ("tpa", 21, 20),
+                                                      ("tpa", 11, 2000)])
+def test_trajectory_guard_counts_its_peak(monkeypatch, variant, truncation, n_t):
+    # the action interval at d = 66, and dense steps where the exponential
+    # or the rows dominate
+    gen, space = drive_generator(variant, make_space([truncation]), 0, c=1.0, gamma=1.0)
+    vec = vacuum(space).to_density().matrix.flatten(order="F")
+    guarded, peak = guarded_peak(monkeypatch, gen, np.linspace(0.0, 0.25, n_t), vec)
+    assert peak <= guarded
+
+
+def test_trajectory_guard_counts_the_second_column_of_a_non_hermitian_vec(monkeypatch):
+    gen, space = drive_generator("sfg", make_space([11]), 0, c=1.0, gamma=1.0)
+    rng = np.random.default_rng(31)
+    vec = random_vec(rng, space.total_dim, hermitian=False)
+    guarded, peak = guarded_peak(monkeypatch, gen, np.linspace(0.0, 0.25, 200), vec)
+    assert peak <= guarded
