@@ -27,6 +27,11 @@ pair it records both wall times and whether the two output files are
 byte-identical once their ``# config:`` lines (which name the output path)
 are dropped, and the numbers of the lines that differ.
 
+Each ``--traced workload:seed[:pairs]`` entry runs ``perfbench/run.py --trace 1``
+in both checkouts, alternating, for ``TRACED_SECONDS``: perfbench always runs
+its first round, so each run traces one op of every class, and the record
+keeps its per-layer metrics and self times.
+
 ``--tier1 pairs`` runs the tier-1 command (``TIER1``) in both checkouts, in
 alternating pairs, each a fresh process on its checkout's ``src/`` with BLAS
 pinned to one thread and pytest writing junit XML.  Per run it records the
@@ -52,6 +57,8 @@ BLAS_PIN = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 # The repo's tier-1 test command, run from the checkout with its src/ first on PYTHONPATH.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 CRITERION_CLASS, CRITERION_PREFIX = "tests.test_acceptance", "test_criterion_"
+# Shorter than any op, so a traced run stops after the round that always runs.
+TRACED_SECONDS = 1e-3
 
 
 def _git(checkout: str, *args: str, env=None) -> str:
@@ -85,10 +92,11 @@ def describe(checkout: str) -> dict:
             "src_tree": src_tree, "src_lines": src_lines(checkout)}
 
 
-def run_perfbench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_perfbench(checkout: str, workload: str, seed: int, seconds: float,
+                  trace: int = 0) -> dict:
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, check=True, text=True, capture_output=True).stdout
     env_line, result_line = out.strip().splitlines()[-2:]
     return {**json.loads(env_line), "result": json.loads(result_line)}
@@ -241,6 +249,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cli", nargs="*", type=_cli_entry, default=[],
                         help="command[:pairs][=flags] entries, run at the default "
                              "config with any flags on top")
+    parser.add_argument("--traced", nargs="*", type=_pair, default=[],
+                        help="workload:seed[:pairs] entries, each run traced for one round")
     parser.add_argument("--tier1", type=int, default=0, metavar="PAIRS",
                         help="alternating pairs of tier-1 runs with junit XML")
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -261,6 +271,13 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} pair {i} {name}: "
                       f"{json.dumps(run['result']['metrics'])}", file=sys.stderr)
         record["summary"] += summarize(record["runs"], workload, seed, better_by)
+    record["traced"] = []
+    for workload, seed, pairs in args.traced:
+        for i in range(pairs):
+            for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                run = run_perfbench(checkouts[name], workload, seed, TRACED_SECONDS, trace=1)
+                record["traced"].append({"checkout": name, "workload": workload,
+                                         "seed": seed, "pair": i, **run})
     record["cli"] = [cli_pairs(checkouts, command, pairs, flags)
                      for command, pairs, flags in args.cli]
     if args.tier1:
