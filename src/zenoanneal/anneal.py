@@ -285,6 +285,9 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     n = graph.n_vertices
     weights = graph.weights or (1.0,) * n
 
+    space = make_space([2 if in_block else mode_dim] * n)
+    obs = _Observables(space, graph)
+    _guard_bytes(16 * len(schedules) * space.total_dim ** 2, "the final density states")
     edges = graph.sorted_edges()
     gadgets = dict.fromkeys(constraints, (None, None, 0.0))
     for con in gadgets if edges else ():
@@ -297,9 +300,6 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
                 raise NonConvergenceError(
                     f"edge gadget moves {block_leak:.3e} out of the 0/1 block "
                     f"(tolerance {BLOCK_LEAK_TOL:g})")
-    space = make_space([2 if in_block else mode_dim] * n)
-    obs = _Observables(space, graph)
-    _guard_bytes(16 * len(schedules) * space.total_dim ** 2, "the final density states")
     step = (_ideal_step(n, obs.number) if in_block else
             _zeno_step(space, weights, drive, drive_mode, schedules[0].c))
 

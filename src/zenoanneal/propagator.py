@@ -4,25 +4,34 @@ Entry points:
 
 * :func:`expm_dense` materializes exp(t G) as a dense superoperator, up to
   Hilbert dimension ``DENSE_DIM_THRESHOLD``,
-* :func:`expm_apply_vec` computes the action on one vectorized state
-  without ever forming the dense matrix: Krylov (Arnoldi) steps with the a
-  posteriori step control of Expokit's dgexpv (Saad, SIAM J. Numer. Anal. 29,
-  1992; Sidje, ACM TOMS 24, 1998), from exact norms and no random estimator,
-* :func:`trajectory` returns the states on an evenly spaced time grid from 0:
-  one dense step raised to successive powers up to ``DENSE_DIM_THRESHOLD``,
-  above it scipy's ``expm_multiply`` interval form (Al-Mohy & Higham, SIAM J.
-  Sci. Comput. 33, 2011), which reaches every grid point from one set of
-  Taylor steps; Krylov steps taken grid interval by grid interval were 3-9x
-  slower on the SFG ratios of the default zeno-onset,
+* :func:`expm_apply_vec` computes exp(t G) vec for one vectorized state,
+* :func:`trajectory` returns the states on an evenly spaced time grid from 0,
 * :class:`BinaryExpCache` (:func:`build_cache`) precomputes exponentials for
   halved durations; :meth:`BinaryExpCache.matrix_for` composes them into the
   map for any per-cycle time, so a sweep never exponentiates inside its
   inner loop.
 
-The action paths run on real coordinates: G keeps matrices Hermitian, so in
+The two state paths run on real coordinates: G keeps matrices Hermitian, so in
 the orthonormal Hermitian basis U it is the real ``GeneratorSpec.real_matrix``
-U^dag G U, a Hermitian state has real coordinates U^dag vec(rho), and every
-matvec and norm is real, which is cheaper than complex.
+a = U^dag G U, and a Hermitian state has real coordinates U^dag vec(rho).  They
+propagate only the block R of coordinates reachable from the state's support
+along the nonzeros of a: a is closed on R, so the rest stays exactly 0, with no
+symmetry assumed in code.  For a drive started at the vacuum R is half the
+space: the drive Hamiltonians are real and odd under the photon parity P, the
+jumps real and P-covariant, so rho(t) = P rho(t)* P and only the D(D+1)/2
+coordinates of one parity pattern are reachable (the weak-symmetry block
+reduction of Buca & Prosen, New J. Phys. 14, 2012): 171 of 324 at D = 18.
+
+One rule for both paths: a block of up to ``DENSE_BLOCK_MAX`` coordinates takes
+one real dense exponential (scaling and squaring, Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 31, 2009), whose cost does not grow with |tG|; a larger
+block takes, for a point, Krylov (Arnoldi) steps with the a posteriori step
+control of Expokit's dgexpv (Saad, SIAM J. Numer. Anal. 29, 1992; Sidje, ACM
+TOMS 24, 1998), from exact norms and no random estimator, and for a trajectory
+scipy's ``expm_multiply`` interval form (Al-Mohy & Higham, SIAM J. Sci. Comput.
+33, 2011), which reaches every grid point from one set of Taylor steps; Krylov
+steps taken grid interval by grid interval were 3-9x slower on the SFG ratios
+of the default zeno-onset.
 
 Phase rotations additionally get :class:`PhaseKernel`: the superoperator of a
 weighted photon-number rotation is diagonal in the number basis, so applying
@@ -37,13 +46,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import breadth_first_order
 
 from .fock import FockSpace
 from .generators import GeneratorSpec, hermitian_basis
 
-# Dense exponentiation is allowed up to this Hilbert-space dimension;
-# larger problems take the action path.
+# expm_dense's superoperators are allowed up to this Hilbert-space dimension.
 DENSE_DIM_THRESHOLD = 64
+
+# Largest block, in real coordinates, that takes a dense exponential; larger
+# blocks take Krylov steps (points) or the expm_multiply interval (trajectories).
+DENSE_BLOCK_MAX = 600
+
+# Rows mapped back from real coordinates per sparse product.
+MAP_ROWS = 64
 
 # Krylov basis size and tolerance, relative to |vec|, of the point action.
 KRYLOV_DIM = 30
@@ -81,43 +97,50 @@ def expm_dense(gen: GeneratorSpec, t: float) -> np.ndarray:
     if d > DENSE_DIM_THRESHOLD:
         raise DimensionGuardError(
             f"total_dim {d} exceeds dense cap {DENSE_DIM_THRESHOLD}; use expm_apply_vec")
+    # ten (D^2, D^2) complex matrices: scipy's expm holds up to nine at once
+    _guard_bytes(160 * d ** 4, "the dense exponential")
     mat = scipy.linalg.expm((t * gen.matrix).toarray())
     if not np.all(np.isfinite(mat)):
         raise NonConvergenceError("matrix exponential produced non-finite entries")
     return mat
 
 
-def _on_real_coords(vec: np.ndarray, action) -> np.ndarray:
-    """``action`` on the real coordinates U^dag vec in the Hermitian basis U
-    (one column, and a second only for an anti-Hermitian part), mapped back by
-    U a vector or row at a time, so no complex copy of its output is made
-    besides the result."""
+def _block(a, cols: np.ndarray) -> np.ndarray:
+    """Sorted real coordinates reachable from the support of ``cols`` along the
+    nonzeros of ``a`` (edge j -> i where a[i, j] != 0): a is closed on them, so
+    exp(a) v is exp(a[R, R]) v[R] on the block R and exactly 0 off it."""
+    start = np.flatnonzero(cols.reshape(len(cols), -1).any(1))
+    # a.T with one extra node n whose edges lead to every start: one search
+    csc, n = a.tocsc(), a.shape[0]
+    indices = np.concatenate([csc.indices, start])
+    graph = scipy.sparse.csr_array((np.ones(indices.size), indices,
+                                    np.append(csc.indptr, indices.size)), shape=(n + 1, n + 1))
+    return np.sort(breadth_first_order(graph, n, return_predecessors=False)[1:])
+
+
+def _on_block(a, vec: np.ndarray, action) -> np.ndarray:
+    """``action(a[R, R], cols[R])`` on the real coordinates cols = U^dag vec in
+    the Hermitian basis U (one column, and a second only for an anti-Hermitian
+    part) and their :func:`_block` R, mapped back by U ``MAP_ROWS`` rows at a
+    time, so no complex copy of its whole output is made besides the result."""
     basis = hermitian_basis(math.isqrt(vec.shape[-1]))
     coords = basis.conj().T @ vec
     two = bool(np.any(coords.imag))
-    out = action(np.stack([coords.real, coords.imag], -1) if two else coords.real)
+    cols = np.stack([coords.real, coords.imag], -1) if two else coords.real
+    block = _block(a, cols)
+    a, cols, basis = a[block][:, block], cols[block], basis[:, block]
+    if not (np.isfinite(a.data).all() and np.isfinite(cols).all()):
+        raise NonConvergenceError("the action's matrix or vector is not finite")
+    out = action(a, cols)
     if not np.all(np.isfinite(out)):
         raise NonConvergenceError("the action produced non-finite values")
     lead = out.shape[:out.ndim - 1 - two]
-    rows = np.empty(lead + vec.shape[-1:], dtype=complex)
-    for i in np.ndindex(lead):
-        rows[i] = basis @ (out[i] @ [1.0, 1j] if two else out[i])
-    return rows
-
-
-def _expm_multiply(real_matrix, vec: np.ndarray, **interval) -> np.ndarray:
-    """scipy's expm_multiply interval form (``trajectory``'s action branch) of
-    a ``GeneratorSpec.real_matrix`` on the real coordinates of ``vec``."""
-    # expm_multiply picks its degree and step count from onenormest, which
-    # draws from NumPy's global RNG; a fixed state makes the result repeat
-    # from run to run, and the caller's state is put back afterwards.
-    rng_state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return _on_real_coords(vec, lambda cols: scipy.sparse.linalg.expm_multiply(
-            real_matrix, cols, **interval))
-    finally:
-        np.random.set_state(rng_state)
+    out = out.reshape((math.prod(lead),) + out.shape[len(lead):])
+    rows = np.empty((len(out), vec.shape[-1]), dtype=complex)
+    for i in range(0, len(out), MAP_ROWS):
+        part = out[i:i + MAP_ROWS]
+        rows[i:i + MAP_ROWS] = (basis @ (part @ [1.0, 1j] if two else part).T).T
+    return rows.reshape(lead + vec.shape[-1:])
 
 
 def _round_step(t: float) -> float:
@@ -144,8 +167,6 @@ def _krylov_expv(a, v: np.ndarray) -> np.ndarray:
     anorm = abs(a).sum(0).max()
     w = np.array(v, dtype=float)
     beta = np.linalg.norm(w)
-    if not np.isfinite([anorm, beta]).all():
-        raise NonConvergenceError("the action's matrix or vector is not finite")
     if beta == 0.0 or anorm == 0.0:
         return w
     tol, rndoff = KRYLOV_TOL * beta, anorm * np.finfo(float).eps
@@ -190,21 +211,27 @@ def _krylov_expv(a, v: np.ndarray) -> np.ndarray:
 
 
 def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
-    """exp(t G) vec without forming the dense matrix, by :func:`_krylov_expv`
-    on the real coordinates of the module docstring, one column at a time;
-    ValueError if G does not keep matrices Hermitian."""
+    """exp(t G) vec on the block of the module docstring: the real dense
+    exponential up to ``DENSE_BLOCK_MAX`` coordinates, above it
+    :func:`_krylov_expv` one column at a time; ValueError if G does not keep
+    matrices Hermitian."""
     _check_time(gen, t)
-    a = gen.real_matrix * t
-    return _on_real_coords(vec, lambda cols: np.apply_along_axis(
-        lambda col: _krylov_expv(a, col), 0, cols))
+
+    def action(a, cols):
+        if len(cols) <= DENSE_BLOCK_MAX:
+            return scipy.linalg.expm(a.toarray()) @ cols
+        return np.apply_along_axis(lambda col: _krylov_expv(a, col), 0, cols)
+    return _on_block(gen.real_matrix * t, vec, action)
 
 
 def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
     """Rows vec(rho(t)) for each t in ``times``, starting from vec(rho(0)) = vec.
 
-    ``times`` must be evenly spaced from 0 with at least two points.  Above
-    ``DENSE_DIM_THRESHOLD`` the expm_multiply interval runs on real
-    coordinates.  Each branch checks the bytes it peaks at against
+    ``times`` must be evenly spaced from 0 with at least two points.  On the
+    block of the module docstring: up to ``DENSE_BLOCK_MAX`` coordinates one
+    real dense exponential of the grid step, applied row after row; above it
+    scipy's expm_multiply interval form, which reaches every grid point from
+    one set of Taylor steps.  Each branch checks the bytes it peaks at against
     ``RUN_BYTES_MAX`` before it allocates.
     """
     times = np.asarray(times, dtype=float)
@@ -213,26 +240,36 @@ def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
             atol=1e-12 * abs(times[-1])):
         raise ValueError("trajectory times must be an evenly spaced grid of "
                          "at least two points starting at 0")
-    n, d2 = len(times), gen.space.total_dim ** 2
-    if gen.space.total_dim > DENSE_DIM_THRESHOLD:
-        # expm_multiply's real rows (one or two columns), the complex rows, and
-        # eight complex vectors for the coordinates and the row-by-row fill
-        basis = hermitian_basis(gen.space.total_dim)
-        columns = 1 + bool(np.any((basis.conj().T @ vec).imag))
-        _guard_bytes(((16 + 8 * columns) * n + 128) * d2, "the trajectory rows")
-        _check_time(gen, times[-1])
-        return _expm_multiply(gen.real_matrix, vec, start=0.0, stop=float(times[-1]),
-                              num=n, endpoint=True)
-    # the complex rows, and ten (D^2, D^2) complex matrices: scipy's expm holds
-    # up to nine at once (tracemalloc), and the step outlives it
-    _guard_bytes(16 * (n + 10 * d2) * d2, "the trajectory rows")
-    # One dense exponential of the step, then matrix-vector iteration;
-    # robust to stiff generators where series stepping crawls.
-    step = expm_dense(gen, float(times[1]))
-    rows = np.empty((n, d2), dtype=complex)
-    rows[0] = vec
-    for i in range(1, n):
-        np.matmul(step, rows[i - 1], out=rows[i])
+    _check_time(gen, times[-1])
+    n = len(times)
+
+    def action(a, cols):
+        dense = len(cols) <= DENSE_BLOCK_MAX
+        # the complex rows, three complex copies of the rows mapped back at
+        # once, eight complex vectors, the real block rows, eight copies of
+        # the block matrix (12 bytes a nonzero), and for the dense step ten
+        # (R, R) real matrices: scipy's expm holds up to nine at once
+        _guard_bytes(16 * (n + 3 * min(n, MAP_ROWS) + 8) * vec.size + 8 * n * cols.size
+                     + 96 * a.nnz + 80 * len(cols) ** 2 * dense, "the trajectory rows")
+        if dense:
+            step = scipy.linalg.expm(float(times[1]) * a.toarray())
+            out = np.empty((n,) + cols.shape)
+            out[0] = cols
+            for i in range(1, n):
+                np.matmul(step, out[i - 1], out=out[i])
+            return out
+        # expm_multiply picks its degree and step count from onenormest, which
+        # draws from NumPy's global RNG; a fixed state makes the result repeat
+        # from run to run, and the caller's state is put back afterwards.
+        rng_state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            return scipy.sparse.linalg.expm_multiply(a, cols, start=0.0, stop=float(times[-1]),
+                                                     num=n, endpoint=True)
+        finally:
+            np.random.set_state(rng_state)
+    rows = _on_block(gen.real_matrix, vec, action)
+    rows[0] = vec  # exact, not U U^dag vec
     return rows
 
 

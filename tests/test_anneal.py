@@ -692,6 +692,10 @@ def test_density_state_bytes_are_guarded_before_the_stack(monkeypatch):
     g, con = three_node_line(), ConstraintParams(PHI_Q, GAMMA_T_COHERENT)
     schedules = [make_schedule(4, 1.0), make_schedule(6, 2.0)]
     nbytes = 16 * 2 * 8 ** 2  # two final states in the 2^3 qubit block
+    # the edge gadget built first, under the default bound: its own dense
+    # exponentials are guarded too, at 160 D^4 bytes for its D = 6 pump space
+    gadget = constraint_superop(make_space([3, 3]), 0, 1, con)
+    monkeypatch.setattr(anneal, "constraint_superop", lambda *args: gadget)
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
     anneal_density_batch(g, schedules, [con] * 2)
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes - 1)

@@ -16,8 +16,8 @@ from zenoanneal.generators import (GeneratorSpec, combine,
                                    loss_dissipator, phase_generator,
                                    tpa_dissipator)
 from zenoanneal.propagator import (DimensionGuardError, NonConvergenceError, PhaseKernel,
-                                   _expm_multiply, _krylov_expv, build_cache,
-                                   expm_apply_vec, expm_dense, trajectory)
+                                   _block, _krylov_expv, build_cache, expm_apply_vec,
+                                   expm_dense, trajectory)
 
 from oracles import apply_superop, number_state, validate_density
 from test_fock import random_density
@@ -188,14 +188,14 @@ def test_superoperator_output_satisfies_density_invariants():
     validate_density(out)
 
 
-def test_trajectory_dense_steps_match_interval_and_pointwise_action():
+def test_trajectory_dense_steps_match_interval_and_pointwise_action(monkeypatch):
     gen = random_generator(17, dims=(4, 2))
-    assert gen.space.total_dim <= 64
     vec = random_density(gen.space, seed=18).matrix.flatten(order="F")
     times = np.linspace(0.0, 2.5, 26)
     dense = trajectory(gen, times, vec)
-    interval = _expm_multiply(gen.real_matrix, vec, start=0.0, stop=2.5, num=26,
-                              endpoint=True)
+    monkeypatch.setattr(propagator, "DENSE_BLOCK_MAX", 0)  # the interval branch
+    interval = trajectory(gen, times, vec)
+    monkeypatch.undo()
     assert dense.shape == interval.shape == (26, vec.size)
     assert np.array_equal(dense[0], vec)
     assert np.max(np.abs(dense - interval)) < 1e-12
@@ -263,12 +263,17 @@ def test_dense_action_and_cache_agree_on_random_master_equations(dims, n_jumps, 
     cached = build_cache(gen, t_max, 30).matrix_for(t) @ vec
     for a, b in ((dense, action), (dense, cached), (action, cached)):
         assert np.max(np.abs(a - b)) <= 1e-10
-    # the interval branch of trajectory, forced below the dense cap
+    # the dense-block branch of trajectory, and with no block dense, the
+    # Krylov point action and the interval branch (a random state's block is
+    # the whole space)
     times = np.linspace(0.0, t, 4)
     expect = [expm_dense(gen, float(s)) @ vec for s in times]
+    assert np.max(np.abs(trajectory(gen, times, vec) - expect)) <= 1e-10
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagator, "DENSE_DIM_THRESHOLD", 0)
+        mp.setattr(propagator, "DENSE_BLOCK_MAX", 0)
+        action = expm_apply_vec(gen, t, vec)
         rows = trajectory(gen, times, vec)
+    assert np.max(np.abs(dense - action)) <= 1e-10
     assert np.max(np.abs(rows - expect)) <= 1e-10
 
 
@@ -281,7 +286,7 @@ def test_action_path_refuses_a_non_hermitian_hamiltonian():
         expm_apply_vec(gen, 0.5, vec)
     with pytest.raises(ValueError, match="Hermitian"):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(propagator, "DENSE_DIM_THRESHOLD", 0)
+            mp.setattr(propagator, "DENSE_BLOCK_MAX", 0)
             trajectory(gen, np.linspace(0.0, 0.5, 3), vec)
 
 
@@ -302,6 +307,39 @@ def test_krylov_matches_complex_dense_at_stiff_drive_points(gamma):
     vec = vacuum(space).to_density().matrix.flatten(order="F")
     t = math.pi / 2
     assert np.max(np.abs(krylov_on_vec(gen, t, vec) - expm_dense(gen, t) @ vec)) <= 1e-11
+
+
+@pytest.mark.parametrize("kind, truncation, gamma", [("sfg", 6, 62.0), ("sfg", 6, 330.174958128),
+                                                     ("sfg", 6, 4096.0), ("tpa", 11, 4.6)])
+def test_block_dense_and_block_krylov_match_complex_dense(monkeypatch, kind, truncation, gamma):
+    # drive points from the vacuum, with the dense cap at the block size and
+    # one below it: one exponential of the block, or Krylov steps on it
+    eta = CRITICAL_ETA_FACTOR * gamma if kind == "sfg" else 0.0
+    gen, space = drive_generator(kind, make_space([truncation]), 0, c=1.0, gamma=gamma, eta=eta)
+    d = space.total_dim
+    vec = vacuum(space).to_density().matrix.flatten(order="F")
+    t = math.pi / 2
+    expect = expm_dense(gen, t) @ vec
+    sizes = counted_expm(monkeypatch)
+    for cap, dense in ((d * (d + 1) // 2, True), (d * (d + 1) // 2 - 1, False)):
+        monkeypatch.setattr(propagator, "DENSE_BLOCK_MAX", cap)
+        sizes.clear()
+        out = expm_apply_vec(gen, t, vec)
+        assert (sizes == [cap]) == dense
+        assert np.max(np.abs(out - expect)) <= 1e-11
+
+
+@pytest.mark.parametrize("kind, truncation", [("sfg", 6), ("sfg", 11), ("tpa", 11), ("tpa", 31)])
+def test_vacuum_block_is_half_the_real_coordinates(kind, truncation):
+    # the D(D + 1)/2 coordinates of one parity pattern, closed under the generator
+    gen, space = drive_generator(kind, make_space([truncation]), 0, c=1.0, gamma=3.0,
+                                 eta=2.0 if kind == "sfg" else 0.0)
+    d = space.total_dim
+    coords = (hermitian_basis(d).conj().T @ vacuum(space).to_density().matrix.flatten(order="F"))
+    block = _block(gen.real_matrix, coords.real)
+    assert len(block) == d * (d + 1) // 2 and np.all(np.diff(block) > 0)
+    rest = np.setdiff1d(np.arange(d * d), block)
+    assert gen.real_matrix[rest][:, block].nnz == 0
 
 
 def counted_expm(monkeypatch):
@@ -345,12 +383,23 @@ def test_krylov_action_takes_a_second_column_for_a_non_hermitian_vec(monkeypatch
     gen = random_generator(29, dims=(4, 2))  # 64 real coordinates, past the basis size
     rng = np.random.default_rng(30)
     vec = random_vec(rng, gen.space.total_dim, hermitian=False)
+    monkeypatch.setattr(propagator, "DENSE_BLOCK_MAX", 0)
     columns = []
     krylov = propagator._krylov_expv
     monkeypatch.setattr(propagator, "_krylov_expv",
                         lambda a, v: columns.append(v) or krylov(a, v))
     out = expm_apply_vec(gen, 1.3, vec)
     assert len(columns) == 2
+    assert np.max(np.abs(out - expm_dense(gen, 1.3) @ vec)) <= 1e-12
+
+
+def test_dense_block_action_takes_both_columns_of_a_non_hermitian_vec(monkeypatch):
+    gen = random_generator(29, dims=(4, 2))
+    rng = np.random.default_rng(30)
+    vec = random_vec(rng, gen.space.total_dim, hermitian=False)
+    sizes = counted_expm(monkeypatch)
+    out = expm_apply_vec(gen, 1.3, vec)
+    assert sizes == [64]  # one exponential of the whole space for both columns
     assert np.max(np.abs(out - expm_dense(gen, 1.3) @ vec)) <= 1e-12
 
 
@@ -397,3 +446,27 @@ def test_trajectory_guard_counts_the_second_column_of_a_non_hermitian_vec(monkey
     vec = random_vec(rng, space.total_dim, hermitian=False)
     guarded, peak = guarded_peak(monkeypatch, gen, np.linspace(0.0, 0.25, 200), vec)
     assert peak <= guarded
+
+
+def test_dense_exponential_guard_counts_its_peak(monkeypatch):
+    gen = random_generator(34, dims=(7, 3))  # D = 21
+    counted = []
+    guard = propagator._guard_bytes
+    monkeypatch.setattr(propagator, "_guard_bytes",
+                        lambda nbytes, what: counted.append(nbytes) or guard(nbytes, what))
+    gen.matrix  # build the cached generator first
+    tracemalloc.start()
+    try:
+        expm_dense(gen, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(counted) == 1 and peak <= counted[0]
+
+
+def test_dense_exponential_refuses_before_it_allocates(monkeypatch):
+    gen = random_generator(35, dims=(7, 3))
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", 160 * 21 ** 4 - 1)
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: pytest.fail("expm ran"))
+    with pytest.raises(ValueError, match="the dense exponential would take"):
+        expm_dense(gen, 0.5)
