@@ -17,11 +17,13 @@ and drive are one unitary V rho V^dag per row; the TPA and SFG drives populate
 |2>, so they run one row on the full space as a :class:`PhaseKernel` multiply
 and one local drive superoperator on every mode.
 ``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
-row of a batched schedule (a sequence of r_tot), a block of cycles at a time,
-for three paths:
+row of each schedule (a batched schedule has a sequence of r_tot), a block of
+cycles at a time, for three paths:
 ``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
 ``anneal_ideal`` (a drive that cannot reach non-independent sets) and
 ``qubo_anneal`` (a zeta ramp on the QUBO energy).
+Both engines take schedules of different lengths as one stack: rows run
+longest schedule first and leave it as theirs ends.
 Every report carries its final state and its per-cycle entropy (zero on the
 pure paths); a pure-path report also carries ``meta["norm_drift"]``, a
 density report ``meta["trace_drift"]`` and ``meta["min_eigenvalue"]``.
@@ -265,8 +267,7 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     constraint builds its gadget once.  The ideal drive never leaves the 0/1
     patterns, so it runs in the 2^n qubit block once each gadget is checked
     to keep it closed, and reports its final states there; the zeno drives
-    run one schedule on the full space.  Rows run longest schedule first and
-    leave the stack as theirs ends.  ``meta`` holds a row's largest
+    run one schedule on the full space.  ``meta`` holds a row's largest
     |trace - 1| and smallest eigenvalue over all cycles.  A final state whose
     trace or hermiticity drifted past the :class:`DensityState` tolerances,
     or a NaN state, raises :class:`NonConvergenceError`.
@@ -475,55 +476,74 @@ def _ideal_mixer(independent: np.ndarray):
 
 
 # Largest B * k * 2^n amplitudes the pure-state engine keeps for one block
-# of k cycles: 64 KiB of states, and phase tables two to three times that.
+# of k cycles: 64 KiB of phases (then states), mixer phases up to that again.
 # Larger blocks run the cycles no faster and raise peak memory (2^13 added
 # 0.8 MB of peak RSS on the mis-pure benchmark).
 PURE_BLOCK_ELEMENTS = 1 << 12
 
 
-def _run_pure(schedule: Schedule, mixer, number: np.ndarray, proj: np.ndarray,
+def _run_pure(schedules, mixer, number: np.ndarray, proj: np.ndarray,
               energy: np.ndarray | None = None, kicks: np.ndarray | None = None):
-    """The pure-state cycle engine; returns (final amplitudes, records).
+    """The pure-state cycle engine; (final amplitudes, records) per schedule,
+    in input order.
 
-    A (B, 2^n) state, one row per schedule row, starts in vacuum.  Each cycle
-    applies exp(-i(phi_b number + zeta_b energy)), the ``mixer`` parts
-    (to_eig, lam, from_eig) at angle c_b and the constant unimodular diagonal
-    ``kicks``, and records |amps|^2 @ [proj, 1] in a (B, n_cycle, k + 1)
-    array; the last column is each row's squared norm.
+    A (B, 2^n) state, one row per row of every schedule, starts in vacuum.
+    Each cycle applies exp(-i(phi_b number + zeta_b energy)), the ``mixer``
+    parts (to_eig, lam, from_eig) at angle c_b and the constant unimodular
+    diagonal ``kicks``, and records |amps|^2 @ proj (whose last column of
+    ones gives each row's squared norm) up to the row's own last cycle.
 
-    Cycles run in blocks of at most ``PURE_BLOCK_ELEMENTS / (B 2^n)``, at
-    least one: one exp builds the block's phase diagonals, a (k, B, 2^n)
-    buffer keeps its states, and one matmul gives its records.  An
-    ``energy`` (the QUBO path) has up to 2^n distinct values, so its phases
-    come from :func:`_ramp_phases` instead, anchored on the same cycles
+    Rows run longest first, in blocks of at most ``PURE_BLOCK_ELEMENTS /
+    (k 2^n)`` cycles for the k rows still running, at least one, never past
+    a row's end: one exp builds a block's phase diagonals, each cycle's state
+    overwrites its own, and one matmul gives the records.  An ``energy``
+    (the QUBO path, one schedule) has up to 2^n distinct values, so its
+    phases come from :func:`_ramp_phases`, anchored on the same cycles
     whatever the block.  Kicks leave vacuum and |amps| unchanged, so each is
     folded into the next cycle's diagonal and the last one is applied at the
-    end.
+    end.  The loop's arrays are guarded first, the records by the callers.
     """
     to_eig, lam, from_eig = mixer
-    angles = [np.atleast_2d(a).T for a in (schedule.phi, schedule.c)]
+    order = sorted(range(len(schedules)), key=lambda s: -schedules[s].n_cycle)
+    sizes = [np.size(schedules[s].r_tot) for s in order]
+    rows = dict(zip(order, map(slice, np.cumsum([0] + sizes), np.cumsum(sizes))))
+    lengths = np.repeat([schedules[s].n_cycle for s in order], sizes)
+    # In complex numbers: per pattern, the table indices; the finals; a block's phases (then
+    # states) and mixer phases; the larger of that block again (its distinct-phase table, or
+    # |states|^2) and the running rows with three mixer temporaries and the distinct phases;
+    # a ramp's rows.
+    width = len(lengths) * len(number)
+    block = min(max(len(lengths), PURE_BLOCK_ELEMENTS // len(number)),
+                len(lengths) * lengths[0]) * (len(number) + len(lam))
+    ramp_width = 0 if energy is None else 2 * width + len(number)
+    _guard_bytes(16 * (len(number) + width + block + max(block, 4 * width + len(number))
+                       + ramp_width), "the pure-state block")
+    angles = np.zeros((2, lengths[0], len(lengths)))
+    for s, sc in enumerate(schedules):
+        angles[:, :sc.n_cycle, rows[s]] = np.atleast_2d(sc.phi).T, np.atleast_2d(sc.c).T
     phases = _phase_tables(number, lam)
-    ramp = None if energy is None else _ramp_phases(schedule, energy)
-    proj = np.column_stack([proj, np.ones(len(number))])
-    amps = np.zeros((angles[0].shape[1], len(number)), dtype=complex)
-    amps[:, 0] = 1.0
-    records = np.empty((len(amps), schedule.n_cycle, proj.shape[1]))
-    block = max(1, PURE_BLOCK_ELEMENTS // amps.size)
-    for start in range(0, schedule.n_cycle, block):
-        diag, mix = phases(*(a[start:start + block] for a in angles))
+    ramp = None if energy is None else _ramp_phases(schedules[0], energy)
+    finals = np.zeros((len(lengths), len(number)), dtype=complex)
+    finals[:, 0] = 1.0
+    records = np.empty((len(lengths), lengths[0], proj.shape[1]))
+    amps, start, k = finals, 0, len(lengths)
+    while k:
+        stop = min(lengths[k - 1], start + max(1, PURE_BLOCK_ELEMENTS // amps.size))
+        states, mix = phases(angles[0, start:stop, :k], angles[1, start:stop, :k])
         if ramp is not None:
-            diag *= np.array([next(ramp) for _ in mix])
+            for cycle in states:
+                cycle *= next(ramp)
         if kicks is not None:
-            diag *= kicks
-        states = np.empty(diag.shape, dtype=complex)
-        for j in range(len(diag)):
-            states[j] = from_eig(to_eig(amps * diag[j]) * mix[j])
-            amps = states[j]
-        records[:, start:start + len(states)] = (
-            (np.abs(states) ** 2) @ proj).transpose(1, 0, 2)
+            states *= kicks
+        for j in range(len(states)):
+            amps = states[j] = from_eig(to_eig(amps * states[j]) * mix[j])
+        records[:k, start:stop] = ((np.abs(states) ** 2) @ proj).transpose(1, 0, 2)
+        del states, mix
+        start, left, k = stop, k, np.count_nonzero(lengths > stop)
+        finals[k:left], amps = amps[k:], amps[:k]
     if kicks is not None:
-        amps = amps * kicks
-    return amps, records
+        finals *= kicks
+    return [(finals[rows[s]], records[rows[s], :sc.n_cycle]) for s, sc in enumerate(schedules)]
 
 
 def _pure_report(schedule: Schedule, amps: np.ndarray, records: np.ndarray,
@@ -544,19 +564,25 @@ def _pure_report(schedule: Schedule, amps: np.ndarray, records: np.ndarray,
                         meta={**meta, "r_tot": schedule.r_tot, "norm_drift": norm_drift})
 
 
-def _anneal_mis_pure(graph: ProblemGraph, schedule: Schedule,
-                     phi_q: float | None) -> AnnealReport:
-    """Statevector run with kick pi + phi_q per violated edge, or with the
-    ideal mixer when ``phi_q`` is None."""
+def _anneal_mis_pure(graph: ProblemGraph, schedules,
+                     phi_q: float | None) -> list[AnnealReport]:
+    """Statevector runs with kick pi + phi_q per violated edge, or the ideal mixer if ``phi_q``
+    is None: all schedules' rows in one :func:`_run_pure` stack, one report each, in order."""
+    if phi_q is not None and not math.isfinite(phi_q):
+        raise ValueError("phi_q must be finite")
+    if not schedules:
+        return []
+    _guard_cycles(sum(np.size(s.r_tot) for s in schedules), max(s.n_cycle for s in schedules))
     obs = _Observables(make_space([2] * graph.n_vertices), graph)
     if phi_q is None:
         mixer, kicks, meta = _ideal_mixer(obs.violations == 0), None, {"path": "ideal"}
     else:
         mixer, meta = _transverse_mixer(graph.n_vertices), {"path": "statevector", "phi_q": phi_q}
         kicks = np.exp(1j * (math.pi + phi_q) * obs.violations)
-    proj = np.column_stack([obs.optimal, obs.violations == 0]).astype(float)
-    amps, records = _run_pure(schedule, mixer, obs.number, proj, kicks=kicks)
-    return _pure_report(schedule, amps, records, 1.0 - records[..., 1], meta)
+    proj = np.column_stack([obs.optimal, obs.violations == 0, np.ones(len(obs.number))])
+    runs = _run_pure(schedules, mixer, obs.number, proj, kicks=kicks)
+    return [_pure_report(schedule, amps, records, 1.0 - records[..., 1], meta)
+            for schedule, (amps, records) in zip(schedules, runs)]
 
 
 def anneal_statevector(graph: ProblemGraph, schedule: Schedule,
@@ -567,14 +593,12 @@ def anneal_statevector(graph: ProblemGraph, schedule: Schedule,
     which is exactly what the physical gadget does in its fully coherent
     setting, so this path matches ``anneal_density`` there.
     """
-    if not math.isfinite(phi_q):
-        raise ValueError("phi_q must be finite")
-    return _anneal_mis_pure(graph, schedule, phi_q)
+    return _anneal_mis_pure(graph, [schedule], phi_q)[0]
 
 
 def anneal_ideal(graph: ProblemGraph, schedule: Schedule) -> AnnealReport:
     """Reference run: driver matrix elements into non-independent sets are zeroed."""
-    return _anneal_mis_pure(graph, schedule, None)
+    return _anneal_mis_pure(graph, [schedule], None)[0]
 
 
 def linear_three_parameter_profile(n_cycle: int, r_tot):
@@ -610,7 +634,7 @@ def qubo_anneal(q: np.ndarray, n_cycle: int, r_tot) -> AnnealReport:
     schedule = Schedule(n_cycle, r_tot, tau, phi, c, zeta=zeta)
     energy, optimal = _qubo_scores(q)
     number = np.bitwise_count(np.arange(len(energy))).astype(int)
-    amps, records = _run_pure(schedule, _transverse_mixer(len(q)), number,
-                              optimal[:, None].astype(float), energy=energy)
+    [(amps, records)] = _run_pure([schedule], _transverse_mixer(len(q)), number,
+                                  np.column_stack([optimal, np.ones(len(energy))]), energy=energy)
     meta = {"path": "qubo", "energy": energy, "optimal": optimal, "optima": _optima(optimal)}
     return _pure_report(schedule, amps, records, np.zeros_like(records[..., 0]), meta)

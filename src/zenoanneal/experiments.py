@@ -14,9 +14,9 @@ from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form,
                        pair_coherence_closed_form_uncorrected,
                        pair_coherence_ode, sfg_rate_for_tpa_target)
-# anneal_density and expm_dense are unused here but perfbench/tracing.py binds them.
-from .anneal import (anneal_density, anneal_density_batch, anneal_ideal,
-                     anneal_statevector, make_schedule, qubo_anneal)
+# anneal_density, anneal_ideal and expm_dense are unused here; perfbench/tracing.py binds them.
+from .anneal import (_anneal_mis_pure, anneal_density, anneal_density_batch,
+                     anneal_ideal, anneal_statevector, make_schedule, qubo_anneal)
 from .fock import make_space, vacuum
 from .gadgets import ConstraintParams, drive_generator
 from .problems import (ProblemGraph, _bit_table, brute_force_mis,
@@ -259,10 +259,10 @@ def ideal_vs_phase_rows(graph: ProblemGraph, n_cycles, r_grid,
                         phi_q: float = DEFAULT_PHI_Q, tol: float = 0.01):
     """Success vs total rotation for phase-based and ideal constraints.
 
-    Each cycle count takes one batched phase run and one batched ideal run
-    over the r-grid.  Emits 'point' rows for every grid entry, one 'critical'
-    row per cycle count, and a single 'fit' row with the linear fit of the
-    critical values against the cycle count.
+    All cycle counts take one ragged ideal batch, then one ragged phase batch,
+    each row read at its own last cycle.  Emits 'point' rows for every grid
+    entry, one 'critical' row per cycle count, and a single 'fit' row with the
+    linear fit of the critical values against the cycle count.
     """
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
@@ -270,10 +270,10 @@ def ideal_vs_phase_rows(graph: ProblemGraph, n_cycles, r_grid,
     r_grid = [float(r) for r in r_grid]
     counts = [int(n) for n in n_cycles]
     rows, criticals = [], []
-    for n in counts:
-        schedule = make_schedule(n, r_grid)
-        p_phase = anneal_statevector(graph, schedule, phi_q).success[:, -1].tolist()
-        p_ideal = anneal_ideal(graph, schedule).success[:, -1].tolist()
+    schedules = [make_schedule(n, r_grid) for n in counts]
+    ideal, phase = ([rep.success[:, -1].tolist() for rep in _anneal_mis_pure(graph, schedules, q)]
+                    for q in (None, phi_q))
+    for n, p_phase, p_ideal in zip(counts, phase, ideal):
         diffs = [abs(p - i) for p, i in zip(p_phase, p_ideal)]
         rows += [("point", n, r, p, i, d)
                  for r, p, i, d in zip(r_grid, p_phase, p_ideal, diffs)]

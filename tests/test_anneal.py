@@ -358,18 +358,35 @@ def test_factored_mixer_at_zero_angle_is_exact_on_integer_inputs(n):
     assert np.array_equal(from_eig(to_eig(x.real)), x.real)
 
 
-def _pure_runs():
+def _mis_paths():
+    """(graph, phi_q) per MIS pure path; phi_q None runs the ideal mixer."""
     five = five_node_example()
     weighted = graph_from_edges(3, [(0, 1), (1, 2)], weights=(1.0, 2.5, 1.2))
+    return {"statevector": (five, PHI_Q), "weighted-statevector": (weighted, 0.7),
+            "ideal": (five, None)}
+
+
+def _mis_run(graph, schedule, phi_q):
+    """The public one-schedule run of a MIS pure path."""
+    if phi_q is None:
+        return anneal_ideal(graph, schedule)
+    return anneal_statevector(graph, schedule, phi_q)
+
+
+def _pure_runs():
     q = np.random.default_rng(3).normal(size=(4, 4))
     q = (q + q.T) / 2
-    return {
-        "statevector": lambda r: anneal_statevector(five, make_schedule(48, r), PHI_Q),
-        "weighted-statevector": lambda r: anneal_statevector(
-            weighted, make_schedule(48, r), 0.7),
-        "ideal": lambda r: anneal_ideal(five, make_schedule(48, r)),
-        "qubo": lambda r: qubo_anneal(q, 48, r),
-    }
+    runs = {path: (lambda r, g=g, phi_q=phi_q: _mis_run(g, make_schedule(48, r), phi_q))
+            for path, (g, phi_q) in _mis_paths().items()}
+    return {**runs, "qubo": lambda r: qubo_anneal(q, 48, r)}
+
+
+def _report_arrays(rep):
+    """(success, leakage, final populations, final amplitudes), one row per r_tot."""
+    final = rep.final_state if isinstance(rep.final_state, list) else [rep.final_state]
+    return (np.atleast_2d(rep.success), np.atleast_2d(rep.leakage),
+            np.atleast_2d(np.array(rep.final_populations.values()).T),
+            np.array([state.amplitudes for state in final]))
 
 
 @pytest.mark.parametrize("path", sorted(_pure_runs()))
@@ -386,6 +403,21 @@ def test_batched_run_matches_per_schedule_runs(path):
         assert batch.final_populations.keys() == single.final_populations.keys()
         for pattern, p in single.final_populations.items():
             assert abs(batch.final_populations[pattern][row] - p) < 1e-12
+    if path == "qubo":  # a QUBO run takes one schedule
+        return
+    # ragged rows: schedules of 7, 48 (three r_tot), 1 and 48 cycles in one stack
+    graph, phi_q = _mis_paths()[path]
+    schedules = [make_schedule(7, 4.0), make_schedule(48, r_grid), make_schedule(1, 2.0),
+                 make_schedule(48, 20.0)]
+    reports = anneal._anneal_mis_pure(graph, schedules, phi_q)
+    assert [(rep.n_cycle, rep.meta["r_tot"]) for rep in reports] == [
+        (schedule.n_cycle, schedule.r_tot) for schedule in schedules]
+    for schedule, rep in zip(schedules, reports):
+        single = _mis_run(graph, schedule, phi_q)
+        assert np.shape(rep.success) == np.shape(single.success)
+        for got, want in zip(_report_arrays(rep), _report_arrays(single)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
 
 
 def _block_runs(n, edges, phi_q, seed):
@@ -397,12 +429,10 @@ def _block_runs(n, edges, phi_q, seed):
 
 
 def _block_run(path, schedule, cap, n, edges, phi_q, seed):
-    """(success, leakage, final amplitudes) with B k 2^n capped at ``cap``."""
+    """(success, leakage, final populations and amplitudes) with B k 2^n
+    capped at ``cap``."""
     with mock.patch.object(anneal, "PURE_BLOCK_ELEMENTS", cap):
-        rep = _block_runs(n, edges, phi_q, seed)[path](schedule)
-    final = rep.final_state if isinstance(rep.final_state, list) else [rep.final_state]
-    return (np.atleast_2d(rep.success), np.atleast_2d(rep.leakage),
-            np.array([state.amplitudes for state in final]))
+        return _report_arrays(_block_runs(n, edges, phi_q, seed)[path](schedule))
 
 
 @settings(max_examples=20, deadline=None)
@@ -429,6 +459,22 @@ def test_pure_runs_do_not_depend_on_the_cycle_block(n, edge_mask, n_cycle, r_tot
             for got, want in zip(run, ref):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13, path
+    # ragged rows: the batch above and m cycles at the first r_tot in one
+    # stack; caps of one cycle, of a first block that would straddle the
+    # short row's end, and of one block per stretch of running rows
+    m = data.draw(st.integers(1, n_cycle), label="m")
+    schedules = [make_schedule(m, r_tots[0]), make_schedule(n_cycle, r_tots)]
+    width = (len(r_tots) + 1) << n
+    for path, phi_q_path in (("statevector", phi_q), ("ideal", None)):
+        refs = [_block_run(path, schedule, n_cycle * width, *args) for schedule in schedules]
+        for cap in (1, (m + 1) * width, n_cycle * width):
+            with mock.patch.object(anneal, "PURE_BLOCK_ELEMENTS", cap):
+                reports = anneal._anneal_mis_pure(graph_from_edges(n, edges), schedules,
+                                                  phi_q_path)
+            for rep, ref in zip(reports, refs, strict=True):
+                for got, want in zip(_report_arrays(rep), ref):
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-13, (path, cap)
 
 
 @settings(max_examples=25, deadline=None)
@@ -686,6 +732,77 @@ def test_ideal_mixer_bytes_are_guarded_before_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError))
     with pytest.raises(ValueError, match=f"ideal mixer would take {nbytes} bytes"):
         anneal_ideal(g, make_schedule(4, 1.0))
+
+
+def test_ideal_vs_phase_sweep_runs_one_pure_batch_per_path():
+    with mock.patch.object(anneal, "_run_pure", wraps=anneal._run_pure) as run:
+        experiments.ideal_vs_phase_rows(five_node_example(), [16, 64, 32], [2.0, 9.0])
+    # one ideal and one phase batch, each stepping its rows 64 cycles in all
+    assert run.call_count == 2
+    for call in run.call_args_list:
+        assert sorted(schedule.n_cycle for schedule in call.args[0]) == [16, 32, 64]
+
+
+def _pure_block_bytes(rows: int, n_cycle: int, n_patterns: int, n_lam: int,
+                      ramp: bool = False) -> int:
+    """The byte count ``_run_pure`` guards for ``rows`` rows of at most
+    ``n_cycle`` cycles on ``n_patterns`` amplitudes and ``n_lam`` mixer phases."""
+    width = rows * n_patterns
+    cells = min(max(rows, anneal.PURE_BLOCK_ELEMENTS // n_patterns), rows * n_cycle)
+    block = cells * (n_patterns + n_lam)
+    extra = 2 * width + n_patterns if ramp else 0
+    return 16 * (n_patterns + width + block + max(block, 4 * width + n_patterns) + extra)
+
+
+@pytest.mark.parametrize("case", ["five-statevector", "five-ideal", "path14-statevector",
+                                  "qubo12"])
+def test_pure_block_guard_counts_its_peak(monkeypatch, case):
+    # unit weights, so that the distinct-phase tables stay small; the count
+    # leaves out NumPy's iterator buffers and Python objects (a few KB)
+    five, path14 = five_node_example(), graph_from_edges(14, [(j, j + 1) for j in range(13)])
+    ragged = [make_schedule(256, [2.0, 5.0, 9.0]), make_schedule(1024, [2.0, 40.0]),
+              make_schedule(512, 3.0)]
+    q = np.random.default_rng(12).normal(size=(12, 12))
+    run = {"five-statevector": lambda: anneal._anneal_mis_pure(five, ragged, PHI_Q),
+           "five-ideal": lambda: anneal._anneal_mis_pure(five, ragged, None),
+           "path14-statevector": lambda: anneal_statevector(
+               path14, make_schedule(8, [1.0, 2.0, 3.0]), PHI_Q),
+           "qubo12": lambda: qubo_anneal(q, 64, [1.0, 2.0, 3.0])}[case]
+    peaks, counts, engine = [], [], anneal._run_pure
+
+    def traced(schedules, mixer, number, proj, **kwargs):
+        tracemalloc.start()
+        try:
+            out = engine(schedules, mixer, number, proj, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = sum(np.size(schedule.r_tot) for schedule in schedules)
+        n_cycle = max(schedule.n_cycle for schedule in schedules)
+        counts.append(_pure_block_bytes(rows, n_cycle, len(number), len(mixer[1]),
+                                        "energy" in kwargs))
+        # the records and the two angles per row and cycle are the callers' guard
+        peaks[-1] -= 8 * rows * n_cycle * (proj.shape[1] + 2)
+        return out
+
+    monkeypatch.setattr(anneal, "_run_pure", traced)
+    run()
+    assert len(peaks) == 1 and peaks[0] <= counts[0]
+
+
+@pytest.mark.parametrize("phi_q", [PHI_Q, None], ids=["statevector", "ideal"])
+def test_pure_block_bytes_are_guarded_before_the_phase_tables(monkeypatch, phi_q):
+    g = five_node_example()
+    schedules = [make_schedule(40, [1.0, 2.0]), make_schedule(300, 3.0)]
+    n_lam = 32 if phi_q is not None else int(np.sum(_Observables(
+        make_space([2] * 5), g).violations == 0))
+    nbytes = _pure_block_bytes(3, 300, 32, n_lam)
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
+    anneal._anneal_mis_pure(g, schedules, phi_q)
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes - 1)
+    monkeypatch.setattr(anneal, "_phase_tables", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(ValueError, match=f"pure-state block would take {nbytes} bytes"):
+        anneal._anneal_mis_pure(g, schedules, phi_q)
 
 
 def test_density_state_bytes_are_guarded_before_the_stack(monkeypatch):

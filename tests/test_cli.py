@@ -257,6 +257,17 @@ def test_graph_over_the_run_byte_bound_is_a_config_error(tmp_path, capsys, monke
     assert not os.path.exists(tmp_path / "x.csv")
 
 
+def test_anneal_over_the_pure_block_bound_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the ideal mixer of the default five-node graph takes 6,600 bytes; the
+    # two cycle counts' 70 rows of 2^5 amplitudes take far more
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", 100_000)
+    assert run(["anneal", "--n-cycles", "4,8", "--out", tmp_path / "x.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the pure-state block would take ")
+    assert err.count("\n") == 1 and err.endswith("bytes, over the 100000-byte bound\n")
+    assert not os.path.exists(tmp_path / "x.csv")
+
+
 def test_eight_node_constraint_sweep_runs_in_its_qubit_block(tmp_path):
     # five 256 x 256 block states take 5 MB; embedded in the 3^8 space they
     # were 3.4 GB, over the run byte bound
