@@ -538,7 +538,7 @@ def _run_pure(schedules, mixer, number: np.ndarray, proj: np.ndarray,
         for j in range(len(states)):
             amps = states[j] = from_eig(to_eig(amps * states[j]) * mix[j])
         records[:k, start:stop] = ((np.abs(states) ** 2) @ proj).transpose(1, 0, 2)
-        del states, mix
+        del states, mix  # before the next block's phases, as the guard counts
         start, left, k = stop, k, np.count_nonzero(lengths > stop)
         finals[k:left], amps = amps[k:], amps[:k]
     if kicks is not None:

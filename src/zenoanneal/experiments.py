@@ -272,7 +272,7 @@ def ideal_vs_phase_rows(graph: ProblemGraph, n_cycles, r_grid,
     rows, criticals = [], []
     schedules = [make_schedule(n, r_grid) for n in counts]
     ideal, phase = ([rep.success[:, -1].tolist() for rep in _anneal_mis_pure(graph, schedules, q)]
-                    for q in (None, phi_q))
+                    for q in (None, phi_q))  # ideal first: an over-bound graph names its mixer
     for n, p_phase, p_ideal in zip(counts, phase, ideal):
         diffs = [abs(p - i) for p, i in zip(p_phase, p_ideal)]
         rows += [("point", n, r, p, i, d)

@@ -757,8 +757,8 @@ def _pure_block_bytes(rows: int, n_cycle: int, n_patterns: int, n_lam: int,
 @pytest.mark.parametrize("case", ["five-statevector", "five-ideal", "path14-statevector",
                                   "qubo12"])
 def test_pure_block_guard_counts_its_peak(monkeypatch, case):
-    # unit weights, so that the distinct-phase tables stay small; the count
-    # leaves out NumPy's iterator buffers and Python objects (a few KB)
+    # unit weights keep the distinct-phase tables and NumPy's broadcast
+    # buffers small; the count leaves those buffers and Python objects out
     five, path14 = five_node_example(), graph_from_edges(14, [(j, j + 1) for j in range(13)])
     ragged = [make_schedule(256, [2.0, 5.0, 9.0]), make_schedule(1024, [2.0, 40.0]),
               make_schedule(512, 3.0)]

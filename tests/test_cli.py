@@ -259,7 +259,7 @@ def test_graph_over_the_run_byte_bound_is_a_config_error(tmp_path, capsys, monke
 
 def test_anneal_over_the_pure_block_bound_is_a_config_error(tmp_path, capsys, monkeypatch):
     # the ideal mixer of the default five-node graph takes 6,600 bytes; the
-    # two cycle counts' 70 rows of 2^5 amplitudes take far more
+    # 140 rows (two cycle counts, 70 r_tot) of 2^5 amplitudes take far more
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", 100_000)
     assert run(["anneal", "--n-cycles", "4,8", "--out", tmp_path / "x.csv"]) == 1
     err = capsys.readouterr().err
