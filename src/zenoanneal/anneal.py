@@ -13,17 +13,21 @@ and the same weights pick the optimal sets that success is scored against.
 one row per schedule, with the physical constraint gadget (built on per-mode
 dim >= 3) per edge; ``anneal_density`` is its one-row case.  The exact
 two-level drive keeps rho in the 2^n x 2^n block of 0/1 patterns, where phase
-and drive are one unitary V rho V^dag per row; the TPA and SFG drives populate
-|2>, so they run one row on the full space as a :class:`PhaseKernel` multiply
-and one local drive superoperator on every mode.
+and drive are one unitary V rho V^dag per row and each edge gadget one
+16 x 16 matmul on the flattened stack; the TPA and SFG drives populate |2>, so
+they run one row on the full space as a :class:`PhaseKernel` multiply, one
+local drive superoperator on every mode and one sparse gadget per edge.
 ``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
-row of each schedule (a batched schedule has a sequence of r_tot), a block of
-cycles at a time, for three paths:
+row of each schedule (a batched schedule has a sequence of r_tot), for three
+paths:
 ``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
 ``anneal_ideal`` (a drive that cannot reach non-independent sets) and
 ``qubo_anneal`` (a zeta ramp on the QUBO energy).
 Both engines take schedules of different lengths as one stack: rows run
-longest schedule first and leave it as theirs ends.
+longest schedule first and leave it as theirs ends.  Both step a block of
+cycles at a time, at most ``PURE_BLOCK_ELEMENTS`` state entries over the
+block's cycles and running rows (at least one cycle), never past a row's end,
+and take each block's records in one pass over its states.
 Every report carries its final state and its per-cycle entropy (zero on the
 pure paths); a pure-path report also carries ``meta["norm_drift"]``, a
 density report ``meta["trace_drift"]`` and ``meta["min_eigenvalue"]``.
@@ -61,6 +65,13 @@ ZENO_CACHE_STAGES = 30
 # Largest mass an edge gadget may send out of the 0/1 patterns from one
 # qubit-block input column before the ideal-2level run refuses the block.
 BLOCK_LEAK_TOL = 1e-12
+
+# Largest B * k * 2^n amplitudes the pure-state engine keeps for one block
+# of k cycles: 64 KiB of phases (then states), mixer phases up to that again;
+# also the largest B * k * D^2 entries of a density block's states.  Larger
+# blocks run the cycles no faster and raise peak memory (2^13 added 0.8 MB
+# of peak RSS on the mis-pure benchmark).
+PURE_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -179,8 +190,9 @@ class _Observables:
 
 def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
                c: np.ndarray):
-    """(rho, phi, c) -> the weighted phase, then one local drive superoperator
-    on every mode of a (1, D, D) stack: the full-space drive runs one row at a time.
+    """(phi, c) of a block, (cycles, 1) each -> drive(rho, j): cycle j's weighted
+    phase, then one local drive superoperator on every mode of a (1, D, D)
+    stack: the full-space drive runs one row at a time.
 
     The drive hardware runs for t = c / drive.c <= max(c) / drive.c each
     cycle, so the blockade exposure scales together with the rotation angle
@@ -204,33 +216,37 @@ def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
     maps = (maps @ trace.T).mT
     phase = PhaseKernel(space, weights)
 
-    def step(rho, phi, c):
-        (phi,), (c,) = phi, c
-        rho = phase.apply_matrix(rho, phi)
-        return apply_superop_every_mode(maps[np.searchsorted(times, c / drive.c)], rho, space)
+    def block(phi, c):
+        index = np.searchsorted(times, c[:, 0] / drive.c)
+        return lambda rho, j: apply_superop_every_mode(
+            maps[index[j]], phase.apply_matrix(rho, phi[j, 0]), space)
 
-    return step
+    return block
 
 
 def _ideal_step(n: int, number: np.ndarray):
-    """(rho, phi, c) -> V_b rho_b V_b^dag for each row b of a (B, 2^n, 2^n)
-    stack, where V = W diag(exp(-i c lam)) W diag(exp(-i phi N_w)) is the
-    weighted phase followed by exp(-i c X) on every qubit: W = H^{(x)n},
-    lam = n - 2 popcount and N_w the weighted ``number``, as in the pure-state mixer.
+    """(phi, c) of a block, (cycles, k) each -> drive(rho, j): V rho V^dag for
+    each row of a (k, 2^n, 2^n) stack, with row b's unitary of cycle j
+    V = S diag(exp(-i c lam)) S diag(exp(-i phi N_w)) / 2^n: the weighted
+    phase followed by exp(-i c X) on every qubit, where S is the exact +-1
+    Walsh signs, lam = n - 2 popcount and N_w the weighted ``number``, as in
+    the pure-state mixer.
 
-    W W is formed from the exact +-1 signs and divided by 2^n, which is also
-    exact; a rounded 2^(-n/2) would bias |det V| and drift the trace by about
-    1e-16 per cycle.
+    A block's phases come from one :func:`_phase_tables` call and all its V
+    from one batched matmul.  S S is formed from the exact signs and divided
+    by 2^n, which is also exact; a rounded 2^(-n/2) would bias |det V| and
+    drift the trace by about 1e-16 per cycle.
     """
     signs = _walsh_signs(n).astype(complex)
     phases = _phase_tables(n - 2 * np.bitwise_count(np.arange(1 << n)).astype(int), number)
 
-    def step(rho, phi, c):
+    def block(phi, c):
         mixer_phases, number_phases = phases(c, phi)
-        v = (signs * mixer_phases[:, None]) @ (signs * number_phases[:, None]) / (1 << n)
-        return v @ rho @ v.conj().mT
+        v = (signs * mixer_phases[..., None, :]) @ (signs * number_phases[..., None, :]) / (1 << n)
+        v_dag = v.conj().mT
+        return lambda rho, j: v[j] @ rho @ v_dag[j]
 
-    return step
+    return block
 
 
 def _qubit_block(superop: np.ndarray, d: int) -> tuple[np.ndarray, float]:
@@ -242,6 +258,31 @@ def _qubit_block(superop: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     cols = superop[:, idx]
     leak = np.abs(np.delete(cols, idx, axis=0)).sum(axis=0).max(initial=0.0)
     return cols[idx], float(leak)
+
+
+def _edge_chain(blocks: np.ndarray, n: int, edges):
+    """rho -> row b's 16 x 16 qubit block ``blocks[b]`` on each edge in turn of
+    a (k, 2^n, 2^n) stack: per edge one take of the flattened rows into that
+    edge's layout, (k, 16, 4^n / 16) with its local entries (F-order, a + 4 b)
+    first, and one matmul, which sums the same products in the same order as
+    the local map; one last take restores the natural layout."""
+    x = np.arange(4 ** n)
+    takes, back = [], None
+    for j, k in edges:
+        # where the local index's bits (a_k, a_j, b_k, b_j) sit in x
+        pos = np.array([2 * n - 1 - k, 2 * n - 1 - j, n - 1 - k, n - 1 - j])
+        local = (((np.arange(16)[:, None] >> np.arange(4)) & 1) << pos).sum(axis=1)
+        gather = (local[:, None] | x[(x & (1 << pos).sum()) == 0]).ravel()
+        takes.append((gather if back is None else back[gather]).reshape(16, -1))
+        back = np.argsort(gather)
+
+    def run(rho):
+        rows, flat = blocks[:len(rho)], rho.reshape(len(rho), -1)
+        for take in takes:
+            flat = (rows @ flat.take(take, axis=1)).reshape(len(rho), -1)
+        return flat.take(back, axis=1).reshape(rho.shape)
+
+    return run
 
 
 def anneal_density(graph: ProblemGraph, schedule: Schedule,
@@ -265,12 +306,17 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     ``mode_dim`` >= 3 is required whenever the graph has edges, since the
     gadgets route population through the two-photon state; each distinct
     constraint builds its gadget once.  The ideal drive never leaves the 0/1
-    patterns, so it runs in the 2^n qubit block once each gadget is checked
-    to keep it closed, and reports its final states there; the zeno drives
-    run one schedule on the full space.  ``meta`` holds a row's largest
-    |trace - 1| and smallest eigenvalue over all cycles.  A final state whose
-    trace or hermiticity drifted past the :class:`DensityState` tolerances,
-    or a NaN state, raises :class:`NonConvergenceError`.
+    patterns, so it runs in the 2^n qubit block, each edge's 16 x 16 block
+    applied by :func:`_edge_chain`, once each gadget is checked to keep it
+    closed, and reports its final states there; the zeno drives run one
+    schedule on the full space, one sparse gadget per edge.  Cycles run in
+    blocks, as in :func:`_run_pure`; a block's states are kept and give its
+    records and one batched ``eigvalsh``.  The final states, then the largest
+    block's states and unitaries and the edge chain's arrays, are guarded in
+    bytes first.  ``meta`` holds a row's largest |trace - 1| and smallest
+    eigenvalue over all cycles.  A final state whose trace or hermiticity
+    drifted past the :class:`DensityState` tolerances, or a NaN state, raises
+    :class:`NonConvergenceError`.
     """
     if drive_mode not in DRIVE_MODES:
         raise ValueError(f"drive_mode must be one of {DRIVE_MODES}")
@@ -288,60 +334,78 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
 
     space = make_space([2 if in_block else mode_dim] * n)
     obs = _Observables(space, graph)
-    _guard_bytes(16 * len(schedules) * space.total_dim ** 2, "the final density states")
+    size = space.total_dim ** 2
+    _guard_bytes(16 * len(schedules) * size, "the final density states")
     edges = graph.sorted_edges()
     gadgets = dict.fromkeys(constraints, (None, None, 0.0))
     for con in gadgets if edges else ():
         gadget = constraint_superop(make_space([mode_dim, mode_dim]), 0, 1, con)
         # about 390 of the 6561 entries of the [3, 3] map are nonzero: CSR
         gadgets[con] = (scipy.sparse.csr_array(gadget), *_qubit_block(gadget, mode_dim))
-    if in_block:
-        for _, _, block_leak in gadgets.values():
-            if not block_leak <= BLOCK_LEAK_TOL:
-                raise NonConvergenceError(
-                    f"edge gadget moves {block_leak:.3e} out of the 0/1 block "
-                    f"(tolerance {BLOCK_LEAK_TOL:g})")
-    step = (_ideal_step(n, obs.number) if in_block else
-            _zeno_step(space, weights, drive, drive_mode, schedules[0].c))
+    for _, _, block_leak in gadgets.values() if in_block else ():
+        if not block_leak <= BLOCK_LEAK_TOL:
+            raise NonConvergenceError(
+                f"edge gadget moves {block_leak:.3e} out of the 0/1 block "
+                f"(tolerance {BLOCK_LEAK_TOL:g})")
 
     order = sorted(range(len(schedules)), key=lambda b: -schedules[b].n_cycle)
-    lengths = [schedules[b].n_cycle for b in order]
+    lengths = np.array([schedules[b].n_cycle for b in order])
     _guard_cycles(len(order), lengths[0])
-    angles = np.zeros((2, len(order), lengths[0]))
+    # Bytes of the largest block's states and five stack-sized temporaries of a cycle and, in
+    # the qubit block, of the block's unitaries and their adjoints, the Walsh signs and the
+    # edge chain's E + 1 index tables with four more arrays of indices while they are built.
+    cells = min(max(len(order) * size, PURE_BLOCK_ELEMENTS), len(order) * lengths[0] * size)
+    qubit_block = 32 * cells + 16 * size + 8 * (len(edges) + 5) * size
+    _guard_bytes(16 * (cells + 5 * len(order) * size) + (qubit_block if in_block else 0),
+                 "the density block")
+    step = (_ideal_step(n, obs.number) if in_block else
+            _zeno_step(space, weights, drive, drive_mode, schedules[0].c))
+    if in_block and edges:
+        run_edges = _edge_chain(np.stack([gadgets[constraints[b]][1] for b in order]), n, edges)
+    else:
+        def run_edges(rho):  # a zeno drive's one row, or no edges
+            for edge in edges:
+                rho = apply_local_superop_matrix(gadgets[constraints[0]][0], rho, space, edge)
+            return rho
+
+    angles = np.zeros((2, lengths[0], len(order)))
     for row, b in enumerate(order):
-        angles[:, row, :lengths[row]] = schedules[b].phi, schedules[b].c
-    maps = [gadgets[constraints[b]][1 if in_block else 0] for b in order]
-    shared = all(m is maps[0] for m in maps)  # one map, or one per row
-    ops = maps[0] if shared else np.stack(maps)
-    rho = np.zeros((len(order), space.total_dim, space.total_dim), dtype=complex)
-    rho[:, 0, 0] = 1.0
-    records, finals, k = np.empty((len(order), 5, lengths[0])), list(rho), len(order)
-    for i in range(lengths[0]):
-        while lengths[k - 1] <= i:
-            k -= 1
-            finals[k] = rho[k]
-        rho = step(rho[:k], angles[0, :k, i], angles[1, :k, i])
-        for edge in edges:
-            rho = apply_local_superop_matrix(ops if shared else ops[:k], rho, space, edge)
-        diag = rho.diagonal(0, 1, 2).real
-        records[:k, 0, i], records[:k, 1, i] = obs.success(diag), obs.leakage(diag)
-        records[:k, 4, i] = diag.sum(axis=-1)
+        angles[:, :lengths[row], row] = schedules[b].phi, schedules[b].c
+    finals = np.zeros((len(order), space.total_dim, space.total_dim), dtype=complex)
+    finals[:, 0, 0] = 1.0
+    records = np.empty((5, lengths[0], len(order)))
+    rho, start, k = finals, 0, len(order)
+    while k:
+        stop = min(lengths[k - 1], start + max(1, PURE_BLOCK_ELEMENTS // rho.size))
+        drive_of = step(angles[0, start:stop, :k], angles[1, start:stop, :k])
+        states = np.empty((stop - start, *rho.shape), dtype=complex)
+        for j in range(len(states)):
+            rho = states[j] = run_edges(drive_of(rho, j))
+        del drive_of  # and the block's unitaries, before its eigvalsh
+        diag = np.ascontiguousarray(states.diagonal(0, 2, 3).real)
         try:
-            lam = np.linalg.eigvalsh(rho)
+            lam = np.linalg.eigvalsh(states)
         except np.linalg.LinAlgError as exc:  # eigvalsh of a NaN state
-            raise NonConvergenceError(f"density state at cycle {i + 1}: {exc}") from exc
-        records[:k, 2, i], records[:k, 3, i] = eigenvalue_entropy(lam), lam[:, 0]
-    finals[:k] = rho
+            bad = np.flatnonzero(~np.isfinite(states).all(axis=(1, 2, 3)))
+            where = (f"at cycle {start + bad[0] + 1} is not finite" if len(bad) else
+                     f"in cycles {start + 1}-{stop}")
+            raise NonConvergenceError(f"density state {where}: {exc}") from exc
+        records[:, start:stop, :k] = (obs.success(diag), obs.leakage(diag),
+                                      eigenvalue_entropy(lam), lam[..., 0], diag.sum(axis=-1))
+        del states, diag, lam  # before the next block's, as the guard counts
+        start, left, k = stop, k, np.count_nonzero(lengths > stop)
+        finals[k:left], rho = rho[k:], rho[:k]
 
     reports = [None] * len(order)
     for row, b in enumerate(order):
-        rho, (success, leak, entropy, lam, trace) = finals[row], records[row, :, :lengths[row]]
+        rho = finals[row]
+        success, leak, entropy, lam, trace = records[:, :lengths[row], row].copy()
         try:
             final = DensityState(space, rho)
         except ValueError as exc:
             raise NonConvergenceError(f"final density state: {exc}") from exc
         reports[b] = AnnealReport(
-            lengths[row], success, entropy, leak,
+            schedules[b].n_cycle, success, entropy, leak,
             obs.qubit_populations(rho.diagonal().real), final,
             meta={"path": "density", "drive_mode": drive_mode, "mode_dim": mode_dim,
                   "space": "qubit-block" if in_block else "full",
@@ -473,13 +537,6 @@ def _ideal_mixer(independent: np.ndarray):
     w = np.zeros((len(independent), len(idx)), dtype=complex)
     w[idx] = vecs
     return (lambda amps: amps @ w), lam, (lambda amps: amps @ w.T)
-
-
-# Largest B * k * 2^n amplitudes the pure-state engine keeps for one block
-# of k cycles: 64 KiB of phases (then states), mixer phases up to that again.
-# Larger blocks run the cycles no faster and raise peak memory (2^13 added
-# 0.8 MB of peak RSS on the mis-pure benchmark).
-PURE_BLOCK_ELEMENTS = 1 << 12
 
 
 def _run_pure(schedules, mixer, number: np.ndarray, proj: np.ndarray,

@@ -4,7 +4,8 @@ entropy of density states, the partial trace, the dense map of a drive with
 its pump traced out, a butterfly Walsh transform, the QUBO anneal with one
 exact phase exp per cycle, the ideal anneal with one drive expm per cycle on
 the independent patterns, the zeno density run with one composed drive map
-per cycle, the copy encoding as a graph, and the exhaustive solvers, decoder
+per cycle, the density cycle loop with one unitary, one local map per edge
+and one eigvalsh per cycle, the copy encoding as a graph, and the exhaustive solvers, decoder
 and loss study that the array solvers in ``zenoanneal.problems`` and
 ``zenoanneal.experiments`` are checked against."""
 
@@ -13,8 +14,10 @@ from itertools import product
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
-from zenoanneal.anneal import (ZENO_CACHE_STAGES, _Observables, _transverse_mixer,
+from zenoanneal.anneal import (ZENO_CACHE_STAGES, _Observables, _qubit_block,
+                               _transverse_mixer, _walsh_signs, _zeno_step,
                                linear_three_parameter_profile)
 from zenoanneal.fock import (DensityState, PureState, apply_local_superop_matrix,
                              eigenvalue_entropy, make_space)
@@ -116,6 +119,46 @@ def zeno_density_oracle(graph, schedule, constraint, drive_mode, drive, mode_dim
         records.append((obs.success(diag), obs.leakage(diag), von_neumann_entropy(rho),
                         abs(diag.sum() - 1.0), np.linalg.eigvalsh(rho)[0]))
     return rho, np.array(records).T
+
+
+def density_cycle_loop(graph, schedule, constraint, drive_mode="ideal-2level", drive=None,
+                       mode_dim=3):
+    """(final rho, records) of one density run, one cycle at a time: on the
+    2^n qubit block, V = S diag(exp(-i c lam)) S diag(exp(-i phi N_w)) / 2^n
+    and V rho V^dag, then each sorted edge's 16 x 16 qubit block as a local
+    map; on the full space, the zeno drive of ``anneal._zeno_step`` for that
+    one cycle, then each edge's sparse gadget.  Every cycle's state takes its
+    own eigvalsh.  Records are per cycle: success, leakage, entropy, the
+    smallest eigenvalue and the trace."""
+    n = graph.n_vertices
+    in_block = drive_mode == "ideal-2level"
+    space = make_space([2 if in_block else mode_dim] * n)
+    obs = _Observables(space, graph)
+    gadget = constraint_superop(make_space([mode_dim] * 2), 0, 1, constraint)
+    if in_block:
+        gadget = _qubit_block(gadget, mode_dim)[0]
+        signs = _walsh_signs(n).astype(complex)
+        lam = n - 2 * np.bitwise_count(np.arange(1 << n)).astype(int)
+    else:
+        gadget = scipy.sparse.csr_array(gadget)
+        step = _zeno_step(space, graph.weights or (1.0,) * n, drive, drive_mode, schedule.c)
+    rho = np.zeros((1, space.total_dim, space.total_dim), dtype=complex)
+    rho[0, 0, 0] = 1.0
+    records = []
+    for i, (phi, c) in enumerate(zip(schedule.phi, schedule.c)):
+        if in_block:
+            v = (signs * np.exp(-1j * c * lam)) @ (signs * np.exp(-1j * phi * obs.number))
+            v /= 1 << n
+            rho = v @ rho @ v.conj().T
+        else:
+            rho = step(schedule.phi[i:i + 1, None], schedule.c[i:i + 1, None])(rho, 0)
+        for edge in graph.sorted_edges():
+            rho = apply_local_superop_matrix(gadget, rho, space, edge)
+        diag = rho[0].diagonal().real
+        eigenvalues = np.linalg.eigvalsh(rho[0])
+        records.append((obs.success(diag), obs.leakage(diag), eigenvalue_entropy(eigenvalues),
+                        eigenvalues[0], diag.sum()))
+    return rho[0], np.array(records).T
 
 
 def fwht(x: np.ndarray) -> np.ndarray:

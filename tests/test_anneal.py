@@ -26,7 +26,8 @@ from zenoanneal.problems import (complete_graph, five_node_example,
 
 from oracles import (exact_ideal_anneal, exact_qubo_anneal, fwht, loop_brute_force_mis,
                      loop_brute_force_qubo, loop_brute_force_wmis, number_state,
-                     population, qubo_energy, von_neumann_entropy, zeno_density_oracle)
+                     density_cycle_loop, population, qubo_energy, von_neumann_entropy,
+                     zeno_density_oracle)
 
 PHI_Q = 3 * math.pi / 2  # pi/2 total constraint kick
 
@@ -258,10 +259,29 @@ def test_density_run_that_breaks_the_trace_raises(monkeypatch, drive_mode, drive
 def test_zeno_run_of_a_nan_state_raises_nonconvergence(monkeypatch):
     # the full-space zeno drives take the entropy of every cycle's state
     monkeypatch.setattr(anneal, "constraint_superop", nan_gadget)
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match="density state at cycle 1 is not finite"):
         anneal_density(three_node_line(), make_schedule(4, 1.0),
                        ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
                        drive_mode="zeno-tpa", drive=DriveParams(1.0, 40.0))
+
+
+def overflowing_gadget(space, j, k, params):
+    """1e100 x the identity on [3, 3]: keeps the 0/1 block closed, and two
+    edges take the trace past the float range in the second cycle."""
+    return 1e100 * np.eye(space.total_dim ** 2)
+
+
+@pytest.mark.parametrize("drive_mode, drive", [("ideal-2level", None),
+                                               ("zeno-tpa", DriveParams(1.0, 40.0))],
+                         ids=["qubit-block", "full-space"])
+def test_density_run_names_the_first_cycle_that_is_not_finite(monkeypatch, drive_mode, drive):
+    # all four cycles are one block, whose eigvalsh fails as a whole
+    monkeypatch.setattr(anneal, "constraint_superop", overflowing_gadget)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonConvergenceError, match="density state at cycle 2 is not finite"):
+        anneal_density(three_node_line(), make_schedule(4, 1.0),
+                       ConstraintParams(PHI_Q, GAMMA_T_COHERENT),
+                       drive_mode=drive_mode, drive=drive)
 
 
 def test_batched_density_rows_match_single_runs():
@@ -289,6 +309,44 @@ def test_batched_density_rows_match_single_runs():
         assert abs(s_max - single.entropy.max()) <= 1e-15
         assert abs(s_final - single.entropy[-1]) <= 1e-15
         assert abs(leak - single.leakage[-1]) <= 1e-15
+
+
+@pytest.mark.parametrize("case", ["ideal-ragged", "zeno-sfg"])
+def test_block_engine_matches_the_per_cycle_loop(case):
+    # ideal rows of 23, 40 and 7 cycles on 4^4 entries run blocks of 5, then 8,
+    # then 16 cycles as they leave; the zeno run's 23 cycles on 3^3 levels run
+    # blocks of 5
+    if case == "ideal-ragged":
+        g = graph_from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)], weights=(1.0, 1.7, 0.6, 1.2))
+        runs = [(ConstraintParams(PHI_Q, gt, 0.2), make_schedule(n, 9 * math.pi))
+                for gt, n in ((GAMMA_T_INCOHERENT, 23), (0.8, 40), (GAMMA_T_COHERENT, 7))]
+        drive_mode, drive = "ideal-2level", None
+    else:
+        g = graph_from_edges(3, [(0, 1), (1, 2)], weights=(1.0, 1.6, 0.8))
+        runs = [(ConstraintParams(PHI_Q, 0.8, 0.2), make_schedule(23, 12 * math.pi))]
+        drive_mode, drive = "zeno-sfg", DriveParams(1.0, 20.0, 10.0)
+    reports = anneal_density_batch(g, [s for _, s in runs], [c for c, _ in runs],
+                                   drive_mode, drive)
+    for (constraint, schedule), rep in zip(runs, reports):
+        rho, (success, leak, entropy, lam_min, trace) = density_cycle_loop(
+            g, schedule, constraint, drive_mode, drive)
+        assert np.max(np.abs(rep.final_state.matrix - rho)) <= 1e-14
+        for got, expect in ((rep.success, success), (rep.leakage, leak),
+                            (rep.entropy, entropy)):
+            assert got.shape == expect.shape and np.max(np.abs(got - expect)) <= 1e-14
+        assert abs(rep.meta["min_eigenvalue"] - lam_min.min()) <= 1e-14
+        assert abs(rep.meta["trace_drift"] - np.abs(trace - 1.0).max()) <= 1e-14
+
+
+def test_qubit_block_run_takes_one_eigvalsh_per_block_and_no_local_map(monkeypatch):
+    # 1024 cycles on 2^3 patterns run in blocks of PURE_BLOCK_ELEMENTS / 8^2 = 64
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    monkeypatch.setattr(anneal, "apply_local_superop_matrix",
+                        mock.Mock(side_effect=AssertionError))
+    anneal_density(three_node_line(), make_schedule(1024, 40 * math.pi),
+                   ConstraintParams(PHI_Q, 0.8))
+    assert shapes == [(64, 1, 8, 8)] * 16
 
 
 def test_density_report_records_space_and_block_leak():
@@ -814,11 +872,63 @@ def test_density_state_bytes_are_guarded_before_the_stack(monkeypatch):
     gadget = constraint_superop(make_space([3, 3]), 0, 1, con)
     monkeypatch.setattr(anneal, "constraint_superop", lambda *args: gadget)
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
-    anneal_density_batch(g, schedules, [con] * 2)
+    # the final states pass at their count; the density block's guard is next
+    with pytest.raises(ValueError, match="density block would take"):
+        anneal_density_batch(g, schedules, [con] * 2)
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes - 1)
     monkeypatch.setattr(anneal, "_ideal_step", mock.Mock(side_effect=AssertionError))
     with pytest.raises(ValueError, match=f"final density states would take {nbytes} bytes"):
         anneal_density_batch(g, schedules, [con] * 2)
+
+
+def _density_block_bytes(rows: int, n_cycle: int, n: int, n_edges: int) -> int:
+    """The byte count ``anneal_density_batch`` guards for ``rows`` rows of at
+    most ``n_cycle`` cycles in the 2^n qubit block of a graph with ``n_edges`` edges."""
+    size = 4 ** n
+    cells = min(max(rows * size, anneal.PURE_BLOCK_ELEMENTS), rows * n_cycle * size)
+    return 16 * (3 * cells + 5 * rows * size + size) + 8 * (n_edges + 5) * size
+
+
+@pytest.mark.parametrize("case", ["path8-ragged", "complete7"])
+def test_density_block_guard_counts_its_peak(case):
+    # at n >= 7 the block's arrays dwarf the gadget construction, which the
+    # count leaves out; the final states and the records are guarded before
+    if case == "path8-ragged":
+        g, n_cycles = graph_from_edges(8, [(j, j + 1) for j in range(7)]), [6, 3, 2]
+    else:
+        g, n_cycles = complete_graph(7), [3]
+    schedules = [make_schedule(n, 20.0) for n in n_cycles]
+    constraints = [ConstraintParams(PHI_Q, gt) for gt in (GAMMA_T_INCOHERENT, 0.8,
+                                                          GAMMA_T_COHERENT)[:len(n_cycles)]]
+    anneal_density_batch(g, schedules, constraints)  # the gadgets' cached parts
+    tracemalloc.start()
+    try:
+        anneal_density_batch(g, schedules, constraints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, size = len(n_cycles), 4 ** g.n_vertices
+    peak -= 16 * rows * size + 8 * rows * max(n_cycles) * 7
+    assert peak <= _density_block_bytes(rows, max(n_cycles), g.n_vertices, len(g.edges))
+
+
+def test_density_block_bytes_are_guarded_before_the_block(monkeypatch):
+    # the first block's states, unitaries and their adjoints (two rows, six
+    # cycles), five stack-sized temporaries, the Walsh signs and the edge
+    # chain's index tables
+    g, con = three_node_line(), ConstraintParams(PHI_Q, GAMMA_T_COHERENT)
+    schedules = [make_schedule(4, 1.0), make_schedule(6, 2.0)]
+    finals, nbytes = 16 * 2 * 8 ** 2, _density_block_bytes(2, 6, 3, 2)
+    gadget = constraint_superop(make_space([3, 3]), 0, 1, con)
+    monkeypatch.setattr(anneal, "constraint_superop", lambda *args: gadget)
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
+    anneal_density_batch(g, schedules, [con] * 2)
+    monkeypatch.setattr(anneal, "_ideal_step", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(anneal, "_edge_chain", mock.Mock(side_effect=AssertionError))
+    for bound in (nbytes - 1, finals):
+        monkeypatch.setattr(propagator, "RUN_BYTES_MAX", bound)
+        with pytest.raises(ValueError, match=f"density block would take {nbytes} bytes"):
+            anneal_density_batch(g, schedules, [con] * 2)
 
 
 def test_zeno_tpa_drive_mode_approaches_ideal():
