@@ -22,7 +22,10 @@ row of each schedule (a batched schedule has a sequence of r_tot), for three
 paths:
 ``anneal_statevector`` (coherent-limit kick pi + phi_q on every |11> edge),
 ``anneal_ideal`` (a drive that cannot reach non-independent sets) and
-``qubo_anneal`` (a zeta ramp on the QUBO energy).
+``qubo_anneal`` (a zeta ramp on the QUBO energy).  Past ``WALSH_MATMUL_QUBITS``
+qubits the transverse drive is one real Kronecker-factored pass a cycle on
+amplitudes kept in the frame amps / diag((-i)^popcount), and the QUBO ramp's
+whole diagonal, number phase included, comes from one recurrence.
 Both engines take schedules of different lengths as one stack: rows run
 longest schedule first and leave it as theirs ends.  Both step a block of
 cycles at a time, at most ``PURE_BLOCK_ELEMENTS`` state entries over the
@@ -230,7 +233,7 @@ def _ideal_step(n: int, number: np.ndarray):
     V = S diag(exp(-i c lam)) S diag(exp(-i phi N_w)) / 2^n: the weighted
     phase followed by exp(-i c X) on every qubit, where S is the exact +-1
     Walsh signs, lam = n - 2 popcount and N_w the weighted ``number``, as in
-    the pure-state mixer.
+    the pure-state mixer up to ``WALSH_MATMUL_QUBITS`` qubits.
 
     A block's phases come from one :func:`_phase_tables` call and all its V
     from one batched matmul.  S S is formed from the exact signs and divided
@@ -446,30 +449,38 @@ def _phase_tables(*values: np.ndarray):
     return phases
 
 
-# Cycles from one exact QUBO energy phase to the next.  Against one exp per
+# Cycles from one exact QUBO diagonal phase to the next.  Against one exp per
 # cycle, n <= 9 runs of up to 1500 cycles moved populations by at most 4e-14
 # with 16 and 7e-14 with 32.
 PHASE_ANCHOR_CYCLES = 16
 
 
-def _ramp_phases(schedule: Schedule, energy: np.ndarray):
-    """Yields exp(-i zeta_j energy), (B, 2^n), for each cycle j in turn.
+def _ramp_phases(schedule: Schedule, number: np.ndarray, energy: np.ndarray,
+                 sign: np.ndarray | None = None):
+    """Yields exp(-i(phi_j number + zeta_j energy)) times the +-1 diagonal
+    ``sign``, if any, (B, 2^n), for each cycle j in turn; each cycle
+    overwrites the array the last one yielded.
 
-    On the :func:`linear_three_parameter_profile` ramp zeta grows by
-    step/(n_cycle+1) a cycle, so each diagonal is the last one times
-    R = exp(-i step/(n_cycle+1) energy), one R per row from the ramp's exact
+    On the :func:`linear_three_parameter_profile` ramp phi_j N + zeta_j E =
+    step N + step tau_j (E - N), so each diagonal is the last one times
+    R = exp(-i step/(n_cycle+1) (E - N)), one R per row from the ramp's exact
     step, formed as D + D (R - 1) with expm1 so that |R| != 1 does not
-    compound.  Cycles 0, 16, 32, ... take the exact exp instead.
+    compound.  Cycles 0, 16, 32, ... take the exact exp, and the sign,
+    instead.
     """
-    neg_i_energy = -1j * energy
+    neg_i_number, neg_i_energy = -1j * number, -1j * energy
     step = np.atleast_2d(_cycle_grid(schedule.n_cycle, schedule.r_tot)[1])
-    ratio_minus_one = np.expm1(step / (schedule.n_cycle + 1) * neg_i_energy)
-    zeta = np.atleast_2d(schedule.zeta)
+    ratio_minus_one = np.expm1(step / (schedule.n_cycle + 1) * (neg_i_energy - neg_i_number))
+    phi, zeta = np.atleast_2d(schedule.phi), np.atleast_2d(schedule.zeta)
     for j in range(schedule.n_cycle):
         if j % PHASE_ANCHOR_CYCLES:
-            diag = diag + diag * ratio_minus_one
+            diag += diag * ratio_minus_one
         else:
-            diag = np.exp(zeta[:, j, None] * neg_i_energy)
+            diag = phi[:, j, None] * neg_i_number
+            diag += zeta[:, j, None] * neg_i_energy
+            np.exp(diag, out=diag)
+            if sign is not None:
+                diag *= sign
         yield diag
 
 
@@ -480,63 +491,105 @@ WALSH_MATMUL_QUBITS = 7
 WALSH_FACTOR_QUBITS = 4
 
 
-def _kron_pass(factors: list[np.ndarray]):
-    """amps -> amps @ (F_1 (x) ... (x) F_m) on the last axis, for symmetric
-    real factors, F_1 on the highest bits.
+def _kron_pass(amps: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """Row b of a (k, 2^n) stack -> amps[b] @ (F_1[b] (x) ... (x) F_m[b]),
+    for symmetric real per-row factors F_j of shape (k, d_j, d_j), F_1 on
+    the highest bits; the last comes as F_m (x) 1_2, (k, 2 d_m, 2 d_m).
 
-    Each factor but the last is one real matmul F_j @ (pre, d_j, 2 post) on
-    the float view of the complex amplitudes; the last is a right multiply
-    of the float view of the (rows, d_m) low bits by F_m (x) 1_2.
+    Each factor but the last is one real matmul F_j @ (k, pre, d_j, 2 post)
+    on the float view of the complex amplitudes; the last is a right
+    multiply of the float view of the (k, rows, d_m) low bits by F_m (x) 1_2.
     """
     *lead, last = factors
-    last = np.kron(last, np.eye(2))
+    x = np.ascontiguousarray(amps, dtype=complex)
+    post = x.shape[-1]
+    for f in lead:
+        post //= f.shape[-1]
+        x = np.matmul(f[:, None], x.reshape(len(x), -1, f.shape[-1], post).view(float))
+        x = x.view(complex)
+    x = np.matmul(x.reshape(len(x), -1, last.shape[-1] // 2).view(float), last)
+    return x.view(complex).reshape(amps.shape)
 
-    def transform(amps: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(amps, dtype=complex)
-        post = x.shape[-1]
-        for f in lead:
-            post //= len(f)
-            x = np.matmul(f, x.reshape(-1, len(f), post).view(float)).view(complex)
-        x = x.reshape(-1, post).view(float) @ last
-        return x.view(complex).reshape(amps.shape)
 
-    return transform
+def _eigen_mixer(to_eig, lam: np.ndarray, from_eig):
+    """:func:`_transverse_mixer`'s (frame, block, width) form, with no frame,
+    of the mixer amps <- from_eig(to_eig(amps) exp(-i c lam)): a block's
+    phases come from one :func:`_phase_tables` call, at most 2 len(lam)
+    entries a cell with its distinct-value table."""
+    phases = _phase_tables(lam)
+
+    def block(c):
+        [mix] = phases(c)
+        return lambda amps, j: from_eig(to_eig(amps) * mix[j])
+
+    return None, block, 2 * len(lam)
 
 
 def _transverse_mixer(n: int):
-    """(to_eig, lam, from_eig) of exp(-i c X) on each of n qubits: its
-    eigenbasis W = H^{(x)n} and lam = n - 2 popcount, so that the mixer is
-    amps <- from_eig(to_eig(amps) * exp(-i c lam)).
+    """(frame, block, width) of exp(-i c X) on each of n qubits: block(c)
+    takes a block's (cycles, k) angles and returns (amps, j) -> cycle j's
+    mixer on the k rows; ``width`` counts the complex entries per cycle and
+    row of a block's tables.  At c = 0 the mixer is exactly the identity.
 
-    W = S / 2^(n/2) with S the exact +-1 Walsh signs and S S = 2^n: the
-    forward pass applies S and the inverse S / 2^n, both exact, so at c = 0
-    the mixer is exactly the identity and the norm does not leak.
-    For n <= ``WALSH_MATMUL_QUBITS`` each pass is one matmul by the
-    2^n x 2^n signs.  Beyond that S = S_k1 (x) ... (x) S_km, m factors of at
-    most ``WALSH_FACTOR_QUBITS`` qubits each (Fino and Algazi 1976), applied
-    by :func:`_kron_pass` in real arithmetic; the inverse puts its 1/2^n on
-    the first factor.  No 2^n x 2^n matrix is formed.
+    For n <= ``WALSH_MATMUL_QUBITS`` it is :func:`_eigen_mixer` in the
+    eigenbasis W = H^{(x)n}, lam = n - 2 popcount, by one matmul each way
+    with the exact +-1 Walsh signs S and S / 2^n, and ``frame`` is None.
+    Beyond that exp(-i c X)^{(x)n} = D R(c)^{(x)n} D with the ``frame``
+    D = diag((-i)^popcount) and the real R(c) = [[cos c, sin c],
+    [sin c, -cos c]]; the engine keeps amps / D, so a cycle is the exact
+    +-1 diagonal D^2 and one real pass of R(c)^{(x)n} = F_1 (x) ... (x) F_m,
+    m factors of at most ``WALSH_FACTOR_QUBITS`` qubits, by
+    :func:`_kron_pass`.  Entry (x, y) of a k-qubit factor is
+    cos^(k-h) sin^h at h = popcount(x ^ y), negated where popcount(x & y) is
+    odd: a block's factors are taken from the powers of each cycle's cos c
+    and sin c by fixed indices and signs.  No 2^n x 2^n matrix is formed.
     """
-    lam = n - 2 * np.bitwise_count(np.arange(1 << n)).astype(int)
+    popcount = np.bitwise_count(np.arange(1 << n))
     if n <= WALSH_MATMUL_QUBITS:
         signs = _walsh_signs(n).astype(complex)
         inverse = signs / (1 << n)
-        return (lambda amps: amps @ signs), lam, (lambda amps: amps @ inverse)
+        return _eigen_mixer(lambda amps: amps @ signs, n - 2 * popcount.astype(int),
+                            lambda amps: amps @ inverse)
     m = -(-n // WALSH_FACTOR_QUBITS)
     sizes = [n // m + 1] * (n % m) + [n // m] * (m - n % m)
-    signs = [_walsh_signs(k).astype(float) for k in sizes]
-    return _kron_pass(signs), lam, _kron_pass([signs[0] / (1 << n), *signs[1:]])
+    shapes = [(k, j == m - 1) for j, k in enumerate(sizes)]  # (qubits, carries the 1_2)
+    top = max(sizes) + 1
+    # per factor shape: where cos^(k-h) and sin^h sit in a cycle's powers of cos and sin,
+    # and the sign; F (x) 1_2 for the last
+    spreads = {}
+    for k, last in set(shapes):
+        x = np.arange(1 << k)
+        h = np.bitwise_count(x[:, None] ^ x).astype(int)
+        sign = 1.0 - 2 * (np.bitwise_count(x[:, None] & x) & 1)
+        if last:
+            h, sign = np.kron(h, np.ones((2, 2), dtype=int)), np.kron(sign, np.eye(2))
+        spreads[k, last] = k - h, top + h, sign
+    # per cycle and row, in complex numbers: the factor stacks and two temporaries
+    width = 3 * sum(sign.size for _, _, sign in spreads.values()) // 2 + top
+
+    def block(c):
+        # powers by repeated products: np.power's rounding ran low and shrank the norm of
+        # an n = 9 ramp by 7e-14 over 1,489 cycles, against 1.4e-14 with products
+        powers = np.ones(c.shape + (2, top))
+        powers[..., 0, 1:], powers[..., 1, 1:] = np.cos(c)[..., None], np.sin(c)[..., None]
+        powers = np.multiply.accumulate(powers, axis=-1).reshape(*c.shape, 2 * top)
+        stacks = {shape: sign * powers.take(cos_at, axis=-1) * powers.take(sin_at, axis=-1)
+                  for shape, (cos_at, sin_at, sign) in spreads.items()}
+        factors = [stacks[shape] for shape in shapes]
+        return lambda amps, j: _kron_pass(amps, [f[j] for f in factors])
+
+    return np.array([1, -1j, -1, 1j])[popcount % 4], block, width
 
 
 def _ideal_mixer(independent: np.ndarray):
-    """(to_eig, lam, from_eig) of the transverse mixer on the I independent patterns only:
+    """:func:`_eigen_mixer` of the transverse mixer on the I independent patterns only:
     their I x I single-flip matrix diagonalized once, embedded as their rows of (2^n, I)."""
     idx = np.flatnonzero(independent)
     _guard_bytes(8 * len(idx) ** 2 + 16 * len(independent) * len(idx), "the ideal mixer")
     lam, vecs = np.linalg.eigh((np.bitwise_count(idx[:, None] ^ idx) == 1).astype(float))
     w = np.zeros((len(independent), len(idx)), dtype=complex)
     w[idx] = vecs
-    return (lambda amps: amps @ w), lam, (lambda amps: amps @ w.T)
+    return _eigen_mixer(lambda amps: amps @ w, lam, lambda amps: amps @ w.T)
 
 
 def _run_pure(schedules, mixer, number: np.ndarray, proj: np.ndarray,
@@ -546,60 +599,71 @@ def _run_pure(schedules, mixer, number: np.ndarray, proj: np.ndarray,
 
     A (B, 2^n) state, one row per row of every schedule, starts in vacuum.
     Each cycle applies exp(-i(phi_b number + zeta_b energy)), the ``mixer``
-    parts (to_eig, lam, from_eig) at angle c_b and the constant unimodular
-    diagonal ``kicks``, and records |amps|^2 @ proj (whose last column of
-    ones gives each row's squared norm) up to the row's own last cycle.
+    (frame, block, width) at angle c_b and the constant unimodular diagonal
+    ``kicks``, and records |amps|^2 @ proj (whose last column of ones gives
+    each row's squared norm) up to the row's own last cycle.
 
     Rows run longest first, in blocks of at most ``PURE_BLOCK_ELEMENTS /
     (k 2^n)`` cycles for the k rows still running, at least one, never past
-    a row's end: one exp builds a block's phase diagonals, each cycle's state
-    overwrites its own, and one matmul gives the records.  An ``energy``
-    (the QUBO path, one schedule) has up to 2^n distinct values, so its
-    phases come from :func:`_ramp_phases`, anchored on the same cycles
-    whatever the block.  Kicks leave vacuum and |amps| unchanged, so each is
-    folded into the next cycle's diagonal and the last one is applied at the
-    end.  The loop's arrays are guarded first, the records by the callers.
+    a row's end: one exp builds a block's number phases, one ``block`` call
+    its mixer tables, each cycle's state overwrites its own diagonal, and
+    one matmul gives the records.  Kicks and a mixer's frame D leave vacuum
+    and |amps| unchanged, so the state is kept as amps / (kicks D): each
+    cycle's diagonal carries the kicks and D^2, and the kicks and D are
+    applied to the final amplitudes.  An ``energy`` (the QUBO path, one
+    schedule) has up to 2^n distinct values, so its cycles' whole diagonals
+    come from :func:`_ramp_phases`, anchored on the same cycles whatever the
+    block.  The loop's arrays are guarded first, the records by the callers.
     """
-    to_eig, lam, from_eig = mixer
+    frame, mixer_block, mixer_width = mixer
     order = sorted(range(len(schedules)), key=lambda s: -schedules[s].n_cycle)
     sizes = [np.size(schedules[s].r_tot) for s in order]
     rows = dict(zip(order, map(slice, np.cumsum([0] + sizes), np.cumsum(sizes))))
     lengths = np.repeat([schedules[s].n_cycle for s in order], sizes)
-    # In complex numbers: per pattern, the table indices; the finals; a block's phases (then
-    # states) and mixer phases; the larger of that block again (its distinct-phase table, or
-    # |states|^2) and the running rows with three mixer temporaries and the distinct phases;
-    # a ramp's rows.
+    # In complex numbers: per pattern, the table indices and the two folded diagonals; the
+    # finals; a block's states and mixer tables; the larger of the block's states again (its
+    # distinct-phase table, at most one entry per pattern, or |states|^2) and the running rows
+    # with three mixer temporaries; the two buffers of NumPy's broadcast multiplies; a ramp's
+    # two diagonals per pattern and three rows.
     width = len(lengths) * len(number)
-    block = min(max(len(lengths), PURE_BLOCK_ELEMENTS // len(number)),
-                len(lengths) * lengths[0]) * (len(number) + len(lam))
-    ramp_width = 0 if energy is None else 2 * width + len(number)
-    _guard_bytes(16 * (len(number) + width + block + max(block, 4 * width + len(number))
-                       + ramp_width), "the pure-state block")
+    cells = min(max(len(lengths), PURE_BLOCK_ELEMENTS // len(number)), len(lengths) * lengths[0])
+    states = cells * len(number)
+    ramp_entries = 0 if energy is None else 2 * len(number) + 3 * width
+    _guard_bytes(16 * (3 * len(number) + width + states + cells * mixer_width
+                       + max(states, 4 * width) + 2 * min(max(states, width), np.getbufsize())
+                       + ramp_entries), "the pure-state block")
     angles = np.zeros((2, lengths[0], len(lengths)))
     for s, sc in enumerate(schedules):
         angles[:, :sc.n_cycle, rows[s]] = np.atleast_2d(sc.phi).T, np.atleast_2d(sc.c).T
-    phases = _phase_tables(number, lam)
-    ramp = None if energy is None else _ramp_phases(schedules[0], energy)
+    fold, end = kicks, kicks
+    if frame is not None:  # complex, like the diagonals they multiply, so never cast
+        end = frame if kicks is None else kicks * frame
+        fold = end * frame
+    if energy is None:
+        phases, ramp = _phase_tables(number), None
+    else:
+        ramp = _ramp_phases(schedules[0], number, energy, fold)
     finals = np.zeros((len(lengths), len(number)), dtype=complex)
     finals[:, 0] = 1.0
     records = np.empty((len(lengths), lengths[0], proj.shape[1]))
     amps, start, k = finals, 0, len(lengths)
     while k:
         stop = min(lengths[k - 1], start + max(1, PURE_BLOCK_ELEMENTS // amps.size))
-        states, mix = phases(angles[0, start:stop, :k], angles[1, start:stop, :k])
-        if ramp is not None:
-            for cycle in states:
-                cycle *= next(ramp)
-        if kicks is not None:
-            states *= kicks
+        mix = mixer_block(angles[1, start:stop, :k])
+        if ramp is None:
+            [states] = phases(angles[0, start:stop, :k])
+            if fold is not None:
+                states *= fold
+        else:
+            states = np.empty((stop - start, k, len(number)), dtype=complex)
         for j in range(len(states)):
-            amps = states[j] = from_eig(to_eig(amps * states[j]) * mix[j])
+            amps = states[j] = mix(amps * (states[j] if ramp is None else next(ramp)), j)
         records[:k, start:stop] = ((np.abs(states) ** 2) @ proj).transpose(1, 0, 2)
-        del states, mix  # before the next block's phases, as the guard counts
+        del states, mix  # before the next block's tables, as the guard counts
         start, left, k = stop, k, np.count_nonzero(lengths > stop)
         finals[k:left], amps = amps[k:], amps[:k]
-    if kicks is not None:
-        finals *= kicks
+    if end is not None:
+        finals *= end
     return [(finals[rows[s]], records[rows[s], :sc.n_cycle]) for s, sc in enumerate(schedules)]
 
 

@@ -196,7 +196,8 @@ def embed_local_operator(op: np.ndarray, space: FockSpace, targets) -> np.ndarra
 
 def eigenvalue_entropy(lam: np.ndarray) -> float | np.ndarray:
     """Von Neumann entropy in bits from density-matrix eigenvalues on the last
-    axis; eigenvalues below ``ENTROPY_EIG_CLIP`` count as zero."""
-    lam = np.where(lam > ENTROPY_EIG_CLIP, lam, 1.0)  # 1 log2(1) is exactly 0
+    axis; eigenvalues below ``ENTROPY_EIG_CLIP`` count as zero and those of 1
+    or more, which only rounding makes, as 1, so that no term is negative."""
+    lam = np.where((lam > ENTROPY_EIG_CLIP) & (lam < 1.0), lam, 1.0)  # 1 log2(1) is exactly 0
     # 0.0 - sum, so that a pure state gives +0.0 and not -0.0
     return 0.0 - (lam * np.log2(lam)).sum(axis=-1)

@@ -17,8 +17,7 @@ import scipy.linalg
 import scipy.sparse
 
 from zenoanneal.anneal import (ZENO_CACHE_STAGES, _Observables, _qubit_block,
-                               _transverse_mixer, _walsh_signs, _zeno_step,
-                               linear_three_parameter_profile)
+                               _walsh_signs, _zeno_step, linear_three_parameter_profile)
 from zenoanneal.fock import (DensityState, PureState, apply_local_superop_matrix,
                              eigenvalue_entropy, make_space)
 from zenoanneal.gadgets import constraint_superop, drive_generator, pump_maps
@@ -176,19 +175,20 @@ def fwht(x: np.ndarray) -> np.ndarray:
 
 def exact_qubo_anneal(q, n_cycle: int, r_tot):
     """(populations, success, norm drift) of ``qubo_anneal`` run with one
-    exact exp(-i phi_j N) exp(-i zeta_j E) per cycle: (B, 2^n) final
-    populations in basis order, (B, n_cycle) success, and the largest
+    exact exp(-i phi_j N) exp(-i zeta_j E) per cycle and the mixer as
+    S diag(exp(-i c_j lam)) S / 2^n by the butterfly :func:`fwht`: (B, 2^n)
+    final populations in basis order, (B, n_cycle) success, and the largest
     |norm - 1| at any cycle."""
     energy, optimal = _qubo_scores(q)
     number = np.bitwise_count(np.arange(len(energy))).astype(int)
+    lam = len(q) - 2 * number
     _, phi, c, zeta = (np.atleast_2d(a) for a in linear_three_parameter_profile(n_cycle, r_tot))
-    to_eig, lam, from_eig = _transverse_mixer(len(q))
     amps = np.zeros((len(phi), len(energy)), dtype=complex)
     amps[:, 0] = 1.0
     success, drift = np.empty(phi.shape), 0.0
     for j in range(n_cycle):
         diag = np.exp(phi[:, j, None] * (-1j * number)) * np.exp(zeta[:, j, None] * (-1j * energy))
-        amps = from_eig(to_eig(amps * diag) * np.exp(c[:, j, None] * (-1j * lam)))
+        amps = fwht(fwht(amps * diag) * np.exp(c[:, j, None] * (-1j * lam))) / len(energy)
         populations = np.abs(amps) ** 2
         success[:, j] = populations @ optimal
         drift = max(drift, float(np.max(np.abs(np.sqrt(populations.sum(axis=1)) - 1.0))))

@@ -363,14 +363,16 @@ def test_density_report_records_space_and_block_leak():
 
 
 def apply_mixer(mixer, amps, c):
-    """exp(-i c_b M) on row b of amps, from the mixer's eigenbasis parts."""
-    to_eig, lam, from_eig = mixer
-    return from_eig(to_eig(amps) * np.exp(-1j * c[:, None] * lam))
+    """exp(-i c_b X) on every qubit of row b of amps: one cycle of the mixer's
+    block, inside its frame D (amps -> D pass(D amps)) when it has one."""
+    frame, block, _ = mixer
+    step = block(np.asarray(c, dtype=float)[None, :])
+    return step(amps, 0) if frame is None else frame * step(frame * amps, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9])
 def test_walsh_hadamard_mixer_matches_kron_reference(n):
-    # n = 9 runs the two-factor Walsh-Hadamard transform
+    # n = 9 runs the one real pass of three Kronecker factors in the frame
     rng = np.random.default_rng(n)
     amps = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
     c = rng.uniform(-2.0, 2.0, size=3)
@@ -382,7 +384,8 @@ def test_walsh_hadamard_mixer_matches_kron_reference(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_transverse_mixer_at_zero_angle_is_exactly_the_identity(n):
-    # exact +-1 Walsh factors: a rounded 2^(-n/2) would leak norm every cycle
+    # exact +-1 Walsh signs below n = 8, exact +-1 factors and frame above:
+    # a rounded 2^(-n/2) would leak norm every cycle
     eye = np.eye(2 ** n)
     assert np.array_equal(apply_mixer(_transverse_mixer(n), eye, np.zeros(2 ** n)), eye)
 
@@ -391,29 +394,59 @@ def test_transverse_mixer_at_zero_angle_is_exactly_the_identity(n):
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("dtype", [complex, float])
 def test_walsh_passes_match_butterfly_oracle(n, rows, dtype):
-    # n >= 8 runs the Kronecker-factored passes; n = 6, 7 the single matmul
+    # n >= 8 runs the one real Kronecker-factored pass in the frame; n = 6, 7
+    # the two matmuls by the signs; the oracle is S diag(exp(-i c lam)) S / 2^n
     rng = np.random.default_rng(100 * n + rows)
     x = rng.normal(size=(rows, 2 ** n))
     if dtype is complex:
         x = x + 1j * rng.normal(size=x.shape)
-    to_eig, _, from_eig = _transverse_mixer(n)
+    c = rng.uniform(-2.0, 2.0, size=rows)
+    lam = n - 2 * np.bitwise_count(np.arange(2 ** n)).astype(int)
+    mixer = _transverse_mixer(n)
     tol = 1e-12 * np.linalg.norm(x, axis=1, keepdims=True)
-    s_x = fwht(x)
-    assert np.all(np.abs(to_eig(x) - s_x) <= tol)
-    assert np.all(np.abs(from_eig(x) - s_x / 2 ** n) <= tol)
+    want = fwht(fwht(x) * np.exp(-1j * c[:, None] * lam)) / 2 ** n
+    assert np.all(np.abs(apply_mixer(mixer, x, c) - want) <= tol)
     # a strided view is made contiguous first
-    assert np.all(np.abs(to_eig(np.repeat(x, 2, axis=1)[:, ::2]) - s_x) <= tol)
+    step = mixer[1](c[None, :])
+    assert np.array_equal(step(np.repeat(x, 2, axis=1)[:, ::2], 0), step(x, 0))
 
 
 @pytest.mark.parametrize("n", range(8, 15))
 def test_factored_mixer_at_zero_angle_is_exact_on_integer_inputs(n):
-    # integer amplitudes: S x, S S x = 2^n x and the 1/2^n are all exact
+    # integer amplitudes: at c = 0 every factor entry is 0 or +-1 and the
+    # frame D a power of -i, so the pass and both frame products are exact
     rng = np.random.default_rng(n)
     x = rng.integers(-8, 9, size=(3, 2 ** n)) + 1j * rng.integers(-8, 9, size=(3, 2 ** n))
-    assert np.array_equal(apply_mixer(_transverse_mixer(n), x, np.zeros(3)), x)
-    to_eig, _, from_eig = _transverse_mixer(n)
-    assert np.array_equal(to_eig(x), fwht(x))
-    assert np.array_equal(from_eig(to_eig(x.real)), x.real)
+    mixer = _transverse_mixer(n)
+    assert np.array_equal(apply_mixer(mixer, x, np.zeros(3)), x)
+    assert np.array_equal(apply_mixer(mixer, x.real, np.zeros(3)), x.real)
+    frame, block, _ = mixer
+    sign = 1 - 2 * (np.bitwise_count(np.arange(2 ** n)).astype(int) & 1)
+    assert np.array_equal(frame * frame, sign)
+    assert np.array_equal(block(np.zeros((1, 3)))(x, 0), sign * x)
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_batched_qubo_rows_match_unbatched_runs(n):
+    # three distinct r_tot give each row its own angles, so its own factors
+    q = np.random.default_rng(n).normal(size=(n, n))
+    batch = qubo_anneal(q, 20, [3.0, 11.0, 40.0])
+    populations = np.array(batch.final_populations.values())
+    for row, r_tot in enumerate([3.0, 11.0, 40.0]):
+        single = qubo_anneal(q, 20, r_tot)
+        assert np.max(np.abs(populations[:, row] - single.final_populations.values())) <= 1e-14
+        assert np.max(np.abs(batch.success[row] - single.success)) <= 1e-14
+        assert np.max(np.abs(batch.final_state[row].amplitudes
+                             - single.final_state.amplitudes)) <= 1e-14
+
+
+def test_qubo_anneal_makes_one_mixer_pass_per_cycle():
+    # n = 10 is past WALSH_MATMUL_QUBITS: the frame mixer's one real pass a
+    # cycle, where the eigenbasis form took two
+    q = np.random.default_rng(10).normal(size=(10, 10))
+    with mock.patch.object(anneal, "_kron_pass", wraps=anneal._kron_pass) as kron_pass:
+        qubo_anneal(q, 64, 20.0)
+    assert kron_pass.call_count == 64
 
 
 def _mis_paths():
@@ -553,16 +586,22 @@ def test_qubo_phase_recurrence_matches_one_exp_per_cycle(n, n_cycle, r_tot, seed
 def test_qubo_energy_phases_recur_between_exact_anchors(monkeypatch):
     q = np.random.default_rng(4).normal(size=(5, 5))
     schedule = anneal.Schedule(1500, 300.0, *linear_three_parameter_profile(1500, 300.0))
-    energy = problems._qubo_scores(q)[1]
-    exact = np.exp(schedule.zeta[:, None] * (-1j * energy))
+    number, energy = np.bitwise_count(np.arange(32)), problems._qubo_scores(q)[1]
+    sign = 1.0 - 2.0 * (number & 1)  # the frame's D^2 rides on the anchors
+    exact = sign * np.exp(schedule.phi[:, None] * (-1j * number)
+                          + schedule.zeta[:, None] * (-1j * energy))
     anchors = np.arange(1500) % anneal.PHASE_ANCHOR_CYCLES == 0
-    got = np.array([diag[0] for diag in anneal._ramp_phases(schedule, energy)])
+
+    def ramp():
+        return np.array([diag[0].copy()
+                         for diag in anneal._ramp_phases(schedule, number, energy, sign)])
+
+    got = ramp()
     assert np.array_equal(got[anchors], exact[anchors])
     assert np.max(np.abs(got - exact)) <= 2e-15
     # one anchor in 1500 cycles: the D + D (R - 1) product alone drifted 4e-15
     monkeypatch.setattr(anneal, "PHASE_ANCHOR_CYCLES", 10 ** 6)
-    got = np.array([diag[0] for diag in anneal._ramp_phases(schedule, energy)])
-    assert np.max(np.abs(got - exact)) <= 2e-14
+    assert np.max(np.abs(ramp() - exact)) <= 2e-14
 
 
 def _old_population_dict(bits, populations):
@@ -617,13 +656,16 @@ def test_density_reports_carry_the_populations_view():
                                      for p in product((0, 1), repeat=3)}
 
 
-@pytest.mark.parametrize("path", ["statevector", "ideal", "qubo"])
+@pytest.mark.parametrize("path", ["statevector", "ideal", "qubo", "qubo10"])
 def test_pure_paths_report_norm_drift(path):
+    # qubo10 runs the frame mixer's one real pass a cycle
     five = five_node_example()
     q = np.random.default_rng(5).normal(size=(5, 5))
+    q10 = np.random.default_rng(10).normal(size=(10, 10))
     run = {"statevector": lambda: anneal_statevector(five, make_schedule(1024, 300.0), PHI_Q),
            "ideal": lambda: anneal_ideal(five, make_schedule(1024, 300.0)),
-           "qubo": lambda: qubo_anneal(q, 1024, 300.0)}[path]
+           "qubo": lambda: qubo_anneal(q, 1024, 300.0),
+           "qubo10": lambda: qubo_anneal(q10, 1024, 300.0)}[path]
     assert 0.0 <= run().meta["norm_drift"] <= 1e-12
 
 
@@ -631,11 +673,19 @@ def test_norm_drift_sees_a_mixer_that_is_not_unitary(monkeypatch):
     exact = anneal._transverse_mixer
 
     def scaled(n):
-        to_eig, lam, from_eig = exact(n)
-        return to_eig, lam, lambda amps: from_eig(amps) * (1 + 1e-6)
+        frame, block, width = exact(n)
+
+        def scaled_block(c):
+            step = block(c)
+            return lambda amps, j: step(amps, j) * (1 + 1e-6)
+
+        return frame, scaled_block, width
 
     monkeypatch.setattr(anneal, "_transverse_mixer", scaled)
     rep = anneal_statevector(five_node_example(), make_schedule(16, 10.0), PHI_Q)
+    assert rep.meta["norm_drift"] >= 1e-6
+    # and the frame mixer's one pass past WALSH_MATMUL_QUBITS
+    rep = qubo_anneal(np.random.default_rng(9).normal(size=(9, 9)), 16, 10.0)
     assert rep.meta["norm_drift"] >= 1e-6
 
 
@@ -785,7 +835,10 @@ def test_ideal_mixer_bytes_are_guarded_before_eigh(monkeypatch):
         not any(p[u] and p[v] for u, v in g.edges) for p in product((0, 1), repeat=5))
     nbytes = 8 * n_independent ** 2 + 16 * 32 * n_independent
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
-    anneal_ideal(g, make_schedule(4, 1.0))
+    # the ideal mixer passes at its count; the pure-state block's guard, which
+    # counts NumPy's broadcast buffers too, is the next to trip
+    with pytest.raises(ValueError, match="pure-state block would take"):
+        anneal_ideal(g, make_schedule(4, 1.0))
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes - 1)
     monkeypatch.setattr(np.linalg, "eigh", mock.Mock(side_effect=AssertionError))
     with pytest.raises(ValueError, match=f"ideal mixer would take {nbytes} bytes"):
@@ -801,31 +854,48 @@ def test_ideal_vs_phase_sweep_runs_one_pure_batch_per_path():
         assert sorted(schedule.n_cycle for schedule in call.args[0]) == [16, 32, 64]
 
 
-def _pure_block_bytes(rows: int, n_cycle: int, n_patterns: int, n_lam: int,
+def _pure_block_bytes(rows: int, n_cycle: int, n_patterns: int, mixer_width: int,
                       ramp: bool = False) -> int:
     """The byte count ``_run_pure`` guards for ``rows`` rows of at most
-    ``n_cycle`` cycles on ``n_patterns`` amplitudes and ``n_lam`` mixer phases."""
+    ``n_cycle`` cycles on ``n_patterns`` amplitudes, with a mixer whose block
+    holds ``mixer_width`` complex entries per cycle and row."""
     width = rows * n_patterns
     cells = min(max(rows, anneal.PURE_BLOCK_ELEMENTS // n_patterns), rows * n_cycle)
-    block = cells * (n_patterns + n_lam)
-    extra = 2 * width + n_patterns if ramp else 0
-    return 16 * (n_patterns + width + block + max(block, 4 * width + n_patterns) + extra)
+    states = cells * n_patterns
+    extra = 2 * n_patterns + 3 * width if ramp else 0
+    return 16 * (3 * n_patterns + width + states + cells * mixer_width + max(states, 4 * width)
+                 + 2 * min(max(states, width), np.getbufsize()) + extra)
+
+
+def _weighted_nine():
+    """A nine-node ring with two chords, weights 1 + 0.37 j + 0.011 j^2: all
+    2^9 weighted sizes distinct, so its number phases have 512 distinct values."""
+    edges = [(j, (j + 1) % 9) for j in range(9)] + [(0, 4), (2, 6)]
+    return graph_from_edges(9, edges, weights=[1 + 0.37 * j + 0.011 * j * j for j in range(9)])
 
 
 @pytest.mark.parametrize("case", ["five-statevector", "five-ideal", "path14-statevector",
-                                  "qubo12"])
+                                  "qubo12", "weighted9-statevector", "weighted9-ideal",
+                                  "qubo14"])
 def test_pure_block_guard_counts_its_peak(monkeypatch, case):
-    # unit weights keep the distinct-phase tables and NumPy's broadcast
-    # buffers small; the count leaves those buffers and Python objects out
+    # the count covers the distinct-phase tables at their real width (2^n
+    # entries a cell on weighted graphs), NumPy's broadcast buffers and the
+    # frame mixer's factor stacks; it leaves Python objects out
     five, path14 = five_node_example(), graph_from_edges(14, [(j, j + 1) for j in range(13)])
     ragged = [make_schedule(256, [2.0, 5.0, 9.0]), make_schedule(1024, [2.0, 40.0]),
               make_schedule(512, 3.0)]
+    weighted = [make_schedule(300, [2.0, 5.0]), make_schedule(40, 3.0)]
     q = np.random.default_rng(12).normal(size=(12, 12))
     run = {"five-statevector": lambda: anneal._anneal_mis_pure(five, ragged, PHI_Q),
            "five-ideal": lambda: anneal._anneal_mis_pure(five, ragged, None),
            "path14-statevector": lambda: anneal_statevector(
                path14, make_schedule(8, [1.0, 2.0, 3.0]), PHI_Q),
-           "qubo12": lambda: qubo_anneal(q, 64, [1.0, 2.0, 3.0])}[case]
+           "qubo12": lambda: qubo_anneal(q, 64, [1.0, 2.0, 3.0]),
+           "weighted9-statevector": lambda: anneal._anneal_mis_pure(
+               _weighted_nine(), weighted, PHI_Q),
+           "weighted9-ideal": lambda: anneal._anneal_mis_pure(_weighted_nine(), weighted, None),
+           "qubo14": lambda: qubo_anneal(np.random.default_rng(14).normal(size=(14, 14)),
+                                         64, 20.0)}[case]
     peaks, counts, engine = [], [], anneal._run_pure
 
     def traced(schedules, mixer, number, proj, **kwargs):
@@ -837,7 +907,7 @@ def test_pure_block_guard_counts_its_peak(monkeypatch, case):
             tracemalloc.stop()
         rows = sum(np.size(schedule.r_tot) for schedule in schedules)
         n_cycle = max(schedule.n_cycle for schedule in schedules)
-        counts.append(_pure_block_bytes(rows, n_cycle, len(number), len(mixer[1]),
+        counts.append(_pure_block_bytes(rows, n_cycle, len(number), mixer[2],
                                         "energy" in kwargs))
         # the records and the two angles per row and cycle are the callers' guard
         peaks[-1] -= 8 * rows * n_cycle * (proj.shape[1] + 2)
@@ -852,13 +922,15 @@ def test_pure_block_guard_counts_its_peak(monkeypatch, case):
 def test_pure_block_bytes_are_guarded_before_the_phase_tables(monkeypatch, phi_q):
     g = five_node_example()
     schedules = [make_schedule(40, [1.0, 2.0]), make_schedule(300, 3.0)]
-    n_lam = 32 if phi_q is not None else int(np.sum(_Observables(
-        make_space([2] * 5), g).violations == 0))
-    nbytes = _pure_block_bytes(3, 300, 32, n_lam)
+    mixer = (anneal._transverse_mixer(5) if phi_q is not None else
+             anneal._ideal_mixer(_Observables(make_space([2] * 5), g).violations == 0))
+    nbytes = _pure_block_bytes(3, 300, 32, mixer[2])
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
     anneal._anneal_mis_pure(g, schedules, phi_q)
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes - 1)
-    monkeypatch.setattr(anneal, "_phase_tables", mock.Mock(side_effect=AssertionError))
+    # the mixers set up their phase tables when built, and fill none before the guard
+    monkeypatch.setattr(anneal, "_phase_tables",
+                        lambda *values: mock.Mock(side_effect=AssertionError))
     with pytest.raises(ValueError, match=f"pure-state block would take {nbytes} bytes"):
         anneal._anneal_mis_pure(g, schedules, phi_q)
 

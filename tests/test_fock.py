@@ -8,7 +8,8 @@ import scipy.sparse
 from zenoanneal.fock import (DensityState, PureState,
                              apply_local_operator_matrix,
                              apply_local_superop_matrix, apply_superop_every_mode,
-                             embed_local_operator, make_space, vacuum)
+                             eigenvalue_entropy, embed_local_operator, make_space,
+                             vacuum)
 from zenoanneal.gadgets import unitary_conjugation_superop
 
 from oracles import (number_state, partial_trace, population, validate_density,
@@ -283,6 +284,17 @@ def test_entropy_unitary_invariance():
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     rotated = DensityState(space, u @ rho.matrix @ u.conj().T)
     assert abs(von_neumann_entropy(rho) - von_neumann_entropy(rotated)) < 1e-9
+
+
+def test_entropy_of_a_state_within_rounding_of_pure_is_never_negative():
+    # the coherent gadget's qubit block keeps |11><11| at 1 + 9e-16, and
+    # -lam log2 lam of such an eigenvalue is -1.3e-15
+    for lam in ([1 + 9e-16, 0.0], [1 + 9e-16, 1e-13, -1e-13], [1.0 + 2.2e-16, 0.0, 0.0]):
+        s = eigenvalue_entropy(np.array(lam))
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
+    # a stack keeps its mixed rows as they were
+    stack = eigenvalue_entropy(np.array([[1 + 9e-16, 0.0], [0.25, 0.75]]))
+    assert stack[0] == 0.0 and stack[1] == -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
 
 
 def test_entropy_accepts_raw_matrix():
