@@ -4,9 +4,8 @@ from .fock import DensityState, FockSpace, PureState, make_space, vacuum
 from .generators import (GeneratorSpec, combine, displacement_generator,
                          loss_dissipator, phase_generator, sfg_generator,
                          tpa_dissipator)
-from .propagator import (BinaryExpCache, DimensionGuardError,
-                         NonConvergenceError, PhaseKernel, build_cache,
-                         expm_apply_vec, expm_dense, trajectory)
+from .propagator import (BinaryExpCache, NonConvergenceError, PhaseKernel,
+                         build_cache, expm_apply_vec, expm_dense, trajectory)
 from .gadgets import (ConstraintParams, DriveParams, GAMMA_T_COHERENT,
                       GAMMA_T_INCOHERENT, beamsplitter, constraint_superop,
                       drive_generator, pump_maps, pumped_phase_gadget)

@@ -24,7 +24,7 @@ from . import anneal, experiments
 from .gadgets import GAMMA_T_COHERENT, GAMMA_T_INCOHERENT
 from .problems import (complete_graph, five_node_example, parse_edge_list,
                        parse_qubo, three_node_line)
-from .propagator import DimensionGuardError, NonConvergenceError
+from .propagator import NonConvergenceError
 from .timebin import compile_graph_program, render_program, verify_program
 
 OUT_DIR_ENV = "ZENOANNEAL_OUT"
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
-    except (DimensionGuardError, NonConvergenceError) as exc:  # before its base ValueError
+    except NonConvergenceError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # ConfigError, or an experiment's own input check

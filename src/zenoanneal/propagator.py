@@ -1,41 +1,39 @@
-"""Exponentiation and fast application of generators.
+"""Exponentiation of generators.
 
-Entry points:
-
-* :func:`expm_dense` materializes exp(t G) as a dense superoperator, up to
-  Hilbert dimension ``DENSE_DIM_THRESHOLD``,
-* :func:`expm_apply_vec` computes exp(t G) vec for one vectorized state,
-* :func:`trajectory` returns the states on an evenly spaced time grid from 0,
+* :func:`trajectory` returns the states on an evenly spaced time grid from 0
+  and is the one place that exponentiates a state; :func:`expm_apply_vec`
+  returns the last row of its grid [0, t],
+* :func:`expm_dense` materializes exp(t G) as a dense superoperator,
 * :class:`BinaryExpCache` (:func:`build_cache`) precomputes exponentials for
-  halved durations; :meth:`BinaryExpCache.matrix_for` composes them into the
-  map for any per-cycle time, so a sweep never exponentiates inside its
-  inner loop.
+  halved durations and composes them into the map for any per-cycle time, so
+  a sweep never exponentiates inside its inner loop.
 
-The two state paths run on real coordinates: G keeps matrices Hermitian, so in
-the orthonormal Hermitian basis U it is the real ``GeneratorSpec.real_matrix``
-a = U^dag G U, and a Hermitian state has real coordinates U^dag vec(rho).  They
-propagate only the block R of coordinates reachable from the state's support
-along the nonzeros of a: a is closed on R, so the rest stays exactly 0, with no
-symmetry assumed in code.  For a drive started at the vacuum R is half the
-space: the drive Hamiltonians are real and odd under the photon parity P, the
-jumps real and P-covariant, so rho(t) = P rho(t)* P and only the D(D+1)/2
-coordinates of one parity pattern are reachable (the weak-symmetry block
-reduction of Buca & Prosen, New J. Phys. 14, 2012): 171 of 324 at D = 18.
+A trajectory takes one of three branches.  With every jump rate 0 it is
+unitary: rho(t) = U rho U^dag, U(t) = V exp(-i lambda t) V^dag from one
+eigendecomposition of the D x D Hamiltonian, on any vec.  Otherwise it runs on
+the real coordinates U^dag vec(rho) in the orthonormal Hermitian basis U, where
+G is the real ``GeneratorSpec.real_matrix`` a = U^dag G U, and only on the
+block R of them reachable from the state's support along the nonzeros of a: a
+is closed on R, so the rest stays exactly 0, with no symmetry assumed in code.
+From the vacuum R is the D(D+1)/2 coordinates of one photon-parity pattern,
+171 of 324 at D = 18, as the drive Hamiltonians are real and odd under parity
+and the jumps real and covariant (the weak-symmetry block reduction of Buca &
+Prosen, New J. Phys. 14, 2012).  A block of up to ``DENSE_BLOCK_MAX``
+coordinates takes one real dense exponential of the grid step (scaling and
+squaring, Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009), whose cost
+does not grow with |tG|; a larger one takes Krylov (Arnoldi) steps over one
+grid interval at a time, with the step control of Expokit's dgexpv (Saad,
+SIAM J. Numer. Anal. 29, 1992; Sidje, ACM TOMS 24, 1998) and exact norms.
 
-One rule for both paths: a block of up to ``DENSE_BLOCK_MAX`` coordinates takes
-one real dense exponential (scaling and squaring, Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 31, 2009), whose cost does not grow with |tG|; a larger
-block takes, for a point, Krylov (Arnoldi) steps with the a posteriori step
-control of Expokit's dgexpv (Saad, SIAM J. Numer. Anal. 29, 1992; Sidje, ACM
-TOMS 24, 1998), from exact norms and no random estimator, and for a trajectory
-scipy's ``expm_multiply`` interval form (Al-Mohy & Higham, SIAM J. Sci. Comput.
-33, 2011), which reaches every grid point from one set of Taylor steps; Krylov
-steps taken grid interval by grid interval were 3-9x slower on the SFG ratios
-of the default zeno-onset.
+These replaced scipy's ``expm_multiply`` interval form (Al-Mohy & Higham, SIAM
+J. Sci. Comput. 33, 2011) above the cap.  On 201-point trajectories over 2 pi
+from the vacuum (a 2-vCPU Xeon VM, OpenBLAS on one thread, best of three), the
+jump-free SFG ratios 0, 1 and 10 at D = 66 took 0.027, 0.025 and 0.025 s
+against 0.009, 0.096 and 0.27 s, and TPA at d = 40 (a block of 820) ratios 2,
+10 and 150 took 0.47, 0.64 and 2.8 s against 1.5, 7.1 and 101 s.
 
-Phase rotations additionally get :class:`PhaseKernel`: the superoperator of a
-weighted photon-number rotation is diagonal in the number basis, so applying
-one reduces to a lookup-table multiply.
+:class:`PhaseKernel` applies a weighted photon-number rotation, diagonal in
+the number basis, as one lookup-table multiply.
 """
 
 from __future__ import annotations
@@ -45,32 +43,25 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
+import scipy.sparse
 from scipy.sparse.csgraph import breadth_first_order
 
 from .fock import FockSpace
 from .generators import GeneratorSpec, hermitian_basis
 
-# expm_dense's superoperators are allowed up to this Hilbert-space dimension.
-DENSE_DIM_THRESHOLD = 64
-
-# Largest block, in real coordinates, that takes a dense exponential; larger
-# blocks take Krylov steps (points) or the expm_multiply interval (trajectories).
+# Largest block, in real coordinates, that takes a dense exponential of the
+# grid step; larger blocks take Krylov steps, one grid interval at a time.
 DENSE_BLOCK_MAX = 600
 
 # Rows mapped back from real coordinates per sparse product.
 MAP_ROWS = 64
 
-# Krylov basis size and tolerance, relative to |vec|, of the point action.
+# Krylov basis size and tolerance, relative to |vec|, of one Krylov-stepped interval.
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-13
 
 # Largest bytes a run's largest arrays may take, checked before they are built.
 RUN_BYTES_MAX = 1 << 31
-
-
-class DimensionGuardError(ValueError):
-    """Raised when a dense superoperator would exceed DENSE_DIM_THRESHOLD."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -94,9 +85,6 @@ def expm_dense(gen: GeneratorSpec, t: float) -> np.ndarray:
     """Dense exp(t G) via scaling-and-squaring."""
     _check_time(gen, t)
     d = gen.space.total_dim
-    if d > DENSE_DIM_THRESHOLD:
-        raise DimensionGuardError(
-            f"total_dim {d} exceeds dense cap {DENSE_DIM_THRESHOLD}; use expm_apply_vec")
     # ten (D^2, D^2) complex matrices: scipy's expm holds up to nine at once
     _guard_bytes(160 * d ** 4, "the dense exponential")
     mat = scipy.linalg.expm((t * gen.matrix).toarray())
@@ -119,11 +107,12 @@ def _block(a, cols: np.ndarray) -> np.ndarray:
 
 
 def _on_block(a, vec: np.ndarray, action) -> np.ndarray:
-    """``action(a[R, R], cols[R])`` on the real coordinates cols = U^dag vec in
-    the Hermitian basis U (one column, and a second only for an anti-Hermitian
-    part) and their :func:`_block` R, mapped back by U ``MAP_ROWS`` rows at a
-    time, so no complex copy of its whole output is made besides the result."""
-    basis = hermitian_basis(math.isqrt(vec.shape[-1]))
+    """Rows vec(rho) of ``action(a[R, R], cols[R])``, an (n, R[, 2]) array of
+    real coordinates starting at cols[R]: cols = U^dag vec in the Hermitian
+    basis U (a second column only for an anti-Hermitian part), R their
+    :func:`_block`.  Row 0 is vec; the rest is mapped back by U ``MAP_ROWS``
+    rows at a time, so no complex copy of the whole output is made."""
+    basis = hermitian_basis(math.isqrt(vec.size))
     coords = basis.conj().T @ vec
     two = bool(np.any(coords.imag))
     cols = np.stack([coords.real, coords.imag], -1) if two else coords.real
@@ -134,13 +123,12 @@ def _on_block(a, vec: np.ndarray, action) -> np.ndarray:
     out = action(a, cols)
     if not np.all(np.isfinite(out)):
         raise NonConvergenceError("the action produced non-finite values")
-    lead = out.shape[:out.ndim - 1 - two]
-    out = out.reshape((math.prod(lead),) + out.shape[len(lead):])
-    rows = np.empty((len(out), vec.shape[-1]), dtype=complex)
-    for i in range(0, len(out), MAP_ROWS):
+    rows = np.empty((len(out), vec.size), dtype=complex)
+    rows[0] = vec  # exact, not U U^dag vec
+    for i in range(1, len(out), MAP_ROWS):
         part = out[i:i + MAP_ROWS]
         rows[i:i + MAP_ROWS] = (basis @ (part @ [1.0, 1j] if two else part).T).T
-    return rows.reshape(lead + vec.shape[-1:])
+    return rows
 
 
 def _round_step(t: float) -> float:
@@ -210,67 +198,73 @@ def _krylov_expv(a, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
-    """exp(t G) vec on the block of the module docstring: the real dense
-    exponential up to ``DENSE_BLOCK_MAX`` coordinates, above it
-    :func:`_krylov_expv` one column at a time; ValueError if G does not keep
-    matrices Hermitian."""
-    _check_time(gen, t)
-
-    def action(a, cols):
-        if len(cols) <= DENSE_BLOCK_MAX:
-            return scipy.linalg.expm(a.toarray()) @ cols
-        return np.apply_along_axis(lambda col: _krylov_expv(a, col), 0, cols)
-    return _on_block(gen.real_matrix * t, vec, action)
+def _unitary_rows(h, times: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Rows vec(U rho U^dag) by the unitary branch, one grid point at a time;
+    ValueError if ``h`` is not Hermitian (eigh reads one triangle)."""
+    d = h.shape[0]
+    # the rows, H, V, the state in V and five (D, D) temporaries of one point
+    _guard_bytes(16 * (len(times) + 12) * vec.size, "the trajectory rows")
+    h = h.toarray()
+    if not (np.isfinite(h).all() and np.isfinite(vec).all()):
+        raise NonConvergenceError("the action's matrix or vector is not finite")
+    if not abs(h - h.conj().T).max() <= 1e-12 * abs(h).max():  # NaN fails too
+        raise ValueError("generator does not keep Hermitian matrices Hermitian")
+    lam, v = np.linalg.eigh(h)
+    rho = v.conj().T @ vec.reshape((d, d), order="F") @ v
+    rows = np.empty((len(times), vec.size), dtype=complex)
+    rows[0] = vec
+    for i in range(1, len(times)):
+        u = v * np.exp(-1j * times[i] * lam)
+        rows[i] = (u @ rho @ u.conj().T).ravel(order="F")
+    return rows
 
 
 def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
-    """Rows vec(rho(t)) for each t in ``times``, starting from vec(rho(0)) = vec.
-
-    ``times`` must be evenly spaced from 0 with at least two points.  On the
-    block of the module docstring: up to ``DENSE_BLOCK_MAX`` coordinates one
-    real dense exponential of the grid step, applied row after row; above it
-    scipy's expm_multiply interval form, which reaches every grid point from
-    one set of Taylor steps.  Each branch checks the bytes it peaks at against
-    ``RUN_BYTES_MAX`` before it allocates.
+    """Rows vec(rho(t)) for each t in ``times``, an evenly spaced grid of at
+    least two points from 0, by the module docstring's branches; row 0 is vec.
+    Each branch checks the bytes it peaks at against ``RUN_BYTES_MAX`` before
+    it allocates; ValueError if G does not keep matrices Hermitian.
     """
     times = np.asarray(times, dtype=float)
+    if times.size:  # before the grid check, which a non-finite end makes warn
+        _check_time(gen, times.flat[-1])
     if times.ndim != 1 or len(times) < 2 or times[0] != 0.0 or not np.allclose(
             times, np.linspace(0.0, times[-1], len(times)), rtol=0.0,
             atol=1e-12 * abs(times[-1])):
         raise ValueError("trajectory times must be an evenly spaced grid of "
                          "at least two points starting at 0")
-    _check_time(gen, times[-1])
-    n = len(times)
+    if all(rate == 0.0 for rate, _ in gen.jumps):
+        return _unitary_rows(gen.hamiltonian, times, vec)
+    n, step = len(times), float(times[1])
 
     def action(a, cols):
         dense = len(cols) <= DENSE_BLOCK_MAX
         # the complex rows, three complex copies of the rows mapped back at
         # once, eight complex vectors, the real block rows, eight copies of
         # the block matrix (12 bytes a nonzero), and for the dense step ten
-        # (R, R) real matrices: scipy's expm holds up to nine at once
+        # (R, R) real matrices (scipy's expm holds up to nine at once), for
+        # Krylov steps the basis and ten augmented Hessenberg matrices
+        work = (80 * len(cols) ** 2 if dense else
+                8 * (KRYLOV_DIM + 1) * len(cols) + 80 * (KRYLOV_DIM + 2) ** 2)
         _guard_bytes(16 * (n + 3 * min(n, MAP_ROWS) + 8) * vec.size + 8 * n * cols.size
-                     + 96 * a.nnz + 80 * len(cols) ** 2 * dense, "the trajectory rows")
+                     + 96 * a.nnz + work, "the trajectory rows")
+        out = np.empty((n,) + cols.shape)
+        out[0] = cols
         if dense:
-            step = scipy.linalg.expm(float(times[1]) * a.toarray())
-            out = np.empty((n,) + cols.shape)
-            out[0] = cols
+            step_map = scipy.linalg.expm(step * a.toarray())
             for i in range(1, n):
-                np.matmul(step, out[i - 1], out=out[i])
-            return out
-        # expm_multiply picks its degree and step count from onenormest, which
-        # draws from NumPy's global RNG; a fixed state makes the result repeat
-        # from run to run, and the caller's state is put back afterwards.
-        rng_state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            return scipy.sparse.linalg.expm_multiply(a, cols, start=0.0, stop=float(times[-1]),
-                                                     num=n, endpoint=True)
-        finally:
-            np.random.set_state(rng_state)
-    rows = _on_block(gen.real_matrix, vec, action)
-    rows[0] = vec  # exact, not U U^dag vec
-    return rows
+                np.matmul(step_map, out[i - 1], out=out[i])
+        else:
+            a = a * step
+            for i in range(1, n):
+                out[i] = np.apply_along_axis(lambda col: _krylov_expv(a, col), 0, out[i - 1])
+        return out
+    return _on_block(gen.real_matrix, vec, action)
+
+
+def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:
+    """exp(t G) vec: the last row of :func:`trajectory` on the grid [0, t]."""
+    return trajectory(gen, (0.0, t), vec)[1]
 
 
 @dataclass(frozen=True)

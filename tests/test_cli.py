@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from zenoanneal import anneal, experiments, problems, propagator
 from zenoanneal.cli import _parse_grid, main
-from zenoanneal.propagator import DimensionGuardError
 
 from test_anneal import leaky_gadget, trace_breaking_gadget
 
@@ -433,18 +432,6 @@ def test_oracle_check_command(tmp_path):
     rows = [ln.split(",") for ln in lines[2:]]
     assert rows[0][2] == "underdamped" and rows[1][2] == "critical"
     assert all(float(r[3]) < 1e-8 for r in rows)
-
-
-def test_dimension_guard_exits_2(tmp_path, monkeypatch, capsys):
-    # DimensionGuardError subclasses ValueError; it must still exit 2.
-    def guard(*args, **kwargs):
-        raise DimensionGuardError("total_dim 99 exceeds dense cap 64")
-
-    monkeypatch.setattr(experiments, "oracle_check_rows", guard)
-    code = run(["oracle-check", "--gammas", "1.0", "--out", tmp_path / "oc.csv"])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 2
-    assert err == ["numerical guard: total_dim 99 exceeds dense cap 64"]
 
 
 def test_constraint_sweep_gadget_leaving_the_qubit_block_exits_2(tmp_path, monkeypatch,

@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 
 from zenoanneal import experiments, gadgets, generators, propagator
 from zenoanneal.experiments import (CRITICAL_ETA_FACTOR, _drive_p1, drive_sweep_rows,
-                                    gamma_99)
+                                    gamma_99, zeno_onset_rows)
 from zenoanneal.fock import make_space, vacuum
 from zenoanneal.generators import GeneratorSpec
 from zenoanneal.propagator import expm_dense
@@ -130,10 +130,23 @@ def test_tpa_dense_path_matches_action_path(monkeypatch, gamma):
                                                 ("tpa", 4.6, 0.0)])
 def test_drive_points_leave_the_global_rng_and_expm_multiply_alone(monkeypatch, kind, gamma,
                                                                    ratio):
+    forbid_rng_and_expm_multiply(monkeypatch)
+    assert 0.0 <= _drive_p1(kind, gamma, ratio * CRITICAL_ETA_FACTOR * gamma, math.pi / 2) <= 1.0
+
+
+@pytest.mark.parametrize("variant, ratio, truncation", [("sfg", 3.0, 11), ("tpa", 10.0, 40)])
+def test_zeno_onset_trajectories_leave_the_global_rng_and_expm_multiply_alone(
+        monkeypatch, variant, ratio, truncation):
+    # the unitary branch at d = 66, and Krylov steps on the d = 40 block of 820
+    forbid_rng_and_expm_multiply(monkeypatch)
+    _, rows = zeno_onset_rows(variant, [ratio], truncation, 2 * math.pi, 201)
+    assert len(rows) == 201 and all(0.0 <= p <= 1.0 + 1e-12 for row in rows for p in row[3:])
+
+
+def forbid_rng_and_expm_multiply(monkeypatch):
     for owner, name in ((np.random, "seed"), (np.random, "get_state"),
                         (np.random, "set_state"), (scipy.sparse.linalg, "expm_multiply")):
         monkeypatch.setattr(owner, name, lambda *a, name=name, **k: pytest.fail(name))
-    assert 0.0 <= _drive_p1(kind, gamma, ratio * CRITICAL_ETA_FACTOR * gamma, math.pi / 2) <= 1.0
 
 
 @pytest.mark.parametrize("gamma", [4.6, 20.0])

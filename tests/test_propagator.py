@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from zenoanneal.generators import (GeneratorSpec, combine,
                                    displacement_generator, hermitian_basis,
                                    loss_dissipator, phase_generator,
                                    tpa_dissipator)
-from zenoanneal.propagator import (DimensionGuardError, NonConvergenceError, PhaseKernel,
-                                   _block, _krylov_expv, build_cache, expm_apply_vec,
-                                   expm_dense, trajectory)
+from zenoanneal.propagator import (NonConvergenceError, PhaseKernel, _block, _krylov_expv,
+                                   build_cache, expm_apply_vec, expm_dense, trajectory)
 
 from oracles import apply_superop, number_state, validate_density
 from test_fock import random_density
@@ -85,8 +85,9 @@ def test_negative_time_rules():
 
 
 def test_dense_dimension_guard():
+    # D = 81: 160 D^4 bytes is over the run byte bound
     space = make_space([9, 9])
-    with pytest.raises(DimensionGuardError):
+    with pytest.raises(ValueError, match="the dense exponential would take"):
         expm_dense(displacement_generator(space, 0), 0.1)
 
 
@@ -188,22 +189,22 @@ def test_superoperator_output_satisfies_density_invariants():
     validate_density(out)
 
 
-def test_trajectory_dense_steps_match_interval_and_pointwise_action(monkeypatch):
+def test_trajectory_dense_steps_match_krylov_steps_and_pointwise_action(monkeypatch):
     gen = random_generator(17, dims=(4, 2))
     vec = random_density(gen.space, seed=18).matrix.flatten(order="F")
     times = np.linspace(0.0, 2.5, 26)
     dense = trajectory(gen, times, vec)
-    monkeypatch.setattr(propagator, "DENSE_BLOCK_MAX", 0)  # the interval branch
-    interval = trajectory(gen, times, vec)
+    monkeypatch.setattr(propagator, "DENSE_BLOCK_MAX", 0)  # the Krylov branch
+    krylov = trajectory(gen, times, vec)
     monkeypatch.undo()
-    assert dense.shape == interval.shape == (26, vec.size)
-    assert np.array_equal(dense[0], vec)
-    assert np.max(np.abs(dense - interval)) < 1e-12
+    assert dense.shape == krylov.shape == (26, vec.size)
+    assert np.array_equal(dense[0], vec) and np.array_equal(krylov[0], vec)
+    assert np.max(np.abs(dense - krylov)) < 1e-12
     for t, row in zip(times, dense):
         assert np.max(np.abs(row - expm_apply_vec(gen, float(t), vec))) < 1e-12
 
 
-def test_trajectory_above_dense_cap_takes_action_interval():
+def test_trajectory_above_dense_cap_takes_krylov_steps():
     gen, space = drive_generator("sfg", make_space([11]), 0, c=1.0, gamma=0.8, eta=0.5)
     assert space.total_dim > 64
     vec = number_state(space, (0, 0)).to_density().matrix.flatten(order="F")
@@ -211,6 +212,45 @@ def test_trajectory_above_dense_cap_takes_action_interval():
     traj = trajectory(gen, times, vec)
     for t, row in zip(times, traj):
         assert np.max(np.abs(row - expm_apply_vec(gen, float(t), vec))) < 1e-12
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_times_are_refused_before_the_grid_check(t):
+    gen = random_generator(36)
+    vec = random_density(gen.space, seed=37).matrix.flatten(order="F")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite time"):
+            trajectory(gen, [0.0, t], vec)
+        with pytest.raises(ValueError, match="non-finite time"):
+            expm_apply_vec(gen, t, vec)
+
+
+@pytest.mark.parametrize("kind, truncation, gamma", [("tpa", 11, 0.0), ("sfg", 6, 3.0)])
+def test_zero_rate_drives_run_unitary_and_match_the_liouvillian(monkeypatch, kind, truncation,
+                                                                gamma):
+    # TPA at gamma = 0 keeps a jump at rate 0, SFG at eta = 0 has none: both
+    # conjugate by U(t), on the vacuum and on a non-Hermitian vec, and build
+    # no Liouville exponential
+    gen, space = drive_generator(kind, make_space([truncation]), 0, c=1.0, gamma=gamma)
+    assert gen.is_dissipative == (kind == "tpa")
+    vecs = [vacuum(space).to_density().matrix.flatten(order="F"),
+            random_vec(np.random.default_rng(38), space.total_dim, hermitian=False)]
+    times = np.linspace(0.0, 2 * math.pi, 201)
+    step = expm_dense(gen, float(times[1]))
+    point, rows = [], []
+    for vec in vecs:
+        point.append(expm_dense(gen, math.pi / 2) @ vec)
+        rows.append([vec])
+        for _ in times[1:]:
+            rows[-1].append(step @ rows[-1][-1])
+    monkeypatch.setattr(propagator, "_on_block", lambda *a: pytest.fail("Liouville path"))
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: pytest.fail("an exponential ran"))
+    for vec, expect_point, expect_rows in zip(vecs, point, rows):
+        assert np.max(np.abs(expm_apply_vec(gen, math.pi / 2, vec) - expect_point)) <= 1e-12
+        traj = trajectory(gen, times, vec)
+        assert np.array_equal(traj[0], vec)
+        assert np.max(np.abs(traj - expect_rows)) <= 1e-12
 
 
 @pytest.mark.parametrize("times", [[0.0], [], [0.1, 0.2, 0.3], [0.0, 0.1, 0.3],
@@ -263,9 +303,9 @@ def test_dense_action_and_cache_agree_on_random_master_equations(dims, n_jumps, 
     cached = build_cache(gen, t_max, 30).matrix_for(t) @ vec
     for a, b in ((dense, action), (dense, cached), (action, cached)):
         assert np.max(np.abs(a - b)) <= 1e-10
-    # the dense-block branch of trajectory, and with no block dense, the
-    # Krylov point action and the interval branch (a random state's block is
-    # the whole space)
+    # the dense-block branch of trajectory (the unitary one with no jump),
+    # and with no block dense, the Krylov point action and Krylov steps (a
+    # random state's block is the whole space)
     times = np.linspace(0.0, t, 4)
     expect = [expm_dense(gen, float(s)) @ vec for s in times]
     assert np.max(np.abs(trajectory(gen, times, vec) - expect)) <= 1e-10
@@ -429,22 +469,26 @@ def guarded_peak(monkeypatch, gen, times, vec):
     return counted[0], peak
 
 
-@pytest.mark.parametrize("variant, truncation, n_t", [("sfg", 11, 500), ("tpa", 21, 20),
-                                                      ("tpa", 11, 2000)])
-def test_trajectory_guard_counts_its_peak(monkeypatch, variant, truncation, n_t):
-    # the action interval at d = 66, and dense steps where the exponential
-    # or the rows dominate
-    gen, space = drive_generator(variant, make_space([truncation]), 0, c=1.0, gamma=1.0)
+@pytest.mark.parametrize("variant, truncation, n_t, eta", [("sfg", 11, 500, 0.0),
+                                                           ("sfg", 11, 200, 1.0),
+                                                           ("tpa", 21, 20, 0.0),
+                                                           ("tpa", 11, 2000, 0.0)])
+def test_trajectory_guard_counts_its_peak(monkeypatch, variant, truncation, n_t, eta):
+    # the unitary branch and Krylov steps at d = 66, and dense steps where
+    # the exponential or the rows dominate
+    gen, space = drive_generator(variant, make_space([truncation]), 0, c=1.0, gamma=1.0,
+                                 eta=eta)
     vec = vacuum(space).to_density().matrix.flatten(order="F")
     guarded, peak = guarded_peak(monkeypatch, gen, np.linspace(0.0, 0.25, n_t), vec)
     assert peak <= guarded
 
 
-def test_trajectory_guard_counts_the_second_column_of_a_non_hermitian_vec(monkeypatch):
-    gen, space = drive_generator("sfg", make_space([11]), 0, c=1.0, gamma=1.0)
+@pytest.mark.parametrize("eta, n_t", [(0.0, 200), (1.0, 50)])  # unitary, Krylov steps
+def test_trajectory_guard_counts_the_second_column_of_a_non_hermitian_vec(monkeypatch, eta, n_t):
+    gen, space = drive_generator("sfg", make_space([11]), 0, c=1.0, gamma=1.0, eta=eta)
     rng = np.random.default_rng(31)
     vec = random_vec(rng, space.total_dim, hermitian=False)
-    guarded, peak = guarded_peak(monkeypatch, gen, np.linspace(0.0, 0.25, 200), vec)
+    guarded, peak = guarded_peak(monkeypatch, gen, np.linspace(0.0, 0.25, n_t), vec)
     assert peak <= guarded
 
 
