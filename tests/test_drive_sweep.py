@@ -126,6 +126,12 @@ def test_tpa_dense_path_matches_action_path(monkeypatch, gamma):
     assert abs(action - p1) < 1e-12
 
 
+def forbid_rng_and_expm_multiply(monkeypatch):
+    for owner, name in ((np.random, "seed"), (np.random, "get_state"),
+                        (np.random, "set_state"), (scipy.sparse.linalg, "expm_multiply")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: pytest.fail(name))
+
+
 @pytest.mark.parametrize("kind, gamma, ratio", [("sfg", 4.6, 0.3), ("sfg", 330.174958128, 1.0),
                                                 ("tpa", 4.6, 0.0)])
 def test_drive_points_leave_the_global_rng_and_expm_multiply_alone(monkeypatch, kind, gamma,
@@ -141,12 +147,6 @@ def test_zeno_onset_trajectories_leave_the_global_rng_and_expm_multiply_alone(
     forbid_rng_and_expm_multiply(monkeypatch)
     _, rows = zeno_onset_rows(variant, [ratio], truncation, 2 * math.pi, 201)
     assert len(rows) == 201 and all(0.0 <= p <= 1.0 + 1e-12 for row in rows for p in row[3:])
-
-
-def forbid_rng_and_expm_multiply(monkeypatch):
-    for owner, name in ((np.random, "seed"), (np.random, "get_state"),
-                        (np.random, "set_state"), (scipy.sparse.linalg, "expm_multiply")):
-        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: pytest.fail(name))
 
 
 @pytest.mark.parametrize("gamma", [4.6, 20.0])

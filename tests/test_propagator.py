@@ -470,7 +470,7 @@ def guarded_peak(monkeypatch, gen, times, vec):
 
 
 @pytest.mark.parametrize("variant, truncation, n_t, eta", [("sfg", 11, 500, 0.0),
-                                                           ("sfg", 11, 200, 1.0),
+                                                           ("sfg", 11, 50, 1.0),
                                                            ("tpa", 21, 20, 0.0),
                                                            ("tpa", 11, 2000, 0.0)])
 def test_trajectory_guard_counts_its_peak(monkeypatch, variant, truncation, n_t, eta):
