@@ -25,8 +25,8 @@ does not grow with |tG|; a larger one takes Krylov (Arnoldi) steps over one
 grid interval at a time, with the step control of Expokit's dgexpv (Saad,
 SIAM J. Numer. Anal. 29, 1992; Sidje, ACM TOMS 24, 1998) and exact norms.
 
-These replaced scipy's ``expm_multiply`` interval form (Al-Mohy & Higham, SIAM
-J. Sci. Comput. 33, 2011) above the cap.  On 201-point trajectories over 2 pi
+These replaced scipy's interval form of the action (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 2011) above the cap.  On 201-point trajectories over 2 pi
 from the vacuum (a 2-vCPU Xeon VM, OpenBLAS on one thread, best of three), the
 jump-free SFG ratios 0, 1 and 10 at D = 66 took 0.027, 0.025 and 0.025 s
 against 0.009, 0.096 and 0.27 s, and TPA at d = 40 (a block of 820) ratios 2,
