@@ -469,10 +469,11 @@ def guarded_peak(monkeypatch, gen, times, vec):
     return counted[0], peak
 
 
-@pytest.mark.parametrize("variant, truncation, n_t, eta", [("sfg", 11, 500, 0.0),
-                                                           ("sfg", 11, 50, 1.0),
-                                                           ("tpa", 21, 20, 0.0),
-                                                           ("tpa", 11, 2000, 0.0)])
+@pytest.mark.parametrize("variant, truncation, n_t, eta", [
+    pytest.param("sfg", 11, 500, 0.0, id="sfg-11-500"),
+    pytest.param("sfg", 11, 50, 1.0, id="sfg-11-50-dissipative"),
+    pytest.param("tpa", 21, 20, 0.0, id="tpa-21-20"),
+    pytest.param("tpa", 11, 2000, 0.0, id="tpa-11-2000")])
 def test_trajectory_guard_counts_its_peak(monkeypatch, variant, truncation, n_t, eta):
     # the unitary branch and Krylov steps at d = 66, and dense steps where
     # the exponential or the rows dominate
@@ -483,12 +484,20 @@ def test_trajectory_guard_counts_its_peak(monkeypatch, variant, truncation, n_t,
     assert peak <= guarded
 
 
-@pytest.mark.parametrize("eta, n_t", [(0.0, 200), (1.0, 50)])  # unitary, Krylov steps
-def test_trajectory_guard_counts_the_second_column_of_a_non_hermitian_vec(monkeypatch, eta, n_t):
+def non_hermitian_vec_guarded_peak(monkeypatch, eta, n_t):
     gen, space = drive_generator("sfg", make_space([11]), 0, c=1.0, gamma=1.0, eta=eta)
     rng = np.random.default_rng(31)
     vec = random_vec(rng, space.total_dim, hermitian=False)
-    guarded, peak = guarded_peak(monkeypatch, gen, np.linspace(0.0, 0.25, n_t), vec)
+    return guarded_peak(monkeypatch, gen, np.linspace(0.0, 0.25, n_t), vec)
+
+
+def test_trajectory_guard_counts_the_second_column_of_a_non_hermitian_vec(monkeypatch):
+    guarded, peak = non_hermitian_vec_guarded_peak(monkeypatch, 0.0, 200)  # unitary
+    assert peak <= guarded
+
+
+def test_krylov_trajectory_guard_counts_the_second_column_of_a_non_hermitian_vec(monkeypatch):
+    guarded, peak = non_hermitian_vec_guarded_peak(monkeypatch, 1.0, 50)  # Krylov steps
     assert peak <= guarded
 
 
