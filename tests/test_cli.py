@@ -8,8 +8,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zenoanneal import anneal, experiments, problems, propagator
+from zenoanneal import anneal, cli, experiments, problems, propagator
 from zenoanneal.cli import _parse_grid, main
+from zenoanneal.timebin import compile_graph_program
 
 from test_anneal import leaky_gadget, trace_breaking_gadget
 
@@ -415,6 +416,24 @@ def test_timebin_command(tmp_path, capsys):
     assert "10/10 edges covered" in text
 
 
+def test_timebin_failed_verification_exits_2_and_still_writes(tmp_path, capsys, monkeypatch):
+    def corrupted(graph, n_bins):
+        program = compile_graph_program(graph, n_bins)
+        for rnd in program.rounds[:2]:
+            rnd.events[0].block_delay_half_d = 4
+        return program
+
+    monkeypatch.setattr(cli, "compile_graph_program", corrupted)
+    out = tmp_path / "prog.txt"
+    assert run(["timebin-compile", "--complete", "3", "--out", out]) == 2
+    assert read_lines(out)[1:3] == ["# time-bin switch program", "# n_bins 3"]
+    assert capsys.readouterr().out.splitlines() == [
+        str(out),
+        "verification: FAILED; 3/3 edges covered; 2 violations",
+        "  violation: round 0: bin 0 block delay 4 half-units, expected 3",
+        "  violation: round 1: bin 0 block delay 4 half-units, expected 3"]
+
+
 def test_timebin_command_graph_file(tmp_path):
     gfile = tmp_path / "g.txt"
     gfile.write_text("0 1\n1 2\n")
@@ -472,8 +491,10 @@ def test_anneal_command(tmp_path, capsys):
     code = run(["anneal", "--n-cycles", "16,32", "--r-grid", "lin:2pi:12pi:4",
                 "--out", out])
     assert code == 0
-    text = capsys.readouterr().out
-    assert "linear fit" in text
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and printed[0] == str(out)
+    assert printed[1].startswith("critical r_tot per n_cycle: [(16, ")
+    assert printed[2].startswith("linear fit: slope=")
     lines = read_lines(out)
     kinds = {ln.split(",")[0] for ln in lines[2:]}
     assert kinds == {"point", "critical", "fit"}
