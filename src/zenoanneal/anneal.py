@@ -53,9 +53,7 @@ from .fock import (DensityState, FockSpace, PureState,
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       drive_generator, pump_maps)
 from .problems import ProblemGraph, _optima, _qubo_scores, _wmis_scores
-# RUN_BYTES_MAX is unused here, but the CLI reads anneal.RUN_BYTES_MAX.
-from .propagator import (RUN_BYTES_MAX, NonConvergenceError, PhaseKernel,
-                         _guard_bytes, build_cache)
+from .propagator import NonConvergenceError, PhaseKernel, _guard_bytes, build_cache
 
 CYCLE_ORDER = "phase->drive->constraints"
 

@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
-Every subcommand reads an optional INI config file (section named after the
-command), applies flag overrides on top, runs the experiment, and writes a
-CSV whose first line records the resolved configuration.  Output is
-deterministic: identical invocations produce byte-identical files.
+Each subcommand is one ``COMMANDS`` entry: its flags with their defaults, its
+default output and its run.  ``main`` resolves each setting from its flag, an
+optional INI config file (section named after the command) or its default,
+runs the experiment, and writes its text after a first line that records the
+resolved configuration.  Identical invocations write byte-identical files.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical-guard violation.
 The environment variable ZENOANNEAL_OUT, when set, prefixes relative output
@@ -20,11 +21,11 @@ import sys
 
 import numpy as np
 
-from . import anneal, experiments
+from . import experiments, propagator
 from .gadgets import GAMMA_T_COHERENT, GAMMA_T_INCOHERENT
 from .problems import (complete_graph, five_node_example, parse_edge_list,
                        parse_qubo, three_node_line)
-from .propagator import NonConvergenceError
+from .propagator import NonConvergenceError, _guard_bytes
 from .timebin import compile_graph_program, render_program, verify_program
 
 OUT_DIR_ENV = "ZENOANNEAL_OUT"
@@ -44,10 +45,10 @@ def _parse_float(text: str) -> float:
 
 
 def _point_count(num: int, least: int, what: str) -> int:
-    """``num`` if at least ``least`` and its floats fit ``anneal.RUN_BYTES_MAX``."""
-    if not least <= num <= anneal.RUN_BYTES_MAX // 8:
-        raise ConfigError(f"{what} needs {least} to {anneal.RUN_BYTES_MAX // 8} points, "
-                          f"got {num}")
+    """``num`` if at least ``least`` and its floats fit ``propagator.RUN_BYTES_MAX``."""
+    most = propagator.RUN_BYTES_MAX // 8
+    if not least <= num <= most:
+        raise ConfigError(f"{what} needs {least} to {most} points, got {num}")
     return num
 
 
@@ -76,12 +77,14 @@ def _parse_ints(text: str) -> list[int]:
 
 
 class Settings:
-    """Flag-over-config-over-default resolution for one subcommand."""
+    """Flag-over-config-over-default resolution for one subcommand, whose
+    ``flags`` map each setting to its (default, cast)."""
 
-    def __init__(self, args: argparse.Namespace, section: str):
+    def __init__(self, args: argparse.Namespace, section: str, flags: dict):
         self.cfg = configparser.ConfigParser(interpolation=None)  # '%' is literal
         self.section = section
         self.args = args
+        self.flags = flags
         self.resolved: dict[str, str] = {}
         path = getattr(args, "config", None)
         if path:
@@ -94,19 +97,21 @@ class Settings:
                 raise ConfigError(f"bad config file {path}: {str(exc).splitlines()[0]}") from exc
             if self.cfg.defaults():
                 raise ConfigError(f"config file {path}: keys under [DEFAULT] are not read")
-            known = {k.replace("_", "-") for k in vars(args)} - {"command", "config"}
             for key in self.cfg.options(section) if self.cfg.has_section(section) else ():
-                if key not in known:  # the subcommand's flags, minus --config
+                if key not in flags:  # the subcommand's flags, minus --config
                     raise ConfigError(f"config file {path}: unknown key {key!r} in [{section}]")
 
-    def get(self, key: str, default, cast=str):
+    def get(self, key: str, default=None):
+        """``key``'s flag, else its config value, else ``default`` or its
+        declared default, by its declared cast."""
+        declared, cast = self.flags[key]
         flag = getattr(self.args, key.replace("-", "_"), None)
         if flag is not None:
             value = flag
         elif self.cfg.has_option(self.section, key):
             value = self.cfg.get(self.section, key)
         else:
-            value = default
+            value = declared if default is None else default
         try:
             out = cast(value) if not (cast is str and value is None) else value
         except (TypeError, ValueError, OverflowError) as exc:  # int(round(inf)) overflows
@@ -132,27 +137,21 @@ def _open_out(path: str):
         raise ConfigError(f"cannot write output file {path}: {exc.strerror}") from exc
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def _csv(header, rows) -> str:
+    return "".join(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in line)
+                   + "\n" for line in [header, *rows])
 
 
-def write_csv(path: str, config_line: str, header, rows) -> str:
-    with _open_out(path) as fh:
-        fh.write(config_line + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return fh.name
-
-
-def _read_input(settings: Settings, key: str, what: str, parse):
-    """parse() of the text of the file the ``key`` setting names, or None
-    when it names none."""
-    path = settings.get(key, None)
+def _read_input(settings: Settings, key: str, builtin=None):
+    """The graph or QUBO in the file the ``key`` setting names; when it names
+    none, ``builtin()``, recorded as "<builtin>", or None without one."""
+    what, parse = {"graph": ("graph", parse_edge_list), "qubo": ("QUBO", parse_qubo)}[key]
+    path = settings.get(key)
     if path is None:
-        return None
+        if builtin is None:
+            return None
+        settings.resolved[key] = "<builtin>"
+        return builtin()
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
@@ -162,169 +161,134 @@ def _read_input(settings: Settings, key: str, what: str, parse):
         raise ConfigError(f"bad {what} file {path}: {exc}") from exc
 
 
-def _load_graph(settings: Settings, default_factory):
-    graph = _read_input(settings, "graph", "graph", parse_edge_list)
-    if graph is None:
-        graph = default_factory()
-        settings.resolved["graph"] = "<builtin>"
-    return graph
-
-
 # ------------------------------------------------------------- subcommands
+# Each run takes its subcommand's Settings and returns the text written after
+# the config line, the lines printed after the output path, and the exit status.
 
-def cmd_zeno_onset(args) -> int:
-    s = Settings(args, "zeno-onset")
-    variant = s.get("variant", "both")
+def _zeno_onset(s: Settings):
+    variant = s.get("variant")
     if variant not in ("tpa", "sfg", "both"):
         raise ConfigError("variant must be tpa, sfg, or both")
-    nt = _point_count(s.get("nt", 201, int), 2, "nt")
-    t_max = s.get("t-max", 2 * math.pi, _parse_float)
-    out = s.get("out", "zeno_onset.csv")
+    nt = _point_count(s.get("nt"), 2, "nt")
+    t_max = s.get("t-max")
     rows = []
-    header = None
-    if variant in ("tpa", "both"):
-        ratios = s.get("tpa-ratios", "0,2,10,150", _parse_grid)
-        trunc = s.get("tpa-truncation", 31, int)
-        header, r = experiments.zeno_onset_rows("tpa", ratios, trunc, t_max, nt)
-        rows += r
-    if variant in ("sfg", "both"):
-        ratios = s.get("sfg-ratios", "0,1,3,10", _parse_grid)
-        trunc = s.get("sfg-truncation", 11, int)
-        header, r = experiments.zeno_onset_rows("sfg", ratios, trunc, t_max, nt)
-        rows += r
-    print(write_csv(out, s.config_line(), header, rows))
-    return 0
+    for kind in ("tpa", "sfg"):
+        if variant in (kind, "both"):
+            header, r = experiments.zeno_onset_rows(
+                kind, s.get(f"{kind}-ratios"), s.get(f"{kind}-truncation"), t_max, nt)
+            rows += r
+    return _csv(header, rows), [], 0
 
 
-def cmd_drive_sweep(args) -> int:
-    s = Settings(args, "drive-sweep")
-    ratios = s.get("eta-ratios", "0,0.25,0.5,0.75,1", _parse_grid)
-    gammas = s.get("gammas", "log:0.5:2048:25", _parse_grid)
-    markov = s.get("markov-ratios", "4,12,40,120,400", _parse_grid)
-    gamma_tpas = s.get("gamma-tpas", "log:0.05:200:19", _parse_grid)
-    lo = s.get("gamma99-lo", 0.2, _parse_float)
-    hi = s.get("gamma99-hi", 4096.0, _parse_float)
-    iters = s.get("gamma99-iters", 40, int)
-    out = s.get("out", "drive_sweep.csv")
-    header, rows = experiments.drive_sweep_rows(
-        ratios, gammas, markov, gamma_tpas,
-        gamma99_lo=lo, gamma99_hi=hi, gamma99_iters=iters)
-    print(write_csv(out, s.config_line(), header, rows))
-    return 0
+def _drive_sweep(s: Settings):
+    return _csv(*experiments.drive_sweep_rows(
+        s.get("eta-ratios"), s.get("gammas"), s.get("markov-ratios"), s.get("gamma-tpas"),
+        gamma99_lo=s.get("gamma99-lo"), gamma99_hi=s.get("gamma99-hi"),
+        gamma99_iters=s.get("gamma99-iters"))), [], 0
 
 
-def cmd_constraint_sweep(args) -> int:
-    s = Settings(args, "constraint-sweep")
-    graph = _load_graph(s, three_node_line)
-    gamma_ts = s.get("gamma-ts",
-                     f"lin:{GAMMA_T_INCOHERENT}:{GAMMA_T_COHERENT}:5", _parse_grid)
-    n_cycles = s.get("n-cycles", "log:16:8192:10", _parse_ints)
-    r_tot = s.get("r-tot", 20 * math.pi, _parse_float)
-    phi_q = s.get("phi-q", experiments.DEFAULT_PHI_Q, _parse_float)
-    out = s.get("out", "constraint_sweep.csv")
-    header, rows = experiments.constraint_sweep_rows(
-        graph, gamma_ts, n_cycles, r_tot, phi_q=phi_q)
-    print(write_csv(out, s.config_line(), header, rows))
-    return 0
+def _constraint_sweep(s: Settings):
+    return _csv(*experiments.constraint_sweep_rows(
+        _read_input(s, "graph", three_node_line), s.get("gamma-ts"), s.get("n-cycles"),
+        s.get("r-tot"), phi_q=s.get("phi-q"))), [], 0
 
 
-def cmd_anneal(args) -> int:
-    s = Settings(args, "anneal")
-    graph = _load_graph(s, five_node_example)
-    n_cycles = s.get("n-cycles", "512,1024,2048", _parse_ints)
-    r_grid = s.get("r-grid", "lin:4:1400:70", _parse_grid)
-    phi_q = s.get("phi-q", experiments.DEFAULT_PHI_Q, _parse_float)
-    tol = s.get("tol", 0.01, float)
-    out = s.get("out", "ideal_vs_phase.csv")
-    header, rows, criticals, fit = experiments.ideal_vs_phase_rows(
-        graph, n_cycles, r_grid, phi_q=phi_q, tol=tol)
-    print(write_csv(out, s.config_line(), header, rows))
-    slope, intercept, r2 = fit
-    print(f"critical r_tot per n_cycle: {criticals}")
-    print(f"linear fit: slope={slope:.6g} intercept={intercept:.6g} r2={r2:.6g}")
-    return 0
+def _anneal(s: Settings):
+    header, rows, criticals, (slope, intercept, r2) = experiments.ideal_vs_phase_rows(
+        _read_input(s, "graph", five_node_example), s.get("n-cycles"), s.get("r-grid"),
+        phi_q=s.get("phi-q"), tol=s.get("tol"))
+    return _csv(header, rows), [
+        f"critical r_tot per n_cycle: {criticals}",
+        f"linear fit: slope={slope:.6g} intercept={intercept:.6g} r2={r2:.6g}"], 0
 
 
-def cmd_wmis(args) -> int:
-    s = Settings(args, "wmis")
-    w0_grid = s.get("w0-grid", "lin:0.4:1.6:13", _parse_grid)
-    n_cycle = s.get("n-cycle", 1000, int)
-    r_tot = s.get("r-tot", 200 * math.pi, _parse_float)
-    phi_q = s.get("phi-q", experiments.DEFAULT_PHI_Q, _parse_float)
-    out = s.get("out", "wmis_crossover.csv")
-    header, rows = experiments.wmis_rows(w0_grid, n_cycle, r_tot, phi_q=phi_q)
-    print(write_csv(out, s.config_line(), header, rows))
-    return 0
+def _wmis(s: Settings):
+    return _csv(*experiments.wmis_rows(s.get("w0-grid"), s.get("n-cycle"), s.get("r-tot"),
+                                       phi_q=s.get("phi-q"))), [], 0
 
 
-def cmd_qubo(args) -> int:
-    s = Settings(args, "qubo")
-    q = _read_input(s, "qubo", "QUBO", parse_qubo)
-    if q is None:
-        q = np.array([[-1.0, 3.0], [3.0, -1.0]])
-        s.resolved["qubo"] = "<builtin>"
-    n_cycle = s.get("n-cycle", 1500, int)
-    r_tot = s.get("r-tot", 60 * math.pi, _parse_float)
-    out = s.get("out", "qubo.csv")
-    header, rows = experiments.qubo_rows(q, n_cycle, r_tot)
-    print(write_csv(out, s.config_line(), header, rows))
-    return 0
+def _qubo(s: Settings):
+    q = _read_input(s, "qubo", lambda: np.array([[-1.0, 3.0], [3.0, -1.0]]))
+    return _csv(*experiments.qubo_rows(q, s.get("n-cycle"), s.get("r-tot"))), [], 0
 
 
-def cmd_mitigate(args) -> int:
-    s = Settings(args, "mitigate")
-    graph = _load_graph(s, three_node_line)
-    n_copies = s.get("n-copies", "1,2,3", _parse_ints)
-    out = s.get("out", "mitigation.csv")
-    header, rows = experiments.mitigation_rows(graph, n_copies)
-    print(write_csv(out, s.config_line(), header, rows))
-    return 0
+def _mitigate(s: Settings):
+    return _csv(*experiments.mitigation_rows(_read_input(s, "graph", three_node_line),
+                                             s.get("n-copies"))), [], 0
 
 
-def cmd_timebin_compile(args) -> int:
-    s = Settings(args, "timebin-compile")
-    graph = _read_input(s, "graph", "graph", parse_edge_list)
+# Bytes per edge of a complete graph while it is built, and per bin event of
+# a switch program compiled, verified, rendered and written: tracemalloc saw
+# at most 440 and 585 (graph included) at 2 to 600 vertices.
+COMPLETE_EDGE_BYTES = 512
+PROGRAM_EVENT_BYTES = 768
+
+
+def _timebin_compile(s: Settings):
+    graph = _read_input(s, "graph")
     if graph is None:
-        n = s.get("complete", 5, int)
+        n = s.get("complete")
+        _guard_bytes(COMPLETE_EDGE_BYTES * max(n, 0) * (n - 1) // 2,
+                     f"the complete graph on {n} vertices")
         graph = complete_graph(n)
         s.resolved["graph"] = f"<complete:{n}>"
-    n_bins = s.get("n-bins", graph.n_vertices, int)
-    out = s.get("out", "timebin_program.txt")
+    n_bins = s.get("n-bins", graph.n_vertices)
+    _guard_bytes(PROGRAM_EVENT_BYTES * max(n_bins, 0) ** 2,
+                 f"the switch program of {n_bins} bins")
     program = compile_graph_program(graph, n_bins)
     report = verify_program(program, graph)
-    with _open_out(out) as fh:
-        fh.write(s.config_line() + "\n")
-        fh.write(render_program(program))
-    print(fh.name)
-    print(f"verification: {'ok' if report.ok else 'FAILED'}; "
-          f"{len(report.edges_covered)}/{len(graph.edges)} edges covered; "
-          f"{len(report.violations)} violations")
-    for v in report.violations:
-        print(f"  violation: {v}")
-    return 0 if report.ok else 2
+    return render_program(program), [
+        f"verification: {'ok' if report.ok else 'FAILED'}; "
+        f"{len(report.edges_covered)}/{len(graph.edges)} edges covered; "
+        f"{len(report.violations)} violations",
+        *(f"  violation: {v}" for v in report.violations)], 0 if report.ok else 2
 
 
-def cmd_oracle_check(args) -> int:
-    s = Settings(args, "oracle-check")
-    gammas = s.get("gammas", "lin:0.6:1.4:5", _parse_grid)
-    ratios = s.get("eta-ratios", "0,0.5,1,2,4", _parse_grid)
-    nt = _point_count(s.get("nt", 201, int), 2, "nt")
-    out = s.get("out", "oracle_check.csv")
-    header, rows = experiments.oracle_check_rows(gammas, ratios, n_t=nt)
-    print(write_csv(out, s.config_line(), header, rows))
-    return 0
+def _oracle_check(s: Settings):
+    return _csv(*experiments.oracle_check_rows(
+        s.get("gammas"), s.get("eta-ratios"), n_t=_point_count(s.get("nt"), 2, "nt"))), [], 0
 
 
+GRAPH = {"graph": (None, str)}  # an edge-list file; each run names its builtin graph
+
+# subcommand: ({flag besides --config and --out: (default, cast)}, in --help
+# order; the default output; the run)
 COMMANDS = {
-    "zeno-onset": cmd_zeno_onset,
-    "drive-sweep": cmd_drive_sweep,
-    "constraint-sweep": cmd_constraint_sweep,
-    "anneal": cmd_anneal,
-    "wmis": cmd_wmis,
-    "qubo": cmd_qubo,
-    "mitigate": cmd_mitigate,
-    "timebin-compile": cmd_timebin_compile,
-    "oracle-check": cmd_oracle_check,
+    "zeno-onset": ({"variant": ("both", str), "tpa-ratios": ("0,2,10,150", _parse_grid),
+                    "sfg-ratios": ("0,1,3,10", _parse_grid), "tpa-truncation": (31, int),
+                    "sfg-truncation": (11, int), "t-max": (2 * math.pi, _parse_float),
+                    "nt": (201, int)},
+                   "zeno_onset.csv", _zeno_onset),
+    "drive-sweep": ({"eta-ratios": ("0,0.25,0.5,0.75,1", _parse_grid),
+                     "gammas": ("log:0.5:2048:25", _parse_grid),
+                     "markov-ratios": ("4,12,40,120,400", _parse_grid),
+                     "gamma-tpas": ("log:0.05:200:19", _parse_grid),
+                     "gamma99-lo": (0.2, _parse_float), "gamma99-hi": (4096.0, _parse_float),
+                     "gamma99-iters": (40, int)},
+                    "drive_sweep.csv", _drive_sweep),
+    "constraint-sweep": ({**GRAPH,
+                          "gamma-ts": (f"lin:{GAMMA_T_INCOHERENT}:{GAMMA_T_COHERENT}:5",
+                                       _parse_grid),
+                          "n-cycles": ("log:16:8192:10", _parse_ints),
+                          "r-tot": (20 * math.pi, _parse_float),
+                          "phi-q": (experiments.DEFAULT_PHI_Q, _parse_float)},
+                         "constraint_sweep.csv", _constraint_sweep),
+    "anneal": ({**GRAPH, "n-cycles": ("512,1024,2048", _parse_ints),
+                "r-grid": ("lin:4:1400:70", _parse_grid),
+                "phi-q": (experiments.DEFAULT_PHI_Q, _parse_float), "tol": (0.01, float)},
+               "ideal_vs_phase.csv", _anneal),
+    "wmis": ({"w0-grid": ("lin:0.4:1.6:13", _parse_grid), "n-cycle": (1000, int),
+              "r-tot": (200 * math.pi, _parse_float),
+              "phi-q": (experiments.DEFAULT_PHI_Q, _parse_float)},
+             "wmis_crossover.csv", _wmis),
+    "qubo": ({"qubo": (None, str), "n-cycle": (1500, int), "r-tot": (60 * math.pi, _parse_float)},
+             "qubo.csv", _qubo),
+    "mitigate": ({**GRAPH, "n-copies": ("1,2,3", _parse_ints)}, "mitigation.csv", _mitigate),
+    "timebin-compile": ({**GRAPH, "complete": (5, int), "n-bins": (None, int)},
+                        "timebin_program.txt", _timebin_compile),
+    "oracle-check": ({"gammas": ("lin:0.6:1.4:5", _parse_grid),
+                      "eta-ratios": ("0,0.5,1,2,4", _parse_grid), "nt": (201, int)},
+                     "oracle_check.csv", _oracle_check),
 }
 
 
@@ -343,33 +307,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zenoanneal",
         description="Zeno-constrained optical annealing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, flags):
+    for name, (flags, _, _) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output path")
         for flag in flags:
             p.add_argument(f"--{flag}")
-        return p
-
-    add("zeno-onset", ["variant", "tpa-ratios", "sfg-ratios", "tpa-truncation",
-                       "sfg-truncation", "t-max", "nt"])
-    add("drive-sweep", ["eta-ratios", "gammas", "markov-ratios", "gamma-tpas",
-                        "gamma99-lo", "gamma99-hi", "gamma99-iters"])
-    add("constraint-sweep", ["graph", "gamma-ts", "n-cycles", "r-tot", "phi-q"])
-    add("anneal", ["graph", "n-cycles", "r-grid", "phi-q", "tol"])
-    add("wmis", ["w0-grid", "n-cycle", "r-tot", "phi-q"])
-    add("qubo", ["qubo", "n-cycle", "r-tot"])
-    add("mitigate", ["graph", "n-copies"])
-    add("timebin-compile", ["graph", "complete", "n-bins"])
-    add("oracle-check", ["gammas", "eta-ratios", "nt"])
     return parser
 
 
 def main(argv=None) -> int:
+    """Resolve the subcommand's settings, run it, and write the config line
+    and its text to its output; print the path and the run's lines."""
     try:
         args = build_parser().parse_args(argv)
-        return COMMANDS[args.command](args)
+        flags, out, run = COMMANDS[args.command]
+        settings = Settings(args, args.command, {**flags, "out": (out, str)})
+        text, printed, status = run(settings)
+        with _open_out(settings.get("out")) as fh:
+            fh.write(settings.config_line() + "\n")
+            fh.write(text)
+        print("\n".join([fh.name, *printed]))
+        return status
     except NonConvergenceError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from itertools import combinations
 from unittest import mock
@@ -8,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zenoanneal import anneal, cli, experiments, problems, propagator
+from zenoanneal import anneal, cli, experiments, problems, propagator, timebin
 from zenoanneal.cli import _parse_grid, main
 from zenoanneal.timebin import compile_graph_program
 
@@ -432,6 +433,50 @@ def test_timebin_failed_verification_exits_2_and_still_writes(tmp_path, capsys, 
         "verification: FAILED; 3/3 edges covered; 2 violations",
         "  violation: round 0: bin 0 block delay 4 half-units, expected 3",
         "  violation: round 1: bin 0 block delay 4 half-units, expected 3"]
+
+
+def test_timebin_guard_counts_its_peak(tmp_path, monkeypatch, capsys):
+    # the complete graph's edges, then the program's bin events, each counted
+    # before they are built; the events' count covers the whole run
+    counted, guard = [], cli._guard_bytes
+    monkeypatch.setattr(cli, "_guard_bytes",
+                        lambda nbytes, what: counted.append(nbytes) or guard(nbytes, what))
+    args = ["timebin-compile", "--complete", "120", "--out", tmp_path / "prog.txt"]
+    assert run(args) == 0
+    counted.clear()
+    tracemalloc.start()
+    try:
+        assert run(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counted == [512 * 120 * 119 // 2, 768 * 120 ** 2] and peak <= counted[1]
+
+
+@pytest.mark.parametrize("args, what", [
+    (["--graph", "LINE", "--n-bins", "100000"], "the switch program of 100000 bins"),
+    (["--graph", "FAR"], "the switch program of 100000 bins"),
+    (["--complete", "100000"], "the complete graph on 100000 vertices"),
+], ids=["n-bins", "graph-file-vertex", "complete"])
+def test_timebin_over_the_run_byte_bound_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                           args, what):
+    monkeypatch.setattr(timebin, "all_pairs_shuffle", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(cli, "complete_graph", mock.Mock(side_effect=AssertionError))
+    (tmp_path / "LINE").write_text("0 1\n1 2\n")
+    (tmp_path / "FAR").write_text("0 99999\n")
+    args = [tmp_path / a if a in ("LINE", "FAR") else a for a in args]
+    assert run(["timebin-compile", *args, "--out", tmp_path / "x.txt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {what} would take ") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "x.txt")
+
+
+def test_point_counts_follow_the_run_byte_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(propagator, "RUN_BYTES_MAX", 8000)
+    assert run(["oracle-check", "--gammas", "1", "--eta-ratios", "0", "--nt", "1001",
+                "--out", tmp_path / "x.csv"]) == 1
+    assert capsys.readouterr().err == "config error: nt needs 2 to 1000 points, got 1001\n"
+    assert not os.path.exists(tmp_path / "x.csv")
 
 
 def test_timebin_command_graph_file(tmp_path):

@@ -34,10 +34,12 @@ keeps its per-layer metrics and self times.
 
 ``--tier1 pairs`` runs the tier-1 command (``TIER1``) in both checkouts, in
 alternating pairs, each a fresh process on its checkout's ``src/`` with BLAS
-pinned to one thread and pytest writing junit XML.  Per run it records the
-wall time, the exit code, the test counts and each acceptance criterion's
-(``test_acceptance.py::test_criterion_*``) junit time; the summary gives both
-sides' medians of each.
+pinned to one thread and pytest writing junit XML with each case's captured
+stdout.  Per run it records the wall time, the exit code, the test counts and,
+for each acceptance criterion (``test_acceptance.py::test_criterion_*``), its
+junit time and the ``ACCEPTANCE n: PASS/FAIL - detail`` line it printed, so a
+record keeps each criterion's measured margin; the summary gives both sides'
+medians of the times.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ import xml.etree.ElementTree as ET
 BLAS_PIN = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 # The repo's tier-1 test command, run from the checkout with its src/ first on PYTHONPATH.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# Keeps each case's captured stdout in the junit XML, where the criteria print their lines.
+JUNIT_STDOUT = ["-o", "junit_logging=system-out"]
 CRITERION_CLASS, CRITERION_PREFIX = "tests.test_acceptance", "test_criterion_"
 # Shorter than any op, so a traced run stops after the round that always runs.
 TRACED_SECONDS = 1e-3
@@ -147,24 +151,31 @@ def cli_pairs(checkouts: dict[str, str], command: str, pairs: int, flags: list[s
 
 
 def run_tier1(checkout: str, xml_path: str) -> dict:
-    """Wall seconds, exit code, junit test counts and per-criterion seconds
-    of one tier-1 run in ``checkout``."""
+    """Wall seconds, exit code, junit test counts, and per criterion its
+    seconds and ``ACCEPTANCE`` line, of one tier-1 run in ``checkout``."""
     src = os.path.join(os.path.abspath(checkout), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, **BLAS_PIN)
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *TIER1, f"--junitxml={xml_path}"],
+    proc = subprocess.run([sys.executable, *TIER1, *JUNIT_STDOUT, f"--junitxml={xml_path}"],
                           cwd=checkout, env=env, capture_output=True)
     wall = time.perf_counter() - t0
     suite = ET.parse(xml_path).getroot()
     suite = suite if suite.tag == "testsuite" else suite.find("testsuite")
-    criteria = {case.get("name"): float(case.get("time"))
-                for case in suite.iter("testcase")
+    criteria = [case for case in suite.iter("testcase")
                 if case.get("classname") == CRITERION_CLASS
-                and case.get("name").startswith(CRITERION_PREFIX)}
+                and case.get("name").startswith(CRITERION_PREFIX)]
     return {"wall_s": wall, "exit_code": proc.returncode,
             **{k: int(suite.get(k)) for k in ("tests", "failures", "errors", "skipped")},
-            "criterion_s": criteria}
+            "criterion_s": {case.get("name"): float(case.get("time")) for case in criteria},
+            "criterion_lines": {case.get("name"): acceptance_lines(case) for case in criteria}}
+
+
+def acceptance_lines(case: ET.Element) -> list[str]:
+    """The ``ACCEPTANCE`` lines a junit test case printed (one for a
+    criterion that ran to its check, none for one that failed before it)."""
+    out = case.findtext("system-out") or ""
+    return [line for line in out.splitlines() if line.startswith("ACCEPTANCE ")]
 
 
 def tier1_pairs(checkouts: dict[str, str], pairs: int) -> dict:
