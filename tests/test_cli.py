@@ -435,7 +435,7 @@ def test_timebin_failed_verification_exits_2_and_still_writes(tmp_path, capsys, 
         "  violation: round 1: bin 0 block delay 4 half-units, expected 3"]
 
 
-def test_timebin_guard_counts_its_peak(tmp_path, monkeypatch, capsys):
+def test_timebin_guard_counts_its_peak(tmp_path, monkeypatch):
     # the complete graph's edges, then the program's bin events, each counted
     # before they are built; the events' count covers the whole run
     counted, guard = [], cli._guard_bytes
