@@ -219,9 +219,9 @@ def _mitigate(s: Settings):
 
 # Bytes per edge of a complete graph while it is built, and per bin event of
 # a switch program compiled, verified, rendered and written: tracemalloc saw
-# at most 440 and 585 (graph included) at 2 to 600 vertices.
-COMPLETE_EDGE_BYTES = 512
-PROGRAM_EVENT_BYTES = 768
+# at most 275 and 316 (graph included) at 30 to 1,000 vertices.
+COMPLETE_EDGE_BYTES = 320
+PROGRAM_EVENT_BYTES = 416
 
 
 def _timebin_compile(s: Settings):

@@ -35,7 +35,8 @@ class ProblemGraph:
     """Undirected graph with optional finite positive node weights.
 
     The weights score a run (WMIS optima) and drive its per-node phase
-    rotations; without them every node weighs 1.
+    rotations; without them every node weighs 1.  Edges may come as any
+    iterable of pairs and are kept as a frozenset of (low, high).
     """
 
     n_vertices: int
@@ -45,15 +46,7 @@ class ProblemGraph:
     def __post_init__(self):
         if self.n_vertices < 1:
             raise ValueError("graph needs at least one vertex")
-        canon = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge {e} references a missing vertex")
-            canon.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(canon))
+        object.__setattr__(self, "edges", frozenset(map(self._canonical, self.edges)))
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
             if len(w) != self.n_vertices:
@@ -62,13 +55,22 @@ class ProblemGraph:
                 raise ValueError("weights must be finite and positive")
             object.__setattr__(self, "weights", w)
 
+    def _canonical(self, edge) -> tuple[int, int]:
+        """The edge as (low, high), checked for a self-loop and for its vertices."""
+        u, v = edge
+        if u == v:
+            raise ValueError(f"self-loop on vertex {u}")
+        edge = (u, v) if u < v else (v, u)
+        if not (0 <= edge[0] and edge[1] < self.n_vertices):
+            raise ValueError(f"edge {edge} references a missing vertex")
+        return edge
+
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
 
 def graph_from_edges(n_vertices: int, edges, weights=None) -> ProblemGraph:
-    return ProblemGraph(n_vertices, frozenset(tuple(sorted(e)) for e in edges),
-                        None if weights is None else tuple(weights))
+    return ProblemGraph(n_vertices, edges, None if weights is None else tuple(weights))
 
 
 def three_node_line() -> ProblemGraph:
@@ -82,7 +84,7 @@ def five_node_example() -> ProblemGraph:
 
 
 def complete_graph(n: int) -> ProblemGraph:
-    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return graph_from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def parse_edge_list(text: str) -> ProblemGraph:

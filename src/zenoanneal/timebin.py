@@ -18,7 +18,7 @@ counted from the back of the train (position 0 arrives last).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .problems import ProblemGraph
 
@@ -30,25 +30,26 @@ BLOCK_DELAY_HALF_D = 3
 
 
 @dataclass
-class BinEvent:
-    """One bin's pass through the four switches in one round."""
-
-    position: int
-    mode: int
-    settings: tuple[int, int, int, int]
-    block: str            # "constraint" | "identity"
-    role: str             # "first" | "second" | "solo"
-    block_delay_half_d: int = BLOCK_DELAY_HALF_D
-    shuffle_delay_half_d: int = 0
-
-
-@dataclass
 class Round:
+    """One round's decisions; ``pairs`` are (a, a + 1, "constraint" | "identity")."""
+
     index: int
     order_before: list[int]
     order_after: list[int]
-    events: list[BinEvent]
-    pairs: list[tuple[int, int, str]] = field(default_factory=list)
+    delays: list[int]
+    pairs: list[tuple[int, int, str]]
+
+    def events(self):
+        """Each bin's (position, mode, settings, block, role), position 0 first;
+        a bin in no pair traverses the unit alone with identity-first settings."""
+        paired = {}
+        for a, b, kind in self.pairs:
+            rows = CONSTRAINT_ROWS if kind == "constraint" else IDENTITY_ROWS
+            # Higher position = closer to the train front = first at the unit.
+            paired[b] = (rows[0], kind, "first")
+            paired[a] = (rows[1], kind, "second")
+        for pos, mode in enumerate(self.order_before):
+            yield (pos, mode, *paired.get(pos, (IDENTITY_ROWS[0], "identity", "solo")))
 
 
 @dataclass
@@ -90,12 +91,6 @@ def apply_delays(order: list[int], delays: list[int]) -> list[int]:
     return [order[i] for i in ranked]
 
 
-def swap_pairs(n: int, round_index: int) -> list[tuple[int, int]]:
-    """Adjacent position pairs (p, p+1) that this round's delays transpose."""
-    delays = shuffle_delays(n, round_index)
-    return [(d - 1, d) for d in range(1, n) if delays[d] == 2]
-
-
 def all_pairs_shuffle(n: int):
     """n rounds of alternating odd/even shifts covering every unordered pair.
 
@@ -114,10 +109,23 @@ def all_pairs_shuffle(n: int):
             "delays": delays,
             "order_before": list(order),
             "order_after": after,
-            "eligible_pairs": swap_pairs(n, r),
+            "eligible_pairs": [(d - 1, d) for d in range(1, n) if delays[d] == 2],
         })
         order = after
     return rounds
+
+
+def _pair_faults(n_bins: int, pairs):
+    """Why each malformed pair fails: (a, a + 1) inside the train, one pair a bin."""
+    seen: set[int] = set()
+    for a, b, *_ in pairs:
+        if b != a + 1:
+            yield f"pair ({a}, {b}) is not adjacent"
+        elif a in seen or b in seen:
+            yield f"bin {a if a in seen else b} assigned to two pairs"
+        elif a < 0 or b >= n_bins:
+            yield f"pair ({a}, {b}) out of range"
+        seen.update((a, b))
 
 
 def compile_round(n_bins: int, pairs, interact, order=None,
@@ -125,8 +133,7 @@ def compile_round(n_bins: int, pairs, interact, order=None,
     """Emit one round of switch settings.
 
     ``pairs`` are disjoint adjacent position pairs; ``interact[i]`` selects a
-    constraint block for pairs[i], otherwise an identity block.  Bins outside
-    any pair traverse the unit alone with identity-first settings.
+    constraint block for pairs[i], otherwise an identity block.
     """
     order = list(order) if order is not None else list(range(n_bins))
     if len(order) != n_bins:
@@ -135,37 +142,13 @@ def compile_round(n_bins: int, pairs, interact, order=None,
     interact = list(interact)
     if len(pairs) != len(interact):
         raise ValueError("need one interact flag per pair")
-    seen: set[int] = set()
-    for (a, b) in pairs:
-        if b != a + 1:
-            raise ValueError(f"pair ({a}, {b}) is not adjacent")
-        if a in seen or b in seen:
-            raise ValueError(f"bin {a if a in seen else b} assigned to two pairs")
-        if a < 0 or b >= n_bins:
-            raise ValueError(f"pair ({a}, {b}) out of range")
-        seen.update((a, b))
-
+    for fault in _pair_faults(n_bins, pairs):
+        raise ValueError(fault)
     delays = list(delays) if delays is not None else [0] * n_bins
-    events = []
-    recorded_pairs = []
-    paired: dict[int, tuple[str, str]] = {}
-    for (a, b), flag in zip(pairs, interact):
-        kind = "constraint" if flag else "identity"
-        # Higher position = closer to the train front = first at the unit.
-        paired[b] = (kind, "first")
-        paired[a] = (kind, "second")
-        recorded_pairs.append((a, b, kind))
-    for pos in range(n_bins):
-        if pos in paired:
-            kind, role = paired[pos]
-            rows = CONSTRAINT_ROWS if kind == "constraint" else IDENTITY_ROWS
-            settings = rows[0] if role == "first" else rows[1]
-        else:
-            kind, role, settings = "identity", "solo", IDENTITY_ROWS[0]
-        events.append(BinEvent(pos, order[pos], tuple(settings), kind, role,
-                               BLOCK_DELAY_HALF_D, 2 * delays[pos]))
     after = apply_delays(order, delays) if any(delays) else list(order)
-    return Round(round_index, order, after, events, recorded_pairs)
+    return Round(round_index, order, after, delays,
+                 [(a, b, "constraint" if flag else "identity")
+                  for (a, b), flag in zip(pairs, interact)])
 
 
 def compile_graph_program(graph: ProblemGraph, n_bins: int | None = None) -> SwitchProgram:
@@ -179,14 +162,9 @@ def compile_graph_program(graph: ProblemGraph, n_bins: int | None = None) -> Swi
         raise ValueError("not enough bins for the graph")
     rounds = []
     for r, info in enumerate(all_pairs_shuffle(n)):
-        order = info["order_before"]
-        pairs, flags = [], []
-        for (a, b) in info["eligible_pairs"]:
-            edge = (min(order[a], order[b]), max(order[a], order[b]))
-            pairs.append((a, b))
-            flags.append(edge in graph.edges)
-        rounds.append(compile_round(n, pairs, flags, order=order,
-                                    round_index=r, delays=info["delays"]))
+        order, pairs = info["order_before"], info["eligible_pairs"]
+        flags = [tuple(sorted((order[a], order[b]))) in graph.edges for a, b in pairs]
+        rounds.append(compile_round(n, pairs, flags, order, r, info["delays"]))
     return SwitchProgram(n, rounds)
 
 
@@ -204,54 +182,33 @@ class VerificationReport:
 def verify_program(program: SwitchProgram, graph: ProblemGraph) -> VerificationReport:
     """Check a program realizes exactly the graph's edges.
 
-    Violations reported: malformed switch rows, broken 3D/2 block accounting,
-    bins claimed by two pairs, delay bookkeeping that does not reproduce the
-    recorded reordering, edges never realized, and constraints applied
-    between non-adjacent vertices.
+    Violations reported: an order or delay list that is not one entry a bin,
+    pairs that are not adjacent, leave the train or share a bin, delay
+    bookkeeping that does not reproduce the recorded reordering, edges never
+    realized, and constraints applied between non-adjacent vertices.
     """
     violations: list[str] = []
     covered: set[tuple[int, int]] = set()
     applied: list[tuple[int, int]] = []
+    n = program.n_bins
     for rnd in program.rounds:
-        by_pos = {e.position: e for e in rnd.events}
-        if sorted(by_pos) != list(range(program.n_bins)):
-            violations.append(f"round {rnd.index}: bin positions are not 0..n-1")
+        faults = [f"{name} has {len(entries)} entries for {n} bins"
+                  for name, entries in (("order_before", rnd.order_before),
+                                        ("delays", rnd.delays)) if len(entries) != n]
+        faults += _pair_faults(n, rnd.pairs)
+        violations += (f"round {rnd.index}: {fault}" for fault in faults)
+        if faults:
             continue
-        seen: set[int] = set()
         for (a, b, kind) in rnd.pairs:
-            if a in seen or b in seen:
-                violations.append(f"round {rnd.index}: bin in two pairs")
-            seen.update((a, b))
-            rows = CONSTRAINT_ROWS if kind == "constraint" else IDENTITY_ROWS
-            first, second = by_pos[b], by_pos[a]
-            if first.settings != rows[0]:
-                violations.append(
-                    f"round {rnd.index}: first-bin settings {first.settings} "
-                    f"do not match the {kind} row {rows[0]}")
-            if second.settings != rows[1]:
-                violations.append(
-                    f"round {rnd.index}: second-bin settings {second.settings} "
-                    f"do not match the {kind} row {rows[1]}")
             if kind == "constraint":
-                u, v = sorted((rnd.order_before[a], rnd.order_before[b]))
-                applied.append((u, v))
-                if (u, v) in graph.edges:
-                    covered.add((u, v))
+                edge = tuple(sorted((rnd.order_before[a], rnd.order_before[b])))
+                applied.append(edge)
+                if edge in graph.edges:
+                    covered.add(edge)
                 else:
-                    violations.append(
-                        f"round {rnd.index}: constraint between non-edge ({u}, {v})")
-        for e in rnd.events:
-            if e.role == "solo" and e.settings != IDENTITY_ROWS[0]:
-                violations.append(
-                    f"round {rnd.index}: solo bin {e.position} settings "
-                    f"{e.settings} are not identity")
-            if e.block_delay_half_d != BLOCK_DELAY_HALF_D:
-                violations.append(
-                    f"round {rnd.index}: bin {e.position} block delay "
-                    f"{e.block_delay_half_d} half-units, expected {BLOCK_DELAY_HALF_D}")
-        delays = [by_pos[p].shuffle_delay_half_d // 2 for p in range(program.n_bins)]
+                    violations.append(f"round {rnd.index}: constraint between non-edge {edge}")
         try:
-            after = apply_delays(rnd.order_before, delays)
+            after = apply_delays(rnd.order_before, rnd.delays)
         except ValueError as exc:
             violations.append(f"round {rnd.index}: {exc}")
             continue
@@ -265,7 +222,11 @@ def verify_program(program: SwitchProgram, graph: ProblemGraph) -> VerificationR
 
 
 def render_program(program: SwitchProgram) -> str:
-    """Deterministic line-oriented text form of a program."""
+    """Deterministic line-oriented text form of a program.
+
+    Each round's rows are joined into one string as they are made, so the
+    text is never also held as one string a row.
+    """
     lines = [
         "# time-bin switch program",
         f"# n_bins {program.n_bins}",
@@ -276,9 +237,9 @@ def render_program(program: SwitchProgram) -> str:
         lines.append(f"# round {rnd.index} order_before "
                      + " ".join(map(str, rnd.order_before))
                      + " order_after " + " ".join(map(str, rnd.order_after)))
-        for e in sorted(rnd.events, key=lambda e: e.position):
-            s1, s2, s3, s4 = e.settings
-            lines.append(f"{rnd.index} {e.position} {e.mode} {s1} {s2} {s3} {s4} "
-                         f"{e.block} {e.role} {e.block_delay_half_d} "
-                         f"{e.shuffle_delay_half_d}")
-    return "\n".join(lines) + "\n"
+        lines.append("\n".join(
+            f"{rnd.index} {pos} {mode} {s1} {s2} {s3} {s4} {block} {role} "
+            f"{BLOCK_DELAY_HALF_D} {2 * rnd.delays[pos]}"
+            for pos, mode, (s1, s2, s3, s4), block, role in rnd.events()))
+    lines.append("")
+    return "\n".join(lines)

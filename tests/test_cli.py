@@ -421,7 +421,7 @@ def test_timebin_failed_verification_exits_2_and_still_writes(tmp_path, capsys, 
     def corrupted(graph, n_bins):
         program = compile_graph_program(graph, n_bins)
         for rnd in program.rounds[:2]:
-            rnd.events[0].block_delay_half_d = 4
+            rnd.delays = [0] * n_bins
         return program
 
     monkeypatch.setattr(cli, "compile_graph_program", corrupted)
@@ -431,8 +431,8 @@ def test_timebin_failed_verification_exits_2_and_still_writes(tmp_path, capsys, 
     assert capsys.readouterr().out.splitlines() == [
         str(out),
         "verification: FAILED; 3/3 edges covered; 2 violations",
-        "  violation: round 0: bin 0 block delay 4 half-units, expected 3",
-        "  violation: round 1: bin 0 block delay 4 half-units, expected 3"]
+        "  violation: round 0: recorded reordering does not follow from the recorded delays",
+        "  violation: round 1: recorded reordering does not follow from the recorded delays"]
 
 
 def test_timebin_guard_counts_its_peak(tmp_path, monkeypatch):
@@ -450,7 +450,8 @@ def test_timebin_guard_counts_its_peak(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counted == [512 * 120 * 119 // 2, 768 * 120 ** 2] and peak <= counted[1]
+    assert counted == [cli.COMPLETE_EDGE_BYTES * 120 * 119 // 2,
+                       cli.PROGRAM_EVENT_BYTES * 120 ** 2] and peak <= counted[1]
 
 
 @pytest.mark.parametrize("args, what", [

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zenoanneal.problems import complete_graph, graph_from_edges, three_node_line
-from zenoanneal.timebin import (BLOCK_DELAY_HALF_D, CONSTRAINT_ROWS,
-                                IDENTITY_ROWS, all_pairs_shuffle,
-                                apply_delays, compile_graph_program,
-                                compile_round, render_program, verify_program)
+from zenoanneal.timebin import (CONSTRAINT_ROWS, IDENTITY_ROWS,
+                                all_pairs_shuffle, apply_delays,
+                                compile_graph_program, compile_round,
+                                render_program, verify_program)
 
 
 def covered_pairs(n):
@@ -44,26 +44,29 @@ def test_shuffle_delays_are_permutations_with_spacing():
             assert set(info["delays"]) <= {0, 1, 2}
 
 
+def bins(rnd):
+    """Position -> (settings, block, role) of each bin in one round."""
+    return {pos: (settings, block, role) for pos, _, settings, block, role in rnd.events()}
+
+
 def test_compile_round_constraint_rows():
-    rnd = compile_round(2, [(0, 1)], [True])
-    by_pos = {e.position: e for e in rnd.events}
-    assert by_pos[1].settings == CONSTRAINT_ROWS[0]  # front bin arrives first
-    assert by_pos[0].settings == CONSTRAINT_ROWS[1]
+    by_pos = bins(compile_round(2, [(0, 1)], [True]))
+    assert by_pos[1][0] == CONSTRAINT_ROWS[0]  # front bin arrives first
+    assert by_pos[0][0] == CONSTRAINT_ROWS[1]
 
 
 def test_compile_round_identity_rows():
-    rnd = compile_round(2, [(0, 1)], [False])
-    by_pos = {e.position: e for e in rnd.events}
-    assert by_pos[1].settings == IDENTITY_ROWS[0]
-    assert by_pos[0].settings == IDENTITY_ROWS[1]
+    by_pos = bins(compile_round(2, [(0, 1)], [False]))
+    assert by_pos[1][0] == IDENTITY_ROWS[0]
+    assert by_pos[0][0] == IDENTITY_ROWS[1]
 
 
 def test_compile_round_four_bins_partial_interaction():
-    rnd = compile_round(4, [(0, 1), (2, 3)], [True, False])
-    by_pos = {e.position: e for e in rnd.events}
-    assert by_pos[0].block == "constraint"
-    assert by_pos[2].block == "identity" and by_pos[3].block == "identity"
-    assert all(e.block_delay_half_d == BLOCK_DELAY_HALF_D for e in rnd.events)
+    by_pos = bins(compile_round(4, [(0, 1), (2, 3)], [True, False]))
+    assert by_pos[0] == (CONSTRAINT_ROWS[1], "constraint", "second")
+    assert by_pos[1] == (CONSTRAINT_ROWS[0], "constraint", "first")
+    assert by_pos[2] == (IDENTITY_ROWS[1], "identity", "second")
+    assert by_pos[3] == (IDENTITY_ROWS[0], "identity", "first")
 
 
 def test_compile_round_conflicting_pairs_rejected():
@@ -92,27 +95,40 @@ def test_compile_sparse_graph_no_extra_interactions():
 def test_empty_edge_set_all_identity():
     g = graph_from_edges(4, [])
     program = compile_graph_program(g)
-    assert all(e.block == "identity" for rnd in program.rounds for e in rnd.events)
+    assert all(block == "identity" for rnd in program.rounds for *_, block, _ in rnd.events())
     assert verify_program(program, g).ok
 
 
 def test_tampered_switch_bit_flagged():
+    # round 1 routes modes 0 and 2 through an identity block; making it a
+    # constraint block flips the second bin's switch row to all ones
     g = three_node_line()
     program = compile_graph_program(g)
-    target = None
-    for rnd in program.rounds:
-        for i, e in enumerate(rnd.events):
-            if e.role == "second" and e.block == "constraint":
-                target = (rnd, i, e)
-                break
-        if target:
-            break
-    rnd, i, e = target
-    rnd.events[i] = type(e)(e.position, e.mode, (1, 1, 1, 0), e.block, e.role,
-                            e.block_delay_half_d, e.shuffle_delay_half_d)
+    rnd = program.rounds[1]
+    assert rnd.pairs == [(0, 1, "identity")]
+    rnd.pairs[0] = (0, 1, "constraint")
+    assert bins(rnd)[0] == (CONSTRAINT_ROWS[1], "constraint", "second")
     report = verify_program(program, g)
-    assert not report.ok
-    assert any("settings" in v for v in report.violations)
+    assert report.violations == ["round 1: constraint between non-edge (0, 2)"]
+
+
+@pytest.mark.parametrize("field, value, fault", [
+    ("pairs", [(0, 2, "constraint")], "pair (0, 2) is not adjacent"),
+    ("pairs", [(2, 3, "constraint")], "pair (2, 3) out of range"),
+    ("pairs", [(-1, 0, "identity"), (1, 2, "constraint")], "pair (-1, 0) out of range"),
+    ("pairs", [(0, 1, "identity"), (1, 2, "constraint")], "bin 1 assigned to two pairs"),
+    ("delays", [1, 0], "delays has 2 entries for 3 bins"),
+    ("order_before", [0, 1, 2, 3], "order_before has 4 entries for 3 bins"),
+], ids=["not-adjacent", "out-of-range", "negative", "overlapping", "short-delays",
+        "long-order"])
+def test_malformed_round_is_reported_not_raised(field, value, fault):
+    # round 0 of the line realizes edge (1, 2), which no other round does
+    g = three_node_line()
+    program = compile_graph_program(g)
+    setattr(program.rounds[0], field, value)
+    report = verify_program(program, g)
+    assert report.violations == [f"round 0: {fault}",
+                                 "edge (1, 2) never realized by a constraint block"]
 
 
 def test_missing_edge_flagged():
@@ -131,6 +147,67 @@ def test_render_program_deterministic():
     assert "# n_bins 4" in a
     data_lines = [ln for ln in a.splitlines() if ln and not ln.startswith("#")]
     assert len(data_lines) == 4 * 4  # n rounds x n bins
+
+
+THREE_NODE_LINE_PROGRAM = """\
+# time-bin switch program
+# n_bins 3
+# columns: round position mode s1 s2 s3 s4 block role block_delay_half_d shuffle_delay_half_d
+# round 0 order_before 0 1 2 order_after 0 2 1
+0 0 0 0 0 0 0 identity solo 3 2
+0 1 1 1 1 1 1 constraint second 3 0
+0 2 2 0 0 0 0 constraint first 3 4
+# round 1 order_before 0 2 1 order_after 2 0 1
+1 0 0 0 1 1 0 identity second 3 0
+1 1 2 0 0 0 0 identity first 3 4
+1 2 1 0 0 0 0 identity solo 3 2
+# round 2 order_before 2 0 1 order_after 2 1 0
+2 0 2 0 0 0 0 identity solo 3 2
+2 1 0 1 1 1 1 constraint second 3 0
+2 2 1 0 0 0 0 constraint first 3 4
+"""
+
+FOUR_VERTICES_ON_FIVE_BINS_PROGRAM = """\
+# time-bin switch program
+# n_bins 5
+# columns: round position mode s1 s2 s3 s4 block role block_delay_half_d shuffle_delay_half_d
+# round 0 order_before 0 1 2 3 4 order_after 0 2 1 4 3
+0 0 0 0 0 0 0 identity solo 3 2
+0 1 1 1 1 1 1 constraint second 3 0
+0 2 2 0 0 0 0 constraint first 3 4
+0 3 3 0 1 1 0 identity second 3 0
+0 4 4 0 0 0 0 identity first 3 4
+# round 1 order_before 0 2 1 4 3 order_after 2 0 4 1 3
+1 0 0 0 1 1 0 identity second 3 0
+1 1 2 0 0 0 0 identity first 3 4
+1 2 1 0 1 1 0 identity second 3 0
+1 3 4 0 0 0 0 identity first 3 4
+1 4 3 0 0 0 0 identity solo 3 2
+# round 2 order_before 2 0 4 1 3 order_after 2 4 0 3 1
+2 0 2 0 0 0 0 identity solo 3 2
+2 1 0 0 1 1 0 identity second 3 0
+2 2 4 0 0 0 0 identity first 3 4
+2 3 1 0 1 1 0 identity second 3 0
+2 4 3 0 0 0 0 identity first 3 4
+# round 3 order_before 2 4 0 3 1 order_after 4 2 3 0 1
+3 0 2 0 1 1 0 identity second 3 0
+3 1 4 0 0 0 0 identity first 3 4
+3 2 0 1 1 1 1 constraint second 3 0
+3 3 3 0 0 0 0 constraint first 3 4
+3 4 1 0 0 0 0 identity solo 3 2
+# round 4 order_before 4 2 3 0 1 order_after 4 3 2 1 0
+4 0 4 0 0 0 0 identity solo 3 2
+4 1 2 0 1 1 0 identity second 3 0
+4 2 3 0 0 0 0 identity first 3 4
+4 3 0 1 1 1 1 constraint second 3 0
+4 4 1 0 0 0 0 constraint first 3 4
+"""
+
+
+def test_render_program_text_is_pinned():
+    assert render_program(compile_graph_program(three_node_line())) == THREE_NODE_LINE_PROGRAM
+    g = graph_from_edges(4, [(0, 1), (0, 3), (1, 2)])
+    assert render_program(compile_graph_program(g, 5)) == FOUR_VERTICES_ON_FIVE_BINS_PROGRAM
 
 
 # Random graphs on 2 to 12 vertices (the compiler needs two bins or more),
