@@ -30,7 +30,9 @@ Both engines take schedules of different lengths as one stack: rows run
 longest schedule first and leave it as theirs ends.  Both step a block of
 cycles at a time, at most ``PURE_BLOCK_ELEMENTS`` state entries over the
 block's cycles and running rows (at least one cycle), never past a row's end,
-and take each block's records in one pass over its states.
+and take each block's records in one pass over its states; a pure-state block
+too wide to keep two cycles keeps none, builds its mixer tables for many
+cycles and records each cycle as it ends.
 Every report carries its final state and its per-cycle entropy (zero on the
 pure paths); a pure-path report also carries ``meta["norm_drift"]``, a
 density report ``meta["trace_drift"]`` and ``meta["min_eigenvalue"]``.
@@ -601,17 +603,21 @@ def _run_pure(schedules, mixer, number: np.ndarray, proj: np.ndarray,
     ``kicks``, and records |amps|^2 @ proj (whose last column of ones gives
     each row's squared norm) up to the row's own last cycle.
 
-    Rows run longest first, in blocks of at most ``PURE_BLOCK_ELEMENTS /
-    (k 2^n)`` cycles for the k rows still running, at least one, never past
-    a row's end: one exp builds a block's number phases, one ``block`` call
-    its mixer tables, each cycle's state overwrites its own diagonal, and
-    one matmul gives the records.  Kicks and a mixer's frame D leave vacuum
-    and |amps| unchanged, so the state is kept as amps / (kicks D): each
-    cycle's diagonal carries the kicks and D^2, and the kicks and D are
-    applied to the final amplitudes.  An ``energy`` (the QUBO path, one
-    schedule) has up to 2^n distinct values, so its cycles' whole diagonals
-    come from :func:`_ramp_phases`, anchored on the same cycles whatever the
-    block.  The loop's arrays are guarded first, the records by the callers.
+    Rows run longest first, in blocks of cycles for the k rows still running,
+    never past a row's end, each with one ``block`` call for its mixer
+    tables.  A block keeps its states if ``PURE_BLOCK_ELEMENTS / (k 2^n)``
+    cycles of them, two or more, fit: one exp builds its number phases, each
+    cycle's state overwrites its own diagonal and one matmul gives the
+    records.  A wide block keeps none: its tables span 2^n // width cycles
+    (at least one), each cycle takes its own number phases, and its |amps|^2
+    goes into one reused buffer before its records' matmul.  Kicks and a
+    mixer's frame D leave vacuum and |amps| unchanged, so the state is kept
+    as amps / (kicks D): each cycle's diagonal carries the kicks and D^2,
+    and the kicks and D are applied to the final amplitudes.  An ``energy``
+    (the QUBO path, one schedule) has up to 2^n distinct values, so its
+    cycles' whole diagonals come from :func:`_ramp_phases`, anchored on the
+    same cycles whatever the block.  The loop's arrays are guarded first,
+    the records by the callers.
     """
     frame, mixer_block, mixer_width = mixer
     order = sorted(range(len(schedules)), key=lambda s: -schedules[s].n_cycle)
@@ -619,17 +625,19 @@ def _run_pure(schedules, mixer, number: np.ndarray, proj: np.ndarray,
     rows = dict(zip(order, map(slice, np.cumsum([0] + sizes), np.cumsum(sizes))))
     lengths = np.repeat([schedules[s].n_cycle for s in order], sizes)
     # In complex numbers: per pattern, the table indices and the two folded diagonals; the
-    # finals; a block's states and mixer tables; the larger of the block's states again (its
-    # distinct-phase table, at most one entry per pattern, or |states|^2) and the running rows
-    # with three mixer temporaries; the two buffers of NumPy's broadcast multiplies; a ramp's
-    # two diagonals per pattern and three rows.
+    # finals; a block's kept states (a wide block's one diagonal); its mixer tables, over the
+    # kept cells or, in a wide block, at most one entry per running amplitude; the larger of
+    # the kept states again (their distinct-phase table, at most one entry per pattern) and the
+    # running rows with three mixer temporaries; the reused |amps|^2 (real, so half); the two
+    # buffers of NumPy's broadcast multiplies; a ramp's two diagonals per pattern and three rows.
     width = len(lengths) * len(number)
     cells = min(max(len(lengths), PURE_BLOCK_ELEMENTS // len(number)), len(lengths) * lengths[0])
     states = cells * len(number)
     ramp_entries = 0 if energy is None else 2 * len(number) + 3 * width
-    _guard_bytes(16 * (3 * len(number) + width + states + cells * mixer_width
-                       + max(states, 4 * width) + 2 * min(max(states, width), np.getbufsize())
-                       + ramp_entries), "the pure-state block")
+    _guard_bytes(16 * (3 * len(number) + width + states + max(cells * mixer_width, width)
+                       + max(states, 4 * width) + max(states, width) // 2
+                       + 2 * min(max(states, width), np.getbufsize()) + ramp_entries),
+                 "the pure-state block")
     angles = np.zeros((2, lengths[0], len(lengths)))
     for s, sc in enumerate(schedules):
         angles[:, :sc.n_cycle, rows[s]] = np.atleast_2d(sc.phi).T, np.atleast_2d(sc.c).T
@@ -641,23 +649,42 @@ def _run_pure(schedules, mixer, number: np.ndarray, proj: np.ndarray,
         phases, ramp = _phase_tables(number), None
     else:
         ramp = _ramp_phases(schedules[0], number, energy, fold)
+
+    def diagonals(cycles, k):  # the number phases of ``cycles`` for k rows, times the fold
+        [diag] = phases(angles[0, cycles, :k])
+        return diag if fold is None else np.multiply(diag, fold, out=diag)
+
+    squares = np.empty(max(states, width))
+
+    def record(kept, at):  # a (cycles, k, 2^n) stack's records, from cycle ``at`` on
+        power = np.abs(kept, out=squares[:kept.size].reshape(kept.shape))
+        np.square(power, out=power)
+        records[:power.shape[1], at:at + len(power)] = (power @ proj).transpose(1, 0, 2)
+
     finals = np.zeros((len(lengths), len(number)), dtype=complex)
     finals[:, 0] = 1.0
     records = np.empty((len(lengths), lengths[0], proj.shape[1]))
     amps, start, k = finals, 0, len(lengths)
     while k:
-        stop = min(lengths[k - 1], start + max(1, PURE_BLOCK_ELEMENTS // amps.size))
+        keep = PURE_BLOCK_ELEMENTS // amps.size  # cycles of states a block keeps, if above one
+        span = keep if keep > 1 else max(1, len(number) // mixer_width)
+        stop = min(lengths[k - 1], start + span)
         mix = mixer_block(angles[1, start:stop, :k])
-        if ramp is None:
-            [states] = phases(angles[0, start:stop, :k])
-            if fold is not None:
-                states *= fold
+        if keep < 2:  # wide: each cycle is recorded as it ends
+            kept, diags = None, ramp or (diagonals(j, k) for j in range(start, stop))
+        elif ramp is None:  # each cycle's state overwrites its own diagonal
+            diags = kept = diagonals(slice(start, stop), k)
         else:
-            states = np.empty((stop - start, k, len(number)), dtype=complex)
-        for j in range(len(states)):
-            amps = states[j] = mix(amps * (states[j] if ramp is None else next(ramp)), j)
-        records[:k, start:stop] = ((np.abs(states) ** 2) @ proj).transpose(1, 0, 2)
-        del states, mix  # before the next block's tables, as the guard counts
+            diags, kept = ramp, np.empty((stop - start, k, len(number)), dtype=complex)
+        for j, diag in zip(range(stop - start), diags):
+            amps = mix(amps * diag, j)
+            if kept is None:
+                record(amps[None], start + j)
+            else:
+                kept[j] = amps
+        if kept is not None:
+            record(kept, start)
+        del kept, diags, diag, mix  # before the next block's tables, as the guard counts
         start, left, k = stop, k, np.count_nonzero(lengths > stop)
         finals[k:left], amps = amps[k:], amps[:k]
     if end is not None:

@@ -320,8 +320,8 @@ def qubo_rows(q: np.ndarray, n_cycle: int, r_tot: float):
     header = ["assignment", "energy", "probability", "is_optimal", "success"]
     rep = qubo_anneal(q, n_cycle, r_tot)
     n = np.shape(q)[0]
-    # each row of '0'/'1' bytes read as one n-byte string
-    names = (_bit_table(n) + ord("0")).astype(np.uint8).view(f"S{n}").astype(str)
+    # each row of '0'/'1' code points read as one n-character string
+    names = (_bit_table(n) + ord("0")).astype(np.uint32).view(f"U{n}")
     # final_populations, meta["energy"] and meta["optimal"] are all in basis order
     return header, list(zip(names.ravel().tolist(), rep.meta["energy"].tolist(),
                             rep.final_populations.values(),

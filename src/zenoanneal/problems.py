@@ -139,9 +139,9 @@ def _bit_table(n: int, index=None) -> np.ndarray:
 
 def _by_slab(score, n: int) -> np.ndarray:
     """score(rows) over the 2^n patterns in slabs of at most
-    ``SCORE_SLAB_ROWS`` table rows, so that no table outlives one slab."""
+    ``SCORE_SLAB_ROWS`` float 0/1 table rows, so that no table outlives one slab."""
     return np.concatenate([
-        score(_bit_table(n, np.arange(start, min(start + SCORE_SLAB_ROWS, 1 << n))))
+        score(_bit_table(n, np.arange(start, min(start + SCORE_SLAB_ROWS, 1 << n))).astype(float))
         for start in range(0, 1 << n, SCORE_SLAB_ROWS)])
 
 

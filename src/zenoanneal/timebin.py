@@ -183,20 +183,28 @@ def verify_program(program: SwitchProgram, graph: ProblemGraph) -> VerificationR
     """Check a program realizes exactly the graph's edges.
 
     Violations reported: an order or delay list that is not one entry a bin,
-    pairs that are not adjacent, leave the train or share a bin, delay
-    bookkeeping that does not reproduce the recorded reordering, edges never
-    realized, and constraints applied between non-adjacent vertices.
+    a train that does not start at 0..n-1 or that a round takes up in
+    another order than the last round left it, pairs that are not adjacent,
+    leave the train, share a bin or name a block other than constraint or
+    identity, delay bookkeeping that does not reproduce the recorded
+    reordering, edges never realized, and constraints applied between
+    non-adjacent vertices.
     """
     violations: list[str] = []
     covered: set[tuple[int, int]] = set()
     applied: list[tuple[int, int]] = []
     n = program.n_bins
+    order, left_by = list(range(n)), "the train's start"  # the order the next round takes up
     for rnd in program.rounds:
         faults = [f"{name} has {len(entries)} entries for {n} bins"
                   for name, entries in (("order_before", rnd.order_before),
                                         ("delays", rnd.delays)) if len(entries) != n]
         faults += _pair_faults(n, rnd.pairs)
         violations += (f"round {rnd.index}: {fault}" for fault in faults)
+        if len(rnd.order_before) == n and rnd.order_before != order:
+            got, want = (" ".join(map(str, o)) for o in (rnd.order_before, order))
+            violations.append(f"round {rnd.index}: order_before {got} is not {left_by} {want}")
+        order, left_by = rnd.order_after, f"round {rnd.index}'s order_after"
         if faults:
             continue
         for (a, b, kind) in rnd.pairs:
@@ -207,6 +215,8 @@ def verify_program(program: SwitchProgram, graph: ProblemGraph) -> VerificationR
                     covered.add(edge)
                 else:
                     violations.append(f"round {rnd.index}: constraint between non-edge {edge}")
+            elif kind != "identity":
+                violations.append(f"round {rnd.index}: pair ({a}, {b}) has block kind {kind!r}")
         try:
             after = apply_delays(rnd.order_before, rnd.delays)
         except ValueError as exc:

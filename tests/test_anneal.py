@@ -449,6 +449,21 @@ def test_qubo_anneal_makes_one_mixer_pass_per_cycle():
     assert kron_pass.call_count == 64
 
 
+def test_wide_qubo_anneal_builds_its_mixer_tables_for_many_cycles_a_call(monkeypatch):
+    # at n = 14 one cycle's 2^14 amplitudes pass PURE_BLOCK_ELEMENTS, so a block keeps no
+    # state and its factor tables span 2^14 // width = 18 cycles: 4 builds, not one a cycle
+    spans, transverse_mixer = [], anneal._transverse_mixer
+
+    def counted(n):
+        frame, block, width = transverse_mixer(n)
+        assert (1 << n) // width == 18
+        return frame, lambda c: spans.append(c.shape) or block(c), width
+
+    monkeypatch.setattr(anneal, "_transverse_mixer", counted)
+    qubo_anneal(np.random.default_rng(14).normal(size=(14, 14)), 64, 20.0)
+    assert spans == [(18, 1)] * 3 + [(10, 1)]
+
+
 def _mis_paths():
     """(graph, phi_q) per MIS pure path; phi_q None runs the ideal mixer."""
     five = five_node_example()
@@ -863,7 +878,8 @@ def _pure_block_bytes(rows: int, n_cycle: int, n_patterns: int, mixer_width: int
     cells = min(max(rows, anneal.PURE_BLOCK_ELEMENTS // n_patterns), rows * n_cycle)
     states = cells * n_patterns
     extra = 2 * n_patterns + 3 * width if ramp else 0
-    return 16 * (3 * n_patterns + width + states + cells * mixer_width + max(states, 4 * width)
+    return 16 * (3 * n_patterns + width + states + max(cells * mixer_width, width)
+                 + max(states, 4 * width) + max(states, width) // 2
                  + 2 * min(max(states, width), np.getbufsize()) + extra)
 
 
@@ -875,8 +891,8 @@ def _weighted_nine():
 
 
 @pytest.mark.parametrize("case", ["five-statevector", "five-ideal", "path14-statevector",
-                                  "qubo12", "weighted9-statevector", "weighted9-ideal",
-                                  "qubo14"])
+                                  "qubo12", "qubo12-long", "weighted9-statevector",
+                                  "weighted9-ideal", "qubo14"])
 def test_pure_block_guard_counts_its_peak(monkeypatch, case):
     # the count covers the distinct-phase tables at their real width (2^n
     # entries a cell on weighted graphs), NumPy's broadcast buffers and the
@@ -891,6 +907,7 @@ def test_pure_block_guard_counts_its_peak(monkeypatch, case):
            "path14-statevector": lambda: anneal_statevector(
                path14, make_schedule(8, [1.0, 2.0, 3.0]), PHI_Q),
            "qubo12": lambda: qubo_anneal(q, 64, [1.0, 2.0, 3.0]),
+           "qubo12-long": lambda: qubo_anneal(q, 1500, 300.0),
            "weighted9-statevector": lambda: anneal._anneal_mis_pure(
                _weighted_nine(), weighted, PHI_Q),
            "weighted9-ideal": lambda: anneal._anneal_mis_pure(_weighted_nine(), weighted, None),

@@ -131,6 +131,46 @@ def test_malformed_round_is_reported_not_raised(field, value, fault):
                                  "edge (1, 2) never realized by a constraint block"]
 
 
+def test_train_reordered_between_rounds_is_flagged():
+    # round 2 of the line takes up the train as 2 1 0, not as round 1 left it
+    # (2 0 1), with the order_after its own delays make; its constraint still
+    # meets modes 0 and 1, so only the continuity check sees it
+    g = three_node_line()
+    program = compile_graph_program(g)
+    rnd = program.rounds[2]
+    rnd.order_before = [2, 1, 0]
+    rnd.order_after = apply_delays(rnd.order_before, rnd.delays)
+    report = verify_program(program, g)
+    assert report.violations == ["round 2: order_before 2 1 0 is not round 1's order_after 2 0 1"]
+    assert report.edges_covered == g.edges
+
+
+def test_train_not_starting_in_bin_order_is_flagged():
+    # the line's rounds replayed on a train that starts as 1 0 2: each later
+    # round takes up the order the last one left, so only round 0 is out of order
+    g = three_node_line()
+    program = compile_graph_program(g)
+    program.rounds[0].order_before = [1, 0, 2]
+    for rnd, after in zip(program.rounds, program.rounds[1:] + [None]):
+        rnd.order_after = apply_delays(rnd.order_before, rnd.delays)
+        if after is not None:
+            after.order_before = rnd.order_after
+    report = verify_program(program, g)
+    assert report.violations == ["round 0: order_before 1 0 2 is not the train's start 0 1 2",
+                                 "round 0: constraint between non-edge (0, 2)",
+                                 "edge (1, 2) never realized by a constraint block"]
+
+
+@pytest.mark.parametrize("kind", ["swap", "Constraint", ""])
+def test_unknown_pair_kind_flagged(kind):
+    # round 1 routes modes 0 and 2, a non-edge, through an identity block
+    g = three_node_line()
+    program = compile_graph_program(g)
+    program.rounds[1].pairs[0] = (0, 1, kind)
+    report = verify_program(program, g)
+    assert report.violations == [f"round 1: pair (0, 1) has block kind {kind!r}"]
+
+
 def test_missing_edge_flagged():
     g = three_node_line()
     program = compile_graph_program(graph_from_edges(3, [(0, 1)]))
