@@ -183,12 +183,11 @@ def verify_program(program: SwitchProgram, graph: ProblemGraph) -> VerificationR
     """Check a program realizes exactly the graph's edges.
 
     Violations reported: an order or delay list that is not one entry a bin,
-    a train that does not start at 0..n-1 or that a round takes up in
-    another order than the last round left it, pairs that are not adjacent,
-    leave the train, share a bin or name a block other than constraint or
-    identity, delay bookkeeping that does not reproduce the recorded
-    reordering, edges never realized, and constraints applied between
-    non-adjacent vertices.
+    a round 0 that does not start at 0..n-1 or a later one that does not take
+    up the train as the last left it, pairs that are not adjacent, leave the
+    train, share a bin or name an unknown block kind, delay bookkeeping that
+    does not reproduce the recorded reordering, edges never realized, and
+    constraints applied between non-adjacent vertices.
     """
     violations: list[str] = []
     covered: set[tuple[int, int]] = set()
