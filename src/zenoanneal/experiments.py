@@ -7,6 +7,7 @@ so output files are bit-identical across runs on one platform.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,10 +19,12 @@ from .analytic import (DampingParams, effective_tpa_rate,
 from .anneal import (_anneal_mis_pure, anneal_density, anneal_density_batch,
                      anneal_ideal, anneal_statevector, make_schedule, qubo_anneal)
 from .fock import make_space, vacuum
-from .gadgets import ConstraintParams, drive_generator
+from .gadgets import ConstraintParams, DriveParams, drive_generator
+from .generators import _prune, hermitian_basis
 from .problems import (ProblemGraph, _bit_table, brute_force_mis,
                        loss_injection_batch)
-from .propagator import _guard_bytes, expm_apply_vec, expm_dense, trajectory
+from .propagator import (_block, _block_steps, _guard_bytes, expm_apply_vec, expm_dense,
+                         trajectory)
 
 CRITICAL_ETA_FACTOR = 4.0 * math.sqrt(2.0)
 
@@ -70,20 +73,50 @@ def zeno_onset_rows(variant: str, ratios, truncation: int,
 
 # --------------------------------------------------------------- drive sweep
 
+@lru_cache(maxsize=None)
+def _drive_block(kind: str, n_max: int, gamma_on: bool, eta_on: bool):
+    """The drive at unit rates, those on, restricted to the vacuum's reachable
+    block R (:func:`propagator._block`), read-only: (each unit part's sparse
+    real matrix on R, the vacuum's coordinates on R, the position on R of each
+    one-photon population E_kk, R when it is off R); None when no jump has a rate."""
+    gen, space = drive_generator(kind, make_space([n_max + 1]), 0, c=1.0,
+                                 gamma=float(gamma_on), eta=float(eta_on))
+    if all(rate == 0.0 for rate, _ in gen.jumps):
+        return None
+    coords = (hermitian_basis(space.total_dim).conj().T
+              @ vacuum(space).to_density().matrix.flatten(order="F")).real
+    block = _block(gen.real_matrix, coords)
+    one = np.flatnonzero(space.occupation_array(0) == 1)  # E_kk is coordinate k
+    read = np.where(np.isin(one, block), np.searchsorted(block, one), len(block))
+    parts = tuple(part.real_matrix[block][:, block] for part, w in gen.parts if w)
+    cols = coords[block]
+    for arr in (cols, read, *(part.data for part in parts)):  # shared by every point
+        arr.flags.writeable = False
+    return parts, cols, read
+
+
 def _drive_p1(kind: str, gamma: float, eta: float, t: float) -> float:
     """P(|1>) after driving vacuum for time t at unit displacement rate.
 
     Truncation drops from ten photons to five at ``TRUNCATION_SWITCH_GAMMA``,
-    with the pump sized to the convertible pairs.
+    with the pump sized to the convertible pairs.  A point with a jump sums its
+    real matrix on its :func:`_drive_block` as ``GeneratorSpec.real_matrix``
+    does, so p1 is bit-identical to the full-space :func:`expm_apply_vec`'s, and
+    takes one block step; a jump-free point takes ``expm_apply_vec``'s unitary
+    branch.
     """
     n_max = 10 if gamma < TRUNCATION_SWITCH_GAMMA else 5
-    gen, space = drive_generator(kind, make_space([n_max + 1]), 0,
-                                 c=1.0, gamma=gamma, eta=eta)
-    vec = expm_apply_vec(gen, t, vacuum(space).to_density().matrix.flatten(order="F"))
-    d = space.total_dim
-    diag = vec.reshape((d, d), order="F").diagonal().real
-    occ = space.occupation_array(0)
-    return float(diag[occ == 1].sum())
+    DriveParams(1.0, gamma, eta)  # ValueError for a negative or non-finite rate
+    cached = _drive_block(kind, n_max, gamma != 0.0, eta != 0.0)
+    if cached is None:
+        gen, space = drive_generator(kind, make_space([n_max + 1]), 0,
+                                     c=1.0, gamma=gamma, eta=eta)
+        vec = expm_apply_vec(gen, t, vacuum(space).to_density().matrix.flatten(order="F"))
+        diag = vec[::space.total_dim + 1].real
+        return float(diag[space.occupation_array(0) == 1].sum())
+    parts, cols, read = cached
+    a = _prune(sum(w * part for part, w in zip(parts, [w for w in (1.0, gamma, eta) if w])))
+    return float(np.append(_block_steps(a, cols, t, 2)[1], 0.0)[read].sum())
 
 
 def _coherence_point(ratio: float, gamma: float) -> float:

@@ -1,8 +1,10 @@
 """Exponentiation of generators.
 
-* :func:`trajectory` returns the states on an evenly spaced time grid from 0
-  and is the one place that exponentiates a state; :func:`expm_apply_vec`
-  returns the last row of its grid [0, t],
+* :func:`trajectory` returns the states on an evenly spaced time grid from 0;
+  :func:`expm_apply_vec` returns the last row of its grid [0, t],
+* :func:`_block_steps` is the one exponential rule on a reachable block, a
+  dense step or Krylov, taken by trajectories and by the drive points of
+  :mod:`zenoanneal.experiments` on their cached blocks,
 * :func:`expm_dense` materializes exp(t G) as a dense superoperator,
 * :class:`BinaryExpCache` (:func:`build_cache`) precomputes exponentials for
   halved durations and composes them into the map for any per-cycle time, so
@@ -18,12 +20,13 @@ is closed on R, so the rest stays exactly 0, with no symmetry assumed in code.
 From the vacuum R is the D(D+1)/2 coordinates of one photon-parity pattern,
 171 of 324 at D = 18, as the drive Hamiltonians are real and odd under parity
 and the jumps real and covariant (the weak-symmetry block reduction of Buca &
-Prosen, New J. Phys. 14, 2012).  A block of up to ``DENSE_BLOCK_MAX``
-coordinates takes one real dense exponential of the grid step (scaling and
-squaring, Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009), whose cost
-does not grow with |tG|; a larger one takes Krylov (Arnoldi) steps over one
-grid interval at a time, with the step control of Expokit's dgexpv (Saad,
-SIAM J. Numer. Anal. 29, 1992; Sidje, ACM TOMS 24, 1998) and exact norms.
+Prosen, New J. Phys. 14, 2012).  In :func:`_block_steps`, a block of up to
+``DENSE_BLOCK_MAX`` coordinates takes one real dense exponential of the grid
+step (scaling and squaring, Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+2009), whose cost does not grow with |tG|; a larger one takes Krylov (Arnoldi)
+steps over one grid interval at a time, with the step control of Expokit's
+dgexpv (Saad, SIAM J. Numer. Anal. 29, 1992; Sidje, ACM TOMS 24, 1998) and
+exact norms.
 
 These replaced scipy's interval form of the action (Al-Mohy & Higham, SIAM J.
 Sci. Comput. 33, 2011) above the cap.  On 201-point trajectories over 2 pi
@@ -106,29 +109,59 @@ def _block(a, cols: np.ndarray) -> np.ndarray:
     return np.sort(breadth_first_order(graph, n, return_predecessors=False)[1:])
 
 
-def _on_block(a, vec: np.ndarray, action) -> np.ndarray:
-    """Rows vec(rho) of ``action(a[R, R], cols[R])``, an (n, R[, 2]) array of
-    real coordinates starting at cols[R]: cols = U^dag vec in the Hermitian
-    basis U (a second column only for an anti-Hermitian part), R their
-    :func:`_block`.  Row 0 is vec; the rest is mapped back by U ``MAP_ROWS``
-    rows at a time, so no complex copy of the whole output is made."""
+def _on_block(a, vec: np.ndarray, step: float, n: int) -> np.ndarray:
+    """Rows vec(rho) of the grid 0, step, ..., (n - 1) step by :func:`_block_steps`
+    on a[R, R] from cols[R]: cols = U^dag vec in the Hermitian basis U (a second
+    column only for an anti-Hermitian part), R their :func:`_block`.  Row 0 is
+    vec; the rest is mapped back by U ``MAP_ROWS`` rows at a time, so no complex
+    copy of the whole output is made."""
     basis = hermitian_basis(math.isqrt(vec.size))
     coords = basis.conj().T @ vec
     two = bool(np.any(coords.imag))
     cols = np.stack([coords.real, coords.imag], -1) if two else coords.real
     block = _block(a, cols)
     a, cols, basis = a[block][:, block], cols[block], basis[:, block]
-    if not (np.isfinite(a.data).all() and np.isfinite(cols).all()):
-        raise NonConvergenceError("the action's matrix or vector is not finite")
-    out = action(a, cols)
-    if not np.all(np.isfinite(out)):
-        raise NonConvergenceError("the action produced non-finite values")
+    # the complex rows, three complex copies of the rows mapped back at once
+    # and eight complex vectors
+    out = _block_steps(a, cols, step, n, 16 * (n + 3 * min(n, MAP_ROWS) + 8) * vec.size)
     rows = np.empty((len(out), vec.size), dtype=complex)
     rows[0] = vec  # exact, not U U^dag vec
     for i in range(1, len(out), MAP_ROWS):
         part = out[i:i + MAP_ROWS]
         rows[i:i + MAP_ROWS] = (basis @ (part @ [1.0, 1j] if two else part).T).T
     return rows
+
+
+def _block_steps(a, cols: np.ndarray, step: float, n: int, rows_bytes: int = 0) -> np.ndarray:
+    """The (n, R[, 2]) real coordinates exp(k step a) cols, k < n, on a block of
+    R coordinates closed under the real sparse ``a``: one real dense exponential
+    of the step for R up to ``DENSE_BLOCK_MAX`` (read at each call), else Krylov
+    steps over one interval at a time.  The bytes it peaks at, plus the caller's
+    ``rows_bytes``, are checked against ``RUN_BYTES_MAX`` before it allocates;
+    NonConvergenceError for a non-finite a, cols or result."""
+    if not (np.isfinite(a.data).all() and np.isfinite(cols).all()):
+        raise NonConvergenceError("the action's matrix or vector is not finite")
+    dense = len(cols) <= DENSE_BLOCK_MAX
+    # the real block rows, eight copies of the block matrix (12 bytes a
+    # nonzero), and for the dense step ten (R, R) real matrices (scipy's expm
+    # holds up to nine at once), for Krylov steps the basis and ten augmented
+    # Hessenberg matrices
+    work = (80 * len(cols) ** 2 if dense else
+            8 * (KRYLOV_DIM + 1) * len(cols) + 80 * (KRYLOV_DIM + 2) ** 2)
+    _guard_bytes(rows_bytes + 8 * n * cols.size + 96 * a.nnz + work, "the trajectory rows")
+    out = np.empty((n,) + cols.shape)
+    out[0] = cols
+    if dense:
+        step_map = scipy.linalg.expm(step * a.toarray())
+        for i in range(1, n):
+            np.matmul(step_map, out[i - 1], out=out[i])
+    else:
+        a = a * step
+        for i in range(1, n):
+            out[i] = np.apply_along_axis(lambda col: _krylov_expv(a, col), 0, out[i - 1])
+    if not np.all(np.isfinite(out)):
+        raise NonConvergenceError("the action produced non-finite values")
+    return out
 
 
 def _round_step(t: float) -> float:
@@ -235,31 +268,7 @@ def trajectory(gen: GeneratorSpec, times, vec: np.ndarray) -> np.ndarray:
                          "at least two points starting at 0")
     if all(rate == 0.0 for rate, _ in gen.jumps):
         return _unitary_rows(gen.hamiltonian, times, vec)
-    n, step = len(times), float(times[1])
-
-    def action(a, cols):
-        dense = len(cols) <= DENSE_BLOCK_MAX
-        # the complex rows, three complex copies of the rows mapped back at
-        # once, eight complex vectors, the real block rows, eight copies of
-        # the block matrix (12 bytes a nonzero), and for the dense step ten
-        # (R, R) real matrices (scipy's expm holds up to nine at once), for
-        # Krylov steps the basis and ten augmented Hessenberg matrices
-        work = (80 * len(cols) ** 2 if dense else
-                8 * (KRYLOV_DIM + 1) * len(cols) + 80 * (KRYLOV_DIM + 2) ** 2)
-        _guard_bytes(16 * (n + 3 * min(n, MAP_ROWS) + 8) * vec.size + 8 * n * cols.size
-                     + 96 * a.nnz + work, "the trajectory rows")
-        out = np.empty((n,) + cols.shape)
-        out[0] = cols
-        if dense:
-            step_map = scipy.linalg.expm(step * a.toarray())
-            for i in range(1, n):
-                np.matmul(step_map, out[i - 1], out=out[i])
-        else:
-            a = a * step
-            for i in range(1, n):
-                out[i] = np.apply_along_axis(lambda col: _krylov_expv(a, col), 0, out[i - 1])
-        return out
-    return _on_block(gen.real_matrix, vec, action)
+    return _on_block(gen.real_matrix, vec, float(times[1]), len(times))
 
 
 def expm_apply_vec(gen: GeneratorSpec, t: float, vec: np.ndarray) -> np.ndarray:

@@ -10,8 +10,7 @@ from zenoanneal import experiments, gadgets, generators, propagator
 from zenoanneal.experiments import (CRITICAL_ETA_FACTOR, _drive_p1, drive_sweep_rows,
                                     gamma_99, zeno_onset_rows)
 from zenoanneal.fock import make_space, vacuum
-from zenoanneal.generators import GeneratorSpec
-from zenoanneal.propagator import expm_dense
+from zenoanneal.propagator import expm_apply_vec, expm_dense
 
 # 40-step log bisection of ratio 0.005 on [10.3, 20]
 BISECTION_ROOT = 11.192354026870767
@@ -67,6 +66,17 @@ def test_gamma_99_converges_on_smooth_curve(monkeypatch):
     g = gamma_99(0.0, lo=0.2, hi=4096.0)
     assert p1(g) >= 0.99 and abs(math.log(g / root)) <= 2e-12
     assert len(gammas) <= 15
+
+
+@pytest.mark.parametrize("ratio, root, budget", [(0.0, 9.383385940879268, 23),
+                                                  (1.0, 330.1749581417062, 18)])
+def test_gamma_99_default_bracket_evaluation_budget(evaluated, ratio, root, budget):
+    # Budget measured when pinned: the two bracket ends, bisection down to a
+    # factor of 2 or across the truncation switch, then Illinois steps.  A solve
+    # that only bisected would stop at the 40-step cap: 42 evaluations.
+    g = gamma_99(ratio)
+    assert len(evaluated) == budget
+    assert g == root
 
 
 @pytest.mark.parametrize("lo, hi, iters", [(0.0, 16.0, 40), (-1.0, 16.0, 40),
@@ -150,16 +160,62 @@ def test_zeno_onset_trajectories_leave_the_global_rng_and_expm_multiply_alone(
 
 
 @pytest.mark.parametrize("gamma", [4.6, 20.0])
-def test_sfg_point_takes_one_action_with_its_generator(monkeypatch, gamma):
-    calls = []
-    expm_apply_vec = experiments.expm_apply_vec
-    monkeypatch.setattr(experiments, "expm_apply_vec",
-                        lambda *a, **k: calls.append(a) or expm_apply_vec(*a, **k))
-    monkeypatch.setattr(experiments, "expm_dense",
-                        lambda *a, **k: pytest.fail("an SFG point went dense"))
-    p1 = _drive_p1("sfg", gamma, 0.3 * gamma, math.pi / 2)
-    assert len(calls) == 1 and isinstance(calls[0][0], GeneratorSpec)
+def test_second_point_of_a_structure_builds_nothing_and_takes_one_step(monkeypatch, gamma):
+    _drive_p1("sfg", gamma, 0.3 * gamma, math.pi / 2)  # builds the structure if not cached
+    steps, krylov = [], []
+    block_steps, krylov_expv = experiments._block_steps, propagator._krylov_expv
+    monkeypatch.setattr(experiments, "_block_steps",
+                        lambda *a, **k: steps.append(a[2:4]) or block_steps(*a, **k))
+    monkeypatch.setattr(propagator, "_krylov_expv",
+                        lambda *a: krylov.append(1) or krylov_expv(*a))
+    for owner, name in ((experiments, "drive_generator"), (experiments, "_block"),
+                        (propagator, "_block"), (experiments, "expm_apply_vec"),
+                        (experiments, "expm_dense")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: pytest.fail(name))
+    p1 = _drive_p1("sfg", 1.01 * gamma, 0.3 * gamma, math.pi / 2)
+    # one grid step of pi/2: a dense step on 171 coordinates, or Krylov on 2,211
+    assert steps == [(math.pi / 2, 2)] and len(krylov) == (gamma < 10)
     assert 0.0 <= p1 <= 1.0
+
+
+def full_space_p1(kind, gamma, eta, levels):
+    """p1 at t = pi/2 from the generic action on the full space."""
+    gen, space = gadgets.drive_generator(kind, make_space([levels]), 0, c=1.0,
+                                         gamma=gamma, eta=eta)
+    vec = expm_apply_vec(gen, math.pi / 2, vacuum(space).to_density().matrix.flatten(order="F"))
+    d = space.total_dim
+    diag = vec.reshape((d, d), order="F").diagonal().real
+    return float(diag[space.occupation_array(0) == 1].sum())
+
+
+@pytest.mark.parametrize("kind, gamma, eta, cap, krylov", [
+    ("sfg", 20.0, 6.0, None, False),  # n_max 5: a dense step on 171 coordinates
+    ("sfg", 4.6, 1.38, None, True),  # n_max 10: Krylov steps on 2,211
+    ("tpa", 20.0, 0.0, None, False),  # 6 levels
+    ("tpa", 4.6, 0.0, None, False),  # 11 levels
+    ("sfg", 0.0, 1.3, None, False),  # pump loss only: the pumped populations are off the block
+    ("sfg", 330.174958128, 330.174958128 * CRITICAL_ETA_FACTOR, 0, True),
+    ("tpa", 4.6, 0.0, 0, True),
+], ids=["sfg-6", "sfg-11", "tpa-6", "tpa-11", "sfg-gamma-0", "sfg-6-krylov", "tpa-11-krylov"])
+def test_cached_drive_point_equals_the_full_space_action(monkeypatch, kind, gamma, eta, cap,
+                                                         krylov):
+    steps, krylov_expv = [], propagator._krylov_expv
+    monkeypatch.setattr(propagator, "_krylov_expv", lambda *a: steps.append(1) or krylov_expv(*a))
+    if cap is not None:
+        monkeypatch.setattr(propagator, "DENSE_BLOCK_MAX", cap)
+    p1 = _drive_p1(kind, gamma, eta, math.pi / 2)
+    assert bool(steps) == krylov  # the cap is read when the point runs
+    levels = 11 if gamma < experiments.TRUNCATION_SWITCH_GAMMA else 6
+    assert p1 == full_space_p1(kind, gamma, eta, levels)
+
+
+def test_a_sweep_builds_one_block_per_drive_structure():
+    experiments._drive_block.cache_clear()
+    drive_sweep_rows([0.005], [2.0, 30.0], [4.0], [0.8, 20.0],
+                     gamma99_lo=10.3, gamma99_hi=20.0)
+    info = experiments._drive_block.cache_info()
+    # SFG with pump loss and TPA, each at ten and at five photons
+    assert info.currsize == info.misses == 4 and info.hits > 10
 
 
 def test_repeated_drive_points_build_each_unit_part_once(monkeypatch):
@@ -169,6 +225,7 @@ def test_repeated_drive_points_build_each_unit_part_once(monkeypatch):
         monkeypatch.setattr(generators, name,
                             lambda *a, build=build, name=name: built.append(name) or build(*a))
     gadgets._unit_part.cache_clear()
+    experiments._drive_block.cache_clear()
     for gamma in (1.5, 2.5, 3.5):  # one 66-level space, three rates
         _drive_p1("sfg", gamma, 0.7 * gamma, math.pi / 2)
     # displacement, SFG and pump loss, one Liouvillian each
