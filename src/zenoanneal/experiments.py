@@ -114,7 +114,7 @@ def _drive_p1(kind: str, gamma: float, eta: float, t: float) -> float:
         vec = expm_apply_vec(gen, t, vacuum(space).to_density().matrix.flatten(order="F"))
         diag = vec[::space.total_dim + 1].real
         return float(diag[space.occupation_array(0) == 1].sum())
-    parts, cols, read = cached
+    parts, cols, read = cached  # parts in drive_generator's order: c, gamma, eta
     a = _prune(sum(w * part for part, w in zip(parts, [w for w in (1.0, gamma, eta) if w])))
     return float(np.append(_block_steps(a, cols, t, 2)[1], 0.0)[read].sum())
 
