@@ -209,6 +209,14 @@ def test_cached_drive_point_equals_the_full_space_action(monkeypatch, kind, gamm
     assert p1 == full_space_p1(kind, gamma, eta, levels)
 
 
+@pytest.mark.parametrize("kind, gamma, eta", [("sfg", -1.0, 0.5), ("sfg", 2.0, -0.5),
+                                             ("sfg", 2.0, math.inf), ("tpa", math.nan, 0.0),
+                                             ("tpa", 2.0, 0.5)])
+def test_drive_point_rejects_bad_rates(kind, gamma, eta):
+    with pytest.raises(ValueError):
+        _drive_p1(kind, gamma, eta, math.pi / 2)
+
+
 def test_a_sweep_builds_one_block_per_drive_structure():
     experiments._drive_block.cache_clear()
     drive_sweep_rows([0.005], [2.0, 30.0], [4.0], [0.8, 20.0],
