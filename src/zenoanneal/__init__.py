@@ -1,5 +1,13 @@
 """Zeno-constrained all-optical annealing toolkit."""
 
+import os
+
+# numpy's and scipy's OpenBLAS read these once, when they load, and small dense algebra ran
+# several times slower on two threads than on one on a 2-vCPU VM; an explicit setting wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .fock import DensityState, FockSpace, PureState, make_space, vacuum
 from .generators import (GeneratorSpec, combine, displacement_generator,
                          loss_dissipator, phase_generator, sfg_generator,
@@ -18,6 +26,6 @@ from .analytic import (DampingParams, effective_tpa_rate,
                        pair_coherence_closed_form, pair_coherence_ode,
                        sfg_rate_for_tpa_target)
 from .timebin import (SwitchProgram, all_pairs_shuffle, compile_graph_program,
-                      compile_round, render_program, verify_program)
+                      render_program, verify_program)
 
 __version__ = "0.1.0"

@@ -82,8 +82,8 @@ def pair_coherence_ode(params: DampingParams, rho12_0: complex,
                        t_grid) -> np.ndarray:
     """rho_12 trajectory on ``t_grid`` by RK4, step-refined below 1e-10."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) == 0:
-        raise ValueError("t_grid must be a nonempty 1-d array")
+    if t_grid.ndim != 1 or not len(t_grid) or not np.all(t_grid < math.inf):  # NaN fails too
+        raise ValueError("t_grid must be a nonempty 1-d array of finite times")
     y0 = np.array([rho12_0, 0.0], dtype=complex)
     # Resolve both the oscillation and the damping timescale.
     rate = math.sqrt(2.0) * params.gamma + params.eta
@@ -147,8 +147,8 @@ def pair_coherence_closed_form_uncorrected(params: DampingParams, rho12_0: compl
 
 def effective_tpa_rate(gamma: float, eta: float) -> float:
     """Decay rate of the slow overdamped branch: eta/4 - sqrt(eta^2/16 - 2 gamma^2)."""
-    if gamma < 0 or eta < 0:
-        raise ValueError("rates must be nonnegative")
+    if not (0 <= gamma < math.inf and 0 <= eta < math.inf):  # NaN fails too
+        raise ValueError("rates must be finite and nonnegative")
     disc = eta ** 2 / 16.0 - 2.0 * gamma ** 2
     if disc < 0:
         # tolerate rounding exactly at the critical point
@@ -167,10 +167,10 @@ def sfg_rate_for_tpa_target(gamma_tpa: float, eta: float) -> float:
     Solves the quadratic exactly rather than the large-eta Taylor shortcut;
     a target above eta/4 is unreachable (that is the critical-point rate).
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if gamma_tpa < 0:
-        raise ValueError("gamma_tpa must be nonnegative")
+    if not 0 < eta < math.inf:  # NaN fails too
+        raise ValueError("eta must be finite and positive")
+    if not 0 <= gamma_tpa < math.inf:  # NaN fails too
+        raise ValueError("gamma_tpa must be finite and nonnegative")
     if gamma_tpa > eta / 4.0:
         raise ValueError(f"target rate {gamma_tpa} unreachable: max is eta/4 = {eta / 4.0}")
     return math.sqrt(gamma_tpa * (eta / 2.0 - gamma_tpa) / 2.0)

@@ -292,7 +292,7 @@ class BinaryExpCache:
     def select_stages(self, t: float) -> list[int]:
         if self.m < 1:
             raise ValueError("cache must have at least one stage")
-        if t < 0 or t >= 2 * self.t_max:
+        if not 0 <= t < 2 * self.t_max:  # NaN fails too
             raise ValueError(f"t={t} outside [0, {2 * self.t_max})")
         chosen = []
         rem = float(t)

@@ -94,9 +94,9 @@ def apply_delays(order: list[int], delays: list[int]) -> list[int]:
 def all_pairs_shuffle(n: int):
     """n rounds of alternating odd/even shifts covering every unordered pair.
 
-    Returns a list of (delays, order_before, order_after, eligible_pairs)
-    tuples, where eligible_pairs are the adjacent position pairs that may
-    interact in that round.
+    Returns one dict a round, with keys ``delays``, ``order_before``,
+    ``order_after`` and ``eligible_pairs``, the adjacent (a, a + 1) position
+    pairs that may interact in that round.
     """
     if n < 2:
         raise ValueError("need at least two bins")
@@ -128,29 +128,6 @@ def _pair_faults(n_bins: int, pairs):
         seen.update((a, b))
 
 
-def compile_round(n_bins: int, pairs, interact, order=None,
-                  round_index: int = 0, delays=None) -> Round:
-    """Emit one round of switch settings.
-
-    ``pairs`` are disjoint adjacent position pairs; ``interact[i]`` selects a
-    constraint block for pairs[i], otherwise an identity block.
-    """
-    order = list(order) if order is not None else list(range(n_bins))
-    if len(order) != n_bins:
-        raise ValueError("order length does not match n_bins")
-    pairs = [tuple(p) for p in pairs]
-    interact = list(interact)
-    if len(pairs) != len(interact):
-        raise ValueError("need one interact flag per pair")
-    for fault in _pair_faults(n_bins, pairs):
-        raise ValueError(fault)
-    delays = list(delays) if delays is not None else [0] * n_bins
-    after = apply_delays(order, delays) if any(delays) else list(order)
-    return Round(round_index, order, after, delays,
-                 [(a, b, "constraint" if flag else "identity")
-                  for (a, b), flag in zip(pairs, interact)])
-
-
 def compile_graph_program(graph: ProblemGraph, n_bins: int | None = None) -> SwitchProgram:
     """Full program: run the all-pairs shuffle, interacting exactly the edges.
 
@@ -162,9 +139,10 @@ def compile_graph_program(graph: ProblemGraph, n_bins: int | None = None) -> Swi
         raise ValueError("not enough bins for the graph")
     rounds = []
     for r, info in enumerate(all_pairs_shuffle(n)):
-        order, pairs = info["order_before"], info["eligible_pairs"]
-        flags = [tuple(sorted((order[a], order[b]))) in graph.edges for a, b in pairs]
-        rounds.append(compile_round(n, pairs, flags, order, r, info["delays"]))
+        order = info["order_before"]
+        pairs = [(a, b, "constraint" if tuple(sorted((order[a], order[b]))) in graph.edges
+                  else "identity") for a, b in info["eligible_pairs"]]
+        rounds.append(Round(r, order, info["order_after"], info["delays"], pairs))
     return SwitchProgram(n, rounds)
 
 

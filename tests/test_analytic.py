@@ -98,6 +98,26 @@ def test_rate_inversion_round_trip_and_guards():
         effective_tpa_rate(1.0, 1.0)  # underdamped
 
 
+@pytest.mark.parametrize("gamma, eta", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)])
+def test_effective_rate_rejects_non_finite_rates(gamma, eta):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        effective_tpa_rate(gamma, eta)
+
+
+@pytest.mark.parametrize("gamma_tpa, eta", [(0.1, math.inf), (0.1, math.nan), (math.nan, 1.0)])
+def test_rate_inversion_rejects_non_finite_inputs(gamma_tpa, eta):
+    with pytest.raises(ValueError, match="must be finite"):
+        sfg_rate_for_tpa_target(gamma_tpa, eta)
+
+
+@pytest.mark.parametrize("t_grid", [[math.nan, 1.0], [0.0, math.inf]])
+def test_ode_rejects_non_finite_times(t_grid):
+    # a NaN time once held the initial value from there on, and an infinite
+    # one overflowed the substep count (OverflowError)
+    with pytest.raises(ValueError, match="finite times"):
+        pair_coherence_ode(DampingParams(1.0, 0.5), 0.5, t_grid)
+
+
 def test_markov_limit_single_exponential():
     gamma_tpa, eta = 1.0, 100.0
     gamma = sfg_rate_for_tpa_target(gamma_tpa, eta)

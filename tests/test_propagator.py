@@ -136,6 +136,13 @@ def test_cache_guards():
         build_cache(gen, t_max=0.5, m=0)
 
 
+def test_cache_rejects_nan_time():
+    # select_stages(nan) once chose no stage, so matrix_for(nan) was the identity
+    cache = build_cache(random_generator(10), t_max=0.5, m=4)
+    with pytest.raises(ValueError, match="outside"):
+        cache.matrix_for(math.nan)
+
+
 def test_semigroup_property():
     gen = random_generator(12)
     rho = random_density(gen.space, seed=13)

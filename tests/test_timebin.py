@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zenoanneal.problems import complete_graph, graph_from_edges, three_node_line
-from zenoanneal.timebin import (CONSTRAINT_ROWS, IDENTITY_ROWS,
+from zenoanneal.timebin import (CONSTRAINT_ROWS, IDENTITY_ROWS, Round,
                                 all_pairs_shuffle, apply_delays,
-                                compile_graph_program, compile_round,
-                                render_program, verify_program)
+                                compile_graph_program, render_program,
+                                verify_program)
 
 
 def covered_pairs(n):
@@ -49,31 +49,29 @@ def bins(rnd):
     return {pos: (settings, block, role) for pos, _, settings, block, role in rnd.events()}
 
 
+def unshuffled_round(n_bins, pairs):
+    """A round on the train 0..n_bins-1 that leaves its order as it is."""
+    return Round(0, list(range(n_bins)), list(range(n_bins)), [0] * n_bins, pairs)
+
+
 def test_compile_round_constraint_rows():
-    by_pos = bins(compile_round(2, [(0, 1)], [True]))
+    by_pos = bins(unshuffled_round(2, [(0, 1, "constraint")]))
     assert by_pos[1][0] == CONSTRAINT_ROWS[0]  # front bin arrives first
     assert by_pos[0][0] == CONSTRAINT_ROWS[1]
 
 
 def test_compile_round_identity_rows():
-    by_pos = bins(compile_round(2, [(0, 1)], [False]))
+    by_pos = bins(unshuffled_round(2, [(0, 1, "identity")]))
     assert by_pos[1][0] == IDENTITY_ROWS[0]
     assert by_pos[0][0] == IDENTITY_ROWS[1]
 
 
 def test_compile_round_four_bins_partial_interaction():
-    by_pos = bins(compile_round(4, [(0, 1), (2, 3)], [True, False]))
+    by_pos = bins(unshuffled_round(4, [(0, 1, "constraint"), (2, 3, "identity")]))
     assert by_pos[0] == (CONSTRAINT_ROWS[1], "constraint", "second")
     assert by_pos[1] == (CONSTRAINT_ROWS[0], "constraint", "first")
     assert by_pos[2] == (IDENTITY_ROWS[1], "identity", "second")
     assert by_pos[3] == (IDENTITY_ROWS[0], "identity", "first")
-
-
-def test_compile_round_conflicting_pairs_rejected():
-    with pytest.raises(ValueError):
-        compile_round(3, [(0, 1), (1, 2)], [True, True])
-    with pytest.raises(ValueError):
-        compile_round(3, [(0, 2)], [True])
 
 
 def test_compile_complete_graph_verifies():

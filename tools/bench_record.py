@@ -22,7 +22,8 @@ and how many pairs the change won.
 Each ``--cli command[:pairs][=flags]`` entry times ``zenoanneal <command>``
 at its default config, or with ``flags`` (split as a shell would) on top of
 it, in both checkouts, in alternating pairs, each run a fresh process on its
-checkout's ``src/`` with BLAS pinned to one thread.  Per
+checkout's ``src/``, with the BLAS thread variables it inherits (the record
+keeps them; where they are unset the package pins one thread as it loads).  Per
 pair it records both wall times and whether the two output files are
 byte-identical once their ``# config:`` lines (which name the output path)
 are dropped, and the numbers of the lines that differ.
@@ -33,13 +34,13 @@ its first round, so each run traces one op of every class, and the record
 keeps its per-layer metrics and self times.
 
 ``--tier1 pairs`` runs the tier-1 command (``TIER1``) in both checkouts, in
-alternating pairs, each a fresh process on its checkout's ``src/`` with BLAS
-pinned to one thread and pytest writing junit XML with each case's captured
-stdout.  Per run it records the wall time, the exit code, the test counts and,
-for each acceptance criterion (``test_acceptance.py::test_criterion_*``), its
-junit time and the ``ACCEPTANCE n: PASS/FAIL - detail`` line it printed, so a
-record keeps each criterion's measured margin; the summary gives both sides'
-medians of the times.
+alternating pairs, each a fresh process on its checkout's ``src/`` (where
+``tests/conftest.py`` pins BLAS as the package does) with pytest writing junit
+XML with each case's captured stdout.  Per run it records the wall time, the
+exit code, the test counts and, for each acceptance criterion
+(``test_acceptance.py::test_criterion_*``), its junit time and the
+``ACCEPTANCE n: PASS/FAIL - detail`` line it printed, so a record keeps each
+criterion's measured margin; the summary gives both sides' medians of the times.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import tempfile
 import time
 import xml.etree.ElementTree as ET
 
-BLAS_PIN = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # The repo's tier-1 test command, run from the checkout with its src/ first on PYTHONPATH.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # Keeps each case's captured stdout in the junit XML, where the criteria print their lines.
@@ -106,11 +107,15 @@ def run_perfbench(checkout: str, workload: str, seed: int, seconds: float,
     return {**json.loads(env_line), "result": json.loads(result_line)}
 
 
+def blas_env() -> dict:
+    """The BLAS thread variables as the runs inherit them (None where unset)."""
+    return {var: os.environ.get(var) for var in BLAS_VARS}
+
+
 def run_cli(checkout: str, command: str, flags: list[str], out: str) -> float:
     """Wall seconds of ``zenoanneal <command> <flags> --out <out>`` run from
     ``checkout``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"),
-               **BLAS_PIN)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
     t0 = time.perf_counter()
     subprocess.run([sys.executable, "-m", "zenoanneal.cli", command, *flags, "--out", out],
                    cwd=checkout, env=env, check=True, capture_output=True)
@@ -141,7 +146,7 @@ def cli_pairs(checkouts: dict[str, str], command: str, pairs: int, flags: list[s
             print(f"cli {command} pair {i}: {json.dumps(runs[-1])}", file=sys.stderr)
     parent = statistics.median(r["parent_s"] for r in runs)
     change = statistics.median(r["change_s"] for r in runs)
-    return {"command": command, "config": shlex.join(flags) or "default", "blas_threads": 1,
+    return {"command": command, "config": shlex.join(flags) or "default", "blas_env": blas_env(),
             "nproc": os.cpu_count(), "pairs": pairs,
             "runs": runs, "parent_median_s": parent, "change_median_s": change,
             "speedup": parent / change,
@@ -155,7 +160,7 @@ def run_tier1(checkout: str, xml_path: str) -> dict:
     seconds and ``ACCEPTANCE`` line, of one tier-1 run in ``checkout``."""
     src = os.path.join(os.path.abspath(checkout), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, **BLAS_PIN)
+    env = dict(os.environ, PYTHONPATH=path)
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1, *JUNIT_STDOUT, f"--junitxml={xml_path}"],
                           cwd=checkout, env=env, capture_output=True)
@@ -193,7 +198,7 @@ def tier1_pairs(checkouts: dict[str, str], pairs: int) -> dict:
                                                           for r in runs)
                                      for c in runs[0][name]["criterion_s"]}}
               for name in ("parent", "change")}
-    return {"command": shlex.join(["python", *TIER1]), "blas_threads": 1,
+    return {"command": shlex.join(["python", *TIER1]), "blas_env": blas_env(),
             "nproc": os.cpu_count(), "pairs": pairs, "runs": runs, "median": median}
 
 
