@@ -112,8 +112,8 @@ def test_rate_inversion_rejects_non_finite_inputs(gamma_tpa, eta):
 
 @pytest.mark.parametrize("t_grid", [[math.nan, 1.0], [0.0, math.inf]])
 def test_ode_rejects_non_finite_times(t_grid):
-    # a NaN time once held the initial value from there on, and an infinite
-    # one overflowed the substep count (OverflowError)
+    # unchecked, a NaN time holds the initial value from there on, and an
+    # infinite one overflows the substep count (OverflowError)
     with pytest.raises(ValueError, match="finite times"):
         pair_coherence_ode(DampingParams(1.0, 0.5), 0.5, t_grid)
 

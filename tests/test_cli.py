@@ -222,17 +222,17 @@ def test_domain_input_errors_are_config_errors(tmp_path, capsys, args):
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("given, seen", [({}, ["1", "1", "1"]),
-                                         ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
+@pytest.mark.parametrize("preset, seen", [({}, ["1", "1", "1"]),
+                                          ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])],
                          ids=["unset", "explicit-setting-wins"])
-def test_package_import_pins_blas_threads(given, seen):
+def test_package_import_pins_blas_threads(preset, seen):
     # a fresh process, since this one's BLAS variables are set by conftest
     src = os.path.dirname(os.path.dirname(os.path.abspath(anneal.__file__)))
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     proc = subprocess.run(
         [sys.executable, "-c", "import os, zenoanneal; "
          f"print(*(os.environ.get(v) for v in {BLAS_VARS!r}))"],
-        env={**env, "PYTHONPATH": src, **given}, capture_output=True, text=True,
+        env={**env, "PYTHONPATH": src, **preset}, capture_output=True, text=True,
         timeout=120, check=True)
     assert proc.stdout.split() == seen
 

@@ -137,7 +137,7 @@ def test_cache_guards():
 
 
 def test_cache_rejects_nan_time():
-    # select_stages(nan) once chose no stage, so matrix_for(nan) was the identity
+    # unchecked, select_stages(nan) chooses no stage and matrix_for(nan) is the identity
     cache = build_cache(random_generator(10), t_max=0.5, m=4)
     with pytest.raises(ValueError, match="outside"):
         cache.matrix_for(math.nan)
