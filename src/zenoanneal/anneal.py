@@ -14,9 +14,10 @@ one row per schedule, with the physical constraint gadget (built on per-mode
 dim >= 3) per edge; ``anneal_density`` is its one-row case.  The exact
 two-level drive keeps rho in the 2^n x 2^n block of 0/1 patterns, where phase
 and drive are one unitary V rho V^dag per row and each edge gadget one
-16 x 16 matmul on the flattened stack; the TPA and SFG drives populate |2>, so
-they run one row on the full space as a :class:`PhaseKernel` multiply, one
-local drive superoperator on every mode and one sparse gadget per edge.
+16 x 16 matmul; the TPA and SFG drives populate |2>, so they run one row on
+the full space as a :class:`PhaseKernel` multiply, one matmul by the local
+drive map per mode and one sparse gadget per edge.  Both change layouts by
+one precomputed take per step (:func:`_take_chain`).
 ``_run_pure`` runs it on a (B, 2^n) block of qubit amplitudes, one row per
 row of each schedule (a batched schedule has a sequence of r_tot), for three
 paths:
@@ -48,10 +49,11 @@ from itertools import product
 import numpy as np
 import scipy.sparse
 
-# apply_local_operator_matrix is unused here but perfbench/tracing.py binds it.
+# apply_local_operator_matrix and apply_local_superop_matrix are unused here but
+# perfbench/tracing.py binds them.
 from .fock import (DensityState, FockSpace, PureState,
                    apply_local_operator_matrix, apply_local_superop_matrix,
-                   apply_superop_every_mode, eigenvalue_entropy, make_space)
+                   eigenvalue_entropy, make_space)
 from .gadgets import (ConstraintParams, DriveParams, constraint_superop,
                       drive_generator, pump_maps)
 from .problems import ProblemGraph, _optima, _qubo_scores, _wmis_scores
@@ -191,24 +193,22 @@ class _Observables:
         return Populations(diag[self.pattern_idx])
 
 
-def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
-               c: np.ndarray):
-    """(phi, c) of a block, (cycles, 1) each -> drive(rho, j): cycle j's weighted
-    phase, then one local drive superoperator on every mode of a (1, D, D)
-    stack: the full-space drive runs one row at a time.
+def _zeno_maps(mode_dim: int, drive: DriveParams, mode_kind: str, c: np.ndarray):
+    """(maps, index) of a run's cycle angles ``c``: the local drive
+    superoperator on [mode_dim] of each distinct drive time, and the row of
+    ``maps`` each cycle takes.
 
     The drive hardware runs for t = c / drive.c <= max(c) / drive.c each
     cycle, so the blockade exposure scales together with the rotation angle
     exactly as it would physically.  An SFG pump is appended empty and traced
-    out.  One table holds the map of each distinct t: the binary cache
-    stages t selects composed onto the append map, one matmul per stage.
+    out.  Each map is the binary cache stages its t selects composed onto the
+    append map, one matmul per stage.
     """
     if drive.c <= 0:
         raise ValueError("zeno drive modes need a positive displacement rate c")
-    mode_dim = space.mode_dims[0]
     gen, joint = drive_generator(mode_kind.removeprefix("zeno-"), make_space([mode_dim]), 0,
                                  drive.c, drive.gamma, drive.eta)
-    times = np.unique(c / drive.c)
+    times, index = np.unique(c / drive.c, return_inverse=True)
     cache = build_cache(gen, times[-1], ZENO_CACHE_STAGES)
     append, trace = pump_maps(mode_dim, joint.total_dim // mode_dim)
     # t <= t_max selects each stage at most once; maps[r] is (stages @ append)^T
@@ -216,24 +216,44 @@ def _zeno_step(space: FockSpace, weights, drive: DriveParams, mode_kind: str,
     maps = np.repeat(append.T[None], len(times), axis=0).astype(complex)
     for stage, rows in zip(cache.stages, chosen.T > 0):
         maps[rows] = (maps[rows].reshape(-1, len(stage)) @ stage.T).reshape(-1, *append.T.shape)
-    maps = (maps @ trace.T).mT
-    phase = PhaseKernel(space, weights)
-
-    def block(phi, c):
-        index = np.searchsorted(times, c[:, 0] / drive.c)
-        return lambda rho, j: apply_superop_every_mode(
-            maps[index[j]], phase.apply_matrix(rho, phi[j, 0]), space)
-
-    return block
+    return (maps @ trace.T).mT, index
 
 
-def _ideal_step(n: int, number: np.ndarray):
-    """(phi, c) of a block, (cycles, k) each -> drive(rho, j): V rho V^dag for
-    each row of a (k, 2^n, 2^n) stack, with row b's unitary of cycle j
-    V = S diag(exp(-i c lam)) S diag(exp(-i phi N_w)) / 2^n: the weighted
-    phase followed by exp(-i c X) on every qubit, where S is the exact +-1
-    Walsh signs, lam = n - 2 popcount and N_w the weighted ``number``, as in
-    the pure-state mixer up to ``WALSH_MATMUL_QUBITS`` qubits.
+def _zeno_step(space: FockSpace, weights, phi: np.ndarray, maps: np.ndarray,
+               index: np.ndarray, takes: list, back: np.ndarray, gadget):
+    """(start, stop, k) of a block -> cycle(rho, j) of one row on the full
+    space, the same for every block: cycle j's weighted phase ``phi[j]``,
+    then maps[index[j]] on every mode, then the sparse ``gadget`` on each
+    edge, through :func:`_take_chain`'s ``takes`` and ``back``.
+
+    The first take puts each mode's (column, row) pair in turn first, so the
+    drive is one (rest, d^2) @ (d^2, d^2) matmul per mode, which moves that
+    pair last and the next one first; each edge is one CSR product on its
+    (d^4, rest) matricization.
+    """
+    phase, drives = PhaseKernel(space, weights), maps.mT
+    first, *edge_takes = takes
+
+    def cycle(rho, j):
+        x = phase.apply_matrix(rho, phi[j]).take(first).reshape(1, len(maps[0]), -1)
+        for _ in range(space.n_modes):
+            x = np.matmul(x.mT, drives[index[j]]).reshape(x.shape)
+        for take in edge_takes:
+            x = gadget @ x.take(take)
+        return x.take(back).reshape(rho.shape)
+
+    return lambda start, stop, k: cycle
+
+
+def _ideal_step(n: int, number: np.ndarray, angles: np.ndarray, takes: list,
+                back: np.ndarray, blocks: np.ndarray):
+    """(start, stop, k) of a block -> cycle(rho, j): V rho V^dag for each row
+    of a (k, 2^n, 2^n) stack, then row b's 16 x 16 edge block ``blocks[b]``
+    on each edge, one matmul per :func:`_take_chain` take; row b's
+    V = S diag(exp(-i c lam)) S diag(exp(-i phi N_w)) / 2^n at its (phi, c)
+    ``angles`` of cycle j is the weighted phase, then exp(-i c X) on every
+    qubit, where S is the exact +-1 Walsh signs, lam = n - 2 popcount and N_w
+    the weighted ``number``, as in the pure mixer to ``WALSH_MATMUL_QUBITS``.
 
     A block's phases come from one :func:`_phase_tables` call and all its V
     from one batched matmul.  S S is formed from the exact signs and divided
@@ -243,11 +263,18 @@ def _ideal_step(n: int, number: np.ndarray):
     signs = _walsh_signs(n).astype(complex)
     phases = _phase_tables(n - 2 * np.bitwise_count(np.arange(1 << n)).astype(int), number)
 
-    def block(phi, c):
-        mixer_phases, number_phases = phases(c, phi)
+    def block(start, stop, k):
+        mixer_phases, number_phases = phases(angles[1, start:stop, :k], angles[0, start:stop, :k])
         v = (signs * mixer_phases[..., None, :]) @ (signs * number_phases[..., None, :]) / (1 << n)
-        v_dag = v.conj().mT
-        return lambda rho, j: v[j] @ rho @ v_dag[j]
+        v_dag, rows = v.conj().mT, blocks[:k]
+
+        def cycle(rho, j):  # with no edges, no take either
+            flat = v[j - start] @ rho @ v_dag[j - start]
+            for take in takes:
+                flat = rows @ flat.reshape(k, -1).take(take, axis=1)
+            return flat.reshape(k, -1).take(back, axis=1).reshape(rho.shape) if takes else flat
+
+        return cycle
 
     return block
 
@@ -263,29 +290,21 @@ def _qubit_block(superop: np.ndarray, d: int) -> tuple[np.ndarray, float]:
     return cols[idx], float(leak)
 
 
-def _edge_chain(blocks: np.ndarray, n: int, edges):
-    """rho -> row b's 16 x 16 qubit block ``blocks[b]`` on each edge in turn of
-    a (k, 2^n, 2^n) stack: per edge one take of the flattened rows into that
-    edge's layout, (k, 16, 4^n / 16) with its local entries (F-order, a + 4 b)
-    first, and one matmul, which sums the same products in the same order as
-    the local map; one last take restores the natural layout."""
-    x = np.arange(4 ** n)
-    takes, back = [], None
-    for j, k in edges:
-        # where the local index's bits (a_k, a_j, b_k, b_j) sit in x
-        pos = np.array([2 * n - 1 - k, 2 * n - 1 - j, n - 1 - k, n - 1 - j])
-        local = (((np.arange(16)[:, None] >> np.arange(4)) & 1) << pos).sum(axis=1)
-        gather = (local[:, None] | x[(x & (1 << pos).sum()) == 0]).ravel()
-        takes.append((gather if back is None else back[gather]).reshape(16, -1))
-        back = np.argsort(gather)
-
-    def run(rho):
-        rows, flat = blocks[:len(rho)], rho.reshape(len(rho), -1)
-        for take in takes:
-            flat = (rows @ flat.take(take, axis=1)).reshape(len(rho), -1)
-        return flat.take(back, axis=1).reshape(rho.shape)
-
-    return run
+def _take_chain(dims, groups):
+    """(takes, back) that move the flattened rows of a (k, D, D) stack, seen
+    as C-order ``dims * 2`` tensors, through one layout per group in turn:
+    takes[i], composed with the layout before it, puts the axes ``groups[i]``
+    first, in order, and the others after them in theirs, as a (d_loc, rest)
+    table; ``back`` restores the natural layout.  Built once, from
+    np.arange(D^2); a product that sums the same terms in the same order as
+    the local map on those axes gives the same bits."""
+    x = np.arange(math.prod(dims) ** 2).reshape(dims * 2)
+    takes, back = [], x.ravel()
+    for axes in groups:
+        gather = x.transpose(axes + [a for a in range(x.ndim) if a not in axes])
+        takes.append(back[gather.reshape(math.prod(gather.shape[:len(axes)]), -1)])
+        back = np.argsort(gather, axis=None)
+    return takes, back
 
 
 def anneal_density(graph: ProblemGraph, schedule: Schedule,
@@ -309,14 +328,15 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     ``mode_dim`` >= 3 is required whenever the graph has edges, since the
     gadgets route population through the two-photon state; each distinct
     constraint builds its gadget once.  The ideal drive never leaves the 0/1
-    patterns, so it runs in the 2^n qubit block, each edge's 16 x 16 block
-    applied by :func:`_edge_chain`, once each gadget is checked to keep it
-    closed, and reports its final states there; the zeno drives run one
-    schedule on the full space, one sparse gadget per edge.  Cycles run in
-    blocks, as in :func:`_run_pure`; a block's states are kept and give its
-    records and one batched ``eigvalsh``.  The final states, then the largest
-    block's states and unitaries and the edge chain's arrays, are guarded in
-    bytes first.  ``meta`` holds a row's largest |trace - 1| and smallest
+    patterns, so it runs in the 2^n qubit block, once each gadget is checked
+    to keep it closed, and reports its final states there; the zeno drives
+    run one schedule on the full space.  Each cycle's drive map on every mode
+    (zeno) and edge gadgets (a 16 x 16 block, or sparse on the full space)
+    run through the takes of one :func:`_take_chain`, built once per run.
+    Cycles run in blocks, as in :func:`_run_pure`; a block's states are kept
+    and give its records and one batched ``eigvalsh``.  The final states,
+    then the largest block's states and unitaries and the take chain's index
+    tables, are guarded in bytes first.  ``meta`` holds a row's largest |trace - 1| and smallest
     eigenvalue over all cycles.  A final state whose trace or hermiticity
     drifted past the :class:`DensityState` tolerances, or a NaN state, raises
     :class:`NonConvergenceError`.
@@ -354,37 +374,38 @@ def anneal_density_batch(graph: ProblemGraph, schedules, constraints,
     order = sorted(range(len(schedules)), key=lambda b: -schedules[b].n_cycle)
     lengths = np.array([schedules[b].n_cycle for b in order])
     _guard_cycles(len(order), lengths[0])
-    # Bytes of the largest block's states and five stack-sized temporaries of a cycle and, in
-    # the qubit block, of the block's unitaries and their adjoints, the Walsh signs and the
-    # edge chain's E + 1 index tables with four more arrays of indices while they are built.
+    # a zeno drive takes every mode's (column, row) pair; then per edge its local vec index
+    # (F-order, a + d^2 b) over its (column, row) axes, as apply_local_superop_matrix takes them
+    groups = ([] if in_block else [[a for m in range(n) for a in (n + m, m)]]) + [
+        [n + j, n + k, j, k] for j, k in edges]
+    # Bytes of the largest block's states, five stack-sized temporaries of a cycle, the take
+    # chain's tables (one per group and the last) with four more while they are built and, in
+    # the qubit block, the block's unitaries and their adjoints and the Walsh signs.
     cells = min(max(len(order) * size, PURE_BLOCK_ELEMENTS), len(order) * lengths[0] * size)
-    qubit_block = 32 * cells + 16 * size + 8 * (len(edges) + 5) * size
-    _guard_bytes(16 * (cells + 5 * len(order) * size) + (qubit_block if in_block else 0),
-                 "the density block")
-    step = (_ideal_step(n, obs.number) if in_block else
-            _zeno_step(space, weights, drive, drive_mode, schedules[0].c))
-    if in_block and edges:
-        run_edges = _edge_chain(np.stack([gadgets[constraints[b]][1] for b in order]), n, edges)
-    else:
-        def run_edges(rho):  # a zeno drive's one row, or no edges
-            for edge in edges:
-                rho = apply_local_superop_matrix(gadgets[constraints[0]][0], rho, space, edge)
-            return rho
-
+    _guard_bytes(16 * (cells + 5 * len(order) * size) + 8 * (len(groups) + 5) * size
+                 + (32 * cells + 16 * size if in_block else 0), "the density block")
+    takes, back = _take_chain(space.mode_dims, groups)
     angles = np.zeros((2, lengths[0], len(order)))
     for row, b in enumerate(order):
         angles[:, :lengths[row], row] = schedules[b].phi, schedules[b].c
+    if in_block:
+        step = _ideal_step(n, obs.number, angles, takes, back,
+                           np.stack([gadgets[constraints[b]][1] for b in order]))
+    else:
+        step = _zeno_step(space, weights, schedules[0].phi,
+                          *_zeno_maps(mode_dim, drive, drive_mode, schedules[0].c), takes, back,
+                          gadgets[constraints[0]][0])
     finals = np.zeros((len(order), space.total_dim, space.total_dim), dtype=complex)
     finals[:, 0, 0] = 1.0
     records = np.empty((5, lengths[0], len(order)))
     rho, start, k = finals, 0, len(order)
     while k:
         stop = min(lengths[k - 1], start + max(1, PURE_BLOCK_ELEMENTS // rho.size))
-        drive_of = step(angles[0, start:stop, :k], angles[1, start:stop, :k])
+        cycle = step(start, stop, k)
         states = np.empty((stop - start, *rho.shape), dtype=complex)
-        for j in range(len(states)):
-            rho = states[j] = run_edges(drive_of(rho, j))
-        del drive_of  # and the block's unitaries, before its eigvalsh
+        for j in range(start, stop):
+            rho = states[j - start] = cycle(rho, j)
+        del cycle  # and the block's unitaries, before its eigvalsh
         diag = np.ascontiguousarray(states.diagonal(0, 2, 3).real)
         try:
             lam = np.linalg.eigvalsh(states)

@@ -166,20 +166,6 @@ def apply_local_superop_matrix(superop: np.ndarray, mat: np.ndarray,
     return _apply_axes(superop, mat, space.mode_dims * 2, cols + targets)
 
 
-def apply_superop_every_mode(superop: np.ndarray, mat: np.ndarray,
-                             space: FockSpace) -> np.ndarray:
-    """One local superoperator on every mode of a (B, D, D) stack whose modes
-    share a dimension: the axes permuted once into (column, row) pairs, then
-    per mode one (d^2, rest) matmul that moves its pair last, then unpermuted."""
-    n = space.n_modes
-    perm = [0] + [a + 1 for m in range(n) for a in (n + m, m)]
-    tensor = mat.reshape(-1, *space.mode_dims * 2).transpose(perm)
-    out = tensor.reshape(len(tensor), len(superop), -1)
-    for _ in range(n):
-        out = np.matmul(out.mT, superop.T).reshape(len(tensor), len(superop), -1)
-    return out.reshape(tensor.shape).transpose(np.argsort(perm)).reshape(mat.shape)
-
-
 def apply_local_operator_matrix(op: np.ndarray, mat: np.ndarray,
                                 space: FockSpace, targets) -> np.ndarray:
     """Conjugate a raw density matrix by a local operator: op @ rho @ op^dagger."""

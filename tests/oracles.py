@@ -4,10 +4,11 @@ entropy of density states, the partial trace, the dense map of a drive with
 its pump traced out, a butterfly Walsh transform, the QUBO anneal with one
 exact phase exp per cycle, the ideal anneal with one drive expm per cycle on
 the independent patterns, the zeno density run with one composed drive map
-per cycle, the density cycle loop with one unitary, one local map per edge
-and one eigvalsh per cycle, the copy encoding as a graph, and the exhaustive solvers, decoder
-and loss study that the array solvers in ``zenoanneal.problems`` and
-``zenoanneal.experiments`` are checked against."""
+per cycle, the density cycle loop with one unitary or one drive map per
+mode, one local map per edge and one eigvalsh per cycle, the copy encoding
+as a graph, and the exhaustive solvers, decoder and loss study that the
+array solvers in ``zenoanneal.problems`` and ``zenoanneal.experiments`` are
+checked against."""
 
 import math
 from itertools import product
@@ -17,7 +18,7 @@ import scipy.linalg
 import scipy.sparse
 
 from zenoanneal.anneal import (ZENO_CACHE_STAGES, _Observables, _qubit_block,
-                               _walsh_signs, _zeno_step, linear_three_parameter_profile)
+                               _walsh_signs, _zeno_maps, linear_three_parameter_profile)
 from zenoanneal.fock import (DensityState, PureState, apply_local_superop_matrix,
                              eigenvalue_entropy, make_space)
 from zenoanneal.gadgets import constraint_superop, drive_generator, pump_maps
@@ -125,10 +126,12 @@ def density_cycle_loop(graph, schedule, constraint, drive_mode="ideal-2level", d
     """(final rho, records) of one density run, one cycle at a time: on the
     2^n qubit block, V = S diag(exp(-i c lam)) S diag(exp(-i phi N_w)) / 2^n
     and V rho V^dag, then each sorted edge's 16 x 16 qubit block as a local
-    map; on the full space, the zeno drive of ``anneal._zeno_step`` for that
-    one cycle, then each edge's sparse gadget.  Every cycle's state takes its
-    own eigvalsh.  Records are per cycle: success, leakage, entropy, the
-    smallest eigenvalue and the trace."""
+    map; on the full space, the weighted phase, then the cycle's drive map
+    from ``anneal._zeno_maps`` (the one table this loop shares with the
+    engine) on one mode at a time, then each edge's sparse gadget, all as
+    local maps.  Every cycle's state takes its own eigvalsh.  Records are
+    per cycle: success, leakage, entropy, the smallest eigenvalue and the
+    trace."""
     n = graph.n_vertices
     in_block = drive_mode == "ideal-2level"
     space = make_space([2 if in_block else mode_dim] * n)
@@ -140,7 +143,8 @@ def density_cycle_loop(graph, schedule, constraint, drive_mode="ideal-2level", d
         lam = n - 2 * np.bitwise_count(np.arange(1 << n)).astype(int)
     else:
         gadget = scipy.sparse.csr_array(gadget)
-        step = _zeno_step(space, graph.weights or (1.0,) * n, drive, drive_mode, schedule.c)
+        phase = PhaseKernel(space, graph.weights or (1.0,) * n)
+        maps, index = _zeno_maps(mode_dim, drive, drive_mode, schedule.c)
     rho = np.zeros((1, space.total_dim, space.total_dim), dtype=complex)
     rho[0, 0, 0] = 1.0
     records = []
@@ -150,7 +154,9 @@ def density_cycle_loop(graph, schedule, constraint, drive_mode="ideal-2level", d
             v /= 1 << n
             rho = v @ rho @ v.conj().T
         else:
-            rho = step(schedule.phi[i:i + 1, None], schedule.c[i:i + 1, None])(rho, 0)
+            rho = phase.apply_matrix(rho, phi)
+            for m in range(n):
+                rho = apply_local_superop_matrix(maps[index[i]], rho, space, [m])
         for edge in graph.sorted_edges():
             rho = apply_local_superop_matrix(gadget, rho, space, edge)
         diag = rho[0].diagonal().real

@@ -311,20 +311,24 @@ def test_batched_density_rows_match_single_runs():
         assert abs(leak - single.leakage[-1]) <= 1e-15
 
 
-@pytest.mark.parametrize("case", ["ideal-ragged", "zeno-sfg"])
+@pytest.mark.parametrize("case", ["ideal-ragged", "zeno-sfg", "zeno-sfg-4"])
 def test_block_engine_matches_the_per_cycle_loop(case):
     # ideal rows of 23, 40 and 7 cycles on 4^4 entries run blocks of 5, then 8,
     # then 16 cycles as they leave; the zeno run's 23 cycles on 3^3 levels run
-    # blocks of 5
+    # blocks of 5, and its 9 cycles on 3^4 levels blocks of one
     if case == "ideal-ragged":
         g = graph_from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)], weights=(1.0, 1.7, 0.6, 1.2))
         runs = [(ConstraintParams(PHI_Q, gt, 0.2), make_schedule(n, 9 * math.pi))
                 for gt, n in ((GAMMA_T_INCOHERENT, 23), (0.8, 40), (GAMMA_T_COHERENT, 7))]
         drive_mode, drive = "ideal-2level", None
-    else:
+    elif case == "zeno-sfg":
         g = graph_from_edges(3, [(0, 1), (1, 2)], weights=(1.0, 1.6, 0.8))
         runs = [(ConstraintParams(PHI_Q, 0.8, 0.2), make_schedule(23, 12 * math.pi))]
         drive_mode, drive = "zeno-sfg", DriveParams(1.0, 20.0, 10.0)
+    else:
+        g = graph_from_edges(4, [(2, 3), (0, 1), (1, 3)], weights=(1.0, 1.6, 0.8, 1.3))
+        runs = [(ConstraintParams(PHI_Q, 0.8, 0.2), make_schedule(9, 6 * math.pi))]
+        drive_mode, drive = "zeno-sfg", DriveParams(1.0, 12.0, 2.0)
     reports = anneal_density_batch(g, [s for _, s in runs], [c for c, _ in runs],
                                    drive_mode, drive)
     for (constraint, schedule), rep in zip(runs, reports):
@@ -347,6 +351,20 @@ def test_qubit_block_run_takes_one_eigvalsh_per_block_and_no_local_map(monkeypat
     anneal_density(three_node_line(), make_schedule(1024, 40 * math.pi),
                    ConstraintParams(PHI_Q, 0.8))
     assert shapes == [(64, 1, 8, 8)] * 16
+
+
+def test_zeno_run_on_four_nodes_takes_no_local_map_and_indexes_its_maps_once(monkeypatch):
+    # 3^4 levels run in one-cycle blocks; the drive and the edges run through
+    # the take chain, and each cycle's drive map is found once per run, not per block
+    monkeypatch.setattr(anneal, "apply_local_superop_matrix",
+                        mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(np, "searchsorted", mock.Mock(side_effect=AssertionError))
+    zeno_maps = mock.Mock(side_effect=anneal._zeno_maps)
+    monkeypatch.setattr(anneal, "_zeno_maps", zeno_maps)
+    g = graph_from_edges(4, [(0, 1), (1, 2), (1, 3)], weights=(1.0, 1.7, 0.6, 1.2))
+    rep = anneal_density(g, make_schedule(32, 8 * math.pi), ConstraintParams(PHI_Q, 0.8),
+                         drive_mode="zeno-sfg", drive=DriveParams(1.0, 12.0, 2.0))
+    assert zeno_maps.call_count == 1 and rep.success.shape == (32,)
 
 
 def test_density_report_records_space_and_block_leak():
@@ -970,40 +988,51 @@ def test_density_state_bytes_are_guarded_before_the_stack(monkeypatch):
         anneal_density_batch(g, schedules, [con] * 2)
 
 
-def _density_block_bytes(rows: int, n_cycle: int, n: int, n_edges: int) -> int:
+def _density_block_bytes(rows: int, n_cycle: int, n: int, n_edges: int,
+                         mode_dim: int | None = None) -> int:
     """The byte count ``anneal_density_batch`` guards for ``rows`` rows of at
-    most ``n_cycle`` cycles in the 2^n qubit block of a graph with ``n_edges`` edges."""
-    size = 4 ** n
+    most ``n_cycle`` cycles of a graph with ``n_edges`` edges, in the 2^n
+    qubit block, or with ``mode_dim`` on the full space, where the take
+    chain's drive adds a group and there are no unitaries or Walsh signs."""
+    size = (mode_dim or 2) ** (2 * n)
     cells = min(max(rows * size, anneal.PURE_BLOCK_ELEMENTS), rows * n_cycle * size)
-    return 16 * (3 * cells + 5 * rows * size + size) + 8 * (n_edges + 5) * size
+    block = 16 * (cells + 5 * rows * size) + 8 * (n_edges + (mode_dim is not None) + 5) * size
+    return block + (0 if mode_dim else 16 * (2 * cells + size))
 
 
-@pytest.mark.parametrize("case", ["path8-ragged", "complete7"])
+@pytest.mark.parametrize("case", ["path8-ragged", "complete7", "zeno5"])
 def test_density_block_guard_counts_its_peak(case):
-    # at n >= 7 the block's arrays dwarf the gadget construction, which the
-    # count leaves out; the final states and the records are guarded before
+    # at n >= 7, or 5 zeno modes of 3 levels, the block's arrays dwarf the gadget
+    # and drive-cache construction, which the count leaves out; the final states
+    # and the records are guarded before
+    drive_mode, drive, mode_dim = "ideal-2level", None, None
     if case == "path8-ragged":
         g, n_cycles = graph_from_edges(8, [(j, j + 1) for j in range(7)]), [6, 3, 2]
-    else:
+    elif case == "complete7":
         g, n_cycles = complete_graph(7), [3]
+    else:
+        g, n_cycles = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+                                       weights=(1.0, 1.3, 1.6, 1.9, 2.2)), [3]
+        drive_mode, drive, mode_dim = "zeno-sfg", DriveParams(1.0, 12.0, 2.0), 3
     schedules = [make_schedule(n, 20.0) for n in n_cycles]
     constraints = [ConstraintParams(PHI_Q, gt) for gt in (GAMMA_T_INCOHERENT, 0.8,
                                                           GAMMA_T_COHERENT)[:len(n_cycles)]]
-    anneal_density_batch(g, schedules, constraints)  # the gadgets' cached parts
+    anneal_density_batch(g, schedules, constraints, drive_mode, drive)  # the gadgets' cached parts
     tracemalloc.start()
     try:
-        anneal_density_batch(g, schedules, constraints)
+        anneal_density_batch(g, schedules, constraints, drive_mode, drive)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows, size = len(n_cycles), 4 ** g.n_vertices
+    rows, size = len(n_cycles), (mode_dim or 2) ** (2 * g.n_vertices)
     peak -= 16 * rows * size + 8 * rows * max(n_cycles) * 7
-    assert peak <= _density_block_bytes(rows, max(n_cycles), g.n_vertices, len(g.edges))
+    assert peak <= _density_block_bytes(rows, max(n_cycles), g.n_vertices, len(g.edges),
+                                        mode_dim)
 
 
 def test_density_block_bytes_are_guarded_before_the_block(monkeypatch):
     # the first block's states, unitaries and their adjoints (two rows, six
-    # cycles), five stack-sized temporaries, the Walsh signs and the edge
+    # cycles), five stack-sized temporaries, the Walsh signs and the take
     # chain's index tables
     g, con = three_node_line(), ConstraintParams(PHI_Q, GAMMA_T_COHERENT)
     schedules = [make_schedule(4, 1.0), make_schedule(6, 2.0)]
@@ -1013,7 +1042,7 @@ def test_density_block_bytes_are_guarded_before_the_block(monkeypatch):
     monkeypatch.setattr(propagator, "RUN_BYTES_MAX", nbytes)
     anneal_density_batch(g, schedules, [con] * 2)
     monkeypatch.setattr(anneal, "_ideal_step", mock.Mock(side_effect=AssertionError))
-    monkeypatch.setattr(anneal, "_edge_chain", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(anneal, "_take_chain", mock.Mock(side_effect=AssertionError))
     for bound in (nbytes - 1, finals):
         monkeypatch.setattr(propagator, "RUN_BYTES_MAX", bound)
         with pytest.raises(ValueError, match=f"density block would take {nbytes} bytes"):

@@ -7,7 +7,7 @@ import scipy.sparse
 
 from zenoanneal.fock import (DensityState, PureState,
                              apply_local_operator_matrix,
-                             apply_local_superop_matrix, apply_superop_every_mode,
+                             apply_local_superop_matrix,
                              eigenvalue_entropy, embed_local_operator, make_space,
                              vacuum)
 from zenoanneal.gadgets import unitary_conjugation_superop
@@ -210,21 +210,6 @@ def random_superop(rng, d2):
     """A random complex d2 x d2 map of spectral norm 1."""
     superop = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
     return superop / np.linalg.norm(superop, 2)
-
-
-@pytest.mark.parametrize("dims", [[3, 3, 3], [2, 2]])
-@pytest.mark.parametrize("batch", [1, 3])
-def test_superop_on_every_mode_is_the_per_mode_sequence(dims, batch):
-    space = make_space(dims)
-    rng = np.random.default_rng([batch, len(dims)])
-    superop = random_superop(rng, dims[0] ** 2)
-    stack = np.stack([random_density(space, seed=batch + b).matrix for b in range(batch)])
-    expect = stack
-    for m in range(len(dims)):
-        expect = apply_local_superop_matrix(superop, expect, space, [m])
-    out = apply_superop_every_mode(superop, stack, space)
-    assert out.shape == stack.shape
-    assert np.max(np.abs(out - expect)) <= 1e-14
 
 
 @pytest.mark.parametrize("targets", [[1], [0, 2], [2, 1]])
